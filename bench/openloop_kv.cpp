@@ -10,14 +10,10 @@
 // sourced from the registry histograms the driver records into).
 //
 //   --sweep        run the rate sweep (default; flag kept for scripts)
-//   --smoke        short ladder + small pool (CI-sized; threads=1 grid)
+//   --smoke        short ladder + small pool (CI-sized)
 //   --gate         exit 1 unless every config has a knee and its low-load
 //                  p50 stays inside the sanity band
 //   --seed N       world seed (default 42); same seed => byte-identical rows
-//   --threads N    pin every grid point to N runtime threads (default: the
-//                  grid walks threads {1, 4} on the 4-shard points; rows are
-//                  byte-identical at every thread count — threading changes
-//                  wall-clock time only)
 //   --loopback     drive a real-socket deployment (UDP + framed TCP via
 //                  net::LoopbackTransport): single-shard grid, short ladder,
 //                  wall-clock windows. Rows are not byte-deterministic, but
@@ -52,13 +48,11 @@ constexpr double kLoopbackP50MaxUs = 100'000;
 struct GridPoint {
   std::uint32_t shards;
   std::uint64_t max_batch;
-  unsigned threads;
 };
 
 std::string grid_label(const GridPoint& g) {
   return "shards=" + std::to_string(g.shards) +
-         " batch=" + std::to_string(g.max_batch) +
-         " threads=" + std::to_string(g.threads);
+         " batch=" + std::to_string(g.max_batch);
 }
 
 }  // namespace
@@ -71,7 +65,6 @@ int main(int argc, char** argv) {
   bool gate = false;
   bool loopback = false;
   std::uint64_t seed = 42;
-  unsigned force_threads = 0;  // 0 = grid default
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--gate") == 0) gate = true;
@@ -79,12 +72,9 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--sweep") == 0) continue;  // default mode
     else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      force_threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else {
-      std::printf(
-          "usage: %s [--sweep] [--smoke] [--gate] [--loopback] [--seed N] [--threads N]\n",
-          argv[0]);
+      std::printf("usage: %s [--sweep] [--smoke] [--gate] [--loopback] [--seed N]\n",
+                  argv[0]);
       return 2;
     }
   }
@@ -97,24 +87,14 @@ int main(int argc, char** argv) {
             : std::vector<double>{50,   100,  200,  400,   800,
                                   1600, 3200, 6400, 12800, 25600};
 
-  // Thread dimension on the 4-shard points, where the parallel runtime has
-  // per-shard domains to spread: same rows, less wall time. Smoke keeps the
-  // CI run short with a threads=1 grid (prefetch dedup still on).
-  std::vector<GridPoint> grid =
-      smoke ? std::vector<GridPoint>{{1, 1, 1}, {1, 16, 1}, {4, 1, 1}, {4, 16, 1}}
-            : std::vector<GridPoint>{{1, 1, 1}, {1, 16, 1}, {4, 1, 1},
-                                     {4, 16, 1}, {4, 1, 4}, {4, 16, 4}};
-  if (force_threads > 0) {
-    grid = {{1, 1, force_threads}, {1, 16, force_threads},
-            {4, 1, force_threads}, {4, 16, force_threads}};
-  }
+  std::vector<GridPoint> grid = {{1, 1}, {1, 16}, {4, 1}, {4, 16}};
 
   if (loopback) {
     // Wall-clock windows: every virtual microsecond of warmup/measure/drain
     // costs a real one, so keep the deployment small and the ladder short.
     // The knee still falls inside the ladder because the modeled crypto
     // costs cap the ordered path at the same per-op budget as in the sim.
-    grid = {{1, 1, 0}};
+    grid = {{1, 1}};
     rates = {400, 1600, 6400, 25600};
     profile.clients = 64;
     profile.warmup = 300 * kMillisecond;
@@ -132,7 +112,6 @@ int main(int argc, char** argv) {
     SweepConfig cfg;
     cfg.shards = g.shards;
     cfg.max_batch = g.max_batch;
-    cfg.threads = g.threads;
     cfg.rates = rates;
     cfg.seed = seed;
     cfg.profile = profile;
@@ -143,7 +122,7 @@ int main(int argc, char** argv) {
 
     const std::string label = grid_label(g);
     SweepResult res = run_sweep(cfg, [&](const RateRow& row) {
-      std::printf("%s\n", row_text(g.shards, g.max_batch, g.threads, row).c_str());
+      std::printf("%s\n", row_text(g.shards, g.max_batch, row).c_str());
       std::fflush(stdout);
       const std::string key = label + " rate=" + std::to_string(static_cast<long long>(row.offered));
       const OpenLoopResult& r = row.result;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -68,18 +67,11 @@ void PbftReplica::broadcast(BytesView inner, bool sign) {
     }
   } else {
     // Per-pair MACs differ, but the domain-separated auth bytes are shared.
-    // The per-recipient HMACs are independent, so they scatter across the
-    // verify pool and join in recipient order (bit-identical to the loop).
     Bytes auth = auth_bytes(inner);
-    std::vector<NodeId> dests;
-    dests.reserve(cfg_.n());
     for (std::uint32_t i = 0; i < cfg_.n(); ++i) {
-      if (i != cfg_.my_index) dests.push_back(cfg_.replicas[i]);
-    }
-    std::vector<Bytes> macs = runtime::compute_macs(host().world(), self(), auth, dests);
-    for (std::size_t i = 0; i < dests.size(); ++i) {
+      if (i == cfg_.my_index) continue;
       host().charge_mac();
-      send_framed(dests[i], inner, macs[i]);
+      send_framed(cfg_.replicas[i], inner, crypto().mac(self(), cfg_.replicas[i], auth));
     }
   }
 }

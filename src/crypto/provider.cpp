@@ -57,14 +57,6 @@ bool RealCrypto::verify_mac(NodeId from, NodeId to, BytesView message, BytesView
   return mac_equal(hmac_tag(pair_hmac(from, to), message), tag);
 }
 
-std::function<bool()> RealCrypto::make_sig_verifier(NodeId signer, BytesView message,
-                                                    BytesView signature) {
-  // Resolve the lazily-generated keypair here, on the simulation thread;
-  // rsa_verify over the const public key is pure.
-  const RsaPublicKey* pub = &keys(signer).pub;
-  return [pub, message, signature] { return rsa_verify(*pub, message, signature); };
-}
-
 // ---------------------------------------------------------------- FastCrypto
 
 FastCrypto::FastCrypto(std::uint64_t seed) {
@@ -130,24 +122,6 @@ Bytes FastCrypto::mac(NodeId from, NodeId to, BytesView message) {
 
 bool FastCrypto::verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) {
   return mac_equal(hmac_tag(pair_hmac(from, to), message), tag);
-}
-
-std::function<bool()> FastCrypto::make_sig_verifier(NodeId signer, BytesView message,
-                                                    BytesView signature) {
-  if (signature.size() != signature_size()) {
-    return [] { return false; };
-  }
-  const HmacKey* key = &signer_hmac(signer);
-  // Recomputes exactly what verify() compares: HMAC prefix, then the
-  // deterministic padding pattern from sign().
-  return [key, signer, message, signature] {
-    const Sha256Digest tag = hmac_sha256(*key, message);
-    if (!std::equal(tag.begin(), tag.end(), signature.begin())) return false;
-    for (std::size_t i = tag.size(); i < signature.size(); ++i) {
-      if (signature[i] != static_cast<std::uint8_t>(0xa5 ^ (i * 31) ^ signer)) return false;
-    }
-    return true;
-  };
 }
 
 }  // namespace spider

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -52,25 +51,6 @@ class CryptoProvider {
   virtual std::size_t signature_size() const = 0;
   std::size_t mac_size() const { return 16; }
 
-  // ---- worker-safe hooks (runtime::ParallelRuntime) --------------------
-  // Both hooks run on the simulation thread and resolve all *mutable*
-  // provider state (lazy key caches) up front, returning handles whose use
-  // is pure: hmac_tag against the schedule, or calling the closure, reads
-  // only const state plus the caller-kept-alive views, and is bit-identical
-  // to the corresponding verify()/verify_mac()/mac() call. Providers that
-  // cannot give that guarantee return null and the runtime stays inline.
-
-  /// Precomputed HMAC schedule for (from, to), stable for the provider's
-  /// lifetime; nullptr when unavailable.
-  virtual const HmacKey* mac_schedule(NodeId /*from*/, NodeId /*to*/) { return nullptr; }
-
-  /// Pure closure computing verify(signer, message, signature); empty when
-  /// unavailable. `message`/`signature` must outlive the closure's run.
-  virtual std::function<bool()> make_sig_verifier(NodeId /*signer*/, BytesView /*message*/,
-                                                  BytesView /*signature*/) {
-    return {};
-  }
-
   const CryptoCosts& costs() const { return costs_; }
   CryptoCosts& costs() { return costs_; }
 
@@ -90,9 +70,6 @@ class RealCrypto : public CryptoProvider {
   Bytes mac(NodeId from, NodeId to, BytesView message) override;
   bool verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) override;
   std::size_t signature_size() const override { return key_bits_ / 8; }
-  const HmacKey* mac_schedule(NodeId from, NodeId to) override { return &pair_hmac(from, to); }
-  std::function<bool()> make_sig_verifier(NodeId signer, BytesView message,
-                                          BytesView signature) override;
 
   const RsaPublicKey& public_key(NodeId node);
 
@@ -122,9 +99,6 @@ class FastCrypto : public CryptoProvider {
   Bytes mac(NodeId from, NodeId to, BytesView message) override;
   bool verify_mac(NodeId from, NodeId to, BytesView message, BytesView tag) override;
   std::size_t signature_size() const override { return 128; }
-  const HmacKey* mac_schedule(NodeId from, NodeId to) override { return &pair_hmac(from, to); }
-  std::function<bool()> make_sig_verifier(NodeId signer, BytesView message,
-                                          BytesView signature) override;
 
  private:
   Bytes key_for(NodeId signer) const;

@@ -4,7 +4,6 @@
 
 #include "irmc/rc.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -443,29 +442,11 @@ void ScReceiver::on_message(NodeId from, Reader& r) {
     host().charge_hash(cert.payload.size());
     irmc::SigShareMsg expect{cert.sc, cert.p, host().hash_cached(cert.payload)};
     Bytes share_auth = auth_bytes(expect.encode());
-    // Scatter: collect the shares the sequential loop would reach (those
-    // passing the index/duplicate screens, which don't depend on verdicts)
-    // and check their signatures in parallel; then replay the original loop
-    // with the precomputed verdicts so charges and early-exit points stay
-    // bit-identical. A verdict computed past an early exit is wall-clock
-    // waste only — it never influences modeled time or state.
-    std::vector<runtime::SigCheck> checks;
-    checks.reserve(cert.shares.size());
-    {
-      std::set<std::uint32_t> screen;
-      for (const auto& [sidx, ssig] : cert.shares) {
-        if (sidx >= cfg_.ns() || screen.count(sidx)) break;
-        screen.insert(sidx);
-        checks.push_back({cfg_.senders[sidx], share_auth, ssig});
-      }
-    }
-    std::vector<char> verdicts = runtime::verify_sigs(host().world(), checks);
     std::set<std::uint32_t> seen;
-    std::size_t vi = 0;
     for (const auto& [sidx, ssig] : cert.shares) {
       if (sidx >= cfg_.ns() || seen.count(sidx)) return;
       host().charge_verify();
-      if (!verdicts[vi++]) return;
+      if (!crypto().verify(cfg_.senders[sidx], share_auth, ssig)) return;
       seen.insert(sidx);
     }
 

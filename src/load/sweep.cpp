@@ -36,9 +36,6 @@ Site client_site(std::size_t i) {
 /// One ladder point: fresh World + deployment + pool, one runner window.
 RateRow run_point(const SweepConfig& cfg, double rate) {
   World world(cfg.seed);
-  // Parallel runtime before any traffic; skipped under loopback, whose
-  // RealtimeDriver must own the run loop (last-installed driver wins).
-  if (cfg.threads >= 1 && !cfg.loopback) world.enable_parallelism(cfg.threads);
   OpenLoopProfile profile = cfg.profile;
   profile.rate = rate;
 
@@ -109,14 +106,13 @@ RateRow run_point(const SweepConfig& cfg, double rate) {
 
 }  // namespace
 
-std::string row_text(std::uint32_t shards, std::uint64_t max_batch, unsigned threads,
-                     const RateRow& row) {
+std::string row_text(std::uint32_t shards, std::uint64_t max_batch, const RateRow& row) {
   char buf[256];
   const OpenLoopResult& r = row.result;
   std::snprintf(buf, sizeof(buf),
-                "shards=%u batch=%llu threads=%u rate=%.0f goodput=%.1f p50=%llu p99=%llu "
+                "shards=%u batch=%llu rate=%.0f goodput=%.1f p50=%llu p99=%llu "
                 "p999=%llu arrivals=%llu completed=%llu depth=%llu",
-                shards, static_cast<unsigned long long>(max_batch), threads, row.offered,
+                shards, static_cast<unsigned long long>(max_batch), row.offered,
                 r.goodput, static_cast<unsigned long long>(r.p50_us),
                 static_cast<unsigned long long>(r.p99_us),
                 static_cast<unsigned long long>(r.p999_us),
@@ -129,7 +125,7 @@ std::string row_text(std::uint32_t shards, std::uint64_t max_batch, unsigned thr
 std::string SweepResult::rows_text() const {
   std::string out;
   for (const RateRow& row : rows) {
-    out += row_text(shards, max_batch, threads, row);
+    out += row_text(shards, max_batch, row);
     out += '\n';
   }
   if (knee_index) {
@@ -177,7 +173,6 @@ SweepResult run_sweep(const SweepConfig& cfg,
   SweepResult res;
   res.shards = cfg.shards;
   res.max_batch = cfg.max_batch;
-  res.threads = cfg.loopback ? 0 : cfg.threads;
   for (double rate : cfg.rates) {
     res.rows.push_back(run_point(cfg, rate));
     if (on_row) on_row(res.rows.back());

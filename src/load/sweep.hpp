@@ -26,11 +26,6 @@ namespace spider::load {
 struct SweepConfig {
   std::uint32_t shards = 1;      ///< 1 = standalone SpiderSystem (no router)
   std::uint64_t max_batch = 1;   ///< PBFT request batching knob
-  /// >= 1 enables the deterministic parallel runtime with this many threads
-  /// (1 = inline pool, prefetch dedup only). Rows are byte-identical at
-  /// every value — threading changes wall-clock time, never virtual time.
-  /// Ignored under `loopback` (the realtime driver owns the run loop).
-  unsigned threads = 0;
   std::vector<double> rates;     ///< offered-rate ladder, ascending ops/s
   double knee_p99_factor = 5.0;  ///< p99 blow-up multiple vs low-load baseline
   double knee_goodput_frac = 0.9;  ///< completions must track arrivals this closely
@@ -55,13 +50,11 @@ struct RateRow {
 
 /// Deterministic one-line rendering of a row (the byte-identity surface
 /// pinned by the determinism test and echoed into BENCH rows).
-std::string row_text(std::uint32_t shards, std::uint64_t max_batch, unsigned threads,
-                     const RateRow& row);
+std::string row_text(std::uint32_t shards, std::uint64_t max_batch, const RateRow& row);
 
 struct SweepResult {
   std::uint32_t shards = 1;
   std::uint64_t max_batch = 1;
-  unsigned threads = 0;
   std::vector<RateRow> rows;
   std::optional<std::size_t> knee_index;  ///< into rows
 

@@ -399,7 +399,8 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
     conn->queued_bytes -= static_cast<std::size_t>(n);
     if (c.off >= total) conn->queue.pop_front();
   }
-  reactor_.modify(conn->fd, EPOLLIN | (conn->queue.empty() ? 0 : EPOLLOUT));
+  reactor_.modify(conn->fd,
+                  EPOLLIN | (conn->queue.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT)));
 }
 
 void LoopbackTransport::fail_outbound(const std::shared_ptr<OutboundConn>& conn) {

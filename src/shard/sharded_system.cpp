@@ -39,11 +39,6 @@ ShardedSpiderSystem::ShardedSpiderSystem(World& world, ShardedTopology topology)
       core_topo.shard_index = s;
     }
     cores_.push_back(std::make_unique<SpiderSystem>(world_, std::move(core_topo)));
-    // Shard affinity for the parallel runtime: each core's replicas (and its
-    // admin client) form one verification domain, so prefetch work for a
-    // shard lands on a stable worker.
-    for (NodeId id : cores_.back()->replica_ids()) world_.assign_domain(id, s);
-    world_.assign_domain(cores_.back()->admin().id(), s);
   }
 }
 
@@ -57,10 +52,7 @@ Duration ShardedSpiderSystem::last_migration_pause() const {
 
 std::unique_ptr<ShardedClient> ShardedSpiderSystem::make_client(Site site) {
   std::vector<std::unique_ptr<SpiderClient>> subs;
-  for (std::uint32_t s = 0; s < cores_.size(); ++s) {
-    subs.push_back(cores_[s]->make_client(site));
-    world_.assign_domain(subs.back()->id(), s);
-  }
+  for (auto& core : cores_) subs.push_back(core->make_client(site));
   return std::make_unique<ShardedClient>(world_, map_, std::move(subs));
 }
 

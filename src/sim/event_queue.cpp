@@ -39,7 +39,6 @@ void EventQueue::sift_down(std::size_t i) {
 void EventQueue::pop_root() {
   heap_.front() = std::move(heap_.back());
   heap_.pop_back();
-  sync_heap_slots();
   if (!heap_.empty()) sift_down(0);
 }
 
@@ -51,10 +50,9 @@ EventQueue::EventId EventQueue::schedule_at(Time at, Fn fn) {
   if (at < now_) at = now_;
   EventId id = next_id_++;
   heap_.push_back(Entry{at, id, std::move(fn)});
-  sync_heap_slots();
   sift_up(heap_.size() - 1);
   pending_.insert(id);
-  scheduled_.fetch_add(1, std::memory_order_relaxed);
+  ++scheduled_;
   return id;
 }
 
@@ -62,7 +60,7 @@ void EventQueue::cancel(EventId id) {
   // Ids are generations: one that already fired (or was never issued) is
   // absent from pending_, so a stale cancel can never kill a later event.
   if (pending_.erase(id) == 0) return;
-  cancelled_.fetch_add(1, std::memory_order_relaxed);
+  ++cancelled_;
   maybe_compact();
 }
 
@@ -77,7 +75,6 @@ void EventQueue::maybe_compact() {
     ++w;
   }
   heap_.resize(w);
-  sync_heap_slots();
   // Floyd heap construction: sift down from the last parent.
   for (std::size_t i = heap_.size() / 4 + 1; i-- > 0;) {
     if (i < heap_.size()) sift_down(i);
@@ -98,7 +95,7 @@ bool EventQueue::run_next() {
   Fn fn = std::move(heap_.front().fn);
   pop_root();
   pending_.erase(id);
-  fired_.fetch_add(1, std::memory_order_relaxed);
+  ++fired_;
   fn();
   return true;
 }

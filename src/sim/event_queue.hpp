@@ -15,7 +15,6 @@
 // dead.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -48,27 +47,15 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return pending_.empty(); }
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   /// Heap slots currently occupied (live + tombstones); the compaction
-  /// invariant keeps this below 2x pending() + a small constant. Backed by
-  /// an atomic mirror of heap_.size() so observers on other threads (bench
-  /// progress monitors, the parallel runtime's diagnostics) can sample it
-  /// without racing the scheduler.
-  [[nodiscard]] std::size_t heap_slots() const {
-    return heap_slots_.load(std::memory_order_relaxed);
-  }
+  /// invariant keeps this below 2x pending() + a small constant.
+  [[nodiscard]] std::size_t heap_slots() const { return heap_.size(); }
 
-  // Lifetime scheduler counters. Relaxed atomics: all writes happen on the
-  // scheduler thread on paths that already touch pending_ (the hot-loop
-  // cost is noise), but cross-thread readers get tear-free values. Exported
-  // via World::refresh_platform_metrics().
-  [[nodiscard]] std::uint64_t scheduled_total() const {
-    return scheduled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t fired_total() const {
-    return fired_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t cancelled_total() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
+  // Lifetime scheduler counters (plain u64 increments on paths that already
+  // touch pending_, so the hot-loop cost is noise; exported via
+  // World::refresh_platform_metrics()).
+  [[nodiscard]] std::uint64_t scheduled_total() const { return scheduled_; }
+  [[nodiscard]] std::uint64_t fired_total() const { return fired_; }
+  [[nodiscard]] std::uint64_t cancelled_total() const { return cancelled_; }
 
   /// Timestamp of the earliest live event, or nullopt when none is
   /// pending. Sweeps tombstones off the root (behaviour-neutral); realtime
@@ -99,15 +86,11 @@ class EventQueue {
   void pop_root();
   void maybe_compact();
 
-  /// Keeps heap_slots_ in sync after any heap_ size change.
-  void sync_heap_slots() { heap_slots_.store(heap_.size(), std::memory_order_relaxed); }
-
   Time now_ = 0;
   EventId next_id_ = 1;
-  std::atomic<std::uint64_t> scheduled_{0};
-  std::atomic<std::uint64_t> fired_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::size_t> heap_slots_{0};
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::vector<Entry> heap_;
   std::unordered_set<EventId> pending_;  // live (scheduled, not yet fired/cancelled)
 };

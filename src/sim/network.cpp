@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 
 namespace spider {
 
@@ -97,10 +96,6 @@ void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cl
   Time& clearance = pair_clearance_[pair_key(from, to)];
   if (arrival < clearance) arrival = clearance;
   clearance = arrival;
-
-  // Prefetch: all drop/RNG decisions are made, so the message will reach
-  // its destination (barring a restart) — start verifying its trailer now.
-  if (runtime_) runtime_->note_send(from, to, payload);
 
   // A message is addressed to the destination *incarnation* that existed
   // when it was sent: if the destination process restarted before arrival,

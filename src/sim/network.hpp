@@ -23,9 +23,6 @@ namespace spider {
 namespace obs {
 class Tracer;
 }
-namespace runtime {
-class ParallelRuntime;
-}
 
 /// Per-message fault effects produced by a fault shaper (see FaultPlan):
 /// a cut link drops deterministically, `loss` drops i.i.d. with the
@@ -89,12 +86,6 @@ class SimNetwork final : public Transport {
   /// RNG or alters delivery.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Parallel-runtime hook (owned by World); nullptr = no prefetch. Sees
-  /// every message that survived the drop decisions, right before its
-  /// delivery is scheduled — the propagation delay becomes crypto overlap.
-  /// Never consumes RNG or alters delivery.
-  void set_runtime(runtime::ParallelRuntime* rt) { runtime_ = rt; }
-
   /// Per-node NIC bandwidth in bytes per microsecond (default ~0.6 Gbit/s
   /// sustained, matching a t3.small-class instance).
   double bandwidth_bytes_per_us = 75.0;
@@ -116,7 +107,6 @@ class SimNetwork final : public Transport {
   std::function<bool(NodeId, NodeId)> filter_;
   FaultShaper fault_shaper_;
   obs::Tracer* tracer_ = nullptr;
-  runtime::ParallelRuntime* runtime_ = nullptr;
 };
 
 }  // namespace spider

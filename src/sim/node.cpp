@@ -3,7 +3,6 @@
 #include "common/serde.hpp"
 #include "crypto/provider.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -58,18 +57,11 @@ bool SimNode::check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView bo
   // Fast path precondition: body/auth are the standard trailer split of the
   // inbound frame [u32 tag][body][auth]. The auth bytes [tag][body] are
   // then content-identical to the frame prefix, so verifying over the
-  // prefix view produces the same verdict without rebuilding — and matches
-  // the key the runtime prefetched under.
+  // prefix view produces the same verdict without rebuilding.
   const Payload* frame = current_msg_;
   if (frame != nullptr && frame->size() == 4 + body.size() + auth.size() &&
       body.data() == frame->data() + 4 && auth.data() == body.data() + body.size()) {
-    const std::size_t msg_len = 4 + body.size();
-    const BytesView msg(frame->data(), msg_len);
-    if (auto* rt = world_.parallelism()) {
-      if (auto verdict = rt->take_verdict(frame->data(), msg_len, from, id_, is_sig)) {
-        return *verdict;
-      }
-    }
+    const BytesView msg(frame->data(), 4 + body.size());
     return is_sig ? crypto().verify(from, msg, auth)
                   : crypto().verify_mac(from, id_, msg, auth);
   }

@@ -97,9 +97,8 @@ class SimNode : public TransportEndpoint {
   /// [u32 tag_word][body]. Bit-identical to rebuilding those bytes and
   /// calling crypto().verify / verify_mac — but when `body`/`auth` are the
   /// standard slices of the message being handled ([tag][body][auth], the
-  /// layout every component's on_message produces), it consumes the
-  /// parallel runtime's prefetched verdict if one exists, and otherwise
-  /// verifies zero-copy over the frame prefix instead of re-allocating.
+  /// layout every component's on_message produces), it verifies zero-copy
+  /// over the frame prefix instead of re-allocating.
   /// Call charge_mac()/charge_verify() separately, as before.
   bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
                         bool is_sig);

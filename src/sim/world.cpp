@@ -1,7 +1,6 @@
 #include "sim/world.hpp"
 
 #include "common/payload.hpp"
-#include "runtime/parallel.hpp"
 
 namespace spider {
 
@@ -12,8 +11,6 @@ World::World(std::uint64_t seed, std::unique_ptr<CryptoProvider> crypto)
   transport_ = net_.get();
   payload_digest_base_ = payload_digest_computations_total();
 }
-
-World::~World() = default;
 
 obs::Tracer& World::enable_tracing(obs::Tracer::Mode mode, std::size_t ring_capacity) {
   tracer_ = std::make_unique<obs::Tracer>(mode, ring_capacity);
@@ -26,21 +23,6 @@ obs::Tracer& World::enable_tracing(obs::Tracer::Mode mode, std::size_t ring_capa
 void World::name_node(NodeId id, std::string name) {
   node_names_[id] = std::move(name);
   if (tracer_raw_) tracer_raw_->name_process(id, node_names_[id]);
-}
-
-runtime::ParallelRuntime& World::enable_parallelism(unsigned threads, Duration epoch_len) {
-  disable_parallelism();
-  runtime_ = std::make_unique<runtime::ParallelRuntime>(*this, threads, epoch_len);
-  net_->set_runtime(runtime_.get());
-  set_run_driver([rt = runtime_.get()](Time t) { rt->drive(t); });
-  return *runtime_;
-}
-
-void World::disable_parallelism() {
-  if (!runtime_) return;
-  net_->set_runtime(nullptr);
-  run_driver_ = nullptr;
-  runtime_.reset();
 }
 
 void World::disable_tracing() {
@@ -67,8 +49,6 @@ void World::refresh_platform_metrics() {
   metrics_.gauge("payload_digest_computations")
       .set(static_cast<std::int64_t>(payload_digest_computations_total() -
                                      payload_digest_base_));
-
-  if (runtime_) runtime_->fold_metrics();
 }
 
 }  // namespace spider

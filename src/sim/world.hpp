@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -19,16 +18,10 @@
 
 namespace spider {
 
-namespace runtime {
-class ParallelRuntime;
-}
-
 class World {
  public:
   /// Creates a world with the given seed; `crypto` defaults to FastCrypto.
   explicit World(std::uint64_t seed, std::unique_ptr<CryptoProvider> crypto = nullptr);
-  // Out of line: runtime_ holds a type only forward-declared here.
-  ~World();
 
   EventQueue& queue() { return queue_; }
   /// The deterministic sim network. Always constructed (it is the default
@@ -65,28 +58,6 @@ class World {
 
   /// Allocates a fresh process id.
   NodeId allocate_id() { return next_id_++; }
-
-  // ---- deterministic parallelism ---------------------------------------
-  /// Turns on the parallel runtime with a total thread budget of `threads`
-  /// (the simulation thread plus `threads - 1` verification workers) and
-  /// installs the epoch run driver. Byte-identical to the single-threaded
-  /// engine at every thread count — see docs/determinism.md. `threads = 1`
-  /// still enables prefetch bookkeeping (multicast signature dedup) with a
-  /// fully inline pool. Mutually exclusive with a realtime run driver
-  /// (net::RealtimeDriver); whichever is installed last wins the driver.
-  runtime::ParallelRuntime& enable_parallelism(unsigned threads, Duration epoch_len = 500);
-  void disable_parallelism();
-  /// The active parallel runtime, or nullptr (the single-threaded default).
-  [[nodiscard]] runtime::ParallelRuntime* parallelism() const { return runtime_.get(); }
-
-  /// Maps a node to an execution domain (= shard index for sharded
-  /// deployments). Domains pick the prefetch worker (shard affinity) and
-  /// label the per-shard runtime metrics; they never affect event order.
-  void assign_domain(NodeId id, std::uint32_t domain) { domains_[id] = domain; }
-  [[nodiscard]] std::uint32_t domain_of(NodeId id) const {
-    auto it = domains_.find(id);
-    return it == domains_.end() ? 0 : it->second;
-  }
 
   // ---- observability ----------------------------------------------------
   /// Per-world metrics registry. Always present; recording a counter is a
@@ -127,10 +98,6 @@ class World {
   std::unique_ptr<obs::Tracer> tracer_;
   obs::Tracer* tracer_raw_ = nullptr;
   std::map<NodeId, std::string> node_names_;
-  std::unordered_map<NodeId, std::uint32_t> domains_;
-  // Declared after every subsystem jobs can reference (crypto key caches,
-  // payload buffers): destruction stops the workers first.
-  std::unique_ptr<runtime::ParallelRuntime> runtime_;
   // Process-global digest total at construction: metrics report this
   // World's digests only, keeping snapshots deterministic across replays
   // in one process.

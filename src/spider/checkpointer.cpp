@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -234,48 +233,17 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
   Reader pr(proof);
   std::uint32_t count = pr.u32();
   if (count < f_ + 1) return;
-
-  // Scatter: pre-parse the proof entries and kick off every trusted
-  // signer's verification in parallel, then replay the sequential loop
-  // with the precomputed verdicts. The screens (trusted_, duplicate-of-
-  // *verified* signer) are replayed exactly, so charges are bit-identical;
-  // a duplicate of a failed signer gets its own verdict, as before. A
-  // malformed proof must still throw at the same point the incremental
-  // parse would have — after charging for every complete entry — so we
-  // replay the parsed prefix first and rethrow afterwards.
-  struct ProofSig {
-    NodeId signer;
-    BytesView sig;
-  };
-  std::vector<ProofSig> entries;
-  entries.reserve(count);
-  bool truncated = false;
-  try {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      NodeId signer = pr.u32();
-      entries.push_back({signer, pr.bytes_view()});
-    }
-  } catch (const SerdeError&) {
-    truncated = true;
-  }
-  std::vector<runtime::SigCheck> checks;
-  std::vector<std::size_t> vidx(entries.size(), 0);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!trusted_(entries[i].signer)) continue;
-    vidx[i] = checks.size();
-    checks.push_back({entries[i].signer, signed_bytes, entries[i].sig});
-  }
-  std::vector<char> verdicts = runtime::verify_sigs(host().world(), checks);
   std::set<NodeId> seen;
   std::uint32_t valid = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (seen.count(entries[i].signer) || !trusted_(entries[i].signer)) continue;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NodeId signer = pr.u32();
+    BytesView sig = pr.bytes_view();
+    if (seen.count(signer) || !trusted_(signer)) continue;
     host().charge_verify();
-    if (!verdicts[vidx[i]]) continue;
-    seen.insert(entries[i].signer);
+    if (!crypto().verify(signer, signed_bytes, sig)) continue;
+    seen.insert(signer);
     ++valid;
   }
-  if (truncated) throw SerdeError("truncated checkpoint proof");
   if (valid < f_ + 1) return;
 
   // Record the proof so we can serve it onward, then deliver.

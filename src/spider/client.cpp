@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -123,17 +122,14 @@ void SpiderClient::arm_retry() {
 
 void SpiderClient::transmit_framed(const Bytes& frame, TrafficClass cls) {
   Bytes auth = tagged(tags::kClient, frame);  // shared across replicas
-  // Per-replica MACs are independent: scatter them across the verify pool
-  // and join in member order (bit-identical to computing them in the loop).
-  std::vector<Bytes> macs = runtime::compute_macs(world(), id(), auth, group_.members);
-  for (std::size_t i = 0; i < group_.members.size(); ++i) {
+  for (NodeId replica : group_.members) {
     charge_mac();
-    const Bytes& mac = macs[i];
+    Bytes mac = crypto().mac(id(), replica, auth);
     Writer w(4 + frame.size() + mac.size());
     w.u32(tags::kClient);
     w.raw(frame);
     w.raw(mac);
-    send_to(group_.members[i], Payload(std::move(w)), cls);
+    send_to(replica, Payload(std::move(w)), cls);
   }
 }
 

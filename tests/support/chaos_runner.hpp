@@ -2,9 +2,7 @@
 // (Spider f=1, Spider f=2, geo-replicated PBFT baseline, 2-shard sharded),
 // schedules a randomized (or replayed) FaultPlan plus a recorded client
 // workload, and drives the run through chaos / recovery / verification
-// phases. Extracted from test_chaos.cpp so the parallel-determinism suite
-// can run the exact same scenarios with worker threads enabled and compare
-// the resulting histories byte for byte.
+// phases. Shared by the chaos suite's sweeps, replay and golden tests.
 #pragma once
 
 #include <memory>
@@ -170,16 +168,11 @@ inline ChaosOutcome drive_chaos(World& world, HistoryRecorder& hist, FaultPlan& 
   return out;
 }
 
-/// Builds and drives one chaos scenario. `threads` >= 1 enables the
-/// deterministic parallel runtime with that many threads (1 still turns on
-/// the verification-prefetch machinery, single-threaded); 0 leaves the
-/// classic fully-sequential path in place. The outcome must be
-/// byte-identical either way — that equivalence is what the parallel
-/// determinism suite pins.
+/// Builds and drives one chaos scenario; `replay_script` replays a
+/// serialized FaultPlan instead of drawing a randomized one.
 inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzantine = false,
-                              const std::string* replay_script = nullptr, unsigned threads = 0) {
+                              const std::string* replay_script = nullptr) {
   World world(seed);
-  if (threads >= 1) world.enable_parallelism(threads);
   // Flight recorder: a fixed-memory ring of recent trace events, always on
   // for chaos runs. Recording is out-of-band (no RNG, no scheduling, no
   // wire bytes), so the golden-pinned histories below are unaffected.

@@ -4,6 +4,7 @@
 
 #include "sim/world.hpp"
 #include "spider/checkpointer.hpp"
+#include "tests/support/counting_crypto.hpp"
 
 namespace spider {
 namespace {
@@ -18,7 +19,9 @@ struct CkptFixture {
   std::vector<std::vector<std::pair<SeqNr, Bytes>>> stable;
   std::shared_ptr<std::set<NodeId>> trusted = std::make_shared<std::set<NodeId>>();
 
-  explicit CkptFixture(std::uint32_t n = 3, std::uint32_t f = 1) {
+  explicit CkptFixture(std::uint32_t n = 3, std::uint32_t f = 1,
+                       std::unique_ptr<CryptoProvider> crypto = nullptr)
+      : world(1, std::move(crypto)) {
     std::vector<NodeId> ids;
     for (std::uint32_t i = 0; i < n; ++i) {
       hosts.push_back(std::make_unique<ComponentHost>(
@@ -42,6 +45,28 @@ struct CkptFixture {
     Writer w;
     w.u32(static_cast<std::uint32_t>(v));
     w.str("checkpoint-state");
+    return std::move(w).take();
+  }
+
+  /// The domain-separated bytes a replica signs to vote for `st` at `s`.
+  static Bytes checkpoint_auth(SeqNr s, const Bytes& st) {
+    Sha256Digest h = Sha256::hash(st);
+    Writer w;
+    w.u32(tags::kCheckpoint);
+    w.u8(1);  // Checkpoint type
+    w.u64(s);
+    w.raw(BytesView(h.data(), h.size()));
+    return std::move(w).take();
+  }
+
+  /// A State reply carrying `st` at `s` with the encoded signature `proof`.
+  static Bytes state_frame(SeqNr s, const Bytes& st, BytesView proof) {
+    Writer w;
+    w.u32(tags::kCheckpoint);
+    w.u8(3);  // State type
+    w.u64(s);
+    w.bytes(st);
+    w.bytes(proof);
     return std::move(w).take();
   }
 };
@@ -174,16 +199,8 @@ TEST(Checkpointer, ForgedStateRejected) {
   ComponentHost evil(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
 
   Bytes fake_state = CkptFixture::state(666);
-  Sha256Digest h = Sha256::hash(fake_state);
-  Writer body;
-  body.u8(1);  // Checkpoint type
-  body.u64(50);
-  body.raw(BytesView(h.data(), h.size()));
-  Writer dom;
-  dom.u32(tags::kCheckpoint);
-  dom.raw(body.data());
   // Signed by the attacker (twice) — not by group members.
-  Bytes sig = f.world.crypto().sign(evil.id(), dom.data());
+  Bytes sig = f.world.crypto().sign(evil.id(), CkptFixture::checkpoint_auth(50, fake_state));
 
   Writer proof;
   proof.u32(2);
@@ -191,16 +208,8 @@ TEST(Checkpointer, ForgedStateRejected) {
   proof.bytes(sig);
   proof.u32(evil.id() + 1000);
   proof.bytes(sig);
-
-  Writer msg;
-  msg.u8(3);  // State type
-  msg.u64(50);
-  msg.bytes(fake_state);
-  msg.bytes(proof.data());
-  Writer wire;
-  wire.u32(tags::kCheckpoint);
-  wire.raw(msg.data());
-  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire.data());
+  Bytes wire = CkptFixture::state_frame(50, fake_state, proof.data());
+  for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire);
 
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
@@ -232,6 +241,34 @@ TEST(Checkpointer, ForgedCheckpointMessageRejected) {
   f.cps[0]->gen_cp(10, st);
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
+}
+
+TEST(Checkpointer, ProofVerifiesEachSignerOnce) {
+  // A proof listing signers [A, A, B]: the repeat of an already verified
+  // signer is skipped before any crypto, so adopting it costs two verifies.
+  auto counting = std::make_unique<CountingCrypto>(1);
+  CountingCrypto& crypto = *counting;
+  CkptFixture f(3, 1, std::move(counting));
+  NodeId a = f.hosts[0]->id();
+  NodeId b = f.hosts[1]->id();
+
+  Bytes st = CkptFixture::state(5);
+  Bytes signed_bytes = CkptFixture::checkpoint_auth(50, st);
+  Bytes sig_a = crypto.sign(a, signed_bytes);
+  Writer proof;
+  proof.u32(3);
+  proof.u32(a);
+  proof.bytes(sig_a);
+  proof.u32(a);
+  proof.bytes(sig_a);
+  proof.u32(b);
+  proof.bytes(crypto.sign(b, signed_bytes));
+  f.hosts[0]->send_to(f.hosts[2]->id(), CkptFixture::state_frame(50, st, proof.data()));
+
+  f.world.run_for(kSecond);
+  ASSERT_EQ(f.stable[2].size(), 1u);
+  EXPECT_EQ(f.stable[2][0].second, st);
+  EXPECT_EQ(crypto.verifies_of(signed_bytes), 2u);
 }
 
 TEST(Checkpointer, LastStableTracksDeliveries) {

@@ -3,6 +3,7 @@
 #include "irmc/rc.hpp"
 #include "irmc/sc.hpp"
 #include "sim/world.hpp"
+#include "tests/support/counting_crypto.hpp"
 
 namespace spider {
 namespace {
@@ -18,8 +19,9 @@ struct ChannelFixture {
   IrmcConfig cfg;
 
   explicit ChannelFixture(IrmcKind kind, std::uint32_t ns = 4, std::uint32_t nr = 3,
-                          Position capacity = 8, std::uint64_t seed = 1)
-      : world(seed) {
+                          Position capacity = 8, std::uint64_t seed = 1,
+                          std::unique_ptr<CryptoProvider> crypto = nullptr)
+      : world(seed, std::move(crypto)) {
     for (std::uint32_t i = 0; i < ns; ++i) {
       sender_hosts.push_back(std::make_unique<ComponentHost>(
           world, world.allocate_id(), Site{Region::Virginia, static_cast<std::uint8_t>(i % 4)}));
@@ -48,6 +50,24 @@ struct ChannelFixture {
     Writer w;
     w.u32(static_cast<std::uint32_t>(i));
     w.str("payload");
+    return std::move(w).take();
+  }
+
+  /// The domain-separated SigShare bytes a sender signs for (sc, p, m).
+  Bytes share_auth(Subchannel sc, Position p, const Bytes& m) const {
+    Writer w;
+    w.u32(cfg.channel_tag);
+    w.raw(irmc::SigShareMsg{sc, p, Sha256::hash(m)}.encode());
+    return std::move(w).take();
+  }
+
+  /// `cert` framed and signed by `collector`, as ScSender sends it.
+  Bytes certificate_frame(NodeId collector, const irmc::CertificateMsg& cert) {
+    Writer w;
+    w.u32(cfg.channel_tag);
+    w.raw(cert.encode());
+    Bytes sig = world.crypto().sign(collector, w.data());
+    w.raw(sig);
     return std::move(w).take();
   }
 };
@@ -368,30 +388,37 @@ TEST(IrmcSc, ForgedCertificateRejected) {
   // it has only its own share, so it pads with a duplicated/forged share.
   ComponentHost& evil = *f.sender_hosts[0];
   Bytes payload = f.msg(666);
-  irmc::SigShareMsg share{1, 1, Sha256::hash(payload)};
-  Writer sw;
-  sw.u32(f.cfg.channel_tag);
-  sw.raw(share.encode());
-  Bytes share_auth = std::move(sw).take();
-  Bytes own_sig = f.world.crypto().sign(evil.id(), share_auth);
-
+  Bytes own_sig = f.world.crypto().sign(evil.id(), f.share_auth(1, 1, payload));
   irmc::CertificateMsg cert{1, 1, payload, {{0, own_sig}, {1, own_sig}}};  // forged share for idx 1
-  Bytes body = cert.encode();
-  Writer aw;
-  aw.u32(f.cfg.channel_tag);
-  aw.raw(body);
-  Bytes cert_sig = f.world.crypto().sign(evil.id(), aw.data());
-  Bytes wire = body;
-  wire.insert(wire.end(), cert_sig.begin(), cert_sig.end());
-  Writer fw;
-  fw.u32(f.cfg.channel_tag);
-  fw.raw(wire);
-  for (NodeId r : f.cfg.receivers) evil.send_to(r, fw.data());
+  Bytes frame = f.certificate_frame(evil.id(), cert);
+  for (NodeId r : f.cfg.receivers) evil.send_to(r, frame);
 
   bool delivered = false;
   f.receivers[0]->receive(1, 1, [&](RecvResult) { delivered = true; });
   f.world.run_for(kSecond);
   EXPECT_FALSE(delivered);  // share for index 1 does not verify
+}
+
+TEST(IrmcSc, CertificateStopsVerifyingAtFirstBadShare) {
+  // A certificate whose first share signature is bad is rejected after one
+  // share verify: a Byzantine collector cannot make a receiver pay fs+1 real
+  // signature checks per bogus certificate.
+  auto counting = std::make_unique<CountingCrypto>(1);
+  CountingCrypto& crypto = *counting;
+  ChannelFixture f(IrmcKind::SenderCollect, 4, 3, 8, 1, std::move(counting));
+  ComponentHost& evil = *f.sender_hosts[0];
+  Bytes payload = f.msg(7);
+  Bytes share_auth = f.share_auth(1, 1, payload);
+  Bytes bad_sig(crypto.signature_size(), 0);
+  Bytes good_sig = crypto.sign(f.cfg.senders[1], share_auth);
+  irmc::CertificateMsg cert{1, 1, payload, {{0, bad_sig}, {1, good_sig}}};
+  evil.send_to(f.cfg.receivers[0], f.certificate_frame(evil.id(), cert));
+
+  bool delivered = false;
+  f.receivers[0]->receive(1, 1, [&](RecvResult) { delivered = true; });
+  f.world.run_for(kSecond);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(crypto.verifies_of(share_auth), 1u);
 }
 
 }  // namespace
