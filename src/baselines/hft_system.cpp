@@ -27,7 +27,7 @@ void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs) {
 }
 
 std::vector<std::pair<NodeId, Bytes>> read_cert(Reader& r) {
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(4 + 4);  // node + signature length prefix
   std::vector<std::pair<NodeId, Bytes>> sigs;
   sigs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

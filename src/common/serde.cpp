@@ -67,6 +67,15 @@ BytesView Reader::raw(std::size_t n) {
   return v;
 }
 
+std::uint32_t Reader::count(std::size_t min_element_size) {
+  std::uint32_t n = u32();
+  if (static_cast<std::uint64_t>(n) * min_element_size > remaining()) {
+    throw SerdeError("element count " + std::to_string(n) + " exceeds the " +
+                     std::to_string(remaining()) + " bytes left");
+  }
+  return n;
+}
+
 void Reader::expect_done() const {
   if (!done()) throw SerdeError("trailing bytes after message");
 }

@@ -78,6 +78,10 @@ class Reader {
   std::string str();
   /// Raw bytes without prefix.
   BytesView raw(std::size_t n);
+  /// u32 element count of a container whose elements take at least
+  /// `min_element_size` bytes each. Throws unless that many elements fit in
+  /// the bytes left, so a hostile count can never drive a huge reserve().
+  std::uint32_t count(std::size_t min_element_size);
 
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

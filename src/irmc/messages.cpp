@@ -11,6 +11,35 @@ Sha256Digest get_digest(Reader& r) {
   std::copy(v.begin(), v.end(), d.begin());
   return d;
 }
+
+constexpr std::size_t kPairSize = 8 + 8;      // (sc, p)
+constexpr std::size_t kMinShareSize = 4 + 4;  // index + signature length prefix
+
+Bytes encode_positions(MsgType type, const PositionList& list) {
+  Writer w(1 + 4 + kPairSize * list.size());
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(static_cast<std::uint32_t>(list.size()));
+  for (const auto& [sc, p] : list) {
+    w.u64(sc);
+    w.u64(p);
+  }
+  return std::move(w).take();
+}
+
+PositionList decode_positions(Reader& r) {
+  PositionList list;
+  std::uint32_t n = r.count(kPairSize);
+  list.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Subchannel sc = r.u64();
+    Position p = r.u64();
+    if (!list.empty() && sc <= list.back().first) {
+      throw SerdeError("subchannels out of order");
+    }
+    list.emplace_back(sc, p);
+  }
+  return list;
+}
 }  // namespace
 
 Bytes SendMsg::encode() const {
@@ -53,6 +82,14 @@ MoveMsg MoveMsg::decode(Reader& r) {
   return m;
 }
 
+Bytes NackMsg::encode() const { return encode_positions(MsgType::Nack, stalled); }
+
+NackMsg NackMsg::decode(Reader& r) { return NackMsg{decode_positions(r)}; }
+
+Bytes WindowsMsg::encode() const { return encode_positions(MsgType::Windows, windows); }
+
+WindowsMsg WindowsMsg::decode(Reader& r) { return WindowsMsg{decode_positions(r)}; }
+
 Bytes SigShareMsg::encode() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(MsgType::SigShare));
@@ -91,7 +128,7 @@ CertificateMsg CertificateMsg::decode(Reader& r) {
   m.sc = r.u64();
   m.p = r.u64();
   m.payload = r.bytes();
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(kMinShareSize);
   m.shares.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t idx = r.u32();
@@ -105,7 +142,7 @@ CertificateMsgView CertificateMsgView::decode(Reader& r) {
   m.sc = r.u64();
   m.p = r.u64();
   m.payload = r.bytes_view();
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(kMinShareSize);
   m.shares.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t idx = r.u32();
@@ -114,28 +151,9 @@ CertificateMsgView CertificateMsgView::decode(Reader& r) {
   return m;
 }
 
-Bytes ProgressMsg::encode() const {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::Progress));
-  w.u32(static_cast<std::uint32_t>(progress.size()));
-  for (const auto& [sc, p] : progress) {
-    w.u64(sc);
-    w.u64(p);
-  }
-  return std::move(w).take();
-}
+Bytes ProgressMsg::encode() const { return encode_positions(MsgType::Progress, progress); }
 
-ProgressMsg ProgressMsg::decode(Reader& r) {
-  ProgressMsg m;
-  std::uint32_t n = r.u32();
-  m.progress.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Subchannel sc = r.u64();
-    Position p = r.u64();
-    m.progress.emplace_back(sc, p);
-  }
-  return m;
-}
+ProgressMsg ProgressMsg::decode(Reader& r) { return ProgressMsg{decode_positions(r)}; }
 
 Bytes SelectMsg::encode() const {
   Writer w;

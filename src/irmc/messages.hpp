@@ -17,8 +17,15 @@ enum class MsgType : std::uint8_t {
   Certificate = 4,  // SC: <Certificate, m, sc, p, shares> MAC'd by collector
   Progress = 5,     // SC: <Progress, {sc: p}> MAC'd, sender -> receivers
   Select = 6,       // SC: <Select, sc, collector> MAC'd, receiver -> senders
-  Nack = 7,         // RC: <Nack, sc, p> MAC'd, receiver asks for retransmission
+  Nack = 7,         // RC: <Nack, {sc: p}> MAC'd, receiver asks for retransmission
+  Windows = 8,      // RC: <Windows, {sc: p}> MAC'd, sender's answer to a Nack
 };
+
+/// (subchannel, position) pairs: SC's Progress and RC's Nack / Windows.
+/// Subchannels strictly ascend on the wire (every sender lists them from
+/// an ordered map); decode rejects anything else, so one frame cannot name
+/// a subchannel twice, e.g. to ask for the same replays again.
+using PositionList = std::vector<std::pair<Subchannel, Position>>;
 
 struct SendMsg {
   Subchannel sc = 0;
@@ -45,6 +52,24 @@ struct MoveMsg {
 
   Bytes encode() const;
   static MoveMsg decode(Reader& r);
+};
+
+/// RC: one frame per nack tick and sender, listing the first missing
+/// position of every stalled subchannel.
+struct NackMsg {
+  PositionList stalled;
+
+  Bytes encode() const;
+  static NackMsg decode(Reader& r);
+};
+
+/// RC: a sender's answer to a Nack, one window statement per nacked
+/// subchannel (same order); the receiver applies each like a single Move.
+struct WindowsMsg {
+  PositionList windows;
+
+  Bytes encode() const;
+  static WindowsMsg decode(Reader& r);
 };
 
 struct SigShareMsg {
@@ -79,7 +104,7 @@ struct CertificateMsgView {
 };
 
 struct ProgressMsg {
-  std::vector<std::pair<Subchannel, Position>> progress;
+  PositionList progress;
 
   Bytes encode() const;
   static ProgressMsg decode(Reader& r);

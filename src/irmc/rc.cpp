@@ -154,52 +154,67 @@ void RcSender::on_message(NodeId from, Reader& r) {
 
   Reader br(body);
   br.u8();
-  irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
   if (type == MsgType::Nack) {
-    // Receiver missed transmissions (e.g. it was unreachable): replay the
-    // retained wires from the requested position on. First tell it where
-    // the window stands, for two chaos-found livelocks (Byzantine sweep
-    // seeds 103 / 154):
-    //   - our own Move request may have been lost (sent into a partition)
-    //     and move_window() dedups repeats, so the receiver would keep
-    //     rejecting the replayed Sends as beyond its storage horizon;
-    //   - a receiver that crashed and restarted empty nacks position 1,
-    //     which fr+1 receivers (itself included, before the crash) already
-    //     moved the window past — it must learn the granted window start
-    //     so its TooOld path can recover through a checkpoint instead of
-    //     waiting forever for garbage-collected content.
-    // The window only moves at the receiver once fs+1 senders state it
-    // (>= 1 correct), and execution below the new start resumes only after
-    // an f+1-signed checkpoint is adopted, so a Byzantine sender cannot
-    // use this to skip live content. FIFO links deliver the Move before
-    // the replayed Sends.
-    Position floor = win_lo(mv.sc);
-    auto own = own_move_.find(mv.sc);
-    if (own != own_move_.end()) floor = std::max(floor, own->second);
-    irmc::MoveMsg remv{mv.sc, floor};
-    Bytes rbody = remv.encode();
-    host().charge_mac();
-    send_framed(from, rbody, crypto().mac(self(), from, auth_bytes(rbody)));
-
-    auto sit = sent_.find(mv.sc);
-    if (sit == sent_.end()) return;
-    int budget = 64;  // bounded replay per NACK; the receiver re-nacks if needed
-    for (auto it = sit->second.lower_bound(mv.p); it != sit->second.end() && budget > 0;
-         ++it, --budget) {
-      send_wire(from, it->second);
-    }
+    answer_nack(from, irmc::NackMsg::decode(br).stalled);
     return;
   }
+  irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
   Position& cur = rwin_[{*idx, mv.sc}];
   if (mv.p <= cur) return;  // only accept forward moves
   cur = mv.p;
   recompute_window(mv.sc);
 }
 
+void RcSender::answer_nack(NodeId to, const irmc::PositionList& stalled) {
+  // The receiver missed transmissions (e.g. it was unreachable): replay the
+  // retained wires from each requested position on. First tell it, in one
+  // Windows frame, where each window stands, for two chaos-found livelocks
+  // (Byzantine sweep seeds 103 / 154):
+  //   - our own Move request may have been lost (sent into a partition)
+  //     and move_window() dedups repeats, so the receiver would keep
+  //     rejecting the replayed Sends as beyond its storage horizon;
+  //   - a receiver that crashed and restarted empty nacks position 1,
+  //     which fr+1 receivers (itself included, before the crash) already
+  //     moved the window past — it must learn the granted window start
+  //     so its TooOld path can recover through a checkpoint instead of
+  //     waiting forever for garbage-collected content.
+  // The window only moves at the receiver once fs+1 senders state it
+  // (>= 1 correct), and execution below the new start resumes only after
+  // an f+1-signed checkpoint is adopted, so a Byzantine sender cannot
+  // use this to skip live content. FIFO links deliver the Windows frame
+  // before the replayed Sends.
+  irmc::WindowsMsg answer;
+  answer.windows.reserve(stalled.size());
+  for (const auto& [sc, p] : stalled) {
+    Position floor = win_lo(sc);
+    auto own = own_move_.find(sc);
+    if (own != own_move_.end()) floor = std::max(floor, own->second);
+    answer.windows.emplace_back(sc, floor);
+  }
+  Bytes body = answer.encode();
+  host().charge_mac();
+  send_framed(to, body, crypto().mac(self(), to, auth_bytes(body)));
+
+  for (const auto& [sc, p] : stalled) {
+    auto sit = sent_.find(sc);
+    if (sit == sent_.end()) continue;
+    int budget = 64;  // bounded replay per entry; the receiver re-nacks if needed
+    for (auto it = sit->second.lower_bound(p); it != sit->second.end() && budget > 0;
+         ++it, --budget) {
+      send_wire(to, it->second);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- receiver
 
 RcReceiver::RcReceiver(ComponentHost& host, IrmcConfig cfg)
-    : Component(host, cfg.channel_tag), cfg_(std::move(cfg)) {}
+    : Component(host, cfg.channel_tag),
+      cfg_(std::move(cfg)),
+      nack_frames_(host.world().metrics().counter("irmc_nack_frames",
+                                                  {.node = host.id(), .role = "irmc"})),
+      nack_entries_(host.world().metrics().counter("irmc_nack_entries",
+                                                   {.node = host.id(), .role = "irmc"})) {}
 
 RcReceiver::~RcReceiver() {
   if (nack_timer_ != EventQueue::kInvalidEvent) cancel_timer(nack_timer_);
@@ -215,6 +230,7 @@ void RcReceiver::on_nack_timer() {
   nack_timer_ = EventQueue::kInvalidEvent;
   bool still_pending = false;
   std::map<Subchannel, Position> stalled_now;
+  irmc::NackMsg nack;
   for (const auto& [sc, by_pos] : pending_) {
     if (by_pos.empty()) continue;
     Position want = by_pos.begin()->first;
@@ -222,22 +238,25 @@ void RcReceiver::on_nack_timer() {
     still_pending = true;
     stalled_now[sc] = want;
     // Only nack when the subchannel made NO progress during a full timer
-    // period: steady-state traffic must not trigger retransmissions.
+    // period: steady-state traffic must not trigger retransmissions. An
+    // idle subchannel (no Send exists yet) is indistinguishable from one
+    // whose Sends were all lost, so it is probed too.
     auto prev = last_stalled_.find(sc);
     if (prev == last_stalled_.end() || prev->second != want) continue;
-    irmc::MoveMsg nack{sc, want};
-    Writer w(1 + 8 + 8);
-    w.u8(static_cast<std::uint8_t>(MsgType::Nack));
-    w.u64(nack.sc);
-    w.u64(nack.p);
-    Bytes body = std::move(w).take();
+    nack.stalled.emplace_back(sc, want);
+  }
+  last_stalled_ = std::move(stalled_now);
+  if (!nack.stalled.empty()) {
+    // One frame per sender covers every stalled subchannel.
+    Bytes body = nack.encode();
     Bytes auth = auth_bytes(body);
     for (NodeId s : cfg_.senders) {
       host().charge_mac();
       send_framed(s, body, crypto().mac(self(), s, auth));
     }
+    nack_frames_.inc(cfg_.ns());
+    nack_entries_.inc(std::uint64_t{cfg_.ns()} * nack.stalled.size());
   }
-  last_stalled_ = std::move(stalled_now);
   if (still_pending) arm_nack_timer();
 }
 
@@ -369,7 +388,7 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
     if (cand.second.empty()) cand.first = host().capture(msg.payload);
     cand.second.insert(*idx);
     try_deliver(msg.sc, msg.p);
-  } else if (type == MsgType::Move) {
+  } else if (type == MsgType::Move || type == MsgType::Windows) {
     std::size_t mac_len = crypto().mac_size();
     if (all.size() <= mac_len) return;
     BytesView body = all.subspan(0, all.size() - mac_len);
@@ -379,34 +398,44 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
 
     Reader br(body);
     br.u8();
-    irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
-    note_subchannel(mv.sc);
-
-    if (win_lo(mv.sc) > mv.p) {
-      // The sender requested a window we already moved past — it is behind
-      // on window state (e.g. a crash-recovered sender endpoint that lost
-      // its view of the channel). Grant it our current window start so it
-      // can flush sends queued behind the stale window.
-      irmc::MoveMsg grant{mv.sc, win_lo(mv.sc)};
-      Bytes gbody = grant.encode();
-      host().charge_mac();
-      send_framed(from, gbody, crypto().mac(self(), from, auth_bytes(gbody)));
+    if (type == MsgType::Move) {
+      irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
+      apply_move(from, *idx, mv.sc, mv.p);
+    } else {
+      for (const auto& [sc, p] : irmc::WindowsMsg::decode(br).windows) {
+        apply_move(from, *idx, sc, p);
+      }
     }
-
-    Position& cur = smoves_[{*idx, mv.sc}];
-    if (mv.p <= cur) return;
-    cur = mv.p;
-
-    // fs+1-highest sender request forces our window forward (A.19).
-    std::vector<Position> vals;
-    for (std::uint32_t i = 0; i < cfg_.ns(); ++i) {
-      auto it = smoves_.find({i, mv.sc});
-      vals.push_back(it == smoves_.end() ? 1 : it->second);
-    }
-    std::sort(vals.rbegin(), vals.rend());
-    Position nw = vals[std::min<std::size_t>(cfg_.fs, vals.size() - 1)];
-    if (win_lo(mv.sc) < nw) internal_move(mv.sc, nw);
   }
+}
+
+void RcReceiver::apply_move(NodeId from, std::uint32_t idx, Subchannel sc, Position p) {
+  note_subchannel(sc);
+
+  if (win_lo(sc) > p) {
+    // The sender requested a window we already moved past — it is behind
+    // on window state (e.g. a crash-recovered sender endpoint that lost
+    // its view of the channel). Grant it our current window start so it
+    // can flush sends queued behind the stale window.
+    irmc::MoveMsg grant{sc, win_lo(sc)};
+    Bytes gbody = grant.encode();
+    host().charge_mac();
+    send_framed(from, gbody, crypto().mac(self(), from, auth_bytes(gbody)));
+  }
+
+  Position& cur = smoves_[{idx, sc}];
+  if (p <= cur) return;
+  cur = p;
+
+  // fs+1-highest sender request forces our window forward (A.19).
+  std::vector<Position> vals;
+  for (std::uint32_t i = 0; i < cfg_.ns(); ++i) {
+    auto it = smoves_.find({i, sc});
+    vals.push_back(it == smoves_.end() ? 1 : it->second);
+  }
+  std::sort(vals.rbegin(), vals.rend());
+  Position nw = vals[std::min<std::size_t>(cfg_.fs, vals.size() - 1)];
+  if (win_lo(sc) < nw) internal_move(sc, nw);
 }
 
 }  // namespace spider

@@ -12,6 +12,7 @@
 
 #include "irmc/irmc.hpp"
 #include "irmc/messages.hpp"
+#include "obs/metrics.hpp"
 
 namespace spider {
 
@@ -36,6 +37,8 @@ class RcSender : public Component, public IrmcSenderEndpoint {
   void recompute_window(Subchannel sc);
   void transmit(Subchannel sc, Position p, const Bytes& m);
   void flush_queue(Subchannel sc);
+  /// Window statements for every nacked subchannel, then bounded replays.
+  void answer_nack(NodeId to, const irmc::PositionList& stalled);
   std::optional<std::uint32_t> receiver_index(NodeId node) const;
 
   IrmcConfig cfg_;
@@ -74,6 +77,8 @@ class RcReceiver : public Component, public IrmcReceiverEndpoint {
   [[nodiscard]] Position win_lo(Subchannel sc) const;
   void internal_move(Subchannel sc, Position p);
   void try_deliver(Subchannel sc, Position p);
+  /// One window statement by sender `idx` (a Move, or a Windows entry).
+  void apply_move(NodeId from, std::uint32_t idx, Subchannel sc, Position p);
   std::optional<std::uint32_t> sender_index(NodeId node) const;
 
   IrmcConfig cfg_;
@@ -86,6 +91,8 @@ class RcReceiver : public Component, public IrmcReceiverEndpoint {
   EventQueue::EventId nack_timer_ = EventQueue::kInvalidEvent;
   // Stall detection: (sc -> position pending at the previous timer tick).
   std::map<Subchannel, Position> last_stalled_;
+  obs::Counter& nack_frames_;   // Nack frames sent (one per sender per tick)
+  obs::Counter& nack_entries_;  // (sc, p) entries summed over those frames
   void arm_nack_timer();
   void on_nack_timer();
 

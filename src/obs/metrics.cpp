@@ -38,16 +38,25 @@ std::uint64_t LogHistogram::bucket_width(std::size_t i) {
 
 void LogHistogram::add(std::uint64_t v, std::uint64_t n) {
   if (n == 0) return;
-  buckets_[bucket_index(v)] += n;
+  std::size_t i = bucket_index(v);
+  grow_to(i + 1);
+  buckets_[i] += n;
   count_ += n;
   sum_ += v * n;
   if (v < min_) min_ = v;
   if (v > max_) max_ = v;
 }
 
+void LogHistogram::grow_to(std::size_t n) {
+  if (n <= buckets_.size()) return;
+  buckets_.reserve(n);  // exact: no doubling slack past the highest bucket
+  buckets_.resize(n);
+}
+
 void LogHistogram::merge(const LogHistogram& other) {
   if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  grow_to(other.buckets_.size());
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.min_ < min_) min_ = other.min_;
@@ -55,7 +64,7 @@ void LogHistogram::merge(const LogHistogram& other) {
 }
 
 void LogHistogram::clear() {
-  buckets_.fill(0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0;
   min_ = ~0ull;
@@ -76,7 +85,7 @@ std::uint64_t LogHistogram::percentile(double p) const {
       std::ceil(p / 100.0 * static_cast<double>(count_)));
   if (rank == 0) rank = 1;
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
     cum += buckets_[i];
     if (cum >= rank) {
       std::uint64_t rep = bucket_lower(i) + bucket_width(i) / 2;  // midpoint

@@ -5,7 +5,7 @@
 //   - deterministic: snapshots iterate metrics in sorted key order and
 //     contain only values derived from simulated time / event counts, so a
 //     seed replay produces byte-identical output;
-//   - fixed memory: histograms are log-bucketed arrays (no sample
+//   - bounded memory: histograms are log-bucketed counts (no sample
 //     hoarding), safe to keep per node for million-op runs;
 //   - mergeable: histograms (and whole registries) merge by bucket-count
 //     addition, so per-node or per-shard stats aggregate exactly;
@@ -13,12 +13,12 @@
 //     bench/bench_json.hpp (one object per line, machine-appendable).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace spider::obs {
 
@@ -30,8 +30,10 @@ namespace spider::obs {
 /// Error bound: percentile() returns the midpoint of the selected bucket,
 /// clamped to the exact [min, max] observed, so the relative error of any
 /// reported quantile is at most 2^-(kSubBits+1) ~= 3.2% (values below
-/// 2^(kSubBits+1) = 32 are bucketed exactly). Memory is a fixed ~7.6 KiB
-/// regardless of sample count.
+/// 2^(kSubBits+1) = 32 are bucketed exactly). Memory does not depend on the
+/// sample count: the bucket vector grows only up to the highest bucket
+/// used (~1.7 KiB for microsecond latencies up to 100 ms, ~7.6 KiB at
+/// most), and an empty histogram holds no buckets.
 class LogHistogram {
  public:
   static constexpr int kSubBits = 4;
@@ -61,10 +63,15 @@ class LogHistogram {
   /// clamped to [min(), max()]. Deterministic integer arithmetic.
   [[nodiscard]] std::uint64_t percentile(double p) const;
 
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return buckets_[i]; }
+  /// Samples in bucket `i` (0 above the highest bucket used).
+  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
+    return i < buckets_.size() ? buckets_[i] : 0;
+  }
 
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  void grow_to(std::size_t n);
+
+  std::vector<std::uint64_t> buckets_;  // counts up to the highest bucket used
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = ~0ull;

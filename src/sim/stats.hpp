@@ -15,9 +15,10 @@ namespace spider {
 
 /// Collects duration samples; percentiles computed on demand.
 ///
-/// Default mode is kBucketed: samples land in a fixed-memory
-/// obs::LogHistogram (~7.6 KiB regardless of run length), so million-op
-/// benchmarks no longer hoard one Duration per request. Bucketed
+/// Default mode is kBucketed: samples land in an obs::LogHistogram, whose
+/// buckets grow only to the highest one used (~7.6 KiB at most) and not
+/// with run length, so million-op benchmarks no longer hoard one Duration
+/// per request. Bucketed
 /// percentiles carry the histogram's error bound — relative error at most
 /// 2^-5 ~= 3.2%, exact for values below 32 µs. kExact keeps every sample
 /// and interpolates percentiles precisely; use it for small-N tests that

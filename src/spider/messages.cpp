@@ -128,7 +128,7 @@ ReconfigCmd ReconfigCmd::decode(Reader& r) {
   m.add = r.boolean();
   m.group = r.u32();
   m.region = static_cast<Region>(r.u8());
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(sizeof(NodeId));
   m.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.members.push_back(r.u32());
   return m;
@@ -145,7 +145,7 @@ RegistryEntry RegistryEntry::decode(Reader& r) {
   RegistryEntry m;
   m.group = r.u32();
   m.region = static_cast<Region>(r.u8());
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(sizeof(NodeId));
   m.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.members.push_back(r.u32());
   return m;
@@ -162,7 +162,7 @@ Bytes RegistrySnapshot::encode() const {
 RegistrySnapshot RegistrySnapshot::decode(Reader& r) {
   RegistrySnapshot m;
   m.version = r.u64();
-  std::uint32_t n = r.u32();
+  std::uint32_t n = r.count(4 + 1 + 4);  // smallest entry: group, region, no members
   m.groups.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.groups.push_back(RegistryEntry::decode(r));
   return m;

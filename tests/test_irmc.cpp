@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "irmc/rc.hpp"
 #include "irmc/sc.hpp"
 #include "sim/world.hpp"
@@ -8,12 +11,24 @@
 namespace spider {
 namespace {
 
+/// Host that logs the (sender, message type) of every inbound IRMC frame
+/// before dispatching it, so tests can check the order on the wire.
+struct TapHost : ComponentHost {
+  using ComponentHost::ComponentHost;
+  std::vector<std::pair<NodeId, irmc::MsgType>> inbound;
+
+  void on_message(NodeId from, BytesView data) override {
+    if (data.size() > 4) inbound.emplace_back(from, static_cast<irmc::MsgType>(data[4]));
+    ComponentHost::on_message(from, data);
+  }
+};
+
 /// 4 senders in Virginia, 3 receivers in Tokyo — the paper's Figure 9
 /// wide-area channel setup (fs = fr = 1).
 struct ChannelFixture {
   World world;
   std::vector<std::unique_ptr<ComponentHost>> sender_hosts;
-  std::vector<std::unique_ptr<ComponentHost>> receiver_hosts;
+  std::vector<std::unique_ptr<TapHost>> receiver_hosts;
   std::vector<std::unique_ptr<IrmcSenderEndpoint>> senders;
   std::vector<std::unique_ptr<IrmcReceiverEndpoint>> receivers;
   IrmcConfig cfg;
@@ -28,7 +43,7 @@ struct ChannelFixture {
       cfg.senders.push_back(sender_hosts.back()->id());
     }
     for (std::uint32_t i = 0; i < nr; ++i) {
-      receiver_hosts.push_back(std::make_unique<ComponentHost>(
+      receiver_hosts.push_back(std::make_unique<TapHost>(
           world, world.allocate_id(), Site{Region::Tokyo, static_cast<std::uint8_t>(i % 3)}));
       cfg.receivers.push_back(receiver_hosts.back()->id());
     }
@@ -40,6 +55,12 @@ struct ChannelFixture {
     cfg.collector_timeout = 150 * kMillisecond;
     for (auto& h : sender_hosts) senders.push_back(make_irmc_sender(kind, *h, cfg));
     for (auto& h : receiver_hosts) receivers.push_back(make_irmc_receiver(kind, *h, cfg));
+  }
+
+  /// IRMC-RC nack timer period: a stalled subchannel is nacked at the
+  /// second tick without progress.
+  [[nodiscard]] Duration nack_period() const {
+    return cfg.window_announce_interval + cfg.collector_timeout;
   }
 
   void send_from_all(Subchannel sc, Position p, const Bytes& m) {
@@ -333,6 +354,99 @@ TEST(IrmcRc, ForgedSendRejected) {
   f.receivers[0]->receive(1, 1, [&](RecvResult) { delivered = true; });
   f.world.run_for(kSecond);
   EXPECT_FALSE(delivered);
+}
+
+// Retransmission: receivers model the paper's reliable links by nacking
+// subchannels that made no progress for a full timer period.
+
+TEST(IrmcRc, LostSendIsRetransmittedWithinTwoNackPeriodsOfHeal) {
+  ChannelFixture f(IrmcKind::ReceiverCollect);
+  NodeId r0 = f.receiver_hosts[0]->id();
+  // Every Send of position 1 to receiver 0 is lost, and no later traffic
+  // on the subchannel follows it.
+  f.world.net().set_link_filter([r0](NodeId, NodeId to) { return to != r0; });
+  Bytes m = f.msg(1);
+  Bytes got;
+  std::optional<Time> delivered_at;
+  f.receivers[0]->receive(3, 1, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got = res.message.to_bytes();
+    delivered_at = f.world.now();
+  });
+  f.send_from_all(3, 1, m);
+  // Heal once the lost Sends would long have arrived (two WAN round trips).
+  f.world.run_for(300 * kMillisecond);
+  ASSERT_FALSE(delivered_at.has_value());
+  f.world.net().set_link_filter(nullptr);
+  const Time healed = f.world.now();
+  f.world.run_for(2 * f.nack_period());
+  ASSERT_TRUE(delivered_at.has_value());
+  EXPECT_EQ(got, m);
+  EXPECT_LE(*delivered_at - healed, 2 * f.nack_period());
+}
+
+TEST(IrmcRc, StalledSubchannelsShareOneNackPerSenderPerTick) {
+  ChannelFixture f(IrmcKind::ReceiverCollect);
+  constexpr std::uint64_t kStalled = 6;
+  // Idle subchannels: nobody sends, so every receive stays pending.
+  for (Subchannel sc = 1; sc <= kStalled; ++sc) f.receivers[0]->receive(sc, 1, [](RecvResult) {});
+  const obs::MetricLabels r0{.node = f.receiver_hosts[0]->id(), .role = "irmc"};
+  auto frames = [&] { return f.world.metrics().counter("irmc_nack_frames", r0).value(); };
+  auto entries = [&] { return f.world.metrics().counter("irmc_nack_entries", r0).value(); };
+  auto windows_received = [&] {
+    const auto& in = f.receiver_hosts[0]->inbound;
+    return std::count_if(in.begin(), in.end(),
+                         [](const auto& e) { return e.second == irmc::MsgType::Windows; });
+  };
+  const std::uint64_t ns = f.cfg.ns();
+
+  // The first tick only records the stall.
+  f.world.run_for(f.nack_period() + f.nack_period() * 8 / 10);
+  EXPECT_EQ(frames(), 0u);
+  // Every later tick sends each sender one Nack listing all K subchannels,
+  // and each sender answers with one Windows frame.
+  f.world.run_for(f.nack_period());
+  EXPECT_EQ(frames(), ns);
+  EXPECT_EQ(entries(), ns * kStalled);
+  EXPECT_EQ(windows_received(), static_cast<std::ptrdiff_t>(ns));
+  f.world.run_for(f.nack_period());
+  EXPECT_EQ(frames(), 2 * ns);
+  EXPECT_EQ(entries(), 2 * ns * kStalled);
+  EXPECT_EQ(windows_received(), static_cast<std::ptrdiff_t>(2 * ns));
+}
+
+TEST(IrmcRc, ReplayNeverPrecedesItsWindowStatement) {
+  // Receiver 0 misses everything on subchannel 1: the senders' Move to 20
+  // and their Sends at 20..22. Its window is still 1, so 20 lies beyond its
+  // storage horizon (window + 2 * capacity - 1) until a Nack answer states
+  // the window; each sender's statement must precede its replays.
+  ChannelFixture f(IrmcKind::ReceiverCollect);
+  ASSERT_LT(1 + 2 * f.cfg.capacity - 1, Position{20});
+  NodeId r0 = f.receiver_hosts[0]->id();
+  f.world.net().set_link_filter([r0](NodeId, NodeId to) { return to != r0; });
+  for (auto& s : f.senders) s->move_window(1, 20);
+  for (Position p = 20; p <= 22; ++p) f.send_from_all(1, p, f.msg(static_cast<int>(p)));
+  Bytes got;
+  f.receivers[0]->receive(1, 20, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got = res.message.to_bytes();
+  });
+  f.world.run_for(300 * kMillisecond);
+  f.world.net().set_link_filter(nullptr);
+  f.world.run_for(3 * f.nack_period());
+  EXPECT_EQ(got, f.msg(20));
+  EXPECT_EQ(f.receivers[0]->window_start(1), 20u);
+
+  const auto& in = f.receiver_hosts[0]->inbound;
+  for (NodeId s : f.cfg.senders) {
+    auto from_s = [s](irmc::MsgType type) {
+      return [s, type](const auto& e) { return e.first == s && e.second == type; };
+    };
+    auto statement = std::find_if(in.begin(), in.end(), from_s(irmc::MsgType::Windows));
+    auto replay = std::find_if(in.begin(), in.end(), from_s(irmc::MsgType::Send));
+    ASSERT_NE(replay, in.end()) << "sender " << s << " replayed nothing";
+    EXPECT_LT(statement, replay) << "sender " << s;
+  }
 }
 
 // ------------------------------------------------------------ SC-specific

@@ -154,6 +154,63 @@ TEST(LogHistogram, WeightedAddAndClear) {
   EXPECT_EQ(h.percentile(50), 0u);
 }
 
+TEST(LogHistogram, BucketCountIsZeroPastTheUsedRange) {
+  LogHistogram h;
+  EXPECT_EQ(h.bucket_count(0), 0u);
+  EXPECT_EQ(h.bucket_count(LogHistogram::kBuckets - 1), 0u);
+  h.add(100, 3);
+  const std::size_t i = LogHistogram::bucket_index(100);
+  EXPECT_EQ(h.bucket_count(i), 3u);
+  EXPECT_EQ(h.bucket_count(i - 1), 0u);
+  EXPECT_EQ(h.bucket_count(i + 1), 0u);
+  EXPECT_EQ(h.bucket_count(LogHistogram::kBuckets - 1), 0u);
+}
+
+TEST(LogHistogram, MergeOfDifferentlySizedHistograms) {
+  // `narrow` only uses low buckets, `wide` reaches far higher: merging in
+  // either direction must give the bucket counts of the combined stream.
+  LogHistogram narrow, wide, combined;
+  for (std::uint64_t v : {3u, 40u, 40u}) {
+    narrow.add(v);
+    combined.add(v);
+  }
+  for (std::uint64_t v : {5u, 90'000u, 1u << 30}) {
+    wide.add(v, 2);
+    combined.add(v, 2);
+  }
+  LogHistogram grown = narrow;
+  grown.merge(wide);
+  LogHistogram absorbed = wide;
+  absorbed.merge(narrow);
+  for (std::size_t i = 0; i < LogHistogram::kBuckets; ++i) {
+    EXPECT_EQ(grown.bucket_count(i), combined.bucket_count(i)) << i;
+    EXPECT_EQ(absorbed.bucket_count(i), combined.bucket_count(i)) << i;
+  }
+  for (const LogHistogram* h : {&grown, &absorbed}) {
+    EXPECT_EQ(h->count(), combined.count());
+    EXPECT_EQ(h->min(), 3u);
+    EXPECT_EQ(h->max(), 1u << 30);
+    for (double p : {10.0, 50.0, 90.0, 99.0}) EXPECT_EQ(h->percentile(p), combined.percentile(p));
+  }
+}
+
+TEST(LogHistogram, ClearThenReuse) {
+  LogHistogram h;
+  h.add(7);
+  h.add(1'000'000);
+  h.clear();
+  EXPECT_EQ(h.bucket_count(LogHistogram::bucket_index(1'000'000)), 0u);
+  h.add(42, 2);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), 84u);
+  EXPECT_EQ(h.min(), 42u);
+  EXPECT_EQ(h.max(), 42u);
+  EXPECT_EQ(h.percentile(99), 42u);
+  EXPECT_EQ(h.bucket_count(LogHistogram::bucket_index(42)), 2u);
+  EXPECT_EQ(h.bucket_count(LogHistogram::bucket_index(7)), 0u);
+  EXPECT_EQ(h.bucket_count(LogHistogram::bucket_index(1'000'000)), 0u);
+}
+
 // ---- MetricsRegistry ------------------------------------------------------
 
 TEST(MetricsRegistry, LabelsKeySeparateSeries) {

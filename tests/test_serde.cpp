@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/hex.hpp"
 #include "common/serde.hpp"
+#include "irmc/messages.hpp"
+#include "spider/messages.hpp"
 
 namespace spider {
 namespace {
@@ -158,6 +162,115 @@ TEST(Serde, ReaderBytesViewIsZeroCopy) {
   EXPECT_EQ(to_string(v), "shared-not-copied");
   // The view aliases the wire buffer (no copy happened).
   EXPECT_EQ(v.data(), wire.data() + 4);
+}
+
+TEST(Serde, CountAcceptsWhatFitsAndRejectsMore) {
+  Writer w;
+  w.u32(3);
+  w.raw(Bytes(12, 0));
+  Reader fits(w.data());
+  EXPECT_EQ(fits.count(4), 3u);
+  Reader too_many(w.data());
+  EXPECT_THROW(too_many.count(5), SerdeError);
+}
+
+// ---- hostile element counts -------------------------------------------
+// A u32 count of 0xFFFFFFFF followed by a few bytes: every decoder must
+// reject it as malformed (SerdeError) before reserving, instead of throwing
+// std::bad_alloc past ComponentHost's SerdeError catch.
+
+void expect_hostile_count_rejected(const std::function<void(Writer&)>& prefix,
+                                   const std::function<void(Reader&)>& decode) {
+  Writer w;
+  prefix(w);
+  w.u32(0xffffffffu);
+  w.u64(0);
+  Reader r(w.data());
+  EXPECT_THROW(decode(r), SerdeError);
+}
+
+void no_prefix(Writer&) {}
+
+void certificate_prefix(Writer& w) {
+  w.u64(1);  // sc
+  w.u64(1);  // p
+  w.bytes(Bytes(8, 0x11));
+}
+
+TEST(SerdeHostileCount, ProgressMsg) {
+  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::ProgressMsg::decode(r); });
+}
+
+TEST(SerdeHostileCount, CertificateMsg) {
+  expect_hostile_count_rejected(certificate_prefix,
+                                [](Reader& r) { irmc::CertificateMsg::decode(r); });
+}
+
+TEST(SerdeHostileCount, CertificateMsgView) {
+  expect_hostile_count_rejected(certificate_prefix,
+                                [](Reader& r) { irmc::CertificateMsgView::decode(r); });
+}
+
+TEST(SerdeHostileCount, NackMsg) {
+  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::NackMsg::decode(r); });
+}
+
+TEST(SerdeHostileCount, WindowsMsg) {
+  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::WindowsMsg::decode(r); });
+}
+
+TEST(SerdeHostileCount, RegistrySnapshot) {
+  expect_hostile_count_rejected([](Writer& w) { w.u64(7); },  // version
+                                [](Reader& r) { RegistrySnapshot::decode(r); });
+}
+
+TEST(SerdeHostileCount, RegistryEntry) {
+  expect_hostile_count_rejected(
+      [](Writer& w) {
+        w.u32(3);  // group
+        w.u8(0);   // region
+      },
+      [](Reader& r) { RegistryEntry::decode(r); });
+}
+
+TEST(SerdeHostileCount, ReconfigCmd) {
+  expect_hostile_count_rejected(
+      [](Writer& w) {
+        w.boolean(true);
+        w.u32(3);  // group
+        w.u8(0);   // region
+      },
+      [](Reader& r) { ReconfigCmd::decode(r); });
+}
+
+TEST(SerdeIrmc, NackAndWindowsRoundTrip) {
+  const irmc::PositionList entries = {{1, 5}, {7, 1}, {4096, 12}};
+  Bytes nack = irmc::NackMsg{entries}.encode();
+  Bytes windows = irmc::WindowsMsg{entries}.encode();
+  ASSERT_EQ(nack.size(), 1 + 4 + 16 * entries.size());
+  EXPECT_EQ(nack[0], static_cast<std::uint8_t>(irmc::MsgType::Nack));
+  EXPECT_EQ(windows[0], static_cast<std::uint8_t>(irmc::MsgType::Windows));
+  Reader nr(BytesView(nack).subspan(1));
+  EXPECT_EQ(irmc::NackMsg::decode(nr).stalled, entries);
+  nr.expect_done();
+  Reader wr(BytesView(windows).subspan(1));
+  EXPECT_EQ(irmc::WindowsMsg::decode(wr).windows, entries);
+  wr.expect_done();
+}
+
+TEST(SerdeIrmc, PositionListsRejectUnorderedSubchannels) {
+  // A repeated subchannel would let one Nack ask for the same replays
+  // twice; correct peers list each subchannel once, in ascending order.
+  for (const irmc::PositionList& bad :
+       {irmc::PositionList{{3, 1}, {3, 2}}, irmc::PositionList{{5, 1}, {2, 1}}}) {
+    auto rejects = [](const Bytes& wire, auto decode) {
+      Reader r(BytesView(wire).subspan(1));
+      EXPECT_THROW(decode(r), SerdeError);
+    };
+    rejects(irmc::NackMsg{bad}.encode(), [](Reader& r) { irmc::NackMsg::decode(r); });
+    rejects(irmc::WindowsMsg{bad}.encode(), [](Reader& r) { irmc::WindowsMsg::decode(r); });
+    rejects(irmc::ProgressMsg{bad}.encode(), [](Reader& r) { irmc::ProgressMsg::decode(r); });
+  }
 }
 
 class SerdeSizeSweep : public ::testing::TestWithParam<std::size_t> {};
