@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -70,6 +71,12 @@ class IrmcSenderEndpoint {
   virtual void send(Subchannel sc, Position p, Bytes m, SendCallback done = {}) = 0;
   /// Ask the receiver side to move the subchannel window forward.
   virtual void move_window(Subchannel sc, Position p) = 0;
+  /// move_window(sc, p), then send(sc, p, m, done). IRMC-RC overrides it to
+  /// carry the move on the signed Send itself when it can.
+  virtual void move_and_send(Subchannel sc, Position p, Bytes m, SendCallback done = {}) {
+    move_window(sc, p);
+    send(sc, p, std::move(m), std::move(done));
+  }
   /// Current active-window lower bound (as agreed by fr+1 receivers).
   virtual Position window_start(Subchannel sc) const = 0;
 };

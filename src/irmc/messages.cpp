@@ -44,7 +44,7 @@ PositionList decode_positions(Reader& r) {
 
 Bytes SendMsg::encode() const {
   Writer w(1 + 8 + 8 + 4 + payload.size());
-  w.u8(static_cast<std::uint8_t>(MsgType::Send));
+  w.u8(static_cast<std::uint8_t>(move ? MsgType::SendMove : MsgType::Send));
   w.u64(sc);
   w.u64(p);
   w.bytes(payload);

@@ -19,6 +19,7 @@ enum class MsgType : std::uint8_t {
   Select = 6,       // SC: <Select, sc, collector> MAC'd, receiver -> senders
   Nack = 7,         // RC: <Nack, {sc: p}> MAC'd, receiver asks for retransmission
   Windows = 8,      // RC: <Windows, {sc: p}> MAC'd, sender's answer to a Nack
+  SendMove = 9,     // RC: a Send whose sender also moves its window on sc to p
 };
 
 /// (subchannel, position) pairs: SC's Progress and RC's Nack / Windows.
@@ -31,6 +32,8 @@ struct SendMsg {
   Subchannel sc = 0;
   Position p = 0;
   Bytes payload;
+  /// Encode as a SendMove: same body, only the type byte differs.
+  bool move = false;
 
   Bytes encode() const;
   static SendMsg decode(Reader& r);

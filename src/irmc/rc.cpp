@@ -60,11 +60,11 @@ std::optional<std::uint32_t> RcSender::receiver_index(NodeId node) const {
   return std::nullopt;
 }
 
-void RcSender::transmit(Subchannel sc, Position p, const Bytes& m) {
+void RcSender::transmit(Subchannel sc, Position p, const Bytes& m, bool move) {
   if (auto* t = host().tracer()) {
     t->instant(host().now(), host().id(), "irmc", "rc-send", "sc", sc, "pos", p);
   }
-  irmc::SendMsg msg{sc, p, m};
+  irmc::SendMsg msg{sc, p, m, move};
   Bytes body = msg.encode();
   // One signature, shared by all receivers (paper A.8).
   host().charge_sign();
@@ -96,6 +96,21 @@ void RcSender::move_window(Subchannel sc, Position p) {
   if (p <= cur) return;
   cur = p;
   send_move(sc, p);
+}
+
+void RcSender::move_and_send(Subchannel sc, Position p, Bytes m, SendCallback done) {
+  Position lo = win_lo(sc);
+  auto own = own_move_.find(sc);
+  bool repeat = own != own_move_.end() && p <= own->second;
+  if (repeat || p < lo || p > lo + cfg_.capacity - 1) {
+    // The move already went out (a re-driven request), or the position is
+    // outside the window: a separate Move, then a Send that may wait.
+    IrmcSenderEndpoint::move_and_send(sc, p, std::move(m), std::move(done));
+    return;
+  }
+  own_move_[sc] = p;
+  transmit(sc, p, m, /*move=*/true);
+  if (done) done(false, lo);
 }
 
 void RcSender::recompute_window(Subchannel sc) {
@@ -214,7 +229,9 @@ RcReceiver::RcReceiver(ComponentHost& host, IrmcConfig cfg)
       nack_frames_(host.world().metrics().counter("irmc_nack_frames",
                                                   {.node = host.id(), .role = "irmc"})),
       nack_entries_(host.world().metrics().counter("irmc_nack_entries",
-                                                   {.node = host.id(), .role = "irmc"})) {}
+                                                   {.node = host.id(), .role = "irmc"})),
+      votes_unverified_(host.world().metrics().counter("irmc_votes_unverified",
+                                                       {.node = host.id(), .role = "irmc"})) {}
 
 RcReceiver::~RcReceiver() {
   if (nack_timer_ != EventQueue::kInvalidEvent) cancel_timer(nack_timer_);
@@ -331,6 +348,20 @@ void RcReceiver::internal_move(Subchannel sc, Position p) {
   }
 }
 
+bool RcReceiver::vote_counts(std::uint32_t idx, Subchannel sc, Position p) const {
+  auto rit = ready_.find(sc);
+  if (rit != ready_.end() && rit->second.count(p) > 0) return false;
+  auto sit = slots_.find(sc);
+  if (sit == slots_.end()) return true;
+  auto slot = sit->second.find(p);
+  return slot == sit->second.end() || slot->second.voters.count(idx) == 0;
+}
+
+bool RcReceiver::move_counts(std::uint32_t idx, Subchannel sc, Position p) const {
+  auto it = smoves_.find({idx, sc});
+  return p > win_lo(sc) && (it == smoves_.end() || p > it->second);
+}
+
 void RcReceiver::try_deliver(Subchannel sc, Position p) {
   auto sit = slots_.find(sc);
   if (sit == slots_.end()) return;
@@ -338,7 +369,7 @@ void RcReceiver::try_deliver(Subchannel sc, Position p) {
   if (slot_it == sit->second.end()) return;
 
   for (auto& [digest, cand] : slot_it->second.candidates) {
-    if (cand.second.size() >= cfg_.fs + 1) {
+    if (cand.second >= cfg_.fs + 1) {
       ready_[sc][p] = cand.first;
       if (auto* t = host().tracer()) {
         t->instant(host().now(), host().id(), "irmc", "rc-deliver", "sc", sc,
@@ -365,18 +396,29 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
   if (!idx) return;
 
   auto type = static_cast<MsgType>(all[0]);
-  if (type == MsgType::Send) {
+  if (type == MsgType::Send || type == MsgType::SendMove) {
     std::size_t sig_len = crypto().signature_size();
     if (all.size() <= sig_len) return;
     BytesView body = all.subspan(0, all.size() - sig_len);
     BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
-
     Reader br(body);
     br.u8();
     irmc::SendMsgView msg = irmc::SendMsgView::decode(br);
+    const bool moves = type == MsgType::SendMove;
+    // Skip the signature check when the frame can change nothing: the vote
+    // cannot count, and it carries no window statement that could.
+    const bool counts = vote_counts(*idx, msg.sc, msg.p);
+    if (!counts && !(moves && move_counts(*idx, msg.sc, msg.p))) {
+      votes_unverified_.inc();
+      return;
+    }
+    host().charge_verify();
+    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+
     note_subchannel(msg.sc);
+    // Where a separate Move preceding this Send would have been applied.
+    if (moves) apply_move(from, *idx, msg.sc, msg.p);
+    if (!counts) return;
     Position lo = win_lo(msg.sc);
     // Store only within a bounded horizon (window + one extra window of
     // slack for senders running ahead of this receiver).
@@ -384,9 +426,10 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
 
     host().charge_hash(msg.payload.size());
     std::uint64_t key = digest_prefix(host().hash_cached(msg.payload));
-    auto& cand = slots_[msg.sc][msg.p].candidates[key];
-    if (cand.second.empty()) cand.first = host().capture(msg.payload);
-    cand.second.insert(*idx);
+    Slot& slot = slots_[msg.sc][msg.p];
+    slot.voters.insert(*idx);
+    auto& cand = slot.candidates[key];
+    if (cand.second++ == 0) cand.first = host().capture(msg.payload);
     try_deliver(msg.sc, msg.p);
   } else if (type == MsgType::Move || type == MsgType::Windows) {
     std::size_t mac_len = crypto().mac_size();

@@ -4,6 +4,14 @@
 // receiver endpoint; each receiver collects fs+1 matching Sends before
 // delivering. Simple and CPU-cheap for senders, but transfers the payload
 // |senders| x |receivers| times across the wide-area link.
+//
+// move_and_send() of a position inside the granted window sends one
+// signed SendMove instead of a MAC'd Move followed by a Send. The receiver
+// applies its window statement right after the signature check, where the
+// separate Move would have landed. A vote that can no longer count is
+// dropped before its signature is checked: its slot is already delivered,
+// or its sender already voted there (one vote per sender and slot). A
+// SendMove whose window statement could still move the window is checked.
 #pragma once
 
 #include <map>
@@ -23,6 +31,7 @@ class RcSender : public Component, public IrmcSenderEndpoint {
 
   void send(Subchannel sc, Position p, Bytes m, SendCallback done) override;
   void move_window(Subchannel sc, Position p) override;
+  void move_and_send(Subchannel sc, Position p, Bytes m, SendCallback done) override;
   Position window_start(Subchannel sc) const override;
 
   void on_message(NodeId from, Reader& r) override;
@@ -35,7 +44,7 @@ class RcSender : public Component, public IrmcSenderEndpoint {
 
   [[nodiscard]] Position win_lo(Subchannel sc) const;
   void recompute_window(Subchannel sc);
-  void transmit(Subchannel sc, Position p, const Bytes& m);
+  void transmit(Subchannel sc, Position p, const Bytes& m, bool move = false);
   void flush_queue(Subchannel sc);
   /// Window statements for every nacked subchannel, then bounded replays.
   void answer_nack(NodeId to, const irmc::PositionList& stalled);
@@ -69,14 +78,21 @@ class RcReceiver : public Component, public IrmcReceiverEndpoint {
 
  private:
   struct Slot {
-    // candidate digest -> (payload, sender indices that vouched). The
+    // candidate digest -> (payload, number of senders that vouched). The
     // payload is a zero-copy slice of the first vouching Send's wire.
-    std::map<std::uint64_t, std::pair<Payload, std::set<std::uint32_t>>> candidates;
+    std::map<std::uint64_t, std::pair<Payload, std::uint32_t>> candidates;
+    std::set<std::uint32_t> voters;  // senders whose (first) vote counted
   };
 
   [[nodiscard]] Position win_lo(Subchannel sc) const;
   void internal_move(Subchannel sc, Position p);
   void try_deliver(Subchannel sc, Position p);
+  /// Whether sender `idx`'s vote for (sc, p) would still count: the slot
+  /// is undelivered and `idx` has not voted there yet.
+  [[nodiscard]] bool vote_counts(std::uint32_t idx, Subchannel sc, Position p) const;
+  /// Whether a window statement by `idx` for (sc, p) could still move
+  /// this receiver's window.
+  [[nodiscard]] bool move_counts(std::uint32_t idx, Subchannel sc, Position p) const;
   /// One window statement by sender `idx` (a Move, or a Windows entry).
   void apply_move(NodeId from, std::uint32_t idx, Subchannel sc, Position p);
   std::optional<std::uint32_t> sender_index(NodeId node) const;
@@ -93,6 +109,7 @@ class RcReceiver : public Component, public IrmcReceiverEndpoint {
   std::map<Subchannel, Position> last_stalled_;
   obs::Counter& nack_frames_;   // Nack frames sent (one per sender per tick)
   obs::Counter& nack_entries_;  // (sc, p) entries summed over those frames
+  obs::Counter& votes_unverified_;  // votes dropped before their signature check
   void arm_nack_timer();
   void on_nack_timer();
 

@@ -131,9 +131,11 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
     // No reply yet: the request is still in flight, and our original
     // forward may have been lost before reaching fs+1 agreement receivers
     // (e.g. a partition cut the request channel right after we recorded
-    // the counter). Fall through and re-drive the channel with the
-    // identical Send — the receive side dedups, so the worst case is a
-    // redundant transmission (reliable-link retransmission model).
+    // the counter). Fall through and re-drive the channel: our window
+    // already moved to this counter, so it goes out as a plain Send at a
+    // slot we already voted in. A receiver that counted our first vote
+    // drops it unverified, so the worst case is a redundant transmission
+    // (reliable-link retransmission model).
   }
 
   charge_verify();
@@ -145,9 +147,10 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
     t->async(obs::Ph::kAsyncInstant, now(), id(),
              obs::request_id(req.client, req.counter), "request", "forward");
   }
-  request_tx_->move_window(req.client, req.counter);
-  request_tx_->send(req.client, req.counter,
-                    RequestMsg{std::move(frame), cfg_.group}.encode(), {});
+  // Keep only the client's newest request: move its subchannel window to
+  // this counter and send, in one signed frame where the window allows.
+  request_tx_->move_and_send(req.client, req.counter,
+                             RequestMsg{std::move(frame), cfg_.group}.encode(), {});
 }
 
 void ExecutionReplica::request_next_execute() {

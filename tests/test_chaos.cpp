@@ -178,9 +178,11 @@ TEST(ChaosDeterminism, ByzantineSeedReplayIsByteIdentical) {
 // digests captured from the naive-copy implementation, so the zero-copy
 // transport / flat-heap scheduler / memoized-digest pipeline stays
 // *observationally identical* to it. The five histories of runs that use
-// IRMC are pinned at batched IRMC-RC NACKs (one Nack frame per sender per
-// tick, answered by one Windows frame): fewer messages are charged than
-// with one frame per stalled subchannel, so simulated timestamps moved.
+// IRMC are pinned at IRMC-RC SendMove: the request channel's window move
+// rides on the signed Send instead of a separate Move frame, and receivers
+// drop Sends that can no longer count before checking their signature
+// (one Nack frame per sender per tick still). Fewer charged frames and
+// verifies shift simulated timestamps, so these histories moved.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosDeterminism, FastPathMatchesPreOptimizationGoldens) {
@@ -194,22 +196,22 @@ TEST(ChaosDeterminism, FastPathMatchesPreOptimizationGoldens) {
   const Golden goldens[] = {
       {ChaosConfig::SpiderF1, 7, false,
        "a17347e98364e2e8e56a1ccb559aaaf3519aff5e27c519d9a0be4724cb84d4a2",
-       "51a7ae13408c429a956d3b901d085d04dac6a6d3663fa74f64100e7a3c1fb7bf"},
+       "9c4d3e2a94b1c317a3d2045023bbd2b72d07c4e09e481dddf1844f94b1e08d1e"},
       {ChaosConfig::SpiderF2, 3, false,
        "a86fc42376d861975983dc6f3b77c871ad1b7e707367c4f678bf51e188116c89",
-       "59028b67c01c3574409865a2d996279ac445e6c44ffe544eff2abfcd49adbc41"},
+       "6186bdbd6c59d560e291a7a63d2e78c770dd24ffff752a0ebdbe0dc569ca5645"},
       {ChaosConfig::PbftBaseline, 11, false,
        "c54a204ddcd512967101bf9171a1dc1c8cc7c83df9a34a868bd020c950c92a83",
        "696c6044c47e2164220503d5559b943945e3a35afdba35b46946d87a42623ed4"},
       {ChaosConfig::Sharded2, 5, false,
        "76c314389a3059f239a69f3117cbb48aa4fa3c0b1d0d6fae862837548c44a2d9",
-       "b339f25053e4a854327c0b051a1d6517d38a30a6109a758bb1cf6c0375b3f18c"},
+       "878119bcbef977f56f00031c1a871d3132d656d18502ef55dd36caa6a9ed1161"},
       {ChaosConfig::SpiderF1, 103, true,
        "10a18b944bd6c01b8cf9df18ab86b5ac13b207f637a55f3ab83ec8f4933239b8",
-       "21119007945283375cda0c9ef6d42b6799f08e8a31914da6a04de5c14554d95a"},
+       "d16c15b7045e8523f7f6c98e37203628f123847ea1ae70d6a87e48469ee30925"},
       {ChaosConfig::Sharded2, 107, true,
        "6ff10948605e10c9fef061ad57925c8bf22f30aabce5a53ff676b9b7c5c0b07f",
-       "c3944b71312aeed5ba3ee18d3e9302d883c556d1f559ba7a12106a392efb070b"},
+       "b49f944bb2c177907caea46a08463a05cce3f0edb23ec030eb76fc4431851f94"},
   };
   for (const Golden& g : goldens) {
     ChaosOutcome out = run_chaos(g.config, g.seed, g.byzantine);

@@ -74,6 +74,28 @@ struct ChannelFixture {
     return std::move(w).take();
   }
 
+  /// The domain-separated bytes an RC sender signs for its Send of (sc, p, m).
+  Bytes send_auth(Subchannel sc, Position p, const Bytes& m) const {
+    Writer w;
+    w.u32(cfg.channel_tag);
+    w.raw(irmc::SendMsg{sc, p, m}.encode());
+    return std::move(w).take();
+  }
+
+  /// IRMC-RC votes receiver `i` dropped before checking their signature.
+  std::uint64_t votes_unverified(std::size_t i) {
+    return world.metrics()
+        .counter("irmc_votes_unverified", {.node = receiver_hosts[i]->id(), .role = "irmc"})
+        .value();
+  }
+
+  /// Frames of `type` receiver `i` got from sender `s`.
+  [[nodiscard]] std::ptrdiff_t inbound_count(std::size_t i, NodeId s, irmc::MsgType type) const {
+    const auto& in = receiver_hosts[i]->inbound;
+    return std::count_if(in.begin(), in.end(),
+                         [&](const auto& e) { return e.first == s && e.second == type; });
+  }
+
   /// The domain-separated SigShare bytes a sender signs for (sc, p, m).
   Bytes share_auth(Subchannel sc, Position p, const Bytes& m) const {
     Writer w;
@@ -301,6 +323,26 @@ TEST_P(IrmcSuite, RedeliveryToMultiplePendingReceivers) {
   EXPECT_EQ(delivered, 3);  // IRMC-Liveness I: all correct receivers
 }
 
+TEST_P(IrmcSuite, MoveAndSendMovesWindowAndDelivers) {
+  ChannelFixture f(GetParam(), /*ns=*/3);
+  constexpr Position kAt = 5;  // inside the initial window [1, capacity]
+  RecvResult below;
+  f.receivers[0]->receive(1, 2, [&](RecvResult res) { below = res; });
+  Bytes got;
+  f.receivers[0]->receive(1, kAt, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got = res.message.to_bytes();
+  });
+  Bytes m = f.msg(5);
+  f.senders[0]->move_and_send(1, kAt, m);
+  f.senders[1]->move_and_send(1, kAt, m);  // fs+1 = 2
+  f.world.run_for(kSecond);
+  EXPECT_TRUE(below.too_old);
+  EXPECT_EQ(below.window_start, kAt);
+  EXPECT_EQ(got, m);
+  for (auto& r : f.receivers) EXPECT_EQ(r->window_start(1), kAt);
+}
+
 TEST_P(IrmcSuite, DeterministicAcrossRuns) {
   auto run = [&] {
     ChannelFixture f(GetParam(), 4, 3, 8, 77);
@@ -447,6 +489,132 @@ TEST(IrmcRc, ReplayNeverPrecedesItsWindowStatement) {
     ASSERT_NE(replay, in.end()) << "sender " << s << " replayed nothing";
     EXPECT_LT(statement, replay) << "sender " << s;
   }
+}
+
+// move_and_send: the request channel's window move rides on the signed Send.
+
+TEST(IrmcRc, MoveAndSendInsideWindowSendsNoMoveFrame) {
+  // Window and TooOld effects: IrmcSuite.MoveAndSendMovesWindowAndDelivers.
+  ChannelFixture f(IrmcKind::ReceiverCollect, /*ns=*/3);
+  constexpr Position kAt = 5;
+  ASSERT_LE(kAt, f.cfg.capacity);
+  f.senders[0]->move_and_send(1, kAt, f.msg(5));
+  f.senders[1]->move_and_send(1, kAt, f.msg(5));
+  f.world.run_for(kSecond);
+
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    EXPECT_EQ(f.receivers[i]->window_start(1), kAt);
+    for (std::size_t s = 0; s < 2; ++s) {
+      NodeId sender = f.cfg.senders[s];
+      EXPECT_EQ(f.inbound_count(i, sender, irmc::MsgType::Move), 0) << "receiver " << i;
+      EXPECT_EQ(f.inbound_count(i, sender, irmc::MsgType::SendMove), 1) << "receiver " << i;
+    }
+  }
+}
+
+TEST(IrmcRc, MoveAndSendAboveWindowFallsBackToMoveThenSend) {
+  ChannelFixture f(IrmcKind::ReceiverCollect, /*ns=*/3);
+  constexpr Position kAt = 20;  // above the senders' initial window [1, 8]
+  ASSERT_GT(kAt, f.cfg.capacity);
+  Bytes m = f.msg(20);
+  Bytes got;
+  f.receivers[0]->receive(1, kAt, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got = res.message.to_bytes();
+  });
+  int sent = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    f.senders[s]->move_and_send(1, kAt, m, [&, s](bool too_old, Position) {
+      EXPECT_FALSE(too_old);
+      // The Send leaves only once fr+1 receivers granted the window.
+      EXPECT_EQ(f.senders[s]->window_start(1), kAt);
+      ++sent;
+    });
+  }
+  EXPECT_EQ(sent, 0);
+  f.world.run_for(kSecond);
+  EXPECT_EQ(sent, 2);
+  EXPECT_EQ(got, m);
+
+  const auto& in = f.receiver_hosts[0]->inbound;
+  for (std::size_t s = 0; s < 2; ++s) {
+    NodeId sender = f.cfg.senders[s];
+    auto from = [sender](irmc::MsgType type) {
+      return [sender, type](const auto& e) { return e.first == sender && e.second == type; };
+    };
+    auto move = std::find_if(in.begin(), in.end(), from(irmc::MsgType::Move));
+    auto send = std::find_if(in.begin(), in.end(), from(irmc::MsgType::Send));
+    ASSERT_NE(move, in.end()) << "sender " << s;
+    ASSERT_NE(send, in.end()) << "sender " << s;
+    EXPECT_LT(move, send) << "sender " << s;
+    EXPECT_EQ(f.inbound_count(0, sender, irmc::MsgType::SendMove), 0) << "sender " << s;
+  }
+}
+
+// Votes that can no longer count are dropped before the signature check.
+
+TEST(IrmcRc, SendForDeliveredSlotIsNotVerified) {
+  auto counting = std::make_unique<CountingCrypto>(1);
+  CountingCrypto& crypto = *counting;
+  ChannelFixture f(IrmcKind::ReceiverCollect, /*ns=*/3, 3, 8, 1, std::move(counting));
+  Bytes m = f.msg(1);
+  int delivered = 0;
+  for (auto& r : f.receivers) {
+    r->receive(1, 1, [&](RecvResult res) { delivered += res.too_old ? 0 : 1; });
+  }
+  f.send_from_all(1, 1, m);
+  f.world.run_for(kSecond);
+  EXPECT_EQ(delivered, 3);
+  // fs+1 = 2 verified Sends deliver the slot; the third costs no verify.
+  EXPECT_EQ(crypto.verifies_of(f.send_auth(1, 1, m)), 2 * f.receivers.size());
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) EXPECT_EQ(f.votes_unverified(i), 1u);
+}
+
+TEST(IrmcRc, SendMoveToDeliveredSlotStillMovesWindow) {
+  // Sender 0 votes with a plain Send that carries no window move, so the
+  // slot is delivered before fs+1 senders moved the window. Sender 2's
+  // late SendMove is verified for its window statement alone.
+  ChannelFixture f(IrmcKind::ReceiverCollect, /*ns=*/3);
+  constexpr Position kAt = 5;
+  Bytes m = f.msg(5);
+  f.senders[0]->send(1, kAt, m, {});
+  f.senders[1]->move_and_send(1, kAt, m);
+  f.world.run_for(kSecond);
+  Bytes got;
+  f.receivers[0]->receive(1, kAt, [&](RecvResult res) { got = res.message.to_bytes(); });
+  EXPECT_EQ(got, m);
+  EXPECT_EQ(f.receivers[0]->window_start(1), 1u);
+
+  f.senders[2]->move_and_send(1, kAt, m);
+  f.world.run_for(kSecond);
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    EXPECT_EQ(f.receivers[i]->window_start(1), kAt);
+    EXPECT_EQ(f.votes_unverified(i), 0u);
+  }
+}
+
+TEST(IrmcRc, OneVotePerSenderPerSlot) {
+  // Sender 0 signs K distinct payloads for one slot. Only its first vote is
+  // verified and kept, so it cannot pin receiver memory with the rest.
+  auto counting = std::make_unique<CountingCrypto>(1);
+  CountingCrypto& crypto = *counting;
+  ChannelFixture f(IrmcKind::ReceiverCollect, 4, 3, 8, 1, std::move(counting));
+  constexpr int kPayloads = 5;
+  for (int k = 0; k < kPayloads; ++k) f.senders[0]->send(1, 1, f.msg(k), {});
+  f.world.run_for(kSecond);
+  std::size_t verifies = 0;
+  for (int k = 0; k < kPayloads; ++k) verifies += crypto.verifies_of(f.send_auth(1, 1, f.msg(k)));
+  EXPECT_EQ(verifies, f.receivers.size());  // one per receiver
+  for (std::size_t i = 0; i < f.receivers.size(); ++i) {
+    EXPECT_EQ(f.votes_unverified(i), std::uint64_t{kPayloads - 1});
+  }
+
+  // fs more senders vouching for sender 0's first payload deliver it.
+  Bytes got;
+  f.receivers[0]->receive(1, 1, [&](RecvResult res) { got = res.message.to_bytes(); });
+  f.senders[1]->send(1, 1, f.msg(0), {});
+  f.world.run_for(kSecond);
+  EXPECT_EQ(got, f.msg(0));
 }
 
 // ------------------------------------------------------------ SC-specific

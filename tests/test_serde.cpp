@@ -273,6 +273,41 @@ TEST(SerdeIrmc, PositionListsRejectUnorderedSubchannels) {
   }
 }
 
+TEST(SerdeIrmc, SendMoveRoundTripsThroughSendCodec) {
+  const irmc::SendMsg send{7, 42, Bytes{1, 2, 3, 4}};
+  irmc::SendMsg send_move = send;
+  send_move.move = true;
+  const Bytes plain = send.encode();
+  const Bytes wire = send_move.encode();
+  EXPECT_EQ(plain[0], static_cast<std::uint8_t>(irmc::MsgType::Send));
+  EXPECT_EQ(wire[0], static_cast<std::uint8_t>(irmc::MsgType::SendMove));
+  // Same body and no extra bytes: only the type byte differs.
+  EXPECT_TRUE(bytes_equal(BytesView(wire).subspan(1), BytesView(plain).subspan(1)));
+
+  Reader r(BytesView(wire).subspan(1));
+  irmc::SendMsg back = irmc::SendMsg::decode(r);
+  r.expect_done();
+  EXPECT_EQ(back.sc, send.sc);
+  EXPECT_EQ(back.p, send.p);
+  EXPECT_EQ(back.payload, send.payload);
+  Reader vr(BytesView(wire).subspan(1));
+  irmc::SendMsgView view = irmc::SendMsgView::decode(vr);
+  vr.expect_done();
+  EXPECT_EQ(view.p, send.p);
+  EXPECT_TRUE(bytes_equal(view.payload, send.payload));
+}
+
+TEST(SerdeIrmc, TruncatedSendMoveRejected) {
+  const Bytes wire = irmc::SendMsg{7, 42, Bytes(16, 0xab), /*move=*/true}.encode();
+  for (std::size_t len = 1; len < wire.size(); ++len) {
+    BytesView body = BytesView(wire).subspan(1, len - 1);
+    Reader r(body);
+    EXPECT_THROW(irmc::SendMsg::decode(r), SerdeError) << "length " << len;
+    Reader vr(body);
+    EXPECT_THROW(irmc::SendMsgView::decode(vr), SerdeError) << "length " << len;
+  }
+}
+
 class SerdeSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SerdeSizeSweep, LargeBufferRoundTrip) {
