@@ -83,32 +83,18 @@ void PbftReplica::send_authed(std::uint32_t idx, BytesView inner) {
   send_framed(cfg_.replicas[idx], inner, tag_bytes);
 }
 
-bool PbftReplica::check_mac(NodeId from, BytesView inner, BytesView tag_bytes) {
-  host().charge_mac();
-  return host().check_auth_frame(from, tag(), inner, tag_bytes, /*is_sig=*/false);
-}
-
-bool PbftReplica::check_sig(NodeId from, BytesView inner, BytesView sig) {
-  host().charge_verify();
-  return host().check_auth_frame(from, tag(), inner, sig, /*is_sig=*/true);
-}
-
 void PbftReplica::on_message(NodeId from, Reader& r) {
   if (mute_rx) return;  // fully-isolated Byzantine node: deaf as well
   BytesView all = r.raw(r.remaining());
   if (all.empty()) return;
   auto type = static_cast<MsgType>(all[0]);
   const bool signed_msg = type == MsgType::ViewChange || type == MsgType::NewView;
-  const std::size_t auth_len = signed_msg ? crypto().signature_size() : crypto().mac_size();
-  if (all.size() <= auth_len) return;
-
-  BytesView body = all.subspan(0, all.size() - auth_len);
-  BytesView auth = all.subspan(all.size() - auth_len);
   std::optional<std::uint32_t> idx = index_of(from);
   if (!idx) return;  // not a group member
-  if (signed_msg ? !check_sig(from, body, auth) : !check_mac(from, body, auth)) return;
+  std::optional<BytesView> body = host().verified_body(from, tag(), all, signed_msg);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   br.u8();  // type, already inspected
   switch (type) {
     case MsgType::PrePrepare: handle_preprepare(*idx, pbft::PrePrepareMsg::decode(br)); break;

@@ -145,8 +145,6 @@ class PbftReplica : public Component, public Agreement {
   void broadcast(BytesView inner, bool sign);
   /// MAC-authenticated unicast to one group member (equivocation splits).
   void send_authed(std::uint32_t idx, BytesView inner);
-  bool check_mac(NodeId from, BytesView inner, BytesView tag_bytes);
-  bool check_sig(NodeId from, BytesView inner, BytesView sig);
 
   void try_propose();
   void cut_batch();

@@ -13,16 +13,35 @@
 //     too old) the window, deferred while the position is above the window.
 //   - receive(): the callback fires with the message, or with TooOld when
 //     the window has moved past the requested position.
+//
+// The two endpoint classes below are the window core of both kinds,
+// IRMC-RC (rc.hpp) and IRMC-SC (sc.hpp). Each keeps one Window record per
+// subchannel and writes the window rules once:
+//   - sender: send() is TooOld below the window, transmitted inside it and
+//     queued above it; move_window() requests and re-announces our own
+//     move; a receiver's Move is a forward-only statement, and the
+//     fr+1-highest statement is the window start (at least one correct
+//     receiver allowed it), which drops state below it and flushes the
+//     queue;
+//   - receiver: receive() and delivery to pending callbacks; a window move
+//     drops state below it, answers superseded receives with TooOld and
+//     sends a MAC'd Move to every sender; a sender's Move is a forward-only
+//     statement, and the fs+1-highest statement forces the window.
+// A kind handles its own frames in on_message() and plugs into the core
+// through hooks: transmit() and drop_below() on the sender, drop_below()
+// and awaiting() on the receiver.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "obs/metrics.hpp"
 #include "sim/component.hpp"
 
 namespace spider {
@@ -35,7 +54,9 @@ struct IrmcConfig {
   Position capacity = 16;      // per-subchannel window capacity (>= 1)
   std::uint32_t channel_tag = tags::kIrmc;  // component tag for this channel
 
-  // IRMC-SC parameters.
+  // IRMC-SC sends Progress every progress_interval, and a receiver selects
+  // another collector after a gap lasted collector_timeout. IRMC-RC nacks
+  // every window_announce_interval + collector_timeout.
   Duration progress_interval = 50 * kMillisecond;
   Duration collector_timeout = 300 * kMillisecond;
 
@@ -60,36 +81,78 @@ struct RecvResult {
   Payload message;            // set otherwise
 };
 
-class IrmcSenderEndpoint {
+namespace irmc {
+/// The (k+1)-highest entry of `vals` (its lowest when k >= vals.size()):
+/// the highest value that at least k+1 entries reach.
+Position kth_highest(const std::vector<Position>& vals, std::size_t k);
+/// Index of `node` in `group`.
+std::optional<std::uint32_t> index_of(const std::vector<NodeId>& group, NodeId node);
+}  // namespace irmc
+
+class IrmcSenderEndpoint : public Component {
  public:
   /// (too_old, window_start): too_old=true means the message was discarded
   /// because the window had already advanced past the position.
   using SendCallback = std::function<void(bool too_old, Position window_start)>;
 
-  virtual ~IrmcSenderEndpoint() = default;
+  IrmcSenderEndpoint(ComponentHost& host, IrmcConfig cfg);
+  ~IrmcSenderEndpoint() override;
 
-  virtual void send(Subchannel sc, Position p, Bytes m, SendCallback done = {}) = 0;
+  void send(Subchannel sc, Position p, Bytes m, SendCallback done = {});
   /// Ask the receiver side to move the subchannel window forward.
-  virtual void move_window(Subchannel sc, Position p) = 0;
-  /// move_window(sc, p), then send(sc, p, m, done). IRMC-RC overrides it to
-  /// carry the move on the signed Send itself when it can.
-  virtual void move_and_send(Subchannel sc, Position p, Bytes m, SendCallback done = {}) {
-    move_window(sc, p);
-    send(sc, p, std::move(m), std::move(done));
-  }
+  void move_window(Subchannel sc, Position p);
+  /// move_window(sc, p), then send(sc, p, m, done); inside the window the
+  /// move goes out with the transmission (see transmit()).
+  void move_and_send(Subchannel sc, Position p, Bytes m, SendCallback done = {});
   /// Current active-window lower bound (as agreed by fr+1 receivers).
-  virtual Position window_start(Subchannel sc) const = 0;
+  [[nodiscard]] Position window_start(Subchannel sc) const;
+
+ protected:
+  struct Queued {
+    Bytes m;
+    SendCallback cb;
+  };
+  struct Window {
+    explicit Window(std::uint32_t receivers) : requested(receivers, 1) {}
+    Position start = 1;
+    std::vector<Position> requested;  // per receiver: its latest Move
+    Position own_move = 0;            // our latest Move; 0 before the first
+    std::multimap<Position, Queued> queued;  // sends above the window
+  };
+
+  /// Sends m at (sc, p), inside the window. With `move`, our move of the
+  /// window to p goes along: in the same frame where the kind can carry
+  /// it, as a Move first where it cannot.
+  virtual void transmit(Subchannel sc, Position p, Bytes m, bool move) = 0;
+  /// The window start of sc rose to lo: drop the kind's state below it.
+  virtual void drop_below(Subchannel sc, Position lo) = 0;
+
+  /// Receiver `idx` asks for window start p (an authenticated Move).
+  void on_receiver_move(std::uint32_t idx, Subchannel sc, Position p);
+  /// Our Move(sc, p), MAC'd to every receiver.
+  void send_move(Subchannel sc, Position p);
+
+  const IrmcConfig cfg_;
+  std::map<Subchannel, Window> windows_;
+
+ private:
+  Window& window(Subchannel sc) { return windows_.try_emplace(sc, cfg_.nr()).first->second; }
+  void flush_queue(Subchannel sc, Window& w);
+  void on_announce_timer();
+
+  obs::Counter& window_waits_;  // sends queued above the window
+  EventQueue::EventId announce_timer_ = EventQueue::kInvalidEvent;
 };
 
-class IrmcReceiverEndpoint {
+class IrmcReceiverEndpoint : public Component {
  public:
   using ReceiveCallback = std::function<void(RecvResult)>;
 
-  virtual ~IrmcReceiverEndpoint() = default;
+  IrmcReceiverEndpoint(ComponentHost& host, IrmcConfig cfg);
 
-  virtual void receive(Subchannel sc, Position p, ReceiveCallback cb) = 0;
-  virtual void move_window(Subchannel sc, Position p) = 0;
-  virtual Position window_start(Subchannel sc) const = 0;
+  void receive(Subchannel sc, Position p, ReceiveCallback cb);
+  void move_window(Subchannel sc, Position p);
+  [[nodiscard]] Position window_start(Subchannel sc) const;
 
   /// Invoked the first time traffic for an unknown subchannel arrives.
   /// Spider's agreement replicas use this to start per-client pull loops
@@ -97,13 +160,37 @@ class IrmcReceiverEndpoint {
   std::function<void(Subchannel)> on_new_subchannel;
 
  protected:
-  /// Implementations call this on every inbound subchannel reference.
-  void note_subchannel(Subchannel sc) {
-    if (seen_subchannels_.insert(sc).second && on_new_subchannel) on_new_subchannel(sc);
-  }
+  struct Window {
+    Window(Subchannel id, std::uint32_t senders) : sc(id), moves(senders, 1) {}
+    Subchannel sc;
+    Position start = 1;
+    std::vector<Position> moves;        // per sender: its latest window statement
+    std::map<Position, Payload> ready;  // delivered content inside the window
+    std::map<Position, std::vector<ReceiveCallback>> pending;  // waiting receive()s
+    bool seen = false;                  // on_new_subchannel fired
+  };
+
+  /// A receive() waits for content.
+  virtual void awaiting() {}
+  /// The window start of sc rose to lo: drop the kind's state below it.
+  virtual void drop_below(Subchannel /*sc*/, Position /*lo*/) {}
+
+  Window& window(Subchannel sc) { return windows_.try_emplace(sc, sc, cfg_.ns()).first->second; }
+  /// window(sc) for an inbound reference; the first one announces sc
+  /// through on_new_subchannel.
+  Window& note_subchannel(Subchannel sc);
+  /// Sender `idx` states window start p (a Move, or one carried on
+  /// another authenticated frame).
+  void on_sender_move(Window& w, std::uint32_t idx, Position p);
+  /// fs+1 senders vouched for m at (w.sc, p): keep it for later receives
+  /// and hand it to the pending ones.
+  void deliver(Window& w, Position p, Payload m);
+
+  const IrmcConfig cfg_;
+  std::map<Subchannel, Window> windows_;
 
  private:
-  std::set<Subchannel> seen_subchannels_;
+  void internal_move(Window& w, Position p);
 };
 
 enum class IrmcKind : std::uint8_t {

@@ -29,6 +29,14 @@ Payload Component::wire_frame(BytesView body, BytesView auth) const {
   return Payload(std::move(w));
 }
 
+void Component::send_maced(const std::vector<NodeId>& to, BytesView body) {
+  Bytes auth = auth_bytes(body);
+  for (NodeId n : to) {
+    host_.charge_mac();
+    send_framed(n, body, crypto().mac(self(), n, auth));
+  }
+}
+
 Bytes Component::auth_bytes(BytesView inner) const {
   Writer w(4 + inner.size());
   w.u32(tag_);

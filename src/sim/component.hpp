@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/serde.hpp"
 #include "crypto/provider.hpp"
@@ -83,6 +84,10 @@ class Component {
   void send_framed(NodeId to, BytesView body, BytesView auth) {
     host_.send_to(to, wire_frame(body, auth));
   }
+
+  /// `body` to each of `to`, MAC'd per destination over one shared copy of
+  /// its domain-separated bytes; charges one modeled MAC per destination.
+  void send_maced(const std::vector<NodeId>& to, BytesView body);
 
   /// Domain-separated bytes for signing/MACing: [tag][inner].
   Bytes auth_bytes(BytesView inner) const;

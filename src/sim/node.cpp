@@ -52,26 +52,37 @@ Sha256Digest SimNode::hash_cached(BytesView sub) const {
   return Sha256::hash(sub);
 }
 
-bool SimNode::check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body,
-                               BytesView auth, bool is_sig) {
-  // Fast path precondition: body/auth are the standard trailer split of the
-  // inbound frame [u32 tag][body][auth]. The auth bytes [tag][body] are
-  // then content-identical to the frame prefix, so verifying over the
-  // prefix view produces the same verdict without rebuilding.
-  const Payload* frame = current_msg_;
-  if (frame != nullptr && frame->size() == 4 + body.size() + auth.size() &&
-      body.data() == frame->data() + 4 && auth.data() == body.data() + body.size()) {
-    const BytesView msg(frame->data(), 4 + body.size());
-    return is_sig ? crypto().verify(from, msg, auth)
-                  : crypto().verify_mac(from, id_, msg, auth);
+std::optional<BytesView> SimNode::verified_body(NodeId from, std::uint32_t tag_word,
+                                                BytesView frame, bool is_sig) {
+  const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
+  if (frame.size() <= auth_len) return std::nullopt;
+  const BytesView body = frame.first(frame.size() - auth_len);
+  const BytesView auth = frame.subspan(body.size());
+  if (is_sig) {
+    charge_verify();
+  } else {
+    charge_mac();
   }
-  // Detached bytes (callers verifying re-encoded content): rebuild the
-  // domain-separated string exactly as the legacy call sites did.
-  Writer w(4 + body.size());
-  w.u32(tag_word);
-  w.raw(body);
-  const Bytes msg = std::move(w).take();
-  return is_sig ? crypto().verify(from, msg, auth) : crypto().verify_mac(from, id_, msg, auth);
+  // Fast path: `frame` is the tail of the inbound message [u32 tag][frame].
+  // The signed bytes [tag][body] are then content-identical to the message
+  // prefix, so verifying over the prefix view gives the same verdict
+  // without rebuilding. Detached bytes rebuild the domain-separated string.
+  const Payload* msg = current_msg_;
+  Bytes rebuilt;
+  BytesView signed_bytes;
+  if (msg != nullptr && msg->size() == 4 + frame.size() && frame.data() == msg->data() + 4) {
+    signed_bytes = BytesView(msg->data(), 4 + body.size());
+  } else {
+    Writer w(4 + body.size());
+    w.u32(tag_word);
+    w.raw(body);
+    rebuilt = std::move(w).take();
+    signed_bytes = rebuilt;
+  }
+  const bool ok = is_sig ? crypto().verify(from, signed_bytes, auth)
+                         : crypto().verify_mac(from, id_, signed_bytes, auth);
+  if (!ok) return std::nullopt;
+  return body;
 }
 
 void SimNode::enqueue_task(std::function<void()> logic, Duration base_cost) {

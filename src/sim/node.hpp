@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -92,16 +93,17 @@ class SimNode : public TransportEndpoint {
   /// call charge_hash() separately for the modeled CPU cost.
   [[nodiscard]] Sha256Digest hash_cached(BytesView sub) const;
 
-  /// Verifies an inbound frame's trailer: a signature by `from` (is_sig)
-  /// or a (from -> this) MAC, over the domain-separated bytes
-  /// [u32 tag_word][body]. Bit-identical to rebuilding those bytes and
-  /// calling crypto().verify / verify_mac — but when `body`/`auth` are the
-  /// standard slices of the message being handled ([tag][body][auth], the
-  /// layout every component's on_message produces), it verifies zero-copy
-  /// over the frame prefix instead of re-allocating.
-  /// Call charge_mac()/charge_verify() separately, as before.
-  bool check_auth_frame(NodeId from, std::uint32_t tag_word, BytesView body, BytesView auth,
-                        bool is_sig);
+  /// The body of an inbound `frame` [body][auth] whose trailer is a
+  /// signature by `from` (is_sig) or a (from -> this) MAC over the
+  /// domain-separated bytes [u32 tag_word][body]; nothing when the frame
+  /// is too short to hold the trailer or the check fails. Charges the
+  /// modeled verify or MAC check. Bit-identical to rebuilding those bytes
+  /// and calling crypto().verify / verify_mac — but when `frame` is the
+  /// tail of the message being handled ([tag][body][auth], the layout
+  /// every component's on_message sees), it verifies zero-copy over the
+  /// message prefix instead of re-allocating.
+  std::optional<BytesView> verified_body(NodeId from, std::uint32_t tag_word, BytesView frame,
+                                         bool is_sig);
 
   /// Retains `sub` beyond the current handler: a zero-copy slice of the
   /// inbound message when `sub` points into it, an owned copy otherwise.

@@ -267,15 +267,11 @@ void Checkpointer::on_message(NodeId from, Reader& r) {
   auto type = static_cast<MsgType>(all[0]);
 
   if (type == MsgType::Checkpoint) {
-    std::size_t sig_len = crypto().signature_size();
-    if (all.size() <= sig_len) return;
     if (std::find(group_.begin(), group_.end(), from) == group_.end()) return;
-    BytesView body = all.subspan(0, all.size() - sig_len);
-    BytesView sig = all.subspan(all.size() - sig_len);
-    host().charge_verify();
-    if (!host().check_auth_frame(from, Component::tag(), body, sig, /*is_sig=*/true)) return;
+    std::optional<BytesView> body = host().verified_body(from, tag(), all, /*is_sig=*/true);
+    if (!body) return;
 
-    Reader br(body);
+    Reader br(*body);
     br.u8();
     SeqNr s = br.u64();
     BytesView hv = br.raw(32);
@@ -284,7 +280,7 @@ void Checkpointer::on_message(NodeId from, Reader& r) {
     std::copy(hv.begin(), hv.end(), h.begin());
     Pending& p = candidates_[s][digest_prefix(h)];
     p.digest = h;
-    p.sigs[from] = to_bytes(sig);
+    p.sigs[from] = to_bytes(all.subspan(body->size()));  // the signature trailer
     check_stable(s);
   } else if (type == MsgType::Fetch) {
     // Only trusted replicas may pull state — and, below, make every group

@@ -263,15 +263,11 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
   // Replies only count from members of the current group.
   if (std::find(group_.members.begin(), group_.members.end(), from) == group_.members.end()) return;
 
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!check_auth_frame(from, tags::kClient, body, mac, /*is_sig=*/false)) return;
+  std::optional<BytesView> body =
+      verified_body(from, tags::kClient, r.raw(r.remaining()), /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ReplyMsg reply = ReplyMsg::decode(br);
 
   if (reply.weak) {

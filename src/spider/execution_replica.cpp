@@ -86,15 +86,11 @@ void ExecutionReplica::on_message(NodeId from, BytesView data) {
 }
 
 void ExecutionReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!check_auth_frame(from, tags::kClient, body, mac, /*is_sig=*/false)) return;
+  std::optional<BytesView> body =
+      verified_body(from, tags::kClient, r.raw(r.remaining()), /*is_sig=*/false);
+  if (!body) return;
 
-  Reader br(body);
+  Reader br(*body);
   ClientFrame frame = ClientFrame::decode(br);
   const ClientRequest& req = frame.req;
   if (req.client != from) return;  // claimed identity must match the channel

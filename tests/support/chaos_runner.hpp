@@ -1,5 +1,6 @@
-// Shared chaos-scenario runner: builds one of the four deployment shapes
-// (Spider f=1, Spider f=2, geo-replicated PBFT baseline, 2-shard sharded),
+// Shared chaos-scenario runner: builds one of the five deployment shapes
+// (Spider f=1, Spider f=2, geo-replicated PBFT baseline, 2-shard sharded,
+// and Spider f=1 over IRMC-SC instead of IRMC-RC),
 // schedules a randomized (or replayed) FaultPlan plus a recorded client
 // workload, and drives the run through chaos / recovery / verification
 // phases. Shared by the chaos suite's sweeps, replay and golden tests.
@@ -23,7 +24,13 @@
 
 namespace spider {
 
-enum class ChaosConfig : int { SpiderF1 = 0, SpiderF2 = 1, PbftBaseline = 2, Sharded2 = 3 };
+enum class ChaosConfig : int {
+  SpiderF1 = 0,
+  SpiderF2 = 1,
+  PbftBaseline = 2,
+  Sharded2 = 3,
+  SpiderF1Sc = 4,  // the SpiderF1 deployment with sender-collect channels
+};
 
 inline const char* config_name(ChaosConfig c) {
   switch (c) {
@@ -31,6 +38,7 @@ inline const char* config_name(ChaosConfig c) {
     case ChaosConfig::SpiderF2: return "spider_f2";
     case ChaosConfig::PbftBaseline: return "pbft_baseline";
     case ChaosConfig::Sharded2: return "sharded_2";
+    case ChaosConfig::SpiderF1Sc: return "spider_f1_sc";
   }
   return "?";
 }
@@ -181,7 +189,8 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
 
   switch (config) {
     case ChaosConfig::SpiderF1:
-    case ChaosConfig::SpiderF2: {
+    case ChaosConfig::SpiderF2:
+    case ChaosConfig::SpiderF1Sc: {
       SpiderTopology topo;
       topo.ka = 8;
       topo.ke = 8;
@@ -190,6 +199,7 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
       topo.client_retry = kSecond;
       topo.request_timeout = kSecond;
       topo.view_change_timeout = 2 * kSecond;
+      if (config == ChaosConfig::SpiderF1Sc) topo.irmc_kind = IrmcKind::SenderCollect;
       if (config == ChaosConfig::SpiderF2) {
         topo.fa = 2;
         topo.fe = 2;

@@ -111,7 +111,7 @@ std::string chaos_param_name(const ::testing::TestParamInfo<std::tuple<int, std:
 }
 
 INSTANTIATE_TEST_SUITE_P(Chaos, ChaosSweep,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3),
+                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                                             ::testing::Range<std::uint64_t>(1, 17)),
                          chaos_param_name);
 
@@ -136,7 +136,7 @@ TEST_P(ByzChaosSweep, LinearizableUnderActiveAdversaries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Chaos, ByzChaosSweep,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3),
+                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                                             ::testing::Range<std::uint64_t>(101, 109)),
                          chaos_param_name);
 
@@ -212,6 +212,12 @@ TEST(ChaosDeterminism, FastPathMatchesPreOptimizationGoldens) {
       {ChaosConfig::Sharded2, 107, true,
        "6ff10948605e10c9fef061ad57925c8bf22f30aabce5a53ff676b9b7c5c0b07f",
        "b49f944bb2c177907caea46a08463a05cce3f0edb23ec030eb76fc4431851f94"},
+      // IRMC-SC: shares, certificates, Progress and collector Select. Same
+      // fault script as spider_f1 seed 7 (same deployment shape and draws);
+      // the history is pinned from before RC and SC shared a window core.
+      {ChaosConfig::SpiderF1Sc, 7, false,
+       "a17347e98364e2e8e56a1ccb559aaaf3519aff5e27c519d9a0be4724cb84d4a2",
+       "c9ff7245707307f3a3a98f09b2e7ec0ac0fada0bde73b20ecb86dadc9aa59d26"},
   };
   for (const Golden& g : goldens) {
     ChaosOutcome out = run_chaos(g.config, g.seed, g.byzantine);

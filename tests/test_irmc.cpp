@@ -369,6 +369,68 @@ TEST_P(IrmcSuite, CrashedSenderMinorityHarmless) {
   EXPECT_EQ(got, m);
 }
 
+TEST_P(IrmcSuite, ReceiveCallbackThatMovesWindowLeavesLaterCallbacksTheMessage) {
+  ChannelFixture f(GetParam());
+  IrmcReceiverEndpoint& r0 = *f.receivers[0];
+  Bytes m = f.msg(1);
+  std::vector<Bytes> got;
+  r0.receive(1, 1, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got.push_back(res.message.to_bytes());
+    r0.move_window(1, 2);  // consumed: the window moves on at once
+  });
+  r0.receive(1, 1, [&](RecvResult res) {
+    ASSERT_FALSE(res.too_old);
+    got.push_back(res.message.to_bytes());
+  });
+  f.send_from_all(1, 1, m);
+  f.world.run_for(kSecond);
+  EXPECT_EQ(got, (std::vector<Bytes>{m, m}));
+  EXPECT_EQ(r0.window_start(1), 2u);
+}
+
+TEST_P(IrmcSuite, TooOldCallbackThatMovesWindowFurtherRunsEachCallbackOnce) {
+  ChannelFixture f(GetParam());
+  IrmcReceiverEndpoint& r0 = *f.receivers[0];
+  struct Call {
+    Position p;
+    bool too_old;
+    Position window_start;
+    bool operator==(const Call&) const = default;
+  };
+  std::vector<Call> calls;
+  r0.receive(1, 1, [&](RecvResult res) {
+    calls.push_back({1, res.too_old, res.window_start});
+    r0.move_window(1, 4);
+  });
+  for (Position p = 2; p <= 4; ++p) {
+    r0.receive(1, p, [&, p](RecvResult res) { calls.push_back({p, res.too_old, res.window_start}); });
+  }
+  r0.move_window(1, 2);
+  EXPECT_EQ(calls, (std::vector<Call>{{1, true, 2}, {2, true, 4}, {3, true, 4}}));
+  EXPECT_EQ(r0.window_start(1), 4u);
+}
+
+TEST_P(IrmcSuite, SendAboveWindowCountsOneWindowWait) {
+  ChannelFixture f(GetParam(), 4, 3, /*capacity=*/4);
+  auto waits = [&] {
+    return f.world.metrics()
+        .counter("irmc_window_waits", {.node = f.sender_hosts[0]->id(), .role = "irmc"})
+        .value();
+  };
+  for (Position p = 1; p <= 4; ++p) f.senders[0]->send(1, p, f.msg(static_cast<int>(p)), {});
+  EXPECT_EQ(waits(), 0u);  // inside the window [1, 4]
+  f.senders[0]->send(1, 5, f.msg(5), {});
+  EXPECT_EQ(waits(), 1u);
+
+  // Leaving the queue once fr+1 receivers move the window counts nothing.
+  f.receivers[0]->move_window(1, 2);
+  f.receivers[1]->move_window(1, 2);
+  f.world.run_for(kSecond);
+  EXPECT_EQ(f.senders[0]->window_start(1), 2u);
+  EXPECT_EQ(waits(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, IrmcSuite,
                          ::testing::Values(IrmcKind::ReceiverCollect, IrmcKind::SenderCollect),
                          [](const ::testing::TestParamInfo<IrmcKind>& info) {
