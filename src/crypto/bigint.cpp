@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "crypto/montgomery.hpp"
+
 namespace spider {
 
 using u64 = std::uint64_t;
@@ -250,6 +252,9 @@ BigInt BigInt::mulmod(const BigInt& a, const BigInt& b, const BigInt& m) {
 
 BigInt BigInt::powmod(const BigInt& a, const BigInt& e, const BigInt& m) {
   if (m.is_zero()) throw std::domain_error("powmod with zero modulus");
+  if (m.is_odd()) return Montgomery(m).pow(a, e);
+  // Even moduli have no Montgomery form: square and multiply, dividing after
+  // every product. 1 < m here, so the empty product needs no reduction.
   BigInt base = mod(a, m);
   BigInt result(1);
   std::size_t bits = e.bit_length();
@@ -325,34 +330,29 @@ bool BigInt::is_probable_prime(const BigInt& n, Rng& rng, int rounds) {
   if (!n.is_odd()) return false;
 
   for (std::uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (n == bp) return true;
-    if (mod(n, bp).is_zero()) return false;
+    if (n.limbs_.size() == 1 && n.limbs_[0] == p) return true;
+    // n mod p, folding 32-bit halves so each step fits a u64.
+    u64 r = 0;
+    for (std::size_t i = n.limbs_.size(); i-- > 0;) {
+      r = ((r << 32) | (n.limbs_[i] >> 32)) % p;
+      r = ((r << 32) | (n.limbs_[i] & 0xffffffffu)) % p;
+    }
+    if (r == 0) return false;
   }
 
   // n - 1 = d * 2^r
-  BigInt n1 = sub(n, BigInt(1));
-  BigInt d = n1;
+  BigInt d = sub(n, BigInt(1));
   std::size_t r = 0;
   while (!d.is_odd()) {
     d = shr(d, 1);
     ++r;
   }
 
+  const Montgomery mont(n);
   for (int round = 0; round < rounds; ++round) {
     // Witness in [2, n-2].
     BigInt a = add(BigInt(2), mod(random_bits(rng, n.bit_length() + 8), sub(n, BigInt(3))));
-    BigInt x = powmod(a, d, n);
-    if (x == BigInt(1) || x == n1) continue;
-    bool composite = true;
-    for (std::size_t i = 1; i < r; ++i) {
-      x = mulmod(x, x, n);
-      if (x == n1) {
-        composite = false;
-        break;
-      }
-    }
-    if (composite) return false;
+    if (!mont.miller_rabin_round(a, d, r)) return false;
   }
   return true;
 }

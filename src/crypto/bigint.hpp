@@ -1,9 +1,13 @@
-// Arbitrary-precision unsigned integers sized for RSA-1024/2048.
+// Arbitrary-precision unsigned integers sized for RSA-512 to RSA-2048.
 //
 // Little-endian 64-bit limbs; schoolbook multiplication and Knuth
-// Algorithm D division. Sufficient for deterministic key generation and
-// sign/verify in tests; performance-sensitive simulations use the modeled
-// crypto cost table instead of recomputing signatures.
+// Algorithm D division. Exponentiation under an odd modulus (every RSA
+// modulus, prime and Miller-Rabin candidate) runs in Montgomery form
+// (crypto/montgomery.hpp) and never divides; an even modulus falls back to
+// square-and-multiply with a division after every product. Trial division
+// of prime candidates takes word-sized remainders. Measured RSA costs are
+// in crypto/rsa.hpp; simulated time never depends on them, since the
+// simulation charges the modeled CryptoCosts table under either provider.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +60,8 @@ class BigInt {
 
   /// (a * b) mod m
   static BigInt mulmod(const BigInt& a, const BigInt& b, const BigInt& m);
-  /// a^e mod m via square-and-multiply.
+  /// a^e mod m: Montgomery form for odd m, square-and-multiply for even m.
+  /// Throws std::domain_error for m = 0.
   static BigInt powmod(const BigInt& a, const BigInt& e, const BigInt& m);
   /// Modular inverse via extended Euclid; throws std::domain_error if gcd != 1.
   static BigInt invmod(const BigInt& a, const BigInt& m);
@@ -73,6 +78,8 @@ class BigInt {
   [[nodiscard]] std::uint64_t low_u64() const { return limbs_.empty() ? 0 : limbs_[0]; }
 
  private:
+  friend class Montgomery;
+
   void trim();
   [[nodiscard]] std::size_t nlimbs() const { return limbs_.size(); }
 

@@ -14,11 +14,16 @@ constexpr std::uint8_t kSha256Prefix[] = {0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x
                                           0x01, 0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04,
                                           0x20};
 
+// DigestInfo length, and the shortest encoding that holds it: 00 01, at
+// least eight 0xff bytes, 00, DigestInfo.
+constexpr std::size_t kDigestInfoLen = sizeof(kSha256Prefix) + std::tuple_size_v<Sha256Digest>;
+constexpr std::size_t kMinEncodedLen = kDigestInfoLen + 11;
+
 /// EMSA-PKCS1-v1_5 encoding of SHA-256(message) to `len` bytes.
 Bytes pkcs1_encode(BytesView message, std::size_t len) {
+  if (len < kMinEncodedLen) throw std::length_error("RSA modulus too small for PKCS#1 padding");
   Sha256Digest digest = Sha256::hash(message);
-  std::size_t t_len = sizeof(kSha256Prefix) + digest.size();
-  if (len < t_len + 11) throw std::length_error("RSA modulus too small for PKCS#1 padding");
+  std::size_t t_len = kDigestInfoLen;
   Bytes em(len, 0xff);
   em[0] = 0x00;
   em[1] = 0x01;
@@ -26,6 +31,19 @@ Bytes pkcs1_encode(BytesView message, std::size_t len) {
   std::copy(std::begin(kSha256Prefix), std::end(kSha256Prefix), em.begin() + static_cast<std::ptrdiff_t>(len - t_len));
   std::copy(digest.begin(), digest.end(), em.begin() + static_cast<std::ptrdiff_t>(len - digest.size()));
   return em;
+}
+
+/// A public key some signature can verify under: n odd (so nonzero, and
+/// with a Montgomery form) and 3 <= e < n.
+bool well_formed(const BigInt& n, const BigInt& e) {
+  return n.is_odd() && e >= BigInt(3) && e < n;
+}
+
+/// base^exp mod m through `cached` while it is m's context.
+BigInt powmod(const std::optional<Montgomery>& cached, const BigInt& base, const BigInt& exp,
+              const BigInt& m) {
+  if (cached && cached->is_for(m)) return cached->pow(base, exp);
+  return BigInt::powmod(base, exp, m);
 }
 
 }  // namespace
@@ -43,6 +61,7 @@ RsaPublicKey RsaPublicKey::decode(BytesView v) {
   key.n = BigInt::from_bytes_be(r.bytes_view());
   key.e = BigInt::from_bytes_be(r.bytes_view());
   r.expect_done();
+  if (!well_formed(key.n, key.e)) throw SerdeError("RSA public key: need n odd and 3 <= e < n");
   return key;
 }
 
@@ -65,9 +84,9 @@ RsaKeyPair rsa_generate(Rng& rng, std::size_t bits) {
     BigInt d = BigInt::invmod(e, phi);
 
     RsaKeyPair kp;
-    kp.pub = RsaPublicKey{n, e};
+    kp.pub = RsaPublicKey{n, e, Montgomery(n)};
     kp.priv = RsaPrivateKey{n, d, p, q, BigInt::mod(d, p1), BigInt::mod(d, q1),
-                            BigInt::invmod(q, p)};
+                            BigInt::invmod(q, p), Montgomery(p), Montgomery(q)};
     return kp;
   }
 }
@@ -77,8 +96,8 @@ Bytes rsa_sign(const RsaPrivateKey& key, BytesView message) {
   BigInt m = BigInt::from_bytes_be(pkcs1_encode(message, len));
 
   // CRT: m1 = m^dp mod p, m2 = m^dq mod q, h = qinv(m1-m2) mod p, s = m2 + h*q
-  BigInt m1 = BigInt::powmod(m, key.dp, key.p);
-  BigInt m2 = BigInt::powmod(m, key.dq, key.q);
+  BigInt m1 = powmod(key.mont_p, m, key.dp, key.p);
+  BigInt m2 = powmod(key.mont_q, m, key.dq, key.q);
   BigInt diff = m1 >= m2 ? BigInt::sub(m1, m2)
                          : BigInt::sub(key.p, BigInt::mod(BigInt::sub(m2, m1), key.p));
   BigInt h = BigInt::mulmod(diff, key.qinv, key.p);
@@ -87,11 +106,12 @@ Bytes rsa_sign(const RsaPrivateKey& key, BytesView message) {
 }
 
 bool rsa_verify(const RsaPublicKey& key, BytesView message, BytesView signature) {
+  if (!well_formed(key.n, key.e)) return false;
   std::size_t len = key.modulus_bytes();
-  if (signature.size() != len) return false;
+  if (signature.size() != len || len < kMinEncodedLen) return false;
   BigInt s = BigInt::from_bytes_be(signature);
   if (s >= key.n) return false;
-  BigInt m = BigInt::powmod(s, key.e, key.n);
+  BigInt m = powmod(key.mont_n, s, key.e, key.n);
   Bytes expected = pkcs1_encode(message, len);
   Bytes actual;
   try {

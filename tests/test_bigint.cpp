@@ -2,6 +2,7 @@
 
 #include "common/hex.hpp"
 #include "crypto/bigint.hpp"
+#include "crypto/montgomery.hpp"
 
 namespace spider {
 namespace {
@@ -181,6 +182,61 @@ TEST(BigInt, PowModFermat) {
 
 TEST(BigInt, PowModZeroExponent) {
   EXPECT_EQ(BigInt::powmod(BigInt(12345), BigInt(), BigInt(97)).low_u64(), 1u);
+}
+
+TEST(BigInt, PowModUnitModulusIsZero) {
+  // Everything is 0 mod 1, the empty product a^0 included.
+  EXPECT_TRUE(BigInt::powmod(BigInt(12345), BigInt(), BigInt(1)).is_zero());
+  EXPECT_TRUE(BigInt::powmod(BigInt(), BigInt(), BigInt(1)).is_zero());
+  EXPECT_TRUE(BigInt::powmod(BigInt(7), BigInt(3), BigInt(1)).is_zero());
+}
+
+// Differential check of the Montgomery kernel against square-and-multiply
+// over BigInt::mulmod (schoolbook product plus Knuth division).
+BigInt reference_powmod(const BigInt& a, const BigInt& e, const BigInt& m) {
+  BigInt base = BigInt::mod(a, m);
+  BigInt result = BigInt::mod(BigInt(1), m);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    result = BigInt::mulmod(result, result, m);
+    if (e.bit(i)) result = BigInt::mulmod(result, base, m);
+  }
+  return result;
+}
+
+TEST(Montgomery, PowMatchesReference) {
+  Rng rng(2026);
+  std::vector<BigInt> moduli = {BigInt(1), BigInt(3), BigInt(~std::uint64_t{0}),
+                                BigInt::add(BigInt::shl(BigInt(1), 192), BigInt(12345))};
+  // 1-16 limbs, plus 40: too wide for the kernel's stack scratch.
+  for (std::size_t limbs : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 40}) {
+    BigInt m = BigInt::random_bits(rng, 64 * limbs);
+    if (!m.is_odd()) m = BigInt::add(m, BigInt(1));
+    moduli.push_back(m);
+  }
+  for (const BigInt& m : moduli) {
+    const Montgomery mont(m);
+    ASSERT_TRUE(mont.is_for(m));
+    ASSERT_FALSE(mont.is_for(BigInt::add(m, BigInt(2))));
+    std::vector<BigInt> bases = {BigInt(), BigInt(1), BigInt::sub(m, BigInt(1)),
+                                 BigInt::add(m, BigInt::random_bits(rng, m.bit_length() + 70))};
+    for (const BigInt& a : bases) {
+      // A full 1024-bit exponent takes the widest window.
+      BigInt full = BigInt::add(BigInt::shl(BigInt(1), 1023), BigInt::random_bits(rng, 1023));
+      std::vector<BigInt> exps = {BigInt(), BigInt(1), BigInt(2), BigInt(65537), full};
+      for (int i = 0; i < 3; ++i) exps.push_back(BigInt::random_bits(rng, 1 + rng.uniform(1024)));
+      for (const BigInt& e : exps) {
+        BigInt want = reference_powmod(a, e, m);
+        EXPECT_EQ(mont.pow(a, e), want)
+            << "m=" << m.to_hex_string() << " a=" << a.to_hex_string() << " e=" << e.to_hex_string();
+        EXPECT_EQ(BigInt::powmod(a, e, m), want);
+      }
+    }
+  }
+}
+
+TEST(Montgomery, EvenModulusThrows) {
+  EXPECT_THROW(Montgomery{BigInt(1000)}, std::domain_error);
+  EXPECT_THROW(Montgomery{BigInt()}, std::domain_error);
 }
 
 TEST(BigInt, Gcd) {
