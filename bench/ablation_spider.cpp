@@ -137,10 +137,6 @@ void ablation_ka() {
     std::printf("%-6llu %18s %18s\n", static_cast<unsigned long long>(ka),
                 format_ms(fleet.stats[Region::Virginia].median()).c_str(),
                 format_ms(fleet.stats[Region::Tokyo].median()).c_str());
-    bench_json("ablation_spider", "ka=" + std::to_string(ka) + " VA p50",
-               to_ms(fleet.stats[Region::Virginia].median()), "ms", 13);
-    bench_json("ablation_spider", "ka=" + std::to_string(ka) + " TK p50",
-               to_ms(fleet.stats[Region::Tokyo].median()), "ms", 13);
   }
 }
 

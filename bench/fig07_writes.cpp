@@ -42,7 +42,6 @@ void bench_bft() {
                                      Region::Tokyo};
   for (std::size_t leader = 0; leader < order.size(); ++leader) {
     World world(100 + leader);
-    json_bench_seed = 100 + leader;
     std::vector<Site> sites;
     for (std::size_t i = 0; i < order.size(); ++i) {
       sites.push_back(Site{order[(leader + i) % order.size()], 0});
@@ -56,7 +55,6 @@ void bench_bft() {
 void bench_hft() {
   for (std::uint32_t leader = 0; leader < 4; ++leader) {
     World world(200 + leader);
-    json_bench_seed = 200 + leader;
     HftConfig cfg;
     cfg.leader_site = leader;
     HftSystem sys(world, cfg);
@@ -74,7 +72,6 @@ void bench_spider() {
   const char* trace_path = std::getenv("SPIDER_TRACE");
   for (std::uint32_t rot : {0u, 1u, 3u, 5u}) {  // leader in V-1, V-2, V-4, V-6
     World world(300 + rot);
-    json_bench_seed = 300 + rot;
     const bool traced = trace_path && rot == 0;
     if (traced) world.enable_tracing(obs::Tracer::Mode::kFull);
     SpiderTopology topo;
@@ -97,7 +94,6 @@ void bench_spider() {
 }  // namespace spider::bench
 
 int main() {
-  spider::bench::json_bench_name = "fig07_writes";
   std::printf("=== Figure 7: write latency percentiles by client region ===\n");
   std::printf("(200-byte writes; %d clients/region; measure window %.0f s)\n\n",
               spider::bench::kClientsPerRegion,

@@ -43,14 +43,12 @@ void run_reads(World& world, const std::string& label, MakeClient make_client) {
 }  // namespace spider::bench
 
 int main() {
-  spider::bench::json_bench_name = "fig08_reads";
   using namespace spider;
   using namespace spider::bench;
   std::printf("=== Figure 8: read latency percentiles (strong / weak) ===\n\n");
 
   {
     World world(1);
-    json_bench_seed = 1;
     std::vector<Site> sites = {Site{Region::Virginia, 0}, Site{Region::Oregon, 0},
                                Site{Region::Ireland, 0}, Site{Region::Tokyo, 0}};
     BftSystem sys(world, BftConfig{sites});
@@ -58,13 +56,11 @@ int main() {
   }
   {
     World world(2);
-    json_bench_seed = 2;
     HftSystem sys(world, HftConfig{});
     run_reads(world, "HFT", [&](Site s) { return sys.make_client(s); });
   }
   {
     World world(3);
-    json_bench_seed = 3;
     SpiderSystem sys(world, SpiderTopology{});
     run_reads(world, "SPIDER", [&](Site s) { return sys.make_client(s); });
   }

@@ -36,7 +36,6 @@ std::map<Region, LatencyStats> run_writes(World& world, MakeClient make_client) 
 }  // namespace spider::bench
 
 int main() {
-  spider::bench::json_bench_name = "fig09a_modularity";
   using namespace spider;
   using namespace spider::bench;
   std::printf("=== Figure 9a: overall latency of Spider variants (200-byte writes) ===\n\n");
@@ -44,7 +43,6 @@ int main() {
   {
     // Spider-0E: one 3fa+1 group in Virginia AZs that orders AND executes.
     World world(1);
-    json_bench_seed = 1;
     std::vector<Site> azs = {Site{Region::Virginia, 0}, Site{Region::Virginia, 1},
                              Site{Region::Virginia, 2}, Site{Region::Virginia, 3}};
     BftSystem sys(world, BftConfig{azs});
@@ -53,7 +51,6 @@ int main() {
   {
     // Spider-1E: a single execution group co-located in Virginia.
     World world(2);
-    json_bench_seed = 2;
     SpiderTopology topo;
     topo.exec_regions = {Region::Virginia};
     SpiderSystem sys(world, topo);
@@ -61,7 +58,6 @@ int main() {
   }
   {
     World world(3);
-    json_bench_seed = 3;
     SpiderSystem sys(world, SpiderTopology{});
     print_region_row("SPIDER", run_writes(world, [&](Site s) { return sys.make_client(s); }));
   }

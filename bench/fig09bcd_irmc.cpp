@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_json.hpp"
 
 #include "irmc/rc.hpp"
 #include "irmc/sc.hpp"
@@ -136,9 +135,6 @@ int main() {
       const char* variant = kind == IrmcKind::ReceiverCollect ? "IRMC-RC" : "IRMC-SC";
       std::printf("%-8s %-6zu %12.0f %12.1f %12.1f %12.2f %12.2f\n", variant, size, r.throughput,
                   r.sender_cpu, r.receiver_cpu, r.wan_mbps, r.lan_mbps);
-      std::string key = std::string(variant) + " " + std::to_string(size) + "B";
-      bench_json("fig09bcd_irmc", key + " msgs/s", r.throughput, "msgs/s", 42);
-      bench_json("fig09bcd_irmc", key + " wan", r.wan_mbps, "MB/s", 42);
     }
   }
   return 0;

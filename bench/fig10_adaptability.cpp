@@ -39,19 +39,6 @@ void print_series(const std::string& label, const Series& s) {
   };
   dump("write(avg ms per s)", s.writes);
   dump("weak (avg ms per s)", s.weak_reads);
-
-  // Trajectory entry: average write latency over the measured window.
-  double sum = 0;
-  std::size_t n = 0;
-  for (const auto& p : s.writes.points()) {
-    if (p.bucket_start < kStartMeasure) continue;
-    sum += p.average;
-    ++n;
-  }
-  if (n > 0) {
-    bench_json("fig10_adaptability", label + " write avg", sum / static_cast<double>(n), "ms",
-               json_bench_seed);
-  }
 }
 
 /// Runs the timeline against any system; `late_client` builds a Sao Paulo
@@ -106,7 +93,6 @@ int main() {
 
   {
     World world(1);
-    json_bench_seed = 1;
     std::vector<Site> sites = {Site{Region::Virginia, 0}, Site{Region::Oregon, 0},
                                Site{Region::Ireland, 0}, Site{Region::Tokyo, 0}};
     BftSystem sys(world, BftConfig{sites});
@@ -117,7 +103,6 @@ int main() {
     // BFT-WV: five replicas (one per client region incl. Sao Paulo),
     // weights 2 on Virginia and Oregon (the paper's best assignment).
     World world(2);
-    json_bench_seed = 2;
     std::vector<Site> sites = {Site{Region::Virginia, 0}, Site{Region::Oregon, 0},
                                Site{Region::Ireland, 0}, Site{Region::Tokyo, 0},
                                Site{Region::SaoPaulo, 0}};
@@ -130,14 +115,12 @@ int main() {
   }
   {
     World world(3);
-    json_bench_seed = 3;
     HftSystem sys(world, HftConfig{});
     Series s = run_timeline(world, [&](Site site) { return sys.make_client(site); });
     print_series("HFT", s);
   }
   {
     World world(4);
-    json_bench_seed = 4;
     SpiderSystem sys(world, SpiderTopology{});
     Series s = run_timeline(
         world, [&](Site site) { return sys.make_client(site); },

@@ -38,7 +38,6 @@ std::map<Region, LatencyStats> run_writes(World& world, MakeClient make_client) 
 }  // namespace spider::bench
 
 int main() {
-  spider::bench::json_bench_name = "fig11_f2";
   using namespace spider;
   using namespace spider::bench;
   std::printf("=== Figure 11: write latency percentiles, f = 2 ===\n\n");
@@ -46,7 +45,6 @@ int main() {
   {
     // BFT with 3f+1 = 7 replicas across seven regions.
     World world(1);
-    json_bench_seed = 1;
     std::vector<Site> sites = {Site{Region::Virginia, 0}, Site{Region::Oregon, 0},
                                Site{Region::Ireland, 0}, Site{Region::Tokyo, 0},
                                Site{Region::Ohio, 0},    Site{Region::California, 0},
@@ -60,7 +58,6 @@ int main() {
   {
     // HFT with 3f+1 = 7 replicas per site cluster.
     World world(2);
-    json_bench_seed = 2;
     HftConfig cfg;
     cfg.f = 2;
     HftSystem sys(world, cfg);
@@ -71,7 +68,6 @@ int main() {
     // Spider with fa = fe = 2: agreement group of 7 (Virginia AZs + Ohio),
     // execution groups of 5 (home AZs + nearby region).
     World world(3 + rot);
-    json_bench_seed = 3 + rot;
     SpiderTopology topo;
     topo.fa = 2;
     topo.fe = 2;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "app/kvstore.hpp"
-#include "bench/bench_json.hpp"
 #include "sim/stats.hpp"
 #include "sim/world.hpp"
 #include "spider/client.hpp"
@@ -105,26 +104,12 @@ struct Fleet {
   }
 };
 
-/// When set (each bench main names itself), print_region_row also appends
-/// its p50/p90 values to the machine-readable trajectory (bench_json.hpp).
-/// Benches set json_bench_seed alongside each World they construct so the
-/// trajectory entries record the seed the row actually ran with.
-inline std::string json_bench_name;
-inline std::uint64_t json_bench_seed = 0;
-
 /// Prints one figure row: p50/p90 per region.
 inline void print_region_row(const std::string& label, const std::map<Region, LatencyStats>& stats) {
   std::printf("%-28s", label.c_str());
   for (const auto& [region, s] : stats) {
     std::printf("  %s: p50=%6.1f ms p90=%6.1f ms (n=%zu)", region_code(region),
                 to_ms(s.median()), to_ms(s.p90()), s.count());
-    if (!json_bench_name.empty()) {
-      std::string key = label + " " + region_code(region);
-      bench_json(json_bench_name, key + " p50", to_ms(s.median()), "ms", json_bench_seed);
-      bench_json(json_bench_name, key + " p90", to_ms(s.p90()), "ms", json_bench_seed);
-      bench_json(json_bench_name, key + " p99", to_ms(s.p99()), "ms", json_bench_seed);
-      bench_json(json_bench_name, key + " p999", to_ms(s.p999()), "ms", json_bench_seed);
-    }
   }
   std::printf("\n");
 }

@@ -80,8 +80,6 @@ int main() {
     std::printf("%-10llu %9lld us %12.0f %12llu %12.1f\n",
                 static_cast<unsigned long long>(mb), static_cast<long long>(delay), r.ops_per_s,
                 static_cast<unsigned long long>(r.instances), r.avg_batch);
-    bench_json("micro_batching", "ops/s max_batch=" + std::to_string(mb), r.ops_per_s,
-               "ops/s", 4242);
     if (mb == 1) base = r.ops_per_s;
     if (mb == 16) best = r.ops_per_s;
   }

@@ -9,8 +9,6 @@
 // than half the heap is dead). Both run the same deterministic
 // schedule/cancel/fire storm; the CI perf-smoke gate compares them
 // (expected >= 3x, gated at --gate <x>, default off).
-//
-// Emits BENCH_pr5.json entries (see bench_json.hpp).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
 #include "sim/event_queue.hpp"
 
 namespace spider::bench {
@@ -153,10 +150,6 @@ int main(int argc, char** argv) {
   std::printf("  std::map reference: %10.0f events/s\n", map_eps);
   std::printf("  flat 4-ary heap:    %10.0f events/s\n", heap_eps);
   std::printf("  speedup:            %10.2fx\n", speedup);
-
-  bench_json("micro_eventqueue", "map events/s", map_eps, "events/s", kSeed);
-  bench_json("micro_eventqueue", "heap events/s", heap_eps, "events/s", kSeed);
-  bench_json("micro_eventqueue", "speedup", speedup, "x", kSeed);
 
   if (gate > 0.0 && speedup < gate) {
     std::printf("FAIL: speedup %.2fx below gate %.2fx\n", speedup, gate);

@@ -12,8 +12,6 @@
 //   2. overhead: wall-clock of the ring-tracer run over the traced-off run
 //      (median of 5), gated in CI at --gate <ratio> (1.05 = flight
 //      recording costs at most 5% over the null sink).
-//
-// Emits BENCH_pr7.json entries (see bench_json.hpp).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
 #include "bench/harness.hpp"
 #include "obs/trace.hpp"
 #include "spider/system.hpp"
@@ -130,11 +127,6 @@ int main(int argc, char** argv) {
   std::printf("  full trace:              %8.3f s  (%.3fx, %zu events kept)\n", full_s,
               full_ratio, full.trace_events);
 
-  bench_json("micro_obs", "off s", off_s, "s", kSeed);
-  bench_json("micro_obs", "ring s", ring_s, "s", kSeed);
-  bench_json("micro_obs", "full s", full_s, "s", kSeed);
-  bench_json("micro_obs", "ring overhead", ring_ratio, "x", kSeed);
-  bench_json("micro_obs", "full overhead", full_ratio, "x", kSeed);
 
   if (gate > 0.0 && ring_ratio > gate) {
     std::printf("FAIL: ring overhead %.3fx above gate %.2fx\n", ring_ratio, gate);

@@ -14,18 +14,13 @@
 //     ratio. Redirect chasing and cancel-and-reroute bound the dip; a
 //     regression here means clients are stalling on stale routes.
 //
-// Results append to BENCH_pr6.json (JSON lines, same trajectory format as
-// the PR 5 benches; BENCH_JSON_PATH overrides). With --gate the binary
-// fails (exit 1) if the migration does not complete, the pause exceeds
+// With --gate the binary fails (exit 1) if the migration does not complete, the pause exceeds
 // 1.5 s, or throughput fails to recover to 70% of steady state.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
 #include "bench/harness.hpp"
 #include "shard/sharded_system.hpp"
 
@@ -131,9 +126,6 @@ Result run() {
 int main(int argc, char** argv) {
   using namespace spider::bench;
 
-  // This bench opens the PR 6 trajectory file; BENCH_JSON_PATH still wins.
-  setenv("BENCH_JSON_PATH", "BENCH_pr6.json", /*overwrite=*/0);
-
   const bool gate = argc > 1 && std::strcmp(argv[1], "--gate") == 0;
   Result r = run();
 
@@ -144,11 +136,6 @@ int main(int argc, char** argv) {
   std::printf("%-24s %10.2f x steady\n", "worst dip bucket", r.dip);
   std::printf("%-24s %10.2f x steady\n", "post-migration recovery", r.recovery);
   std::printf("%-24s %10s\n", "migration completed", r.migration_ok ? "yes" : "NO");
-
-  bench_json("micro_reshard", "migration_pause", r.pause_ms, "ms", kSeed);
-  bench_json("micro_reshard", "steady writes/s", r.steady, "ops/s", kSeed);
-  bench_json("micro_reshard", "throughput_dip", r.dip, "ratio", kSeed);
-  bench_json("micro_reshard", "recovery", r.recovery, "ratio", kSeed);
 
   if (gate) {
     if (!r.migration_ok) {

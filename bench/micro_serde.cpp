@@ -11,15 +11,12 @@
 //          the memoized digest.
 // The naive path is retained here as the reference the CI perf-smoke gate
 // compares against (expected >= 3x, gated at --gate <x>, default off).
-//
-// Emits BENCH_pr5.json entries (see bench_json.hpp).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
 #include "common/payload.hpp"
 #include "common/serde.hpp"
 #include "crypto/sha256.hpp"
@@ -123,9 +120,6 @@ int main(int argc, char** argv) {
   std::printf("  zero-copy payload:    %8.1f MB/s\n", fast_mbps);
   std::printf("  speedup:              %8.2fx\n", speedup);
 
-  bench_json("micro_serde", "naive-copy MB/s", naive_mbps, "MB/s", kSeed);
-  bench_json("micro_serde", "zero-copy MB/s", fast_mbps, "MB/s", kSeed);
-  bench_json("micro_serde", "speedup", speedup, "x", kSeed);
 
   if (gate > 0.0 && speedup < gate) {
     std::printf("FAIL: speedup %.2fx below gate %.2fx\n", speedup, gate);

@@ -88,8 +88,6 @@ int main() {
     if (shards == 1) base = ops;
     if (shards == 4) at4 = ops;
     std::printf("%-8u %14.0f %9.2fx\n", shards, ops, base > 0 ? ops / base : 0.0);
-    bench_json("micro_sharding", "agg writes/s shards=" + std::to_string(shards), ops, "ops/s",
-               4242);
   }
 
   if (at4 <= 1.5 * base) {

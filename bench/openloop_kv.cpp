@@ -6,8 +6,8 @@
 // queueing behaviour: flat sojourn latency while the deployment keeps up,
 // then the knee — p99 blowing past the low-load baseline or goodput
 // falling off the offered rate — once the ordered path saturates. Rows
-// land on stdout and in the BENCH_pr8.json trajectory (p50/p99/p999
-// sourced from the registry histograms the driver records into).
+// land on stdout (p50/p99/p999 sourced from the registry histograms the
+// driver records into).
 //
 //   --sweep        run the rate sweep (default; flag kept for scripts)
 //   --smoke        short ladder + small pool (CI-sized)
@@ -24,12 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
 #include "load/sweep.hpp"
 
 namespace {
-
-constexpr const char* kTrajectory = "BENCH_pr8.json";
 
 // Low-load sanity band for the gate: the first ladder point's p50 sojourn
 // must look like an unloaded ordered write over the short-WAN deployment —
@@ -124,22 +121,10 @@ int main(int argc, char** argv) {
     SweepResult res = run_sweep(cfg, [&](const RateRow& row) {
       std::printf("%s\n", row_text(g.shards, g.max_batch, row).c_str());
       std::fflush(stdout);
-      const std::string key = label + " rate=" + std::to_string(static_cast<long long>(row.offered));
-      const OpenLoopResult& r = row.result;
-      spider::bench::bench_json("openloop_kv", key + " goodput", r.goodput, "ops/s", seed,
-                                kTrajectory);
-      spider::bench::bench_json("openloop_kv", key + " p50",
-                                static_cast<double>(r.p50_us), "us", seed, kTrajectory);
-      spider::bench::bench_json("openloop_kv", key + " p99",
-                                static_cast<double>(r.p99_us), "us", seed, kTrajectory);
-      spider::bench::bench_json("openloop_kv", key + " p999",
-                                static_cast<double>(r.p999_us), "us", seed, kTrajectory);
     });
 
     if (res.knee_rate()) {
       std::printf("%s knee rate=%.0f ops/s\n", label.c_str(), *res.knee_rate());
-      spider::bench::bench_json("openloop_kv", label + " knee rate", *res.knee_rate(),
-                                "ops/s", seed, kTrajectory);
     } else {
       std::printf("%s knee not reached within ladder\n", label.c_str());
     }

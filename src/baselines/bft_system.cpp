@@ -5,13 +5,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 constexpr Duration kExecCost = 8;
 }  // namespace
 
@@ -20,6 +13,10 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
                        std::unique_ptr<Application> app)
     : ComponentHost(world, self, site), f_(cfg.f),
       checkpoint_interval_(cfg.checkpoint_interval), app_(std::move(app)) {
+  port_ = std::make_unique<ClientPort>(*this, [this](ClientFrame frame, BytesView body) {
+    handle_request(frame, body);
+  });
+
   PbftConfig pc;
   pc.replicas = std::move(all);
   pc.my_index = index;
@@ -40,9 +37,7 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
       Reader r(wire);
       ClientFrame frame = ClientFrame::decode(r);
       if (frame.req.kind == OpKind::WeakRead) return false;
-      charge_verify();
-      return crypto().verify(frame.req.client, tagged(tags::kClient, frame.req.encode()),
-                             frame.signature);
+      return verify_client_signature(*this, frame);
     } catch (const SerdeError&) {
       return false;
     }
@@ -57,41 +52,15 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
   };
 }
 
-void BftReplica::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    if (tag == tags::kClient) {
-      handle_client(from, r);
-      return;
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
-  ComponentHost::on_message(from, data);
-}
-
-void BftReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!crypto().verify_mac(from, id(), tagged(tags::kClient, body), mac)) return;
-
-  Reader br(body);
-  ClientFrame frame = ClientFrame::decode(br);
+void BftReplica::handle_request(const ClientFrame& frame, BytesView body) {
   const ClientRequest& req = frame.req;
-  if (req.client != from) return;
-
   if (req.kind == OpKind::WeakRead || req.kind == OpKind::StrongRead) {
     // PBFT optimized reads: answer directly from local state. Weak reads
     // need f+1 matching replies, strong reads 2f+1 (both requiring a WAN
     // quorum in this architecture — the point of paper Figure 8).
     charge(kExecCost);
     Bytes result = app_->execute_weak(req.op);
-    reply_to(from, req.counter, result, true);
+    port_->reply(req.client, req.counter, result, true);
     return;
   }
 
@@ -99,7 +68,7 @@ void BftReplica::handle_client(NodeId from, Reader& r) {
   if (req.counter <= last) {
     auto uit = replies_.find(req.client);
     if (uit != replies_.end() && uit->second.counter == req.counter) {
-      reply_to(from, req.counter, uit->second.result, false);
+      port_->reply(req.client, req.counter, uit->second.result, false);
     }
     return;
   }
@@ -161,7 +130,7 @@ void BftReplica::execute_one(const Bytes& request) {
     std::uint64_t& last = t_[req.client];
     ReplyCacheEntry& e = replies_[req.client];
     if (req.counter <= e.counter) {
-      if (req.counter == e.counter) reply_to(req.client, req.counter, e.result, false);
+      if (req.counter == e.counter) port_->reply(req.client, req.counter, e.result, false);
       return;
     }
     last = std::max(last, req.counter);
@@ -170,22 +139,10 @@ void BftReplica::execute_one(const Bytes& request) {
                                                   : app_->execute(req.op);
     e.counter = req.counter;
     e.result = std::move(result);
-    reply_to(req.client, req.counter, e.result, false);
+    port_->reply(req.client, req.counter, e.result, false);
   } catch (const SerdeError&) {
     return;
   }
-}
-
-void BftReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
-  Bytes out = to_bytes(result);
-  if (corrupt_replies) corrupt_reply_payload(out);  // see sim/byzantine.hpp
-  ReplyMsg reply{counter, std::move(out), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(client, tagged(tags::kClient, wire));
 }
 
 Bytes BftReplica::snapshot_state() const {
@@ -246,7 +203,7 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
 void BftReplica::recover() { checkpointer_->fetch_cp(1); }
 
 void BftReplica::apply_byzantine(const ByzantineFlags& f) {
-  corrupt_replies = f.corrupt_replies;
+  port_->corrupt_replies = f.corrupt_replies;
   pbft_->mute = f.mute;
   pbft_->mute_rx = f.mute_rx;
   pbft_->equivocate = f.equivocate;

@@ -20,6 +20,7 @@
 #include "sim/byzantine.hpp"
 #include "spider/checkpointer.hpp"
 #include "spider/client.hpp"
+#include "spider/client_port.hpp"
 #include "spider/messages.hpp"
 
 namespace spider {
@@ -44,8 +45,6 @@ class BftReplica : public ComponentHost {
   BftReplica(World& world, NodeId self, Site site, std::uint32_t index, const BftConfig& cfg,
              std::vector<NodeId> all, std::unique_ptr<Application> app);
 
-  void on_message(NodeId from, BytesView data) override;
-
   [[nodiscard]] SeqNr executed_seq() const { return sn_; }
   [[nodiscard]] const Application& app() const { return *app_; }
   PbftReplica& consensus() { return *pbft_; }
@@ -55,10 +54,6 @@ class BftReplica : public ComponentHost {
   /// may never come if client traffic stopped).
   void recover();
 
-  /// Test hook: Byzantine replica that answers clients with corrupted
-  /// results (must be outvoted by f+1 matching correct replies).
-  bool corrupt_replies = false;
-
   /// Applies a Byzantine flag set (FaultPlan via BftSystem::set_byzantine).
   /// Baseline replicas both order and execute, so they honour the
   /// consensus-role flags (mute / mute_rx / equivocate / forge_checkpoints)
@@ -66,12 +61,11 @@ class BftReplica : public ComponentHost {
   void apply_byzantine(const ByzantineFlags& f);
 
  private:
-  void handle_client(NodeId from, Reader& r);
+  void handle_request(const ClientFrame& frame, BytesView body);
   void on_deliver_batch(SeqNr first, const std::vector<Bytes>& batch);
   void apply_batch(SeqNr first, const std::vector<Bytes>& batch);
   void drain_stash();
   void execute_one(const Bytes& request);
-  void reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak);
   Bytes snapshot_state() const;
   void on_stable_checkpoint(SeqNr s, BytesView state);
 
@@ -79,6 +73,7 @@ class BftReplica : public ComponentHost {
   std::uint64_t checkpoint_interval_;
   SeqNr last_cp_ = 0;
   std::unique_ptr<Application> app_;
+  std::unique_ptr<ClientPort> port_;
   std::unique_ptr<PbftReplica> pbft_;
   std::unique_ptr<Checkpointer> checkpointer_;
 

@@ -9,13 +9,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 constexpr Duration kExecCost = 8;
 
 void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs) {
@@ -43,58 +36,44 @@ HftReplica::HftReplica(World& world, NodeId self, Site site, std::uint32_t site_
                        std::vector<std::vector<NodeId>> site_members,
                        std::unique_ptr<Application> app)
     : ComponentHost(world, self, site), site_id_(site_id), index_(index_in_site), f_(cfg.f),
-      leader_site_(cfg.leader_site), sites_(std::move(site_members)), app_(std::move(app)) {}
+      leader_site_(cfg.leader_site), sites_(std::move(site_members)), app_(std::move(app)) {
+  port_ = std::make_unique<ClientPort>(*this, [this](ClientFrame frame, BytesView body) {
+    handle_request(frame, body);
+  });
+  link_ = std::make_unique<TagHandler>(
+      *this, tags::kHft, [this](NodeId from, Reader& r) { handle_site_frame(from, r); });
+}
 
 // ------------------------------------------------------------------ plumbing
 
-void HftReplica::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    if (tag == tags::kClient) {
-      handle_client(from, r);
-      return;
-    }
-    if (tag != tags::kHft) return;
+void HftReplica::handle_site_frame(NodeId from, Reader& r) {
+  std::optional<BytesView> body =
+      verified_body(from, link_->tag(), r.raw(r.remaining()), /*is_sig=*/false);
+  if (body) dispatch_site(from, *body);
+}
 
-    BytesView all = r.raw(r.remaining());
-    std::size_t mac_len = crypto().mac_size();
-    if (all.size() <= mac_len) return;
-    BytesView body = all.subspan(0, all.size() - mac_len);
-    BytesView mac = all.subspan(all.size() - mac_len);
-    charge_mac();
-    if (!crypto().verify_mac(from, id(), tagged(tags::kHft, body), mac)) return;
-
-    Reader br(body);
-    auto kind = static_cast<Kind>(br.u8());
-    switch (kind) {
-      case Kind::SignReq: handle_sign_req(from, br); break;
-      case Kind::Partial: handle_partial(from, br); break;
-      case Kind::Update: handle_update(from, br); break;
-      case Kind::Proposal: handle_proposal(from, br); break;
-      case Kind::Accept: handle_accept(from, br); break;
-      case Kind::Commit: handle_commit(from, br); break;
-      default: break;
-    }
-  } catch (const SerdeError&) {
-    // drop malformed
+void HftReplica::dispatch_site(NodeId from, BytesView body) {
+  Reader br(body);
+  switch (static_cast<Kind>(br.u8())) {
+    case Kind::SignReq: handle_sign_req(from, br); break;
+    case Kind::Partial: handle_partial(from, br); break;
+    case Kind::Update: handle_update(from, br); break;
+    case Kind::Proposal: handle_proposal(from, br); break;
+    case Kind::Accept: handle_accept(from, br); break;
+    case Kind::Commit: handle_commit(from, br); break;
+    default: break;
   }
 }
 
-namespace {
-Bytes hft_frame(CryptoProvider& crypto, NodeId from, NodeId to, BytesView body) {
-  Writer dom;
-  dom.u32(tags::kHft);
-  dom.raw(body);
-  Bytes mac = crypto.mac(from, to, dom.data());
-  Bytes wire = to_bytes(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  Writer outer;
-  outer.u32(tags::kHft);
-  outer.raw(wire);
-  return std::move(outer).take();
+void HftReplica::send_site(NodeId to, BytesView body) {
+  if (to == id()) {
+    dispatch_site(to, body);  // a step this representative takes itself
+    return;
+  }
+  // MAC'd like every site/WAN frame, but the sender's MAC is not charged
+  // (the modeled cost sits with the receiver's check).
+  link_->send_wire(to, link_->wire_frame(body, crypto().mac(id(), to, link_->auth_bytes(body))));
 }
-}  // namespace
 
 bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
                              const std::vector<std::pair<NodeId, Bytes>>& sigs) {
@@ -102,7 +81,7 @@ bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
   if (sigs.size() < threshold()) return false;
   std::set<NodeId> seen;
   std::uint32_t valid = 0;
-  Bytes dom = tagged(tags::kHft, statement);
+  Bytes dom = link_->auth_bytes(statement);
   for (const auto& [node, sig] : sigs) {
     if (seen.count(node)) continue;
     if (std::find(sites_[site].begin(), sites_[site].end(), node) == sites_[site].end()) {
@@ -118,24 +97,12 @@ bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
 
 // ------------------------------------------------------------------ client
 
-void HftReplica::handle_client(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  std::size_t mac_len = crypto().mac_size();
-  if (all.size() <= mac_len) return;
-  BytesView body = all.subspan(0, all.size() - mac_len);
-  BytesView mac = all.subspan(all.size() - mac_len);
-  charge_mac();
-  if (!crypto().verify_mac(from, id(), tagged(tags::kClient, body), mac)) return;
-
-  Reader br(body);
-  ClientFrame frame = ClientFrame::decode(br);
+void HftReplica::handle_request(const ClientFrame& frame, BytesView body) {
   const ClientRequest& req = frame.req;
-  if (req.client != from) return;
-
   if (req.kind == OpKind::WeakRead) {
     charge(kExecCost);
     Bytes result = app_->execute_weak(req.op);
-    reply_to(from, req.counter, result, true);
+    port_->reply(req.client, req.counter, result, true);
     return;
   }
 
@@ -143,15 +110,14 @@ void HftReplica::handle_client(NodeId from, Reader& r) {
   if (req.counter <= last) {
     auto uit = replies_.find(req.client);
     if (uit != replies_.end() && uit->second.first == req.counter) {
-      reply_to(from, req.counter, uit->second.second, false);
+      port_->reply(req.client, req.counter, uit->second.second, false);
     }
     return;
   }
 
   if (!is_rep()) return;  // only the site representative initiates ordering
 
-  charge_verify();
-  if (!crypto().verify(req.client, tagged(tags::kClient, req.encode()), frame.signature)) return;
+  if (!verify_client_signature(*this, frame)) return;
   last = req.counter;
 
   // Local round: threshold-certify <Update, site, h(frame)>.
@@ -174,7 +140,7 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   round.payload = payload;
 
   charge_sign();
-  round.sigs[id()] = crypto().sign(id(), tagged(tags::kHft, statement));
+  round.sigs[id()] = crypto().sign(id(), link_->auth_bytes(statement));
 
   Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::SignReq));
@@ -183,7 +149,7 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   Bytes body = std::move(w).take();
   for (NodeId n : sites_[site_id_]) {
     if (n == id()) continue;
-    send_to(n, hft_frame(crypto(), id(), n, body));
+    send_site(n, body);
   }
   if (round.sigs.size() >= threshold()) {
     round.completed = true;
@@ -201,27 +167,17 @@ void HftReplica::handle_sign_req(NodeId from, Reader& r) {
   // For updates, replicas independently validate the client request so a
   // Byzantine representative cannot certify forged requests.
   if (static_cast<Kind>(statement[0]) == Kind::Update && !payload.empty()) {
-    try {
-      Reader fr(payload);
-      ClientFrame frame = ClientFrame::decode(fr);
-      charge_verify();
-      if (!crypto().verify(frame.req.client, tagged(tags::kClient, frame.req.encode()),
-                           frame.signature)) {
-        return;
-      }
-    } catch (const SerdeError&) {
-      return;
-    }
+    Reader fr(payload);
+    if (!verify_client_signature(*this, ClientFrame::decode(fr))) return;
   }
 
   charge_sign();
-  Bytes sig = crypto().sign(id(), tagged(tags::kHft, statement));
+  Bytes sig = crypto().sign(id(), link_->auth_bytes(statement));
   Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::Partial));
   w.bytes(statement);
   w.bytes(sig);
-  Bytes body = std::move(w).take();
-  send_to(from, hft_frame(crypto(), id(), from, body));
+  send_site(from, w.data());
 }
 
 void HftReplica::handle_partial(NodeId from, Reader& r) {
@@ -233,7 +189,7 @@ void HftReplica::handle_partial(NodeId from, Reader& r) {
   Bytes statement = r.bytes();
   Bytes sig = r.bytes();
   charge_verify();
-  if (!crypto().verify(from, tagged(tags::kHft, statement), sig)) return;
+  if (!crypto().verify(from, link_->auth_bytes(statement), sig)) return;
 
   std::uint64_t key = digest_prefix(Sha256::hash(statement));
   auto it = rounds_.find(key);
@@ -251,56 +207,18 @@ void HftReplica::handle_partial(NodeId from, Reader& r) {
 
 void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
                                 std::vector<std::pair<NodeId, Bytes>> sigs) {
-  auto kind = static_cast<Kind>(statement[0]);
+  const auto kind = static_cast<Kind>(statement[0]);
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.bytes(statement);
+  if (kind != Kind::Accept) w.bytes(payload);
+  write_cert(w, sigs);
+  Bytes body = std::move(w).take();
   if (kind == Kind::Update) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Kind::Update));
-    w.bytes(statement);
-    w.bytes(payload);
-    write_cert(w, sigs);
-    Bytes body = std::move(w).take();
-    NodeId leader_rep = sites_[leader_site_][0];
-    if (leader_rep == id()) {
-      Reader br(body);
-      br.u8();
-      handle_update(id(), br);
-    } else {
-      send_to(leader_rep, hft_frame(crypto(), id(), leader_rep, body));
-    }
-  } else if (kind == Kind::Proposal) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Kind::Proposal));
-    w.bytes(statement);
-    w.bytes(payload);
-    write_cert(w, sigs);
-    Bytes body = std::move(w).take();
-    for (std::uint32_t s = 0; s < sites_.size(); ++s) {
-      NodeId rep = sites_[s][0];
-      if (rep == id()) {
-        Reader br(body);
-        br.u8();
-        handle_proposal(id(), br);
-      } else {
-        send_to(rep, hft_frame(crypto(), id(), rep, body));
-      }
-    }
-  } else if (kind == Kind::Accept) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Kind::Accept));
-    w.bytes(statement);
-    write_cert(w, sigs);
-    Bytes body = std::move(w).take();
-    for (std::uint32_t s = 0; s < sites_.size(); ++s) {
-      NodeId rep = sites_[s][0];
-      if (rep == id()) {
-        Reader br(body);
-        br.u8();
-        handle_accept(id(), br);
-      } else {
-        send_to(rep, hft_frame(crypto(), id(), rep, body));
-      }
-    }
+    send_site(sites_[leader_site_][0], body);  // to the leader site's representative
+    return;
   }
+  for (const std::vector<NodeId>& site : sites_) send_site(site[0], body);  // every rep
 }
 
 void HftReplica::handle_update(NodeId /*from*/, Reader& r) {
@@ -393,11 +311,9 @@ void HftReplica::try_execute() {
     Bytes body = std::move(w).take();
     for (NodeId n : sites_[site_id_]) {
       if (n == id()) continue;
-      send_to(n, hft_frame(crypto(), id(), n, body));
+      send_site(n, body);
     }
-    Reader br(body);
-    br.u8();
-    handle_commit(id(), br);
+    dispatch_site(id(), body);
   }
 }
 
@@ -425,23 +341,13 @@ void HftReplica::handle_commit(NodeId from, Reader& r) {
         cached = {req.counter, std::move(result)};
         t_[req.client] = std::max(t_[req.client], req.counter);
         if (it->second.second == site_id_) {
-          reply_to(req.client, req.counter, cached.second, false);
+          port_->reply(req.client, req.counter, cached.second, false);
         }
       }
     } catch (const SerdeError&) {
     }
     commit_buffer_.erase(it);
   }
-}
-
-void HftReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
-  ReplyMsg reply{counter, to_bytes(result), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(client, tagged(tags::kClient, wire));
 }
 
 // ------------------------------------------------------------------ system

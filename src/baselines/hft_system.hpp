@@ -29,6 +29,7 @@
 #include "app/kvstore.hpp"
 #include "sim/component.hpp"
 #include "spider/client.hpp"
+#include "spider/client_port.hpp"
 #include "spider/messages.hpp"
 
 namespace spider {
@@ -51,8 +52,6 @@ class HftReplica : public ComponentHost {
              std::uint32_t index_in_site, const HftConfig& cfg,
              std::vector<std::vector<NodeId>> site_members,
              std::unique_ptr<Application> app);
-
-  void on_message(NodeId from, BytesView data) override;
 
   [[nodiscard]] bool is_rep() const { return index_ == 0; }
   /// Steward uses (2f+1)-of-(3f+1) threshold signatures for site
@@ -79,7 +78,12 @@ class HftReplica : public ComponentHost {
     bool completed = false;
   };
 
-  void handle_client(NodeId from, Reader& r);
+  void handle_request(const ClientFrame& frame, BytesView body);
+  void handle_site_frame(NodeId from, Reader& r);
+  void dispatch_site(NodeId from, BytesView body);
+  /// MAC'd [kHft] frame to `to`; one addressed to this replica is handled
+  /// in place.
+  void send_site(NodeId to, BytesView body);
   void start_local_round(const Bytes& statement, const Bytes& payload);
   void handle_sign_req(NodeId from, Reader& r);
   void handle_partial(NodeId from, Reader& r);
@@ -90,7 +94,6 @@ class HftReplica : public ComponentHost {
   void handle_accept(NodeId from, Reader& r);
   void handle_commit(NodeId from, Reader& r);
   void try_execute();
-  void reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak);
   bool verify_cert(std::uint32_t site, BytesView statement,
                    const std::vector<std::pair<NodeId, Bytes>>& sigs);
 
@@ -100,6 +103,8 @@ class HftReplica : public ComponentHost {
   std::uint32_t leader_site_;
   std::vector<std::vector<NodeId>> sites_;  // members per site (index 0 = rep)
   std::unique_ptr<Application> app_;
+  std::unique_ptr<ClientPort> port_;
+  std::unique_ptr<TagHandler> link_;  // [kHft] site-internal and WAN frames
 
   // Representative state.
   std::map<std::uint64_t, PendingCert> rounds_;  // statement key -> collection

@@ -9,8 +9,7 @@
 //     hoarding), safe to keep per node for million-op runs;
 //   - mergeable: histograms (and whole registries) merge by bucket-count
 //     addition, so per-node or per-shard stats aggregate exactly;
-//   - JSON-lines snapshot compatible with the bench trajectory format of
-//     bench/bench_json.hpp (one object per line, machine-appendable).
+//   - JSON-lines snapshot (one object per line, machine-appendable).
 #pragma once
 
 #include <cstdint>

@@ -29,11 +29,11 @@ Payload Component::wire_frame(BytesView body, BytesView auth) const {
   return Payload(std::move(w));
 }
 
-void Component::send_maced(const std::vector<NodeId>& to, BytesView body) {
+void Component::send_maced(const std::vector<NodeId>& to, BytesView body, TrafficClass cls) {
   Bytes auth = auth_bytes(body);
   for (NodeId n : to) {
     host_.charge_mac();
-    send_framed(n, body, crypto().mac(self(), n, auth));
+    send_framed(n, body, crypto().mac(self(), n, auth), cls);
   }
 }
 

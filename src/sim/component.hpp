@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -39,7 +40,8 @@ class ComponentHost : public SimNode {
   void send_component(std::uint32_t tag, NodeId to, BytesView inner);
 
   /// Dispatches inbound messages to components; unknown tags and malformed
-  /// payloads are dropped (Byzantine-safe default).
+  /// payloads are dropped (Byzantine-safe default). The one place a
+  /// message's tag is read and the one receive-path SerdeError catch.
   void on_message(NodeId from, BytesView data) override;
 
  private:
@@ -81,13 +83,15 @@ class Component {
 
   /// wire_frame + send_wire for single-destination MAC'd frames: one
   /// allocation instead of body-copy + tag-wrap.
-  void send_framed(NodeId to, BytesView body, BytesView auth) {
-    host_.send_to(to, wire_frame(body, auth));
+  void send_framed(NodeId to, BytesView body, BytesView auth,
+                   TrafficClass cls = TrafficClass::kOrdered) {
+    host_.send_to(to, wire_frame(body, auth), cls);
   }
 
   /// `body` to each of `to`, MAC'd per destination over one shared copy of
   /// its domain-separated bytes; charges one modeled MAC per destination.
-  void send_maced(const std::vector<NodeId>& to, BytesView body);
+  void send_maced(const std::vector<NodeId>& to, BytesView body,
+                  TrafficClass cls = TrafficClass::kOrdered);
 
   /// Domain-separated bytes for signing/MACing: [tag][inner].
   Bytes auth_bytes(BytesView inner) const;
@@ -100,6 +104,27 @@ class Component {
  private:
   ComponentHost& host_;
   std::uint32_t tag_;
+};
+
+/// A component that hands its tag's payloads to a callback, for traffic
+/// that needs no protocol state of its own (registry queries, HFT site
+/// links, client replies). The framing helpers are public so the host can
+/// send under the same tag.
+class TagHandler : public Component {
+ public:
+  using Fn = std::function<void(NodeId from, Reader& r)>;
+  TagHandler(ComponentHost& host, std::uint32_t tag, Fn fn)
+      : Component(host, tag), fn_(std::move(fn)) {}
+
+  void on_message(NodeId from, Reader& r) override { fn_(from, r); }
+
+  using Component::auth_bytes;
+  using Component::send_maced;
+  using Component::send_wire;
+  using Component::wire_frame;
+
+ private:
+  Fn fn_;
 };
 
 }  // namespace spider

@@ -4,17 +4,9 @@
 
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
+#include "spider/client_port.hpp"
 
 namespace spider {
-
-namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-}  // namespace
 
 AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
@@ -44,6 +36,11 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
     return std::make_pair(sn_, snapshot_state());
   };
 
+  // Registry lookups (paper §3.1): any query gets the MAC'd snapshot.
+  registry_port_ = std::make_unique<TagHandler>(
+      *this, tags::kRegistry,
+      [this](NodeId from, Reader&) { registry_port_->send_maced({from}, registry_.encode()); });
+
   registry_.version = 0;
   for (const RegistryEntry& g : cfg_.initial_groups) {
     registry_.groups.push_back(g);
@@ -51,7 +48,7 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
   }
 }
 
-bool AgreementReplica::validate_request(BytesView wire) const {
+bool AgreementReplica::validate_request(BytesView wire) {
   // A-Validity: only correctly authenticated client requests are ordered.
   try {
     Reader r(wire);
@@ -59,10 +56,7 @@ bool AgreementReplica::validate_request(BytesView wire) const {
     const ClientRequest& cr = req.frame.req;
     if (cr.kind == OpKind::WeakRead) return false;  // never ordered
     if (cr.kind == OpKind::Reconfig && cr.client != cfg_.admin) return false;
-    auto* self_mut = const_cast<AgreementReplica*>(this);
-    self_mut->charge_verify();
-    return self_mut->crypto().verify(cr.client, tagged(tags::kClient, cr.encode()),
-                                     req.frame.signature);
+    return verify_client_signature(*this, req.frame);
   } catch (const SerdeError&) {
     return false;
   }
@@ -434,29 +428,6 @@ void AgreementReplica::apply_byzantine(const ByzantineFlags& f) {
   pbft_->mute_rx = f.mute_rx;
   pbft_->equivocate = f.equivocate;
   checkpointer_->forge_checkpoints = f.forge_checkpoints;
-}
-
-void AgreementReplica::handle_registry_query(NodeId from) {
-  Bytes body = registry_.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), from, tagged(tags::kRegistry, body));
-  Bytes wire = body;
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  send_to(from, tagged(tags::kRegistry, wire));
-}
-
-void AgreementReplica::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    if (tag == tags::kRegistry) {
-      handle_registry_query(from);
-      return;
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
-  ComponentHost::on_message(from, data);
 }
 
 }  // namespace spider

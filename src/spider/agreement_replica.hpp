@@ -48,8 +48,6 @@ class AgreementReplica : public ComponentHost {
  public:
   AgreementReplica(World& world, Site site, AgreementConfig cfg);
 
-  void on_message(NodeId from, BytesView data) override;
-
   /// Crash-recovery bootstrap: actively fetch the group's latest stable
   /// agreement checkpoint instead of waiting for the next periodic one
   /// (which may never come if client traffic stopped).
@@ -77,7 +75,7 @@ class AgreementReplica : public ComponentHost {
   void remove_channel(GroupId g);
   void start_pull(GroupId g, Subchannel c);
   void start_pull_again(GroupId g, Subchannel c);
-  bool validate_request(BytesView wire) const;
+  bool validate_request(BytesView wire);
 
   void on_deliver(SeqNr first, const std::vector<Bytes>& batch);
   void process_queue();
@@ -89,11 +87,11 @@ class AgreementReplica : public ComponentHost {
   void maybe_checkpoint();
   Bytes snapshot_state() const;
   void on_stable_checkpoint(SeqNr s, BytesView state);
-  void handle_registry_query(NodeId from);
 
   AgreementConfig cfg_;
   std::unique_ptr<PbftReplica> pbft_;
   std::unique_ptr<Checkpointer> checkpointer_;
+  std::unique_ptr<TagHandler> registry_port_;
   std::map<GroupId, Channel> channels_;
   RegistrySnapshot registry_;
 

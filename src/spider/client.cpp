@@ -8,13 +8,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 /// Returns the result that at least `quorum` replicas agree on, if any.
 const Bytes* matching_quorum(const std::map<NodeId, Bytes>& replies, std::uint32_t quorum) {
   for (const auto& [node, result] : replies) {
@@ -33,6 +26,7 @@ SpiderClient::SpiderClient(World& world, Site site, ClientGroupInfo group, Durat
       group_(std::move(group)),
       retry_(retry),
       rng_(world.rng().fork()),
+      port_(*this, tags::kClient, [this](NodeId from, Reader& r) { handle_reply(from, r); }),
       retransmits_(world.metrics().counter("client_retransmits",
                                            {.node = id(), .role = "client"})),
       lat_ordered_(world.metrics().histogram("client_latency_ordered",
@@ -77,7 +71,7 @@ void SpiderClient::start_next() {
   ClientRequest req{cur.kind, id(), tc_, cur.op};
   Bytes body = req.encode();
   charge_sign();
-  Bytes sig = crypto().sign(id(), tagged(tags::kClient, body));
+  Bytes sig = crypto().sign(id(), port_.auth_bytes(body));
   current_wire_ = ClientFrame{std::move(req), std::move(sig)}.encode();
   replies_.clear();
   current_start_ = now();
@@ -120,21 +114,8 @@ void SpiderClient::arm_retry() {
   });
 }
 
-void SpiderClient::transmit_framed(const Bytes& frame, TrafficClass cls) {
-  Bytes auth = tagged(tags::kClient, frame);  // shared across replicas
-  for (NodeId replica : group_.members) {
-    charge_mac();
-    Bytes mac = crypto().mac(id(), replica, auth);
-    Writer w(4 + frame.size() + mac.size());
-    w.u32(tags::kClient);
-    w.raw(frame);
-    w.raw(mac);
-    send_to(replica, Payload(std::move(w)), cls);
-  }
-}
-
 void SpiderClient::transmit_current() {
-  transmit_framed(current_wire_, TrafficClass::kOrdered);
+  port_.send_maced(group_.members, current_wire_);
 }
 
 void SpiderClient::weak_read(Bytes op, OpCallback cb) {
@@ -246,17 +227,8 @@ void SpiderClient::resubmit(PendingOp op) {
 
 void SpiderClient::transmit_weak() {
   ClientRequest req{weak_queue_.front().kind, id(), weak_counter_, weak_queue_.front().op};
-  transmit_framed(ClientFrame{std::move(req), {}}.encode(), TrafficClass::kUnordered);
-}
-
-void SpiderClient::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    if (r.u32() != tags::kClient) return;
-    handle_reply(from, r);
-  } catch (const SerdeError&) {
-    // malformed reply: drop
-  }
+  port_.send_maced(group_.members, ClientFrame{std::move(req), {}}.encode(),
+                   TrafficClass::kUnordered);
 }
 
 void SpiderClient::handle_reply(NodeId from, Reader& r) {
@@ -264,7 +236,7 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
   if (std::find(group_.members.begin(), group_.members.end(), from) == group_.members.end()) return;
 
   std::optional<BytesView> body =
-      verified_body(from, tags::kClient, r.raw(r.remaining()), /*is_sig=*/false);
+      verified_body(from, port_.tag(), r.raw(r.remaining()), /*is_sig=*/false);
   if (!body) return;
 
   Reader br(*body);

@@ -91,8 +91,6 @@ class SpiderClient : public ComponentHost {
   /// or a closer group appeared). In-flight ordered ops are re-sent there.
   void switch_group(ClientGroupInfo group);
 
-  void on_message(NodeId from, BytesView data) override;
-
   /// Cancels every queued and in-flight operation — ordered and direct — and
   /// returns them in submission order (ordered queue first) with their
   /// callbacks, which have NOT been invoked. Routers use this to re-route
@@ -129,13 +127,12 @@ class SpiderClient : public ComponentHost {
   void start_next();
   Duration retry_jitter(Duration base);
   void arm_retry();
+  /// transmit_current / transmit_weak: the in-flight ordered or direct
+  /// request, MAC'd to every replica of the group. Ordered requests ride
+  /// the reliable control channel; the direct path (weak reads, optimized
+  /// strong reads) is retried and idempotent, so it rides the unordered
+  /// datagram channel on the socket backend.
   void transmit_current();
-  /// MAC-framed [kClient][frame][mac] fan-out to the whole group; the
-  /// domain-separated auth bytes are computed once and shared. Ordered
-  /// requests ride the reliable control channel; the direct path (weak
-  /// reads, optimized strong reads) is retried and idempotent, so it rides
-  /// the unordered datagram channel on the socket backend.
-  void transmit_framed(const Bytes& frame, TrafficClass cls);
   void start_weak();
   void arm_weak_retry();
   void transmit_weak();
@@ -144,6 +141,7 @@ class SpiderClient : public ComponentHost {
   ClientGroupInfo group_;
   Duration retry_;
   Rng rng_;                 // per-client stream for retransmit jitter
+  TagHandler port_;         // [kClient]: requests out, replies in
   Duration retry_cur_ = 0;  // current backoff interval for the in-flight op
   std::uint64_t tc_ = 0;  // counter of the *current/last* ordered request
 

@@ -1,0 +1,42 @@
+#include "spider/client_port.hpp"
+
+#include "crypto/provider.hpp"
+#include "obs/trace.hpp"
+#include "sim/byzantine.hpp"
+
+namespace spider {
+
+ClientPort::ClientPort(ComponentHost& host, RequestFn on_request)
+    : Component(host, tags::kClient), on_request_(std::move(on_request)) {}
+
+void ClientPort::on_message(NodeId from, Reader& r) {
+  std::optional<BytesView> body =
+      host().verified_body(from, tag(), r.raw(r.remaining()), /*is_sig=*/false);
+  if (!body) return;
+  Reader br(*body);
+  ClientFrame frame = ClientFrame::decode(br);
+  if (frame.req.client != from) return;  // claimed identity must match the channel
+  on_request_(std::move(frame), *body);
+}
+
+void ClientPort::reply(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
+  if (auto* t = host().tracer()) {
+    t->async(obs::Ph::kAsyncInstant, now(), self(), obs::request_id(client, counter, weak),
+             "request", "reply");
+  }
+  Bytes out = to_bytes(result);
+  if (corrupt_replies) corrupt_reply_payload(out);
+  send_maced({client}, ReplyMsg{counter, std::move(out), weak}.encode(),
+             weak ? TrafficClass::kUnordered : TrafficClass::kOrdered);
+}
+
+bool verify_client_signature(SimNode& node, const ClientFrame& frame) {
+  Bytes req = frame.req.encode();
+  Writer w(4 + req.size());
+  w.u32(tags::kClient);
+  w.raw(req);
+  node.charge_verify();
+  return node.crypto().verify(frame.req.client, w.data(), frame.signature);
+}
+
+}  // namespace spider

@@ -8,13 +8,6 @@
 namespace spider {
 
 namespace {
-Bytes tagged(std::uint32_t tag, BytesView inner) {
-  Writer w;
-  w.u32(tag);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 // Modeled CPU cost of executing one application operation.
 constexpr Duration kExecCost = 8;
 }  // namespace
@@ -24,6 +17,9 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
       cfg_(std::move(cfg)), app_(std::move(app)), map_(cfg_.shard_map),
       shard_index_(cfg_.shard_index) {
+  port_ = std::make_unique<ClientPort>(
+      *this, [this](ClientFrame frame, BytesView) { handle_request(std::move(frame)); });
+
   IrmcConfig req_cfg;
   req_cfg.senders = cfg_.members;
   req_cfg.receivers = cfg_.agreement;
@@ -61,7 +57,7 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
 }
 
 void ExecutionReplica::apply_byzantine(const ByzantineFlags& f) {
-  corrupt_replies = f.corrupt_replies;
+  port_->corrupt_replies = f.corrupt_replies;
   drop_forwarding = f.drop_forwarding;
   checkpointer_->forge_checkpoints = f.forge_checkpoints;
 }
@@ -71,36 +67,14 @@ void ExecutionReplica::add_checkpoint_peers(const std::vector<NodeId>& peers) {
   for (NodeId p : peers) trusted_peers_->insert(p);
 }
 
-void ExecutionReplica::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    if (tag == tags::kClient) {
-      handle_client(from, r);
-      return;
-    }
-  } catch (const SerdeError&) {
-    return;
-  }
-  ComponentHost::on_message(from, data);
-}
-
-void ExecutionReplica::handle_client(NodeId from, Reader& r) {
-  std::optional<BytesView> body =
-      verified_body(from, tags::kClient, r.raw(r.remaining()), /*is_sig=*/false);
-  if (!body) return;
-
-  Reader br(*body);
-  ClientFrame frame = ClientFrame::decode(br);
+void ExecutionReplica::handle_request(ClientFrame frame) {
   const ClientRequest& req = frame.req;
-  if (req.client != from) return;  // claimed identity must match the channel
-
   if (req.kind == OpKind::WeakRead) {
     // Fast path: answer from local state, no ordering (paper §3.3). Keys
     // this shard no longer owns get a versioned redirect instead of a
     // stale answer.
     if (!owns_keys(req.op)) {
-      reply_to(from, req.counter, make_wrong_shard_reply(*map_), /*weak=*/true);
+      port_->reply(req.client, req.counter, make_wrong_shard_reply(*map_), /*weak=*/true);
       return;
     }
     charge_app(kExecCost);
@@ -110,7 +84,7 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
                "weak-exec");
     }
     Bytes result = app_->execute_weak(req.op);
-    reply_to(from, req.counter, result, /*weak=*/true);
+    port_->reply(req.client, req.counter, result, /*weak=*/true);
     return;
   }
 
@@ -121,7 +95,7 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
     auto uit = replies_.find(req.client);
     if (uit != replies_.end() && uit->second.counter == req.counter &&
         !uit->second.placeholder) {
-      reply_to(from, req.counter, uit->second.result, /*weak=*/false);
+      port_->reply(req.client, req.counter, uit->second.result, /*weak=*/false);
       return;
     }
     // No reply yet: the request is still in flight, and our original
@@ -134,8 +108,7 @@ void ExecutionReplica::handle_client(NodeId from, Reader& r) {
     // (reliable-link retransmission model).
   }
 
-  charge_verify();
-  if (!crypto().verify(req.client, tagged(tags::kClient, req.encode()), frame.signature)) return;
+  if (!verify_client_signature(*this, frame)) return;
 
   last = req.counter;
   if (drop_forwarding) return;  // Byzantine: silently refuse to forward
@@ -205,7 +178,7 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
       if (e.counter >= x.counter) {
         // Duplicate/old: resend cached reply if this is our client.
         if (x.origin == cfg_.group && e.counter == x.counter && !e.placeholder) {
-          reply_to(x.client, x.counter, e.result, false);
+          port_->reply(x.client, x.counter, e.result, false);
         }
         break;
       }
@@ -230,7 +203,7 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
       e.counter = x.counter;
       e.result = std::move(result);
       e.placeholder = false;
-      if (x.origin == cfg_.group) reply_to(x.client, x.counter, e.result, false);
+      if (x.origin == cfg_.group) port_->reply(x.client, x.counter, e.result, false);
       break;
     }
     case ExecuteKind::Placeholder: {
@@ -248,7 +221,7 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
         e.counter = x.counter;
         e.result = to_bytes(std::string("reconfig-ok"));
         e.placeholder = false;
-        if (x.origin == cfg_.group) reply_to(x.client, x.counter, e.result, false);
+        if (x.origin == cfg_.group) port_->reply(x.client, x.counter, e.result, false);
       }
       break;
     }
@@ -323,29 +296,6 @@ Bytes ExecutionReplica::migrate_in(const MigrateInCmd& cmd) {
   cut_checkpoint_ = true;
   ++migrations_;
   return make_migrate_in_reply(map_->version());
-}
-
-void ExecutionReplica::reply_to(NodeId client, std::uint64_t counter, BytesView result,
-                                bool weak) {
-  Bytes out = to_bytes(result);
-  if (auto* t = tracer()) {
-    t->async(obs::Ph::kAsyncInstant, now(), id(),
-             obs::request_id(client, counter, weak), "request", "reply");
-  }
-  // Byzantine tampering, outvoted by fe+1 matching correct replies (fe+1
-  // corruptors are the linearizability checker's canary).
-  if (corrupt_replies) corrupt_reply_payload(out);
-  ReplyMsg reply{counter, std::move(out), weak};
-  Bytes body = reply.encode();
-  charge_mac();
-  Bytes mac = crypto().mac(id(), client, tagged(tags::kClient, body));
-  Bytes wire = std::move(body);
-  wire.insert(wire.end(), mac.begin(), mac.end());
-  // Weak (direct-path) replies are idempotent and client-retried, so they
-  // ride the unordered datagram channel on the socket backend; ordered
-  // replies stay on the reliable control channel.
-  send_to(client, tagged(tags::kClient, wire),
-          weak ? TrafficClass::kUnordered : TrafficClass::kOrdered);
 }
 
 void ExecutionReplica::maybe_checkpoint() {

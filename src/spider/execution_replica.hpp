@@ -1,10 +1,11 @@
 // Spider execution replica (paper Fig. 16).
 //
-// Hosts the application, answers clients, forwards new requests into the
-// request channel (per-client subchannels) and consumes the totally ordered
-// Execute stream from the commit channel. Periodic execution checkpoints
-// (app snapshot + reply cache) let trailing replicas — and newly added
-// groups — catch up without replaying every request.
+// Hosts the application, answers clients through its ClientPort, forwards
+// new requests into the request channel (per-client subchannels) and
+// consumes the totally ordered Execute stream from the commit channel.
+// Periodic execution checkpoints (app snapshot + reply cache) let trailing
+// replicas — and newly added groups — catch up without replaying every
+// request.
 #pragma once
 
 #include <map>
@@ -18,6 +19,7 @@
 #include "sim/byzantine.hpp"
 #include "sim/component.hpp"
 #include "spider/checkpointer.hpp"
+#include "spider/client_port.hpp"
 #include "spider/messages.hpp"
 
 namespace spider {
@@ -54,8 +56,6 @@ class ExecutionReplica : public ComponentHost {
   ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                    std::unique_ptr<Application> app);
 
-  void on_message(NodeId from, BytesView data) override;
-
   /// Peers in other execution groups usable for cross-group checkpoint
   /// fetch (paper §3.5); normally populated from the registry.
   void add_checkpoint_peers(const std::vector<NodeId>& peers);
@@ -69,9 +69,6 @@ class ExecutionReplica : public ComponentHost {
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
-  /// Test hook: Byzantine replica that answers clients with corrupted
-  /// results (must be outvoted by fe+1 correct replies).
-  bool corrupt_replies = false;
   /// Test hook: Byzantine replica that stays silent toward the agreement
   /// group (drops request forwarding).
   bool drop_forwarding = false;
@@ -83,11 +80,10 @@ class ExecutionReplica : public ComponentHost {
   void apply_byzantine(const ByzantineFlags& f);
 
  private:
-  void handle_client(NodeId from, Reader& r);
+  void handle_request(ClientFrame frame);
   void request_next_execute();
   void process_batch(const ExecuteBatchMsg& batch);
   void process_execute(const ExecuteMsg& x);
-  void reply_to(NodeId client, std::uint64_t counter, BytesView result, bool weak);
   bool owns_keys(BytesView op) const;
   Bytes execute_sys_op(NodeId client, BytesView op);
   Bytes migrate_out(const MigrateOutCmd& cmd);
@@ -99,6 +95,7 @@ class ExecutionReplica : public ComponentHost {
 
   ExecutionConfig cfg_;
   std::unique_ptr<Application> app_;
+  std::unique_ptr<ClientPort> port_;
   std::unique_ptr<IrmcSenderEndpoint> request_tx_;
   std::unique_ptr<IrmcReceiverEndpoint> commit_rx_;
   std::unique_ptr<Checkpointer> checkpointer_;

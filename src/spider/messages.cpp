@@ -15,7 +15,13 @@ Bytes ClientRequest::encode() const {
 
 ClientRequest ClientRequest::decode(Reader& r) {
   ClientRequest m;
-  m.kind = static_cast<OpKind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  // An undefined kind would fall through to the write path everywhere.
+  if (kind < static_cast<std::uint8_t>(OpKind::Write) ||
+      kind > static_cast<std::uint8_t>(OpKind::Reconfig)) {
+    throw SerdeError("unknown op kind");
+  }
+  m.kind = static_cast<OpKind>(kind);
   m.client = r.u32();
   m.counter = r.u64();
   m.op = r.bytes();

@@ -1,0 +1,260 @@
+// The client wire protocol at its one boundary: ClientPort on Spider
+// execution replicas and on both baselines, SpiderClient's reply handler,
+// and ComponentHost's dispatch for every other tag. Hostile frames must be
+// dropped without crashing and without moving any replica's state, and
+// requests of an undefined kind must never execute.
+#include <gtest/gtest.h>
+
+#include "baselines/bft_system.hpp"
+#include "baselines/hft_system.hpp"
+#include "spider/system.hpp"
+#include "tests/support/drive.hpp"
+
+namespace spider {
+namespace {
+
+constexpr std::uint32_t kUnknownTag = 0x7f000000;
+
+Bytes tagged(std::uint32_t tag, BytesView body) {
+  Writer w;
+  w.u32(tag);
+  w.raw(body);
+  return std::move(w).take();
+}
+
+/// [tag][body][mac], MAC'd (from -> to) over [tag][body].
+Bytes maced(World& world, std::uint32_t tag, NodeId from, NodeId to, BytesView body) {
+  Bytes wire = tagged(tag, body);
+  Bytes mac = world.crypto().mac(from, to, wire);
+  wire.insert(wire.end(), mac.begin(), mac.end());
+  return wire;
+}
+
+/// The request frame SpiderClient would send, signed by `signer`.
+Bytes signed_frame(World& world, NodeId signer, const ClientRequest& req) {
+  Bytes sig = world.crypto().sign(signer, tagged(tags::kClient, req.encode()));
+  return ClientFrame{req, std::move(sig)}.encode();
+}
+
+/// Sends `to` every kind of hostile frame from `evil`: frames shorter than
+/// their MAC under each MAC'd tag, MAC'd garbage under kClient and kHft, a
+/// correctly signed and MAC'd request that claims `victim` as its client,
+/// and an unknown tag.
+void send_hostile_frames(World& world, ComponentHost& evil, NodeId to, NodeId victim) {
+  const Bytes short_trailer(world.crypto().mac_size() - 1, 0xab);
+  for (std::uint32_t tag : {tags::kClient, tags::kHft, tags::kRegistry}) {
+    evil.send_to(to, tagged(tag, short_trailer));
+  }
+  evil.send_to(to, Bytes{0x03});  // shorter than a tag
+  const Bytes garbage = {0xff, 0xff, 0xff, 0xff, 0x01, 0x02, 0x03, 0x04, 0x05};
+  evil.send_to(to, maced(world, tags::kClient, evil.id(), to, garbage));
+  evil.send_to(to, maced(world, tags::kHft, evil.id(), to, garbage));
+  // Validly signed by the victim, with a counter above any it used: only
+  // the port's identity check stops it.
+  ClientRequest forged{OpKind::Write, victim, 1000, kv_put("forged", to_bytes(std::string("x")))};
+  evil.send_to(to, maced(world, tags::kClient, evil.id(), to,
+                         signed_frame(world, victim, forged)));
+  evil.send_to(to, tagged(kUnknownTag, garbage));
+}
+
+bool has_key(const Application& app, const std::string& key) {
+  return kv_decode_reply(app.execute_readonly(kv_get(key))).ok;
+}
+
+SpiderTopology small_topology() {
+  SpiderTopology t;
+  t.exec_regions = {Region::Virginia, Region::Tokyo};
+  t.client_retry = kSecond;
+  return t;
+}
+
+std::vector<Site> geo_sites() {
+  return {Site{Region::Virginia, 0}, Site{Region::Oregon, 0}, Site{Region::Ireland, 0},
+          Site{Region::Tokyo, 0}};
+}
+
+// ------------------------------------------------------------ op kinds
+
+TEST(ClientRequestKind, DecoderRejectsUndefinedKinds) {
+  for (unsigned kind = 0; kind < 256; ++kind) {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.u32(7);
+    w.u64(1);
+    w.bytes(Bytes{1, 2});
+    Reader r(w.data());
+    if (kind >= 1 && kind <= 4) {
+      EXPECT_EQ(static_cast<unsigned>(ClientRequest::decode(r).kind), kind);
+    } else {
+      EXPECT_THROW(ClientRequest::decode(r), SerdeError) << kind;
+    }
+  }
+}
+
+TEST(ClientRequestKind, SpiderNeverExecutesUndefinedKind) {
+  World world(5);
+  SpiderSystem sys(world, small_topology());
+  const GroupId g = sys.nearest_group(Region::Virginia);
+  const ClientGroupInfo info = sys.group_info(g);
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  // A correctly signed request from its own client, but of kind 7.
+  ClientRequest req{static_cast<OpKind>(7), evil.id(), 1,
+                    kv_put("kind7", to_bytes(std::string("v")))};
+  const Bytes frame = signed_frame(world, evil.id(), req);
+  for (NodeId m : info.members) evil.send_to(m, maced(world, tags::kClient, evil.id(), m, frame));
+  world.run_for(5 * kSecond);
+
+  for (GroupId gid : sys.group_ids()) {
+    for (std::size_t i = 0; i < sys.group_size(gid); ++i) {
+      EXPECT_FALSE(has_key(sys.exec(gid, i).app(), "kind7")) << gid << "/" << i;
+      EXPECT_EQ(sys.exec(gid, i).executed_seq(), 0u);
+    }
+  }
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  EXPECT_TRUE(drive::blocking_write(world, *client, "good", "v").ok);
+}
+
+TEST(ClientRequestKind, BftNeverExecutesUndefinedKind) {
+  World world(5);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  ClientRequest req{static_cast<OpKind>(7), evil.id(), 1,
+                    kv_put("kind7", to_bytes(std::string("v")))};
+  const Bytes frame = signed_frame(world, evil.id(), req);
+  for (NodeId m : sys.replica_ids()) {
+    evil.send_to(m, maced(world, tags::kClient, evil.id(), m, frame));
+  }
+  world.run_for(5 * kSecond);
+
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    EXPECT_FALSE(has_key(sys.replica(i).app(), "kind7")) << i;
+    EXPECT_EQ(sys.replica(i).executed_seq(), 0u);
+  }
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  EXPECT_TRUE(drive::blocking_write(world, *client, "good", "v").ok);
+}
+
+// ------------------------------------------------------- hostile frames
+
+TEST(ClientPortHostile, SpiderReplicasDropEveryHostileFrame) {
+  World world(9);
+  SpiderSystem sys(world, small_topology());
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
+  world.run_for(kSecond);
+
+  struct State {
+    SeqNr seq;
+    Bytes app;
+  };
+  std::vector<State> exec_before;
+  for (GroupId g : sys.group_ids()) {
+    for (std::size_t i = 0; i < sys.group_size(g); ++i) {
+      exec_before.push_back({sys.exec(g, i).executed_seq(), sys.exec(g, i).app().snapshot()});
+    }
+  }
+  std::vector<SeqNr> ordered_before;
+  for (std::size_t i = 0; i < sys.agreement_size(); ++i) {
+    ordered_before.push_back(sys.agreement(i).ordered_seq());
+  }
+
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  for (NodeId n : sys.replica_ids()) send_hostile_frames(world, evil, n, client->id());
+  world.run_for(3 * kSecond);
+
+  std::size_t k = 0;
+  for (GroupId g : sys.group_ids()) {
+    for (std::size_t i = 0; i < sys.group_size(g); ++i, ++k) {
+      EXPECT_EQ(sys.exec(g, i).executed_seq(), exec_before[k].seq) << g << "/" << i;
+      EXPECT_EQ(sys.exec(g, i).app().snapshot(), exec_before[k].app) << g << "/" << i;
+      EXPECT_FALSE(has_key(sys.exec(g, i).app(), "forged"));
+    }
+  }
+  for (std::size_t i = 0; i < sys.agreement_size(); ++i) {
+    EXPECT_EQ(sys.agreement(i).ordered_seq(), ordered_before[i]) << i;
+  }
+
+  const drive::KvOutcome after = drive::blocking_write(world, *client, "after", "w");
+  EXPECT_TRUE(after.ok);
+  EXPECT_EQ(to_string(drive::blocking_weak_read(world, *client, "after").value), "w");
+}
+
+TEST(ClientPortHostile, BftReplicasDropEveryHostileFrame) {
+  World world(9);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
+  world.run_for(kSecond);
+
+  std::vector<SeqNr> seq_before;
+  std::vector<Bytes> app_before;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    seq_before.push_back(sys.replica(i).executed_seq());
+    app_before.push_back(sys.replica(i).app().snapshot());
+  }
+
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  for (NodeId n : sys.replica_ids()) send_hostile_frames(world, evil, n, client->id());
+  world.run_for(3 * kSecond);
+
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    EXPECT_EQ(sys.replica(i).executed_seq(), seq_before[i]) << i;
+    EXPECT_EQ(sys.replica(i).app().snapshot(), app_before[i]) << i;
+  }
+  EXPECT_TRUE(drive::blocking_write(world, *client, "after", "w").ok);
+}
+
+TEST(ClientPortHostile, HftReplicasDropEveryHostileFrame) {
+  World world(9);
+  HftSystem sys(world, HftConfig{});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
+  world.run_for(kSecond);
+
+  std::vector<SeqNr> seq_before;
+  std::vector<Bytes> app_before;
+  std::vector<HftReplica*> all;
+  for (std::uint32_t s = 0; s < sys.site_count(); ++s) {
+    for (std::uint32_t i = 0; i < sys.site_info(s).members.size(); ++i) {
+      all.push_back(&sys.replica(s, i));
+      seq_before.push_back(all.back()->executed_seq());
+      app_before.push_back(all.back()->app().snapshot());
+    }
+  }
+
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  for (HftReplica* r : all) send_hostile_frames(world, evil, r->id(), client->id());
+  world.run_for(3 * kSecond);
+
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i]->executed_seq(), seq_before[i]) << i;
+    EXPECT_EQ(all[i]->app().snapshot(), app_before[i]) << i;
+  }
+  EXPECT_TRUE(drive::blocking_write(world, *client, "after", "w").ok);
+}
+
+TEST(ClientPortHostile, SpiderClientDropsEveryHostileFrame) {
+  World world(9);
+  SpiderSystem sys(world, small_topology());
+  // The hostile sender is listed as a member of the client's group, so its
+  // MAC'd frames get past the membership check and reach the decoder; fe+1
+  // correct replicas still form the reply quorum.
+  ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
+  ClientGroupInfo info = sys.group_info(sys.nearest_group(Region::Virginia));
+  info.members.push_back(evil.id());
+  SpiderClient client(world, Site{Region::Virginia, 0}, info, kSecond);
+  ASSERT_TRUE(drive::blocking_write(world, client, "before", "v").ok);
+
+  send_hostile_frames(world, evil, client.id(), client.id());
+  // A well-formed MAC'd reply for a counter the client never used.
+  ReplyMsg stray{99, to_bytes(std::string("stray")), false};
+  evil.send_to(client.id(), maced(world, tags::kClient, evil.id(), client.id(), stray.encode()));
+  world.run_for(kSecond);
+
+  const drive::KvOutcome after = drive::blocking_write(world, client, "after", "w");
+  EXPECT_TRUE(after.ok);
+  EXPECT_EQ(to_string(drive::blocking_weak_read(world, client, "after").value), "w");
+}
+
+}  // namespace
+}  // namespace spider

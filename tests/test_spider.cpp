@@ -173,7 +173,7 @@ TEST(Spider, VirginiaWritesFarFasterThanTokyo) {
 TEST(Spider, ByzantineReplicaRepliesOutvoted) {
   Fixture f;
   GroupId g = f.sys.nearest_group(Region::Oregon);
-  f.sys.exec(g, 0).corrupt_replies = true;  // 1 of 3 corrupts results
+  f.sys.exec(g, 0).apply_byzantine({.corrupt_replies = true});  // 1 of 3 corrupts results
   auto client = f.sys.make_client(Site{Region::Oregon, 0});
   auto [reply, lat] = f.do_write(*client, "k", "v");
   EXPECT_TRUE(reply.ok);  // fe+1 = 2 correct replies outvote the corruption
