@@ -34,8 +34,7 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
   // A-Validity: only order authenticated client requests.
   pbft_->validate = [this](BytesView wire) {
     try {
-      Reader r(wire);
-      ClientFrame frame = ClientFrame::decode(r);
+      auto frame = codec::decode<ClientFrame>(wire);
       if (frame.req.kind == OpKind::WeakRead) return false;
       return verify_client_signature(*this, frame);
     } catch (const SerdeError&) {
@@ -124,8 +123,7 @@ void BftReplica::drain_stash() {
 void BftReplica::execute_one(const Bytes& request) {
   if (request.empty()) return;  // null request from a view change
   try {
-    Reader r(request);
-    ClientFrame frame = ClientFrame::decode(r);
+    auto frame = codec::decode<ClientFrame>(request);
     const ClientRequest& req = frame.req;
     std::uint64_t& last = t_[req.client];
     ReplyCacheEntry& e = replies_[req.client];
@@ -185,8 +183,7 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       // down; nothing will ever deliver them here again).
       pbft_->drop_pending_if([this](BytesView wire) {
         try {
-          Reader fr(wire);
-          ClientFrame frame = ClientFrame::decode(fr);
+          auto frame = codec::decode<ClientFrame>(wire);
           auto it = t_.find(frame.req.client);
           return it != t_.end() && frame.req.counter <= it->second;
         } catch (const SerdeError&) {

@@ -167,8 +167,7 @@ void HftReplica::handle_sign_req(NodeId from, Reader& r) {
   // For updates, replicas independently validate the client request so a
   // Byzantine representative cannot certify forged requests.
   if (static_cast<Kind>(statement[0]) == Kind::Update && !payload.empty()) {
-    Reader fr(payload);
-    if (!verify_client_signature(*this, ClientFrame::decode(fr))) return;
+    if (!verify_client_signature(*this, codec::decode<ClientFrame>(payload))) return;
   }
 
   charge_sign();
@@ -330,8 +329,7 @@ void HftReplica::handle_commit(NodeId from, Reader& r) {
     if (it == commit_buffer_.end()) return;
     executed_ = it->first;
     try {
-      Reader fr(it->second.first);
-      ClientFrame cf = ClientFrame::decode(fr);
+      auto cf = codec::decode<ClientFrame>(it->second.first);
       const ClientRequest& req = cf.req;
       auto& cached = replies_[req.client];
       if (req.counter > cached.first) {

@@ -5,6 +5,14 @@
 //   - byte strings / nested buffers are length-prefixed with u32
 //   - containers are length-prefixed with u32
 //
+// Wire messages do not call Writer and Reader by hand: each lists its fields
+// once, and common/codec.hpp derives encode, decode and size from that list.
+// Decoding is canonical: a buffer is accepted only if encoding what was
+// decoded gives back the same bytes, so every message has exactly one
+// encoding. IRMC counts fs+1 senders of identical bytes and PBFT orders
+// requests by digest, so a second encoding of one message would count as a
+// different message.
+//
 // `Reader` performs strict bounds checking and throws `SerdeError` on any
 // malformed input, so Byzantine (garbage) messages are rejected at the
 // decoding boundary instead of corrupting protocol state.

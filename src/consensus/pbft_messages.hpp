@@ -1,13 +1,14 @@
 // PBFT wire messages (Castro & Liskov, OSDI '99) with weighted-voting
 // support. Normal-case messages are HMAC-authenticated; view-change and
-// new-view messages carry signatures, as in the original protocol.
+// new-view messages carry signatures, as in the original protocol. Each
+// lists its fields once (common/codec.hpp); the MsgType byte goes in front.
 #pragma once
 
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/ids.hpp"
-#include "common/serde.hpp"
 #include "crypto/sha256.hpp"
 
 namespace spider::pbft {
@@ -29,19 +30,16 @@ struct PrePrepareMsg {
   ViewNr view = 0;
   SeqNr seq = 0;
   std::vector<Bytes> requests;
-
-  Bytes encode() const;
-  static PrePrepareMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.view, m.seq, m.requests); }
 };
 
+/// Prepare and Commit: one body, only the type byte differs.
 struct PrepareMsg {
   ViewNr view = 0;
   SeqNr seq = 0;
   Sha256Digest digest{};
   std::uint32_t replica = 0;  // sender index
-
-  Bytes encode(bool commit_phase) const;  // also encodes CommitMsg
-  static PrepareMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.view, m.seq, m.digest, m.replica); }
 };
 using CommitMsg = PrepareMsg;
 
@@ -57,9 +55,7 @@ struct PreparedProof {
   [[nodiscard]] SeqNr covers() const {
     return requests.empty() ? 1 : static_cast<SeqNr>(requests.size());
   }
-
-  void encode_into(Writer& w) const;
-  static PreparedProof decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.seq, m.view, m.requests); }
 };
 
 struct ViewChangeMsg {
@@ -67,9 +63,9 @@ struct ViewChangeMsg {
   SeqNr stable_floor = 0;  // highest gc'd sequence number (watermark anchor)
   std::uint32_t replica = 0;
   std::vector<PreparedProof> prepared;
-
-  Bytes encode() const;
-  static ViewChangeMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.new_view, m.stable_floor, m.replica, m.prepared);
+  }
 };
 
 struct NewViewMsg {
@@ -79,9 +75,9 @@ struct NewViewMsg {
   /// Pre-prepares the new primary issues for in-flight instances; empty
   /// request = null request (no-op).
   std::vector<PreparedProof> proposals;
-
-  Bytes encode() const;
-  static NewViewMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.new_view, m.stable_floor, m.replica, m.proposals);
+  }
 };
 
 /// Digest binding a request to nothing else (PBFT digests requests only;

@@ -94,14 +94,17 @@ void PbftReplica::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body = host().verified_body(from, tag(), all, signed_msg);
   if (!body) return;
 
-  Reader br(*body);
-  br.u8();  // type, already inspected
+  const BytesView fields = body->subspan(1);  // after the type, already inspected
   switch (type) {
-    case MsgType::PrePrepare: handle_preprepare(*idx, pbft::PrePrepareMsg::decode(br)); break;
-    case MsgType::Prepare: handle_prepare(*idx, pbft::PrepareMsg::decode(br)); break;
-    case MsgType::Commit: handle_commit(*idx, pbft::CommitMsg::decode(br)); break;
-    case MsgType::ViewChange: handle_viewchange(*idx, pbft::ViewChangeMsg::decode(br)); break;
-    case MsgType::NewView: handle_newview(*idx, pbft::NewViewMsg::decode(br)); break;
+    case MsgType::PrePrepare:
+      handle_preprepare(*idx, codec::decode<pbft::PrePrepareMsg>(fields));
+      break;
+    case MsgType::Prepare: handle_prepare(*idx, codec::decode<pbft::PrepareMsg>(fields)); break;
+    case MsgType::Commit: handle_commit(*idx, codec::decode<pbft::CommitMsg>(fields)); break;
+    case MsgType::ViewChange:
+      handle_viewchange(*idx, codec::decode<pbft::ViewChangeMsg>(fields));
+      break;
+    case MsgType::NewView: handle_newview(*idx, codec::decode<pbft::NewViewMsg>(fields)); break;
     default: break;
   }
 }
@@ -237,15 +240,15 @@ void PbftReplica::propose(std::vector<Bytes> batch) {
       alt.clear();
     }
     pbft::PrePrepareMsg alt_m{view_, s, std::move(alt)};
-    const Bytes real_enc = m.encode();
-    const Bytes alt_enc = alt_m.encode();
+    const Bytes real_enc = codec::encode(MsgType::PrePrepare, m);
+    const Bytes alt_enc = codec::encode(MsgType::PrePrepare, alt_m);
     std::uint32_t others_seen = 0;
     for (std::uint32_t i = 0; i < cfg_.n(); ++i) {
       if (i == cfg_.my_index) continue;
       send_authed(i, others_seen++ < (cfg_.n() - 1) / 2 ? real_enc : alt_enc);
     }
   } else {
-    broadcast(m.encode(), /*sign=*/false);
+    broadcast(codec::encode(MsgType::PrePrepare, m), /*sign=*/false);
   }
   maybe_send_commit(s, e);
 }
@@ -356,7 +359,7 @@ void PbftReplica::handle_preprepare(std::uint32_t from_idx, pbft::PrePrepareMsg 
     e.prepare_sent = true;
     e.prepares.insert(cfg_.my_index);
     pbft::PrepareMsg p{view_, m.seq, e.digest, cfg_.my_index};
-    broadcast(p.encode(false), /*sign=*/false);
+    broadcast(codec::encode(MsgType::Prepare, p), /*sign=*/false);
   }
   maybe_send_commit(m.seq, e);
   try_deliver();
@@ -380,7 +383,7 @@ void PbftReplica::maybe_send_commit(SeqNr s, Entry& e) {
     t->instant(host().now(), host().id(), "consensus", "prepared", "seq", s);
   }
   pbft::CommitMsg c{view_, s, e.digest, cfg_.my_index};
-  broadcast(c.encode(true), /*sign=*/false);
+  broadcast(codec::encode(MsgType::Commit, c), /*sign=*/false);
   if (e.has_preprepare && weight(e.commits) >= cfg_.quorum()) {
     e.committed = true;
     if (auto* t = host().tracer()) {
@@ -525,7 +528,7 @@ void PbftReplica::start_view_change(ViewNr target) {
     }
   }
   vcs_[target][cfg_.my_index] = vc;
-  broadcast(vc.encode(), /*sign=*/true);
+  broadcast(codec::encode(MsgType::ViewChange, vc), /*sign=*/true);
   maybe_complete_view_change(target);
 }
 
@@ -618,7 +621,7 @@ void PbftReplica::maybe_complete_view_change(ViewNr target) {
     s = cut + 1;
   }
 
-  broadcast(nv.encode(), /*sign=*/true);
+  broadcast(codec::encode(MsgType::NewView, nv), /*sign=*/true);
   enter_view(target, max_floor, nv.proposals);
 }
 
@@ -669,7 +672,7 @@ void PbftReplica::enter_view(ViewNr v, SeqNr floor_hint, const std::vector<pbft:
       e.prepare_sent = true;
       e.prepares.insert(cfg_.my_index);
       pbft::PrepareMsg pm{v, p.seq, e.digest, cfg_.my_index};
-      broadcast(pm.encode(false), /*sign=*/false);
+      broadcast(codec::encode(MsgType::Prepare, pm), /*sign=*/false);
     }
     maybe_send_commit(p.seq, e);
   }

@@ -88,7 +88,7 @@ void IrmcSenderEndpoint::move_and_send(Subchannel sc, Position p, Bytes m, SendC
 }
 
 void IrmcSenderEndpoint::send_move(Subchannel sc, Position p) {
-  send_maced(cfg_.receivers, irmc::MoveMsg{sc, p}.encode());
+  send_maced(cfg_.receivers, codec::encode(irmc::MsgType::Move, irmc::MoveMsg{sc, p}));
 }
 
 void IrmcSenderEndpoint::on_announce_timer() {
@@ -188,7 +188,7 @@ void IrmcReceiverEndpoint::internal_move(Window& w, Position p) {
   }
 
   // Tell the senders.
-  send_maced(cfg_.senders, irmc::MoveMsg{w.sc, p}.encode());
+  send_maced(cfg_.senders, codec::encode(irmc::MsgType::Move, irmc::MoveMsg{w.sc, p}));
 }
 
 void IrmcReceiverEndpoint::deliver(Window& w, Position p, Payload m) {

@@ -1,11 +1,12 @@
-// IRMC wire messages (paper Appendix A.8 / A.9).
+// IRMC wire messages (paper Appendix A.8 / A.9). Each lists its fields once
+// (common/codec.hpp); the MsgType byte goes in front of them.
 #pragma once
 
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/ids.hpp"
-#include "common/serde.hpp"
 #include "crypto/sha256.hpp"
 
 namespace spider::irmc {
@@ -28,97 +29,79 @@ enum class MsgType : std::uint8_t {
 /// a subchannel twice, e.g. to ask for the same replays again.
 using PositionList = std::vector<std::pair<Subchannel, Position>>;
 
-struct SendMsg {
+inline void check_ascending(const PositionList& list) {
+  for (std::size_t i = 1; i < list.size(); ++i) {
+    if (list[i].first <= list[i - 1].first) throw SerdeError("subchannels out of order");
+  }
+}
+
+/// Send and SendMove (a Send whose sender also moves its window on sc to
+/// p): one body, only the type byte differs. SendMsgView decodes zero-copy:
+/// `payload` stays a view into the wire buffer (valid only while the buffer
+/// lives — capture() it to retain).
+template <class B>
+struct BasicSendMsg {
   Subchannel sc = 0;
   Position p = 0;
-  Bytes payload;
-  /// Encode as a SendMove: same body, only the type byte differs.
-  bool move = false;
-
-  Bytes encode() const;
-  static SendMsg decode(Reader& r);
+  B payload;
+  static auto fields(auto& m, auto&& f) { return f(m.sc, m.p, m.payload); }
 };
-
-/// Zero-copy decode of a SendMsg: `payload` stays a view into the wire
-/// buffer (valid only while the buffer lives — capture() it to retain).
-struct SendMsgView {
-  Subchannel sc = 0;
-  Position p = 0;
-  BytesView payload;
-
-  static SendMsgView decode(Reader& r);
-};
+using SendMsg = BasicSendMsg<Bytes>;
+using SendMsgView = BasicSendMsg<BytesView>;
 
 struct MoveMsg {
   Subchannel sc = 0;
   Position p = 0;
-
-  Bytes encode() const;
-  static MoveMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.sc, m.p); }
 };
 
 /// RC: one frame per nack tick and sender, listing the first missing
 /// position of every stalled subchannel.
 struct NackMsg {
   PositionList stalled;
-
-  Bytes encode() const;
-  static NackMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.stalled); }
+  void validate() const { check_ascending(stalled); }
 };
 
 /// RC: a sender's answer to a Nack, one window statement per nacked
 /// subchannel (same order); the receiver applies each like a single Move.
 struct WindowsMsg {
   PositionList windows;
-
-  Bytes encode() const;
-  static WindowsMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.windows); }
+  void validate() const { check_ascending(windows); }
 };
 
 struct SigShareMsg {
   Subchannel sc = 0;
   Position p = 0;
   Sha256Digest digest{};
-
-  Bytes encode() const;
-  static SigShareMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.sc, m.p, m.digest); }
 };
 
-struct CertificateMsg {
-  Subchannel sc = 0;
-  Position p = 0;
-  Bytes payload;
-  /// fs+1 (sender index, signature over that sender's SigShare bytes).
-  std::vector<std::pair<std::uint32_t, Bytes>> shares;
-
-  Bytes encode() const;
-  static CertificateMsg decode(Reader& r);
-};
-
-/// Zero-copy decode of a CertificateMsg: payload and share signatures stay
+/// fs+1 (sender index, signature over that sender's SigShare bytes).
+/// CertificateMsgView decodes zero-copy: payload and share signatures stay
 /// views into the wire buffer.
-struct CertificateMsgView {
+template <class B>
+struct BasicCertificateMsg {
   Subchannel sc = 0;
   Position p = 0;
-  BytesView payload;
-  std::vector<std::pair<std::uint32_t, BytesView>> shares;
-
-  static CertificateMsgView decode(Reader& r);
+  B payload;
+  std::vector<std::pair<std::uint32_t, B>> shares;
+  static auto fields(auto& m, auto&& f) { return f(m.sc, m.p, m.payload, m.shares); }
 };
+using CertificateMsg = BasicCertificateMsg<Bytes>;
+using CertificateMsgView = BasicCertificateMsg<BytesView>;
 
 struct ProgressMsg {
   PositionList progress;
-
-  Bytes encode() const;
-  static ProgressMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.progress); }
+  void validate() const { check_ascending(progress); }
 };
 
 struct SelectMsg {
   Subchannel sc = 0;
   std::uint32_t collector = 0;  // sender index chosen as collector
-
-  Bytes encode() const;
-  static SelectMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.sc, m.collector); }
 };
 
 }  // namespace spider::irmc

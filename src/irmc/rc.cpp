@@ -15,7 +15,8 @@ void RcSender::transmit(Subchannel sc, Position p, Bytes m, bool move) {
   if (auto* t = host().tracer()) {
     t->instant(host().now(), host().id(), "irmc", "rc-send", "sc", sc, "pos", p);
   }
-  Bytes body = irmc::SendMsg{sc, p, std::move(m), move}.encode();
+  Bytes body =
+      codec::encode(move ? MsgType::SendMove : MsgType::Send, irmc::SendMsgView{sc, p, m});
   // One signature, shared by all receivers (paper A.8).
   host().charge_sign();
   host().charge_hash(body.size());
@@ -42,12 +43,11 @@ void RcSender::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/false);
   if (!body) return;
 
-  Reader br(*body);
-  br.u8();
+  const BytesView fields = body->subspan(1);
   if (type == MsgType::Nack) {
-    answer_nack(from, irmc::NackMsg::decode(br).stalled);
+    answer_nack(from, codec::decode<irmc::NackMsg>(fields).stalled);
   } else {
-    irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
+    auto mv = codec::decode<irmc::MoveMsg>(fields);
     on_receiver_move(*idx, mv.sc, mv.p);
   }
 }
@@ -77,7 +77,7 @@ void RcSender::answer_nack(NodeId to, const irmc::PositionList& stalled) {
     answer.windows.emplace_back(
         sc, w == windows_.end() ? 1 : std::max(w->second.start, w->second.own_move));
   }
-  send_maced({to}, answer.encode());
+  send_maced({to}, codec::encode(MsgType::Windows, answer));
 
   for (const auto& [sc, p] : stalled) {
     auto sit = sent_.find(sc);
@@ -131,7 +131,7 @@ void RcReceiver::on_nack_timer() {
   stalled_ = std::move(stalled_now);
   if (!nack.stalled.empty()) {
     // One frame per sender covers every stalled subchannel.
-    send_maced(cfg_.senders, nack.encode());
+    send_maced(cfg_.senders, codec::encode(MsgType::Nack, nack));
     nack_frames_.inc(cfg_.ns());
     nack_entries_.inc(std::uint64_t{cfg_.ns()} * nack.stalled.size());
   }
@@ -173,13 +173,12 @@ void RcReceiver::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/false);
   if (!body) return;
 
-  Reader br(*body);
-  br.u8();
+  const BytesView fields = body->subspan(1);
   if (type == MsgType::Move) {
-    irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
+    auto mv = codec::decode<irmc::MoveMsg>(fields);
     apply_move(from, *idx, note_subchannel(mv.sc), mv.p);
   } else {
-    for (const auto& [sc, p] : irmc::WindowsMsg::decode(br).windows) {
+    for (const auto& [sc, p] : codec::decode<irmc::WindowsMsg>(fields).windows) {
       apply_move(from, *idx, note_subchannel(sc), p);
     }
   }
@@ -191,9 +190,7 @@ void RcReceiver::on_send(NodeId from, std::uint32_t idx, BytesView frame, bool m
   // statement that could.
   std::size_t sig_len = crypto().signature_size();
   if (frame.size() <= sig_len) return;
-  Reader br(frame.first(frame.size() - sig_len));
-  br.u8();
-  irmc::SendMsgView msg = irmc::SendMsgView::decode(br);
+  auto msg = codec::decode<irmc::SendMsgView>(frame.subspan(1, frame.size() - sig_len - 1));
   const bool counts = vote_counts(idx, msg.sc, msg.p);
   if (!counts && !(moves && move_counts(idx, msg.sc, msg.p))) {
     votes_unverified_.inc();
@@ -230,7 +227,7 @@ void RcReceiver::apply_move(NodeId from, std::uint32_t idx, Window& w, Position 
     // on window state (e.g. a crash-recovered sender endpoint that lost
     // its view of the channel). Grant it our current window start so it
     // can flush sends queued behind the stale window.
-    send_maced({from}, irmc::MoveMsg{w.sc, w.start}.encode());
+    send_maced({from}, codec::encode(MsgType::Move, irmc::MoveMsg{w.sc, w.start}));
   }
   on_sender_move(w, idx, p);
 }

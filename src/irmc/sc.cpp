@@ -29,7 +29,7 @@ void ScSender::transmit(Subchannel sc, Position p, Bytes m, bool move) {
   Payload payload(std::move(m));
   host().charge_hash(payload.size());
   irmc::SigShareMsg share{sc, p, payload.digest()};
-  Bytes body = share.encode();
+  Bytes body = codec::encode(MsgType::SigShare, share);
   host().charge_sign();
   Bytes sig = crypto().sign(self(), auth_bytes(body));
 
@@ -58,15 +58,16 @@ void ScSender::try_certificate(Subchannel sc, Position p, const Collect& c, Slot
   if (!slot.certificate.empty() || !slot.payload) return;
   // Memoized: transmit() already hashed this payload.
   const std::uint64_t want = digest_prefix(slot.payload->digest());
-  std::vector<std::pair<std::uint32_t, Bytes>> matching;
+  std::vector<std::pair<std::uint32_t, BytesView>> matching;
   for (const auto& [idx, entry] : slot.shares) {
     if (entry.first == want) matching.emplace_back(idx, entry.second);
     if (matching.size() == cfg_.fs + 1) break;
   }
   if (matching.size() < cfg_.fs + 1) return;
 
-  irmc::CertificateMsg cert{sc, p, slot.payload->to_bytes(), std::move(matching)};
-  Bytes body = cert.encode();
+  Bytes body = codec::encode(
+      MsgType::Certificate,
+      irmc::CertificateMsgView{sc, p, slot.payload->view(), std::move(matching)});
   // The collector signs the certificate (paper Fig. 19, L. 23 signs; we
   // follow the paper text: "sends it in a signed Certificate message").
   host().charge_sign();
@@ -92,7 +93,7 @@ void ScSender::on_progress_timer() {
     }
     if (next > lo) pm.progress.emplace_back(sc, next - 1);
   }
-  if (!pm.progress.empty()) send_maced(cfg_.receivers, pm.encode());
+  if (!pm.progress.empty()) send_maced(cfg_.receivers, codec::encode(MsgType::Progress, pm));
 }
 
 void ScSender::on_message(NodeId from, Reader& r) {
@@ -107,13 +108,12 @@ void ScSender::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/share);
   if (!body) return;
 
-  Reader br(*body);
-  br.u8();
+  const BytesView fields = body->subspan(1);
   if (type == MsgType::Move) {
-    irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
+    auto mv = codec::decode<irmc::MoveMsg>(fields);
     on_receiver_move(*idx, mv.sc, mv.p);
   } else if (share) {
-    irmc::SigShareMsg s = irmc::SigShareMsg::decode(br);
+    auto s = codec::decode<irmc::SigShareMsg>(fields);
     Position lo = window_start(s.sc);
     if (s.p < lo || s.p > lo + 2 * cfg_.capacity - 1) return;
     Collect& c = collect(s.sc);
@@ -123,7 +123,7 @@ void ScSender::on_message(NodeId from, Reader& r) {
     entry->second = {digest_prefix(s.digest), to_bytes(frame.subspan(body->size()))};
     try_certificate(s.sc, s.p, c, slot);
   } else {
-    irmc::SelectMsg sel = irmc::SelectMsg::decode(br);
+    auto sel = codec::decode<irmc::SelectMsg>(fields);
     Collect& c = collect(sel.sc);
     c.collector[*idx] = sel.collector;
     if (sel.collector != my_index_) return;
@@ -171,7 +171,7 @@ void ScReceiver::on_gap_timer(Subchannel sc) {
   // Collector failed to provide certificates other senders claim to have:
   // switch to the next sender (paper Fig. 20, L. 30-35).
   g.collector = (g.collector + 1) % cfg_.ns();
-  send_maced(cfg_.senders, irmc::SelectMsg{sc, g.collector}.encode());
+  send_maced(cfg_.senders, codec::encode(MsgType::Select, irmc::SelectMsg{sc, g.collector}));
   arm_gap_timer(sc, g);
 }
 
@@ -187,16 +187,15 @@ void ScReceiver::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/cert);
   if (!body) return;
 
-  Reader br(*body);
-  br.u8();
+  const BytesView fields = body->subspan(1);
   if (cert) {
-    irmc::CertificateMsgView c = irmc::CertificateMsgView::decode(br);
+    auto c = codec::decode<irmc::CertificateMsgView>(fields);
     on_certificate(note_subchannel(c.sc), c);
   } else if (type == MsgType::Move) {
-    irmc::MoveMsg mv = irmc::MoveMsg::decode(br);
+    auto mv = codec::decode<irmc::MoveMsg>(fields);
     on_sender_move(note_subchannel(mv.sc), *idx, mv.p);
   } else {
-    for (const auto& [sc, p] : irmc::ProgressMsg::decode(br).progress) {
+    for (const auto& [sc, p] : codec::decode<irmc::ProgressMsg>(fields).progress) {
       Gap& g = gap(sc);
       g.progress[*idx] = std::max(g.progress[*idx], p);
       g.merged = irmc::kth_highest(g.progress, cfg_.fs);
@@ -214,7 +213,7 @@ void ScReceiver::on_certificate(Window& w, const irmc::CertificateMsgView& cert)
   if (cert.shares.size() != cfg_.fs + 1) return;
   host().charge_hash(cert.payload.size());
   irmc::SigShareMsg expect{cert.sc, cert.p, host().hash_cached(cert.payload)};
-  Bytes share_auth = auth_bytes(expect.encode());
+  Bytes share_auth = auth_bytes(codec::encode(MsgType::SigShare, expect));
   std::set<std::uint32_t> seen;
   for (const auto& [sidx, ssig] : cert.shares) {
     if (sidx >= cfg_.ns() || !seen.insert(sidx).second) return;

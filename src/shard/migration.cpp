@@ -2,38 +2,10 @@
 
 namespace spider {
 
-Bytes MigrateOutCmd::encode() const {
-  Writer w;
-  w.u8(kSysOpMigrateOut);
-  delta.encode_into(w);
-  return std::move(w).take();
-}
-
-MigrateOutCmd MigrateOutCmd::decode(Reader& r) {
-  MigrateOutCmd cmd;
-  cmd.delta = ShardMapDelta::decode(r);
-  return cmd;
-}
-
-Bytes MigrateInCmd::encode() const {
-  Writer w;
-  w.u8(kSysOpMigrateIn);
-  delta.encode_into(w);
-  w.bytes(state);
-  return std::move(w).take();
-}
-
-MigrateInCmd MigrateInCmd::decode(Reader& r) {
-  MigrateInCmd cmd;
-  cmd.delta = ShardMapDelta::decode(r);
-  cmd.state = r.bytes();
-  return cmd;
-}
-
 Bytes make_wrong_shard_reply(const ShardMap& map) {
   Writer w;
   w.u8(kWrongShardStatus);
-  w.bytes(map.encode());
+  w.bytes(codec::encode(map));
   return std::move(w).take();
 }
 
@@ -41,12 +13,9 @@ std::optional<ShardMap> try_decode_wrong_shard(BytesView reply) {
   try {
     Reader r(reply);
     if (r.u8() != kWrongShardStatus) return std::nullopt;
-    Bytes table = r.bytes();
+    BytesView table = r.bytes_view();
     r.expect_done();
-    Reader tr(table);
-    ShardMap map = ShardMap::decode(tr);
-    tr.expect_done();
-    return map;
+    return codec::decode<ShardMap>(table);
   } catch (const SerdeError&) {
     return std::nullopt;
   }

@@ -33,9 +33,7 @@ inline bool is_sys_op(BytesView op) { return !op.empty() && op[0] >= kSysOpBase;
 /// matching replies certify the transferred bytes).
 struct MigrateOutCmd {
   ShardMapDelta delta;
-
-  Bytes encode() const;
-  static MigrateOutCmd decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.delta); }
 };
 
 /// <MigrateIn, delta, state>: ordered at the gaining shard. Replicas apply
@@ -43,9 +41,7 @@ struct MigrateOutCmd {
 struct MigrateInCmd {
   ShardMapDelta delta;
   Bytes state;
-
-  Bytes encode() const;
-  static MigrateInCmd decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.delta, m.state); }
 };
 
 // ---- replies -------------------------------------------------------------

@@ -65,62 +65,24 @@ void ShardMap::set_ranges(std::vector<ShardRange> ranges, std::uint64_t version)
   version_ = version;
 }
 
-Bytes ShardMap::encode() const {
-  Writer w;
-  w.u64(version_);
-  w.u32(shards_);
-  w.u32(static_cast<std::uint32_t>(ranges_.size()));
-  for (const ShardRange& r : ranges_) {
-    w.u64(r.start);
-    w.u32(r.shard);
-  }
-  return std::move(w).take();
-}
-
-ShardMap ShardMap::decode(Reader& r) {
-  ShardMap m;
-  m.version_ = r.u64();
-  m.shards_ = r.u32();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ShardRange range;
-    range.start = r.u64();
-    range.shard = r.u32();
-    m.ranges_.push_back(range);
-  }
+void ShardMap::validate() const {
   // The table came off the wire: invariant violations are wire corruption
   // (or a Byzantine sender), not programming errors, and must surface as
   // SerdeError so the message-boundary catch drops the frame instead of
   // letting std::invalid_argument escape and kill the node.
-  if (m.shards_ == 0) throw SerdeError("ShardMap: shards must be >= 1");
+  if (shards_ == 0) throw SerdeError("ShardMap: shards must be >= 1");
   try {
-    check(m.ranges_, m.shards_);
+    check(ranges_, shards_);
   } catch (const std::invalid_argument& e) {
     throw SerdeError(e.what());
   }
-  return m;
 }
 
-void ShardMapDelta::encode_into(Writer& w) const {
-  w.u64(base_version);
-  w.u64(new_version);
-  w.u64(lo);
-  w.u64(hi);
-  w.u32(to_shard);
-}
-
-ShardMapDelta ShardMapDelta::decode(Reader& r) {
-  ShardMapDelta d;
-  d.base_version = r.u64();
-  d.new_version = r.u64();
-  d.lo = r.u64();
-  d.hi = r.u64();
-  d.to_shard = r.u32();
-  if (d.new_version <= d.base_version) {
+void ShardMapDelta::validate() const {
+  if (new_version <= base_version) {
     throw SerdeError("ShardMapDelta: new version must be newer than base");
   }
-  if (d.hi != 0 && d.lo >= d.hi) throw SerdeError("ShardMapDelta: empty range");
-  return d;
+  if (hi != 0 && lo >= hi) throw SerdeError("ShardMapDelta: empty range");
 }
 
 ShardMap ShardMap::with_delta(const ShardMapDelta& delta) const {

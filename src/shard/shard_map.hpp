@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/serde.hpp"
+#include "common/codec.hpp"
 
 namespace spider {
 
@@ -20,6 +20,7 @@ namespace spider {
 struct ShardRange {
   std::uint64_t start = 0;   // inclusive lower bound of the hash range
   std::uint32_t shard = 0;   // owning shard index, < shard_count()
+  static auto fields(auto& m, auto&& f) { return f(m.start, m.shard); }
 };
 
 /// Shard index used when an operation cannot be attributed to one shard
@@ -37,8 +38,12 @@ struct ShardMapDelta {
   std::uint64_t hi = 0;           // exclusive upper bound; 0 = top of space
   std::uint32_t to_shard = 0;
 
-  void encode_into(Writer& w) const;
-  static ShardMapDelta decode(Reader& r);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.base_version, m.new_version, m.lo, m.hi, m.to_shard);
+  }
+  /// Throws SerdeError for a delta that can never apply: a new version not
+  /// newer than its base, or an empty range.
+  void validate() const;
 };
 
 class ShardMap {
@@ -76,16 +81,18 @@ class ShardMap {
   [[nodiscard]] bool sole_owner_of(std::uint64_t lo, std::uint64_t hi,
                                    std::uint32_t* owner) const;
 
-  Bytes encode() const;
-  /// Decodes and validates a wire table. Malformed tables — gaps, overlaps,
-  /// out-of-range shard ids, zero shard count — throw SerdeError like any
-  /// other wire-decode failure, so a Byzantine redirect cannot install a
-  /// broken table (it is caught and dropped at the message boundary).
-  static ShardMap decode(Reader& r);
-
+  // Wire form: codec::encode(map) / codec::decode<ShardMap>(bytes).
  private:
+  friend struct codec::Access;
   ShardMap() = default;
   static void check(const std::vector<ShardRange>& ranges, std::uint32_t shards);
+
+  static auto fields(auto& m, auto&& f) { return f(m.version_, m.shards_, m.ranges_); }
+  /// Malformed wire tables — gaps, overlaps, out-of-range shard ids, zero
+  /// shard count — throw SerdeError like any other wire-decode failure, so
+  /// a Byzantine redirect cannot install a broken table (it is caught and
+  /// dropped at the message boundary).
+  void validate() const;
 
   std::uint32_t shards_ = 0;
   std::uint64_t version_ = 0;

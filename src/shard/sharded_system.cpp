@@ -114,7 +114,7 @@ void ShardedSpiderSystem::migrate_range(std::uint64_t lo, std::uint64_t hi,
   // replica cuts the range and replies with its serialized state; the
   // admin client's fe+1 matching replies certify those bytes.
   cores_[from]->admin().write(
-      MigrateOutCmd{delta}.encode(),
+      codec::encode(kSysOpMigrateOut, MigrateOutCmd{delta}),
       [this, delta, to_shard, done = std::move(done)](Bytes reply, Duration) mutable {
         MigrateReply out = decode_migrate_reply(reply);
         if (!out.ok) {
@@ -126,7 +126,7 @@ void ShardedSpiderSystem::migrate_range(std::uint64_t lo, std::uint64_t hi,
         // Phase 2 — ordered MigrateIn at the gaining core: replicas absorb
         // the certified state and start serving the range.
         cores_[to_shard]->admin().write(
-            MigrateInCmd{delta, std::move(out.state)}.encode(),
+            codec::encode(kSysOpMigrateIn, MigrateInCmd{delta, std::move(out.state)}),
             [this, delta, cut_at, done = std::move(done)](Bytes reply2, Duration) {
               MigrateReply in = decode_migrate_reply(reply2);
               migrating_ = false;

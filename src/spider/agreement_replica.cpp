@@ -39,7 +39,9 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
   // Registry lookups (paper §3.1): any query gets the MAC'd snapshot.
   registry_port_ = std::make_unique<TagHandler>(
       *this, tags::kRegistry,
-      [this](NodeId from, Reader&) { registry_port_->send_maced({from}, registry_.encode()); });
+      [this](NodeId from, Reader&) {
+        registry_port_->send_maced({from}, codec::encode(registry_));
+      });
 
   registry_.version = 0;
   for (const RegistryEntry& g : cfg_.initial_groups) {
@@ -51,8 +53,7 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
 bool AgreementReplica::validate_request(BytesView wire) {
   // A-Validity: only correctly authenticated client requests are ordered.
   try {
-    Reader r(wire);
-    RequestMsg req = RequestMsg::decode(r);
+    auto req = codec::decode<RequestMsg>(wire);
     const ClientRequest& cr = req.frame.req;
     if (cr.kind == OpKind::WeakRead) return false;  // never ordered
     if (cr.kind == OpKind::Reconfig && cr.client != cfg_.admin) return false;
@@ -101,7 +102,7 @@ void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
     // come from an execution checkpoint of another group (paper §3.6).
     Channel& nc = channels_.at(g);
     for (const ExecuteBatchMsg& h : hist_) {
-      nc.commit_tx->send(0, h.first(), derive_for(g, h).encode(), {});
+      nc.commit_tx->send(0, h.first(), codec::encode(derive_for(g, h)), {});
     }
     nc.commit_tx->move_window(0, hist_.front().first());
   }
@@ -194,8 +195,7 @@ void AgreementReplica::handle_ordered(SeqNr first, const std::vector<Bytes>& bat
       x.kind = ExecuteKind::Noop;
     } else {
       try {
-        Reader r(request);
-        RequestMsg req = RequestMsg::decode(r);
+        auto req = codec::decode<RequestMsg>(request);
         const ClientRequest& cr = req.frame.req;
         x.origin = req.origin;
         x.client = cr.client;
@@ -206,9 +206,7 @@ void AgreementReplica::handle_ordered(SeqNr first, const std::vector<Bytes>& bat
           // Old/duplicate request: replace with a no-op (Fig. 17, L. 30).
           x.kind = ExecuteKind::Noop;
         } else if (cr.kind == OpKind::Reconfig) {
-          Reader cmd_r(cr.op);
-          ReconfigCmd cmd = ReconfigCmd::decode(cmd_r);
-          apply_reconfig(cmd);
+          apply_reconfig(codec::decode<ReconfigCmd>(cr.op));
           x.kind = ExecuteKind::Reconfig;
           x.op = cr.op;
           t_[cr.client] = cr.counter;
@@ -265,7 +263,7 @@ ExecuteBatchMsg AgreementReplica::derive_for(GroupId g, const ExecuteBatchMsg& c
 void AgreementReplica::dispatch_execute(const ExecuteBatchMsg& canonical, bool count_completions) {
   if (!count_completions) {
     for (auto& [g, ch] : channels_) {
-      ch.commit_tx->send(0, canonical.first(), derive_for(g, canonical).encode(), {});
+      ch.commit_tx->send(0, canonical.first(), codec::encode(derive_for(g, canonical)), {});
     }
     return;
   }
@@ -292,7 +290,7 @@ void AgreementReplica::dispatch_execute(const ExecuteBatchMsg& canonical, bool c
   };
   if (needed == 0) resume(false, 0);
   for (auto& [g, ch] : channels_) {
-    ch.commit_tx->send(0, canonical.first(), derive_for(g, canonical).encode(), resume);
+    ch.commit_tx->send(0, canonical.first(), codec::encode(derive_for(g, canonical)), resume);
   }
 }
 
@@ -330,8 +328,8 @@ Bytes AgreementReplica::snapshot_state() const {
     w.u64(tc);
   }
   w.u32(static_cast<std::uint32_t>(hist_.size()));
-  for (const ExecuteBatchMsg& h : hist_) w.bytes(h.encode());
-  w.bytes(registry_.encode());
+  for (const ExecuteBatchMsg& h : hist_) w.bytes(codec::encode(h));
+  w.bytes(codec::encode(registry_));
   return std::move(w).take();
 }
 
@@ -357,11 +355,9 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       std::uint32_t nh = r.u32();
       std::deque<ExecuteBatchMsg> hist2;
       for (std::uint32_t i = 0; i < nh; ++i) {
-        Reader er(r.bytes_view());
-        hist2.push_back(ExecuteBatchMsg::decode(er));
+        hist2.push_back(codec::decode<ExecuteBatchMsg>(r.bytes_view()));
       }
-      Reader rr(r.bytes_view());
-      RegistrySnapshot reg = RegistrySnapshot::decode(rr);
+      auto reg = codec::decode<RegistrySnapshot>(r.bytes_view());
 
       sn_ = s;
       t_ = std::move(t2);
@@ -374,8 +370,7 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       // off; it will not be delivered here again).
       pbft_->drop_pending_if([this](BytesView wire) {
         try {
-          Reader rr(wire);
-          RequestMsg req = RequestMsg::decode(rr);
+          auto req = codec::decode<RequestMsg>(wire);
           auto it = t_.find(req.frame.req.client);
           return it != t_.end() && req.frame.req.counter <= it->second;
         } catch (const SerdeError&) {

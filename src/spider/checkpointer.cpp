@@ -9,11 +9,7 @@ namespace spider {
 
 namespace {
 Bytes checkpoint_body(SeqNr s, const Sha256Digest& h) {
-  Writer w;
-  w.u8(1);  // MsgType::Checkpoint
-  w.u64(s);
-  w.raw(BytesView(h.data(), h.size()));
-  return std::move(w).take();
+  return codec::encode(CheckpointMsgType::Checkpoint, CheckpointMsg{s, h});
 }
 }  // namespace
 
@@ -56,20 +52,14 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
 
     // Forged certificate: a State message whose proof claims f+1 signers
     // but lists only this replica's signature, f+1 times over.
-    Writer proof;
-    proof.u32(f_ + 1);
-    for (std::uint32_t i = 0; i < f_ + 1; ++i) {
-      proof.u32(self());
-      proof.bytes(sig);
-    }
-    Writer cert;
-    cert.u8(3);  // MsgType::State
-    cert.u64(s);
-    cert.bytes(tampered);
-    cert.bytes(proof.data());
+    CheckpointProof proof;
+    proof.sigs.assign(f_ + 1, {self(), sig});
+    const Bytes proof_bytes = codec::encode(proof);
+    const Bytes cert =
+        codec::encode(CheckpointMsgType::State, StateMsg{s, tampered, proof_bytes});
 
     Payload vote_wire = wire_frame(vote);
-    Payload cert_frame = wire_frame(cert.data());
+    Payload cert_frame = wire_frame(cert);
     for (NodeId n : group_) {
       if (n == self()) continue;
       send_wire(n, vote_wire);
@@ -115,10 +105,7 @@ void Checkpointer::check_stable(SeqNr s) {
     // We lack the snapshot: pull it from a replica that vouched for it.
     for (const auto& [signer, sig] : pending.sigs) {
       if (signer == self()) continue;
-      Writer w;
-      w.u8(2);  // Fetch
-      w.u64(s);
-      Component::send(signer, w.data());
+      Component::send(signer, codec::encode(CheckpointMsgType::Fetch, FetchMsg{s}));
       break;
     }
     return;
@@ -144,23 +131,17 @@ void Checkpointer::deliver(SeqNr s, Payload state) {
     std::uint64_t key = digest_prefix(state.digest());
     auto pit = cit->second.find(key);
     if (pit != cit->second.end()) {
-      Writer w;
-      std::uint32_t count = 0;
-      Writer entries;
+      CheckpointProof proof;
       for (const auto& [signer, sig] : pit->second.sigs) {
-        if (count == f_ + 1) break;
-        entries.u32(signer);
-        entries.bytes(sig);
-        ++count;
+        if (proof.sigs.size() == f_ + 1) break;
+        proof.sigs.emplace_back(signer, sig);
       }
-      w.u32(count);
-      w.raw(entries.data());
       // Keep only the latest stable state to bound memory. Refcount, not
       // copy: the served state shares the delivered snapshot's buffer.
       stable_states_.clear();
       stable_proofs_.clear();
       stable_states_[s] = state;
-      stable_proofs_[s] = std::move(w).take();
+      stable_proofs_[s] = codec::encode(proof);
     }
   }
 
@@ -188,10 +169,7 @@ void Checkpointer::fetch_cp(SeqNr s) {
 
 void Checkpointer::retry_fetch() {
   if (fetch_target_ == 0 || fetch_target_ <= last_stable_) return;
-  Writer w(1 + 8);
-  w.u8(2);  // Fetch
-  w.u64(fetch_target_);
-  Payload wire = wire_frame(w.data());
+  Payload wire = wire_frame(codec::encode(CheckpointMsgType::Fetch, FetchMsg{fetch_target_}));
   for (NodeId n : group_) {
     if (n != self()) send_wire(n, wire);
   }
@@ -209,20 +187,15 @@ bool Checkpointer::send_state(NodeId to, SeqNr s) {
   if (it->first < s) return false;
   Bytes proof = proof_for(it->first);
   if (proof.empty()) return false;
-  Writer w;
-  w.u8(3);  // State
-  w.u64(it->first);
-  w.bytes(it->second);
-  w.bytes(proof);
-  Component::send(to, std::move(w).take());
+  Component::send(to,
+                  codec::encode(CheckpointMsgType::State, StateMsg{it->first, it->second, proof}));
   return true;
 }
 
-void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
-  SeqNr s = r.u64();
+void Checkpointer::handle_state(const StateMsg& m) {
+  const SeqNr s = m.seq;
   // Zero-copy: the adopted state is a slice of the inbound wire frame.
-  Payload state = host().capture(r.bytes_view());
-  BytesView proof = r.bytes_view();
+  Payload state = host().capture(m.state);
   if (s <= last_stable_) return;
 
   host().charge_hash(state.size());
@@ -230,14 +203,11 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
   Bytes body = checkpoint_body(s, h);
   Bytes signed_bytes = auth_bytes(body);
 
-  Reader pr(proof);
-  std::uint32_t count = pr.u32();
-  if (count < f_ + 1) return;
+  const auto proof = codec::decode<CheckpointProof>(m.proof);
+  if (proof.sigs.size() < f_ + 1) return;
   std::set<NodeId> seen;
   std::uint32_t valid = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    NodeId signer = pr.u32();
-    BytesView sig = pr.bytes_view();
+  for (const auto& [signer, sig] : proof.sigs) {
     if (seen.count(signer) || !trusted_(signer)) continue;
     host().charge_verify();
     if (!crypto().verify(signer, signed_bytes, sig)) continue;
@@ -248,15 +218,9 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
 
   // Record the proof so we can serve it onward, then deliver.
   candidates_[s][digest_prefix(h)].digest = h;
-  {
-    // Re-store verified signatures for proof forwarding.
-    Reader pr2(proof);
-    std::uint32_t c2 = pr2.u32();
-    for (std::uint32_t i = 0; i < c2; ++i) {
-      NodeId signer = pr2.u32();
-      Bytes sig = pr2.bytes();
-      if (seen.count(signer)) candidates_[s][digest_prefix(h)].sigs[signer] = std::move(sig);
-    }
+  // Re-store verified signatures for proof forwarding.
+  for (const auto& [signer, sig] : proof.sigs) {
+    if (seen.count(signer)) candidates_[s][digest_prefix(h)].sigs[signer] = to_bytes(sig);
   }
   deliver(s, std::move(state));
 }
@@ -264,40 +228,30 @@ void Checkpointer::handle_state(NodeId /*from*/, Reader& r) {
 void Checkpointer::on_message(NodeId from, Reader& r) {
   BytesView all = r.raw(r.remaining());
   if (all.empty()) return;
-  auto type = static_cast<MsgType>(all[0]);
+  auto type = static_cast<CheckpointMsgType>(all[0]);
 
-  if (type == MsgType::Checkpoint) {
+  if (type == CheckpointMsgType::Checkpoint) {
     if (std::find(group_.begin(), group_.end(), from) == group_.end()) return;
     std::optional<BytesView> body = host().verified_body(from, tag(), all, /*is_sig=*/true);
     if (!body) return;
 
-    Reader br(*body);
-    br.u8();
-    SeqNr s = br.u64();
-    BytesView hv = br.raw(32);
-    if (s <= last_stable_) return;
-    Sha256Digest h;
-    std::copy(hv.begin(), hv.end(), h.begin());
-    Pending& p = candidates_[s][digest_prefix(h)];
-    p.digest = h;
+    const auto cp = codec::decode<CheckpointMsg>(body->subspan(1));
+    if (cp.seq <= last_stable_) return;
+    Pending& p = candidates_[cp.seq][digest_prefix(cp.digest)];
+    p.digest = cp.digest;
     p.sigs[from] = to_bytes(all.subspan(body->size()));  // the signature trailer
-    check_stable(s);
-  } else if (type == MsgType::Fetch) {
+    check_stable(cp.seq);
+  } else if (type == CheckpointMsgType::Fetch) {
     // Only trusted replicas may pull state — and, below, make every group
     // member snapshot on demand. An untrusted node must not be able to
     // force O(state) snapshot + sign + broadcast work on the whole group.
     if (!trusted_(from)) return;
-    Reader br(all);
-    br.u8();
-    SeqNr s = br.u64();
-    if (!send_state(from, s) && snapshot_now) {
+    if (!send_state(from, codec::decode<FetchMsg>(all.subspan(1)).seq) && snapshot_now) {
       auto [seq, state] = snapshot_now();
       if (seq > 0) gen_cp(seq, std::move(state));
     }
-  } else if (type == MsgType::State) {
-    Reader br(all);
-    br.u8();
-    handle_state(from, br);
+  } else if (type == CheckpointMsgType::State) {
+    handle_state(codec::decode<StateMsg>(all.subspan(1)));
   }
 }
 

@@ -13,10 +13,45 @@
 #include <set>
 #include <utility>
 
+#include "common/codec.hpp"
 #include "crypto/sha256.hpp"
 #include "sim/component.hpp"
 
 namespace spider {
+
+// ---- wire frames: [CheckpointMsgType][fields] -------------------------
+
+enum class CheckpointMsgType : std::uint8_t { Checkpoint = 1, Fetch = 2, State = 3 };
+
+/// <Checkpoint, h, s>, signed: a replica's vote for its state digest at s.
+struct CheckpointMsg {
+  SeqNr seq = 0;
+  Sha256Digest digest{};
+  static auto fields(auto& m, auto&& f) { return f(m.seq, m.digest); }
+};
+
+/// Asks a peer for a stable checkpoint at or above `seq`.
+struct FetchMsg {
+  SeqNr seq = 0;
+  static auto fields(auto& m, auto&& f) { return f(m.seq); }
+};
+
+/// f+1 (signer, signature over its Checkpoint frame) pairs that make a
+/// checkpoint stable. The signatures are views into the buffer the proof
+/// was decoded from (or built over).
+struct CheckpointProof {
+  std::vector<std::pair<NodeId, BytesView>> sigs;
+  static auto fields(auto& m, auto&& f) { return f(m.sigs); }
+};
+
+/// A stable checkpoint served to a peer, zero-copy: `state` is a view, and
+/// `proof` is an encoded CheckpointProof, which must fill it exactly.
+struct StateMsg {
+  SeqNr seq = 0;
+  BytesView state;
+  BytesView proof;
+  static auto fields(auto& m, auto&& f) { return f(m.seq, m.state, m.proof); }
+};
 
 class Checkpointer : public Component {
  public:
@@ -65,8 +100,6 @@ class Checkpointer : public Component {
   [[nodiscard]] SeqNr last_stable() const { return last_stable_; }
 
  private:
-  enum class MsgType : std::uint8_t { Checkpoint = 1, Fetch = 2, State = 3 };
-
   struct Pending {
     Sha256Digest digest{};
     std::map<NodeId, Bytes> sigs;  // signer -> signature
@@ -76,7 +109,7 @@ class Checkpointer : public Component {
   void deliver(SeqNr s, Payload state);
   Bytes proof_for(SeqNr s) const;
   bool send_state(NodeId to, SeqNr s);
-  void handle_state(NodeId from, Reader& r);
+  void handle_state(const StateMsg& m);
   void retry_fetch();
 
   std::vector<NodeId> group_;

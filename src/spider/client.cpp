@@ -69,10 +69,10 @@ void SpiderClient::start_next() {
   OrderedOp& cur = queue_.front();
 
   ClientRequest req{cur.kind, id(), tc_, cur.op};
-  Bytes body = req.encode();
+  Bytes body = codec::encode(req);
   charge_sign();
   Bytes sig = crypto().sign(id(), port_.auth_bytes(body));
-  current_wire_ = ClientFrame{std::move(req), std::move(sig)}.encode();
+  current_wire_ = codec::encode(ClientFrame{std::move(req), std::move(sig)});
   replies_.clear();
   current_start_ = now();
   retry_cur_ = retry_;
@@ -227,7 +227,7 @@ void SpiderClient::resubmit(PendingOp op) {
 
 void SpiderClient::transmit_weak() {
   ClientRequest req{weak_queue_.front().kind, id(), weak_counter_, weak_queue_.front().op};
-  port_.send_maced(group_.members, ClientFrame{std::move(req), {}}.encode(),
+  port_.send_maced(group_.members, codec::encode(ClientFrame{std::move(req), {}}),
                    TrafficClass::kUnordered);
 }
 
@@ -239,8 +239,7 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
       verified_body(from, port_.tag(), r.raw(r.remaining()), /*is_sig=*/false);
   if (!body) return;
 
-  Reader br(*body);
-  ReplyMsg reply = ReplyMsg::decode(br);
+  auto reply = codec::decode<ReplyMsg>(*body);
 
   if (reply.weak) {
     if (!weak_in_flight_ || reply.counter != weak_counter_) return;

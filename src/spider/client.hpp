@@ -84,7 +84,7 @@ class SpiderClient : public ComponentHost {
 
   /// Submits an admin reconfiguration command through the write path.
   void reconfig(const ReconfigCmd& cmd, OpCallback cb) {
-    submit_ordered(OpKind::Reconfig, cmd.encode(), std::move(cb));
+    submit_ordered(OpKind::Reconfig, codec::encode(cmd), std::move(cb));
   }
 
   /// Switches to a different execution group (e.g. after its region failed

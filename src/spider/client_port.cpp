@@ -13,8 +13,7 @@ void ClientPort::on_message(NodeId from, Reader& r) {
   std::optional<BytesView> body =
       host().verified_body(from, tag(), r.raw(r.remaining()), /*is_sig=*/false);
   if (!body) return;
-  Reader br(*body);
-  ClientFrame frame = ClientFrame::decode(br);
+  auto frame = codec::decode<ClientFrame>(*body);
   if (frame.req.client != from) return;  // claimed identity must match the channel
   on_request_(std::move(frame), *body);
 }
@@ -26,15 +25,14 @@ void ClientPort::reply(NodeId client, std::uint64_t counter, BytesView result, b
   }
   Bytes out = to_bytes(result);
   if (corrupt_replies) corrupt_reply_payload(out);
-  send_maced({client}, ReplyMsg{counter, std::move(out), weak}.encode(),
+  send_maced({client}, codec::encode(ReplyMsg{counter, std::move(out), weak}),
              weak ? TrafficClass::kUnordered : TrafficClass::kOrdered);
 }
 
 bool verify_client_signature(SimNode& node, const ClientFrame& frame) {
-  Bytes req = frame.req.encode();
-  Writer w(4 + req.size());
+  Writer w(4 + codec::wire_size(frame.req));
   w.u32(tags::kClient);
-  w.raw(req);
+  codec::write(w, frame.req);
   node.charge_verify();
   return node.crypto().verify(frame.req.client, w.data(), frame.signature);
 }

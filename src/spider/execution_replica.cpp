@@ -119,7 +119,7 @@ void ExecutionReplica::handle_request(ClientFrame frame) {
   // Keep only the client's newest request: move its subchannel window to
   // this counter and send, in one signed frame where the window allows.
   request_tx_->move_and_send(req.client, req.counter,
-                             RequestMsg{std::move(frame), cfg_.group}.encode(), {});
+                             codec::encode(RequestMsg{std::move(frame), cfg_.group}), {});
 }
 
 void ExecutionReplica::request_next_execute() {
@@ -129,9 +129,7 @@ void ExecutionReplica::request_next_execute() {
   commit_rx_->receive(0, sn_ + 1, [this](RecvResult res) {
     if (!res.too_old) {
       try {
-        Reader r(res.message);
-        ExecuteBatchMsg batch = ExecuteBatchMsg::decode(r);
-        process_batch(batch);
+        process_batch(codec::decode<ExecuteBatchMsg>(res.message));
       } catch (const SerdeError&) {
         // Channel contents are vouched for by fa+1 agreement replicas;
         // malformed content would indicate a local bug. Skip defensively.
@@ -243,16 +241,9 @@ Bytes ExecutionReplica::execute_sys_op(NodeId client, BytesView op) {
   try {
     Reader r(op);
     const std::uint8_t code = r.u8();
-    if (code == kSysOpMigrateOut) {
-      MigrateOutCmd cmd = MigrateOutCmd::decode(r);
-      r.expect_done();
-      return migrate_out(cmd);
-    }
-    if (code == kSysOpMigrateIn) {
-      MigrateInCmd cmd = MigrateInCmd::decode(r);
-      r.expect_done();
-      return migrate_in(cmd);
-    }
+    const BytesView fields = r.raw(r.remaining());
+    if (code == kSysOpMigrateOut) return migrate_out(codec::decode<MigrateOutCmd>(fields));
+    if (code == kSysOpMigrateIn) return migrate_in(codec::decode<MigrateInCmd>(fields));
   } catch (const SerdeError&) {
   }
   return make_migrate_fail_reply();
@@ -326,7 +317,7 @@ Bytes ExecutionReplica::snapshot_state() const {
   // keeps the original byte format for every existing deployment.
   if (map_) {
     w.u32(shard_index_);
-    w.bytes(map_->encode());
+    w.bytes(codec::encode(*map_));
   }
   return std::move(w).take();
 }
@@ -346,10 +337,7 @@ void ExecutionReplica::apply_state(SeqNr s, BytesView state) {
   app_->restore(r.bytes_view());
   if (r.remaining() > 0) {
     std::uint32_t shard_index = r.u32();
-    Bytes table = r.bytes();
-    Reader tr(table);
-    ShardMap map = ShardMap::decode(tr);
-    tr.expect_done();
+    ShardMap map = codec::decode<ShardMap>(r.bytes_view());
     shard_index_ = shard_index;
     map_ = std::move(map);
   }

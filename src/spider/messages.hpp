@@ -1,11 +1,12 @@
-// Spider protocol messages (paper Figures 15-17).
+// Spider protocol messages (paper Figures 15-17). Each lists its fields
+// once (common/codec.hpp).
 #pragma once
 
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/ids.hpp"
-#include "common/serde.hpp"
 #include "sim/topology.hpp"
 
 namespace spider {
@@ -19,6 +20,29 @@ enum class OpKind : std::uint8_t {
   Reconfig = 4,    // AddGroup / RemoveGroup admin command
 };
 
+/// What flows through the commit channel for one sequence number.
+enum class ExecuteKind : std::uint8_t {
+  Full = 1,         // full request: execute it
+  Placeholder = 2,  // strong read executed elsewhere: only consume (c, tc)
+  Noop = 3,         // null request decided during fault handling
+  Reconfig = 4,     // registry change applied by the agreement group
+};
+
+// An undefined kind would fall through to the write path everywhere, and an
+// undefined region has no row in the latency tables (sim/topology.cpp).
+template <>
+struct codec::WireEnum<OpKind> {
+  static constexpr OpKind first = OpKind::Write, last = OpKind::Reconfig;
+};
+template <>
+struct codec::WireEnum<ExecuteKind> {
+  static constexpr ExecuteKind first = ExecuteKind::Full, last = ExecuteKind::Reconfig;
+};
+template <>
+struct codec::WireEnum<Region> {
+  static constexpr Region first = Region::Virginia, last = static_cast<Region>(kNumRegions - 1);
+};
+
 /// The client-signed request core: <Write, w, c, tc>. The signature covers
 /// exactly these bytes.
 struct ClientRequest {
@@ -26,9 +50,7 @@ struct ClientRequest {
   NodeId client = kInvalidNode;
   std::uint64_t counter = 0;  // tc
   Bytes op;                   // application operation (or reconfig command)
-
-  Bytes encode() const;
-  static ClientRequest decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.kind, m.client, m.counter, m.op); }
 };
 
 /// Client -> execution group frame: request core + client signature
@@ -36,26 +58,14 @@ struct ClientRequest {
 struct ClientFrame {
   ClientRequest req;
   Bytes signature;  // empty for weak reads
-
-  Bytes encode() const;
-  static ClientFrame decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(codec::nested(m.req), m.signature); }
 };
 
 /// <Request, r, e>: what execution replicas push into the request channel.
 struct RequestMsg {
   ClientFrame frame;
   GroupId origin = 0;  // execution group the client is attached to
-
-  Bytes encode() const;
-  static RequestMsg decode(Reader& r);
-};
-
-/// What flows through the commit channel for one sequence number.
-enum class ExecuteKind : std::uint8_t {
-  Full = 1,         // full request: execute it
-  Placeholder = 2,  // strong read executed elsewhere: only consume (c, tc)
-  Noop = 3,         // null request decided during fault handling
-  Reconfig = 4,     // registry change applied by the agreement group
+  static auto fields(auto& m, auto&& f) { return f(codec::nested(m.frame), m.origin); }
 };
 
 struct ExecuteMsg {
@@ -66,9 +76,9 @@ struct ExecuteMsg {
   std::uint64_t counter = 0;  // tc
   OpKind op_kind = OpKind::Write;
   Bytes op;                   // payload for Full
-
-  Bytes encode() const;
-  static ExecuteMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) {
+    return f(m.kind, m.seq, m.origin, m.client, m.counter, m.op_kind, m.op);
+  }
 };
 
 /// Atomic unit flowing through a commit channel: every Execute decided by
@@ -83,8 +93,10 @@ struct ExecuteBatchMsg {
   [[nodiscard]] SeqNr last() const { return items.back().seq; }
   [[nodiscard]] SeqNr size() const { return static_cast<SeqNr>(items.size()); }
 
-  Bytes encode() const;
-  static ExecuteBatchMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(codec::nested(m.items)); }
+  void validate() const {
+    if (items.empty()) throw SerdeError("empty execute batch");
+  }
 };
 
 /// Replica -> client reply <Reply, u, tc>, MAC'd per client.
@@ -92,9 +104,7 @@ struct ReplyMsg {
   std::uint64_t counter = 0;
   Bytes result;
   bool weak = false;  // weakly consistent fast-path reply
-
-  Bytes encode() const;
-  static ReplyMsg decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.counter, m.result, m.weak); }
 };
 
 /// Reconfiguration commands (payload of OpKind::Reconfig).
@@ -103,9 +113,7 @@ struct ReconfigCmd {
   GroupId group = 0;
   Region region = Region::Virginia;
   std::vector<NodeId> members;
-
-  Bytes encode() const;
-  static ReconfigCmd decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.add, m.group, m.region, m.members); }
 };
 
 /// Execution-replica registry entry (paper §3.1): served by the agreement
@@ -114,17 +122,13 @@ struct RegistryEntry {
   GroupId group = 0;
   Region region = Region::Virginia;
   std::vector<NodeId> members;
-
-  void encode_into(Writer& w) const;
-  static RegistryEntry decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.group, m.region, m.members); }
 };
 
 struct RegistrySnapshot {
   std::uint64_t version = 0;
   std::vector<RegistryEntry> groups;
-
-  Bytes encode() const;
-  static RegistrySnapshot decode(Reader& r);
+  static auto fields(auto& m, auto&& f) { return f(m.version, m.groups); }
 };
 
 }  // namespace spider

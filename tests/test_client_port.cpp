@@ -1,9 +1,12 @@
 // The client wire protocol at its one boundary: ClientPort on Spider
 // execution replicas and on both baselines, SpiderClient's reply handler,
 // and ComponentHost's dispatch for every other tag. Hostile frames must be
-// dropped without crashing and without moving any replica's state, and
-// requests of an undefined kind must never execute.
+// dropped without crashing and without moving any replica's state,
+// requests of an undefined kind must never execute, and a signed request
+// padded with extra bytes must not be ordered as a second request.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "baselines/bft_system.hpp"
 #include "baselines/hft_system.hpp"
@@ -32,8 +35,23 @@ Bytes maced(World& world, std::uint32_t tag, NodeId from, NodeId to, BytesView b
 
 /// The request frame SpiderClient would send, signed by `signer`.
 Bytes signed_frame(World& world, NodeId signer, const ClientRequest& req) {
-  Bytes sig = world.crypto().sign(signer, tagged(tags::kClient, req.encode()));
-  return ClientFrame{req, std::move(sig)}.encode();
+  Bytes sig = world.crypto().sign(signer, tagged(tags::kClient, codec::encode(req)));
+  return codec::encode(ClientFrame{req, std::move(sig)});
+}
+
+/// Non-canonical copies of a signed frame that the signature still covers:
+/// one byte more inside the request field (its length prefix bumped), and
+/// one byte after the signature.
+std::vector<Bytes> padded_frames(const Bytes& frame) {
+  Reader r(frame);
+  Bytes req = r.bytes();
+  req.push_back(0);
+  Writer inside;
+  inside.bytes(req);
+  inside.bytes(r.bytes_view());
+  Bytes after = frame;
+  after.push_back(0);
+  return {std::move(inside).take(), after};
 }
 
 /// Sends `to` every kind of hostile frame from `evil`: frames shorter than
@@ -76,17 +94,38 @@ std::vector<Site> geo_sites() {
 // ------------------------------------------------------------ op kinds
 
 TEST(ClientRequestKind, DecoderRejectsUndefinedKinds) {
-  for (unsigned kind = 0; kind < 256; ++kind) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u32(7);
-    w.u64(1);
-    w.bytes(Bytes{1, 2});
-    Reader r(w.data());
-    if (kind >= 1 && kind <= 4) {
-      EXPECT_EQ(static_cast<unsigned>(ClientRequest::decode(r).kind), kind);
-    } else {
-      EXPECT_THROW(ClientRequest::decode(r), SerdeError) << kind;
+  // Every enum field on the wire: a sample holding it, the offset of its
+  // byte, its defined range and a decoder that returns the field.
+  struct EnumField {
+    const char* name;
+    Bytes wire;
+    std::size_t offset;
+    unsigned first, last;
+    std::function<unsigned(BytesView)> decode;
+  };
+  const Bytes execute =
+      codec::encode(ExecuteMsg{ExecuteKind::Full, 12, 1, 77, 5, OpKind::Write, Bytes{1}});
+  const std::vector<EnumField> fields = {
+      {"ClientRequest.kind", codec::encode(ClientRequest{OpKind::Write, 7, 1, Bytes{1, 2}}), 0, 1,
+       4, [](BytesView b) { return static_cast<unsigned>(codec::decode<ClientRequest>(b).kind); }},
+      {"ExecuteMsg.kind", execute, 0, 1, 4,
+       [](BytesView b) { return static_cast<unsigned>(codec::decode<ExecuteMsg>(b).kind); }},
+      {"ExecuteMsg.op_kind", execute, 1 + 8 + 4 + 4 + 8, 1, 4,
+       [](BytesView b) { return static_cast<unsigned>(codec::decode<ExecuteMsg>(b).op_kind); }},
+      {"ReconfigCmd.region", codec::encode(ReconfigCmd{true, 3, Region::Tokyo, {10}}), 1 + 4, 0, 8,
+       [](BytesView b) { return static_cast<unsigned>(codec::decode<ReconfigCmd>(b).region); }},
+      {"RegistryEntry.region", codec::encode(RegistryEntry{3, Region::Tokyo, {10}}), 4, 0, 8,
+       [](BytesView b) { return static_cast<unsigned>(codec::decode<RegistryEntry>(b).region); }},
+  };
+  for (const EnumField& f : fields) {
+    for (unsigned v = 0; v < 256; ++v) {
+      Bytes wire = f.wire;
+      wire[f.offset] = static_cast<std::uint8_t>(v);
+      if (v >= f.first && v <= f.last) {
+        EXPECT_EQ(f.decode(wire), v) << f.name;
+      } else {
+        EXPECT_THROW(f.decode(wire), SerdeError) << f.name << " " << v;
+      }
     }
   }
 }
@@ -248,12 +287,57 @@ TEST(ClientPortHostile, SpiderClientDropsEveryHostileFrame) {
   send_hostile_frames(world, evil, client.id(), client.id());
   // A well-formed MAC'd reply for a counter the client never used.
   ReplyMsg stray{99, to_bytes(std::string("stray")), false};
-  evil.send_to(client.id(), maced(world, tags::kClient, evil.id(), client.id(), stray.encode()));
+  evil.send_to(client.id(),
+               maced(world, tags::kClient, evil.id(), client.id(), codec::encode(stray)));
   world.run_for(kSecond);
 
   const drive::KvOutcome after = drive::blocking_write(world, client, "after", "w");
   EXPECT_TRUE(after.ok);
   EXPECT_EQ(to_string(drive::blocking_weak_read(world, client, "after").value), "w");
+}
+
+// ------------------------------------------------------ padded requests
+// The signature covers the re-encoded request, so a padded copy of a signed
+// frame still verifies; only canonical decoding keeps it from being ordered.
+
+TEST(ClientPortCanonical, BftOrdersPaddedCopyOnlyOnce) {
+  for (const bool pad_inside : {true, false}) {
+    World world(5);
+    BftSystem sys(world, BftConfig{geo_sites()});
+    ComponentHost client(world, world.allocate_id(), Site{Region::Virginia, 0});
+    ClientRequest req{OpKind::Write, client.id(), 1, kv_put("k", to_bytes(std::string("v")))};
+    const Bytes frame = signed_frame(world, client.id(), req);
+    const Bytes padded = padded_frames(frame)[pad_inside ? 0 : 1];
+    for (NodeId m : sys.replica_ids()) {
+      client.send_to(m, maced(world, tags::kClient, client.id(), m, frame));
+      client.send_to(m, maced(world, tags::kClient, client.id(), m, padded));
+    }
+    world.run_for(5 * kSecond);
+
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      EXPECT_EQ(sys.replica(i).executed_seq(), 1u) << "replica " << i << " inside " << pad_inside;
+      EXPECT_TRUE(has_key(sys.replica(i).app(), "k")) << i;
+    }
+  }
+}
+
+TEST(ClientPortCanonical, SpiderNeverOrdersPaddedFrame) {
+  for (const bool pad_inside : {true, false}) {
+    World world(5);
+    SpiderSystem sys(world, small_topology());
+    const ClientGroupInfo info = sys.group_info(sys.nearest_group(Region::Virginia));
+    ComponentHost client(world, world.allocate_id(), Site{Region::Virginia, 0});
+    ClientRequest req{OpKind::Write, client.id(), 1, kv_put("k", to_bytes(std::string("v")))};
+    const Bytes padded = padded_frames(signed_frame(world, client.id(), req))[pad_inside ? 0 : 1];
+    for (NodeId m : info.members) {
+      client.send_to(m, maced(world, tags::kClient, client.id(), m, padded));
+    }
+    world.run_for(5 * kSecond);
+
+    for (std::size_t i = 0; i < sys.agreement_size(); ++i) {
+      EXPECT_EQ(sys.agreement(i).ordered_seq(), 0u) << "replica " << i << " inside " << pad_inside;
+    }
+  }
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ struct ChannelFixture {
   Bytes send_auth(Subchannel sc, Position p, const Bytes& m) const {
     Writer w;
     w.u32(cfg.channel_tag);
-    w.raw(irmc::SendMsg{sc, p, m}.encode());
+    w.raw(codec::encode(irmc::MsgType::Send, irmc::SendMsg{sc, p, m}));
     return std::move(w).take();
   }
 
@@ -100,7 +100,7 @@ struct ChannelFixture {
   Bytes share_auth(Subchannel sc, Position p, const Bytes& m) const {
     Writer w;
     w.u32(cfg.channel_tag);
-    w.raw(irmc::SigShareMsg{sc, p, Sha256::hash(m)}.encode());
+    w.raw(codec::encode(irmc::MsgType::SigShare, irmc::SigShareMsg{sc, p, Sha256::hash(m)}));
     return std::move(w).take();
   }
 
@@ -108,7 +108,7 @@ struct ChannelFixture {
   Bytes certificate_frame(NodeId collector, const irmc::CertificateMsg& cert) {
     Writer w;
     w.u32(cfg.channel_tag);
-    w.raw(cert.encode());
+    w.raw(codec::encode(irmc::MsgType::Certificate, cert));
     Bytes sig = world.crypto().sign(collector, w.data());
     w.raw(sig);
     return std::move(w).take();
@@ -445,7 +445,7 @@ TEST(IrmcRc, ForgedSendRejected) {
   // a bogus signature; and a group member with a wrong signature.
   ComponentHost attacker(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
   irmc::SendMsg msg{1, 1, f.msg(1)};
-  Bytes body = msg.encode();
+  Bytes body = codec::encode(irmc::MsgType::Send, msg);
   Bytes fake_sig(f.world.crypto().signature_size(), 0x42);
   Bytes wire = body;
   wire.insert(wire.end(), fake_sig.begin(), fake_sig.end());

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "common/hex.hpp"
 #include "common/serde.hpp"
-#include "irmc/messages.hpp"
-#include "spider/messages.hpp"
+#include "tests/support/wire_table.hpp"
 
 namespace spider {
 namespace {
@@ -174,88 +175,183 @@ TEST(Serde, CountAcceptsWhatFitsAndRejectsMore) {
   EXPECT_THROW(too_many.count(5), SerdeError);
 }
 
-// ---- hostile element counts -------------------------------------------
-// A u32 count of 0xFFFFFFFF followed by a few bytes: every decoder must
-// reject it as malformed (SerdeError) before reserving, instead of throwing
-// std::bad_alloc past ComponentHost's SerdeError catch.
+// ---- one sample of every message type (tests/support/wire_table.hpp) ----
 
-void expect_hostile_count_rejected(const std::function<void(Writer&)>& prefix,
-                                   const std::function<void(Reader&)>& decode) {
+// Wire bytes of each sample, captured from the hand-written encoders the
+// field lists replaced: the field lists must not move a byte.
+const std::map<std::string, std::string> kKnownAnswers = {
+    {"irmc.Send", "0107000000000000002a000000000000000400000001020304"},
+    {"irmc.SendMove", "0907000000000000002a000000000000000400000001020304"},
+    {"irmc.Move", "0205000000000000001100000000000000"},
+    {"irmc.Nack",
+     "0703000000010000000000000005000000000000000700000000000000010000000000000000100000000000000c0"
+     "0000000000000"},
+    {"irmc.Windows",
+     "08020000000200000000000000030000000000000009000000000000000a00000000000000"},
+    {"irmc.SigShare",
+     "0303000000000000000800000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62"
+     "add1bf"},
+    {"irmc.Certificate",
+     "040300000000000000080000000000000003000000090909020000000000000004000000aaaaaaaa020000000300"
+     "0000bbbbbb"},
+    {"irmc.CertificateView",
+     "040300000000000000080000000000000003000000090909020000000000000004000000aaaaaaaa020000000300"
+     "0000bbbbbb"},
+    {"irmc.Progress",
+     "0502000000000000000000000004000000000000000b000000000000000200000000000000"},
+    {"irmc.Select", "06060000000000000002000000"},
+    {"spider.ClientRequest", "014d000000050000000000000003000000102030"},
+    {"spider.ClientFrame",
+     "14000000014d000000050000000000000003000000102030080000005c5c5c5c5c5c5c5c"},
+    {"spider.RequestMsg",
+     "2400000014000000014d000000050000000000000003000000102030080000005c5c5c5c5c5c5c5c03000000"},
+    {"spider.ExecuteMsg", "010c00000000000000010000004d000000050000000000000001020000001020"},
+    {"spider.ExecuteBatchMsg",
+     "0200000020000000010c00000000000000010000004d0000000500000000000000010200000010201e00000002"
+     "0d00000000000000020000004e00000009000000000000000200000000"},
+    {"spider.ReplyMsg", "050000000000000002000000010201"},
+    {"spider.ReconfigCmd", "010400000004030000000a0000000b0000000c000000"},
+    {"spider.RegistryEntry", "020000000303000000140000001500000016000000"},
+    {"spider.RegistrySnapshot",
+     "030000000000000002000000020000000303000000140000001500000016000000050000000800000000"},
+    {"pbft.PrePrepare",
+     "010100000000000000090000000000000003000000020000000102000000000100000003"},
+    {"pbft.Prepare",
+     "0201000000000000000900000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a"
+     "62add1bf02000000"},
+    {"pbft.Commit",
+     "0301000000000000000900000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a"
+     "62add1bf02000000"},
+    {"pbft.PreparedProof", "0900000000000000010000000000000001000000020000000405"},
+    {"pbft.ViewChange",
+     "04020000000000000008000000000000000300000002000000090000000000000001000000000000000100000002"
+     "00000004050a00000000000000010000000000000000000000"},
+    {"pbft.NewView",
+     "050200000000000000080000000000000000000000010000000a00000000000000010000000000000000000000"},
+    {"shard.ShardMapDelta",
+     "040000000000000005000000000000006400000000000000000000000000000001000000"},
+    {"shard.MigrateOutCmd",
+     "f1040000000000000005000000000000006400000000000000000000000000000001000000"},
+    {"shard.MigrateInCmd",
+     "f2040000000000000005000000000000006400000000000000000000000000000001000000020000000707"},
+    {"shard.ShardMap",
+     "02000000000000000300000005000000000000000000000000000000640000000000000002000000c80000000000"
+     "000000000000555555555555555501000000aaaaaaaaaaaaaaaa02000000"},
+    {"checkpoint.Checkpoint",
+     "011000000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf"},
+    {"checkpoint.Fetch", "021000000000000000"},
+    {"checkpoint.Proof", "020000000100000005000000111111111103000000050000003333333333"},
+    {"checkpoint.State",
+     "03100000000000000002000000dead1e000000020000000100000005000000111111111103000000050000003333"
+     "333333"},
+};
+
+const wire::Sample& sample_of(const std::string& name) {
+  static const std::vector<wire::Sample> all = wire::samples();
+  for (const wire::Sample& s : all) {
+    if (s.name == name) return s;
+  }
+  throw std::out_of_range(name);
+}
+
+TEST(SerdeCodec, SamplesMatchKnownAnswerBytes) {
+  const std::vector<wire::Sample> all = wire::samples();
+  ASSERT_EQ(all.size(), kKnownAnswers.size());
+  for (const wire::Sample& s : all) {
+    Bytes wire;
+    if (s.type != wire::kNoType) wire.push_back(static_cast<std::uint8_t>(s.type));
+    wire.insert(wire.end(), s.fields.begin(), s.fields.end());
+    ASSERT_TRUE(kKnownAnswers.count(s.name)) << s.name;
+    EXPECT_EQ(to_hex(wire), kKnownAnswers.at(s.name)) << s.name;
+  }
+}
+
+TEST(SerdeCodec, DecodingIsCanonical) {
+  // encode(decode(b)) == b for every accepted b; every strict prefix and
+  // one trailing byte are rejected.
+  for (const wire::Sample& s : wire::samples()) {
+    EXPECT_EQ(s.reencode(s.fields), s.fields) << s.name;
+    for (std::size_t len = 0; len < s.fields.size(); ++len) {
+      EXPECT_THROW(s.reencode(BytesView(s.fields).first(len)), SerdeError)
+          << s.name << " prefix " << len;
+    }
+    Bytes trailing = s.fields;
+    trailing.push_back(0);
+    EXPECT_THROW(s.reencode(trailing), SerdeError) << s.name << " trailing byte";
+  }
+}
+
+TEST(SerdeCodec, NestedMessagesFillTheirLength) {
+  // One byte of slack inside a length-prefixed nested message (the request
+  // of a ClientFrame, the frame of a RequestMsg, the first Execute of a
+  // batch) is rejected like a trailing byte.
+  const auto pad_nested = [](BytesView head, BytesView rest) {
+    Reader r(rest);
+    Bytes inner = r.bytes();
+    inner.push_back(0);
+    Writer w;
+    w.raw(head);
+    w.bytes(inner);
+    w.raw(r.raw(r.remaining()));
+    return std::move(w).take();
+  };
+  for (const auto& [name, head] : {std::pair{"spider.ClientFrame", 0}, {"spider.RequestMsg", 0},
+                                   {"spider.ExecuteBatchMsg", 4}}) {
+    const wire::Sample& s = sample_of(name);
+    const BytesView fields(s.fields);
+    EXPECT_THROW(s.reencode(pad_nested(fields.first(head), fields.subspan(head))), SerdeError)
+        << name;
+  }
+}
+
+// ---- hostile element counts -------------------------------------------
+// A u32 count of 0xFFFFFFFF followed by a few bytes, in place of a sample's
+// first list count: every decoder must reject it as malformed (SerdeError)
+// before reserving, instead of throwing std::bad_alloc past ComponentHost's
+// SerdeError catch.
+
+void expect_hostile_count_rejected(const std::string& name) {
+  const wire::Sample& s = sample_of(name);
+  ASSERT_NE(s.list_at, std::string::npos) << name;
   Writer w;
-  prefix(w);
+  w.raw(BytesView(s.fields).first(s.list_at));
   w.u32(0xffffffffu);
   w.u64(0);
-  Reader r(w.data());
-  EXPECT_THROW(decode(r), SerdeError);
+  EXPECT_THROW(s.reencode(w.data()), SerdeError) << name;
 }
 
-void no_prefix(Writer&) {}
-
-void certificate_prefix(Writer& w) {
-  w.u64(1);  // sc
-  w.u64(1);  // p
-  w.bytes(Bytes(8, 0x11));
-}
-
-TEST(SerdeHostileCount, ProgressMsg) {
-  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::ProgressMsg::decode(r); });
-}
-
-TEST(SerdeHostileCount, CertificateMsg) {
-  expect_hostile_count_rejected(certificate_prefix,
-                                [](Reader& r) { irmc::CertificateMsg::decode(r); });
-}
-
+TEST(SerdeHostileCount, ProgressMsg) { expect_hostile_count_rejected("irmc.Progress"); }
+TEST(SerdeHostileCount, CertificateMsg) { expect_hostile_count_rejected("irmc.Certificate"); }
 TEST(SerdeHostileCount, CertificateMsgView) {
-  expect_hostile_count_rejected(certificate_prefix,
-                                [](Reader& r) { irmc::CertificateMsgView::decode(r); });
+  expect_hostile_count_rejected("irmc.CertificateView");
 }
-
-TEST(SerdeHostileCount, NackMsg) {
-  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::NackMsg::decode(r); });
-}
-
-TEST(SerdeHostileCount, WindowsMsg) {
-  expect_hostile_count_rejected(no_prefix, [](Reader& r) { irmc::WindowsMsg::decode(r); });
-}
-
+TEST(SerdeHostileCount, NackMsg) { expect_hostile_count_rejected("irmc.Nack"); }
+TEST(SerdeHostileCount, WindowsMsg) { expect_hostile_count_rejected("irmc.Windows"); }
 TEST(SerdeHostileCount, RegistrySnapshot) {
-  expect_hostile_count_rejected([](Writer& w) { w.u64(7); },  // version
-                                [](Reader& r) { RegistrySnapshot::decode(r); });
+  expect_hostile_count_rejected("spider.RegistrySnapshot");
 }
-
-TEST(SerdeHostileCount, RegistryEntry) {
-  expect_hostile_count_rejected(
-      [](Writer& w) {
-        w.u32(3);  // group
-        w.u8(0);   // region
-      },
-      [](Reader& r) { RegistryEntry::decode(r); });
+TEST(SerdeHostileCount, RegistryEntry) { expect_hostile_count_rejected("spider.RegistryEntry"); }
+TEST(SerdeHostileCount, ReconfigCmd) { expect_hostile_count_rejected("spider.ReconfigCmd"); }
+TEST(SerdeHostileCount, ExecuteBatchMsg) {
+  expect_hostile_count_rejected("spider.ExecuteBatchMsg");
 }
-
-TEST(SerdeHostileCount, ReconfigCmd) {
-  expect_hostile_count_rejected(
-      [](Writer& w) {
-        w.boolean(true);
-        w.u32(3);  // group
-        w.u8(0);   // region
-      },
-      [](Reader& r) { ReconfigCmd::decode(r); });
-}
+TEST(SerdeHostileCount, PrePrepareMsg) { expect_hostile_count_rejected("pbft.PrePrepare"); }
+TEST(SerdeHostileCount, PreparedProof) { expect_hostile_count_rejected("pbft.PreparedProof"); }
+TEST(SerdeHostileCount, ViewChangeMsg) { expect_hostile_count_rejected("pbft.ViewChange"); }
+TEST(SerdeHostileCount, NewViewMsg) { expect_hostile_count_rejected("pbft.NewView"); }
+TEST(SerdeHostileCount, ShardMap) { expect_hostile_count_rejected("shard.ShardMap"); }
+TEST(SerdeHostileCount, CheckpointProof) { expect_hostile_count_rejected("checkpoint.Proof"); }
 
 TEST(SerdeIrmc, NackAndWindowsRoundTrip) {
   const irmc::PositionList entries = {{1, 5}, {7, 1}, {4096, 12}};
-  Bytes nack = irmc::NackMsg{entries}.encode();
-  Bytes windows = irmc::WindowsMsg{entries}.encode();
+  Bytes nack = codec::encode(irmc::MsgType::Nack, irmc::NackMsg{entries});
+  Bytes windows = codec::encode(irmc::MsgType::Windows, irmc::WindowsMsg{entries});
   ASSERT_EQ(nack.size(), 1 + 4 + 16 * entries.size());
   EXPECT_EQ(nack[0], static_cast<std::uint8_t>(irmc::MsgType::Nack));
   EXPECT_EQ(windows[0], static_cast<std::uint8_t>(irmc::MsgType::Windows));
-  Reader nr(BytesView(nack).subspan(1));
-  EXPECT_EQ(irmc::NackMsg::decode(nr).stalled, entries);
-  nr.expect_done();
-  Reader wr(BytesView(windows).subspan(1));
-  EXPECT_EQ(irmc::WindowsMsg::decode(wr).windows, entries);
-  wr.expect_done();
+  // decode<> also rejects trailing bytes (the former expect_done() calls).
+  EXPECT_EQ(codec::decode<irmc::NackMsg>(BytesView(nack).subspan(1)).stalled, entries);
+  EXPECT_EQ(codec::decode<irmc::WindowsMsg>(BytesView(windows).subspan(1)).windows, entries);
 }
 
 TEST(SerdeIrmc, PositionListsRejectUnorderedSubchannels) {
@@ -263,48 +359,38 @@ TEST(SerdeIrmc, PositionListsRejectUnorderedSubchannels) {
   // twice; correct peers list each subchannel once, in ascending order.
   for (const irmc::PositionList& bad :
        {irmc::PositionList{{3, 1}, {3, 2}}, irmc::PositionList{{5, 1}, {2, 1}}}) {
-    auto rejects = [](const Bytes& wire, auto decode) {
-      Reader r(BytesView(wire).subspan(1));
-      EXPECT_THROW(decode(r), SerdeError);
-    };
-    rejects(irmc::NackMsg{bad}.encode(), [](Reader& r) { irmc::NackMsg::decode(r); });
-    rejects(irmc::WindowsMsg{bad}.encode(), [](Reader& r) { irmc::WindowsMsg::decode(r); });
-    rejects(irmc::ProgressMsg{bad}.encode(), [](Reader& r) { irmc::ProgressMsg::decode(r); });
+    EXPECT_THROW(codec::decode<irmc::NackMsg>(codec::encode(irmc::NackMsg{bad})), SerdeError);
+    EXPECT_THROW(codec::decode<irmc::WindowsMsg>(codec::encode(irmc::WindowsMsg{bad})),
+                 SerdeError);
+    EXPECT_THROW(codec::decode<irmc::ProgressMsg>(codec::encode(irmc::ProgressMsg{bad})),
+                 SerdeError);
   }
 }
 
 TEST(SerdeIrmc, SendMoveRoundTripsThroughSendCodec) {
   const irmc::SendMsg send{7, 42, Bytes{1, 2, 3, 4}};
-  irmc::SendMsg send_move = send;
-  send_move.move = true;
-  const Bytes plain = send.encode();
-  const Bytes wire = send_move.encode();
+  const Bytes plain = codec::encode(irmc::MsgType::Send, send);
+  const Bytes wire = codec::encode(irmc::MsgType::SendMove, send);
   EXPECT_EQ(plain[0], static_cast<std::uint8_t>(irmc::MsgType::Send));
   EXPECT_EQ(wire[0], static_cast<std::uint8_t>(irmc::MsgType::SendMove));
   // Same body and no extra bytes: only the type byte differs.
   EXPECT_TRUE(bytes_equal(BytesView(wire).subspan(1), BytesView(plain).subspan(1)));
 
-  Reader r(BytesView(wire).subspan(1));
-  irmc::SendMsg back = irmc::SendMsg::decode(r);
-  r.expect_done();
+  irmc::SendMsg back = codec::decode<irmc::SendMsg>(BytesView(wire).subspan(1));
   EXPECT_EQ(back.sc, send.sc);
   EXPECT_EQ(back.p, send.p);
   EXPECT_EQ(back.payload, send.payload);
-  Reader vr(BytesView(wire).subspan(1));
-  irmc::SendMsgView view = irmc::SendMsgView::decode(vr);
-  vr.expect_done();
+  irmc::SendMsgView view = codec::decode<irmc::SendMsgView>(BytesView(wire).subspan(1));
   EXPECT_EQ(view.p, send.p);
   EXPECT_TRUE(bytes_equal(view.payload, send.payload));
 }
 
 TEST(SerdeIrmc, TruncatedSendMoveRejected) {
-  const Bytes wire = irmc::SendMsg{7, 42, Bytes(16, 0xab), /*move=*/true}.encode();
+  const Bytes wire = codec::encode(irmc::MsgType::SendMove, irmc::SendMsg{7, 42, Bytes(16, 0xab)});
   for (std::size_t len = 1; len < wire.size(); ++len) {
     BytesView body = BytesView(wire).subspan(1, len - 1);
-    Reader r(body);
-    EXPECT_THROW(irmc::SendMsg::decode(r), SerdeError) << "length " << len;
-    Reader vr(body);
-    EXPECT_THROW(irmc::SendMsgView::decode(vr), SerdeError) << "length " << len;
+    EXPECT_THROW(codec::decode<irmc::SendMsg>(body), SerdeError) << "length " << len;
+    EXPECT_THROW(codec::decode<irmc::SendMsgView>(body), SerdeError) << "length " << len;
   }
 }
 

@@ -124,9 +124,8 @@ TEST(ShardMap, SetRangesRejectsZeroWidthRange) {
 TEST(ShardMap, EncodeDecodeRoundTrip) {
   ShardMap m = ShardMap::uniform(3);
   m.set_ranges({{0, 2}, {1000, 0}, {2000, 1}}, 5);
-  Bytes wire = m.encode();
-  Reader r(wire);
-  ShardMap back = ShardMap::decode(r);
+  Bytes wire = codec::encode(m);
+  ShardMap back = codec::decode<ShardMap>(wire);
   EXPECT_EQ(back.version(), 5u);
   EXPECT_EQ(back.shard_count(), 3u);
   for (std::uint64_t h : {0ull, 999ull, 1000ull, 1999ull, 2000ull, ~0ull}) {
@@ -136,22 +135,21 @@ TEST(ShardMap, EncodeDecodeRoundTrip) {
 
 TEST(ShardMap, DecodeRejectsMalformedTable) {
   ShardMap m = ShardMap::uniform(2);
-  Bytes wire = m.encode();
+  Bytes wire = codec::encode(m);
   // Corrupt the first range start (offset: u64 version + u32 shards + u32
   // count = 16) so the table no longer covers the hash space from 0.
   wire[16] = 1;
-  Reader r(wire);
   // SerdeError, not invalid_argument: decode feeds on untrusted bytes
   // (Byzantine WrongShard redirects carry maps), and the message-boundary
   // catch blocks only swallow SerdeError. Anything else would escape and
   // crash the client on a hostile reply.
-  EXPECT_THROW(ShardMap::decode(r), SerdeError);
+  EXPECT_THROW(codec::decode<ShardMap>(wire), SerdeError);
 }
 
 TEST(ShardMap, DecodeRejectsOverlappingAndUnsortedTables) {
   ShardMap m = ShardMap::uniform(3);
   m.set_ranges({{0, 0}, {1000, 1}, {2000, 2}}, 2);
-  Bytes good = m.encode();
+  Bytes good = codec::encode(m);
 
   // Duplicate adjacent starts (zero-width range). Layout after the 16-byte
   // header: count entries of [u64 start][u32 shard].
@@ -159,46 +157,38 @@ TEST(ShardMap, DecodeRejectsOverlappingAndUnsortedTables) {
     Bytes wire = good;
     std::size_t second_start = 16 + 12;  // entry 1's start field
     for (int i = 0; i < 8; ++i) wire[second_start + i] = 0;
-    Reader r(wire);
-    EXPECT_THROW(ShardMap::decode(r), SerdeError);
+    EXPECT_THROW(codec::decode<ShardMap>(wire), SerdeError);
   }
   // Out-of-range owner shard.
   {
     Bytes wire = good;
     wire[16 + 8] = 9;  // entry 0's shard field
-    Reader r(wire);
-    EXPECT_THROW(ShardMap::decode(r), SerdeError);
+    EXPECT_THROW(codec::decode<ShardMap>(wire), SerdeError);
   }
   // Zero shard count.
   {
     Bytes wire = good;
     for (int i = 0; i < 4; ++i) wire[8 + i] = 0;  // shards field after u64 version
-    Reader r(wire);
-    EXPECT_THROW(ShardMap::decode(r), SerdeError);
+    EXPECT_THROW(codec::decode<ShardMap>(wire), SerdeError);
   }
   // Truncated table (count says more entries than bytes present).
   {
     Bytes wire = good;
     wire.resize(wire.size() - 4);
-    Reader r(wire);
-    EXPECT_THROW(ShardMap::decode(r), SerdeError);
+    EXPECT_THROW(codec::decode<ShardMap>(wire), SerdeError);
   }
   // The unmodified encoding still decodes, so the corruptions above are what
   // the rejections reacted to.
-  Reader r(good);
-  ShardMap back = ShardMap::decode(r);
+  ShardMap back = codec::decode<ShardMap>(good);
   EXPECT_EQ(back.version(), 2u);
 }
 
 TEST(ShardMapDelta, CodecRoundTripAndValidation) {
   ShardMapDelta d{/*base_version=*/3, /*new_version=*/4, /*lo=*/1000, /*hi=*/2000,
                   /*to_shard=*/1};
-  Writer w;
-  d.encode_into(w);
-  Bytes wire = std::move(w).take();
-  Reader r(wire);
-  ShardMapDelta back = ShardMapDelta::decode(r);
-  r.expect_done();
+  Bytes wire = codec::encode(d);
+  // decode<> also rejects trailing bytes (the former r.expect_done()).
+  ShardMapDelta back = codec::decode<ShardMapDelta>(wire);
   EXPECT_EQ(back.base_version, 3u);
   EXPECT_EQ(back.new_version, 4u);
   EXPECT_EQ(back.lo, 1000u);
@@ -206,21 +196,11 @@ TEST(ShardMapDelta, CodecRoundTripAndValidation) {
   EXPECT_EQ(back.to_shard, 1u);
 
   // Non-monotonic version bump.
-  {
-    Writer bad;
-    ShardMapDelta{4, 4, 0, 10, 0}.encode_into(bad);
-    Bytes b = std::move(bad).take();
-    Reader br(b);
-    EXPECT_THROW(ShardMapDelta::decode(br), SerdeError);
-  }
+  EXPECT_THROW(codec::decode<ShardMapDelta>(codec::encode(ShardMapDelta{4, 4, 0, 10, 0})),
+               SerdeError);
   // Inverted range (hi != 0 means exclusive upper bound; lo must be below).
-  {
-    Writer bad;
-    ShardMapDelta{1, 2, 50, 10, 0}.encode_into(bad);
-    Bytes b = std::move(bad).take();
-    Reader br(b);
-    EXPECT_THROW(ShardMapDelta::decode(br), SerdeError);
-  }
+  EXPECT_THROW(codec::decode<ShardMapDelta>(codec::encode(ShardMapDelta{1, 2, 50, 10, 0})),
+               SerdeError);
 }
 
 TEST(ShardMap, WithDeltaSplicesRange) {

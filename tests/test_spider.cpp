@@ -328,9 +328,9 @@ TEST(Spider, FaultyClientConflictingRequestsContained) {
                       kv_put("evil", to_bytes(std::string("v") + std::to_string(i)))};
     Writer dom;
     dom.u32(tags::kClient);
-    dom.raw(req.encode());
+    dom.raw(codec::encode(req));
     Bytes sig = f.world.crypto().sign(evil.id(), dom.data());
-    Bytes frame = ClientFrame{req, sig}.encode();
+    Bytes frame = codec::encode(ClientFrame{req, sig});
     Writer w;
     w.u32(tags::kClient);
     w.raw(frame);
@@ -372,8 +372,7 @@ TEST(Spider, RegistryQueryListsGroups) {
   ASSERT_EQ(r.u32(), tags::kRegistry);
   BytesView rest = r.raw(r.remaining());
   BytesView body = rest.subspan(0, rest.size() - f.world.crypto().mac_size());
-  Reader br(body);
-  RegistrySnapshot snap = RegistrySnapshot::decode(br);
+  auto snap = codec::decode<RegistrySnapshot>(body);
   EXPECT_EQ(snap.groups.size(), 4u);
 }
 
