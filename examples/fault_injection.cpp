@@ -31,15 +31,13 @@ int main() {
   // The fault plan drives every fault in this tour. Crash/restart actions
   // go through the system's crash-recovery hooks: a crash destroys the
   // replica process (volatile state and all), a restart rebuilds it under
-  // the same NodeId and lets the protocol recover it. Byzantine windows go
-  // through set_byzantine: the flags turn on at the window start and off
-  // at its end, surviving a crash/restart in between.
+  // the same NodeId and lets the protocol recover it. Byzantine windows
+  // need no hook: they write the node's World::byzantine(n) entry, which
+  // the replica reads where it acts. The flags turn on at the window start
+  // and off at its end, and a process rebuilt in between reads them too.
   FaultPlan plan(world);
   plan.on_crash = [&spider](NodeId n) { spider.crash_node(n); };
   plan.on_restart = [&spider](NodeId n) { spider.restart_node(n); };
-  plan.on_byzantine = [&spider](NodeId n, const ByzantineFlags& f) {
-    spider.set_byzantine(n, f);
-  };
 
   auto client = spider.make_client(Site{Region::Oregon, 0});
   GroupId g = client->group().group;

@@ -33,13 +33,8 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
           [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver_batch(first, batch); }));
   // A-Validity: only order authenticated client requests.
   pbft_->validate = [this](BytesView wire) {
-    try {
-      auto frame = codec::decode<ClientFrame>(wire);
-      if (frame.req.kind == OpKind::WeakRead) return false;
-      return verify_client_signature(*this, frame);
-    } catch (const SerdeError&) {
-      return false;
-    }
+    auto frame = codec::try_decode<ClientFrame>(wire);
+    return frame && frame->req.kind != OpKind::WeakRead && verify_client_signature(*this, *frame);
   };
 
   checkpointer_ = std::make_unique<Checkpointer>(
@@ -182,13 +177,10 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       // driving view changes (we missed their commit while partitioned or
       // down; nothing will ever deliver them here again).
       pbft_->drop_pending_if([this](BytesView wire) {
-        try {
-          auto frame = codec::decode<ClientFrame>(wire);
-          auto it = t_.find(frame.req.client);
-          return it != t_.end() && frame.req.counter <= it->second;
-        } catch (const SerdeError&) {
-          return false;
-        }
+        auto frame = codec::try_decode<ClientFrame>(wire);
+        if (!frame) return false;
+        auto it = t_.find(frame->req.client);
+        return it != t_.end() && frame->req.counter <= it->second;
       });
     } catch (const SerdeError&) {
     }
@@ -198,14 +190,6 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
 }
 
 void BftReplica::recover() { checkpointer_->fetch_cp(1); }
-
-void BftReplica::apply_byzantine(const ByzantineFlags& f) {
-  port_->corrupt_replies = f.corrupt_replies;
-  pbft_->mute = f.mute;
-  pbft_->mute_rx = f.mute_rx;
-  pbft_->equivocate = f.equivocate;
-  checkpointer_->forge_checkpoints = f.forge_checkpoints;
-}
 
 BftSystem::BftSystem(World& world, BftConfig cfg) : world_(world), cfg_(std::move(cfg)) {
   for (std::size_t i = 0; i < cfg_.sites.size(); ++i) ids_.push_back(world_.allocate_id());
@@ -235,23 +219,8 @@ bool BftSystem::restart_node(NodeId id) {
         replicas_[i] = std::make_unique<BftReplica>(world_, ids_[i], cfg_.sites[i],
                                                     static_cast<std::uint32_t>(i), cfg_, ids_,
                                                     cfg_.make_app());
-        auto bit = byz_flags_.find(id);
-        if (bit != byz_flags_.end() && bit->second.any()) {
-          replicas_[i]->apply_byzantine(bit->second);
-        }
         replicas_[i]->recover();
       }
-      return true;
-    }
-  }
-  return false;
-}
-
-bool BftSystem::set_byzantine(NodeId id, const ByzantineFlags& flags) {
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == id) {
-      byz_flags_[id] = flags;
-      if (replicas_[i]) replicas_[i]->apply_byzantine(flags);
       return true;
     }
   }

@@ -17,7 +17,6 @@
 #include "app/application.hpp"
 #include "app/kvstore.hpp"
 #include "consensus/pbft_replica.hpp"
-#include "sim/byzantine.hpp"
 #include "spider/checkpointer.hpp"
 #include "spider/client.hpp"
 #include "spider/client_port.hpp"
@@ -53,12 +52,6 @@ class BftReplica : public ComponentHost {
   /// checkpoint instead of waiting for the next periodic broadcast (which
   /// may never come if client traffic stopped).
   void recover();
-
-  /// Applies a Byzantine flag set (FaultPlan via BftSystem::set_byzantine).
-  /// Baseline replicas both order and execute, so they honour the
-  /// consensus-role flags (mute / mute_rx / equivocate / forge_checkpoints)
-  /// *and* corrupt_replies; drop_forwarding has no counterpart here.
-  void apply_byzantine(const ByzantineFlags& f);
 
  private:
   void handle_request(const ClientFrame& frame, BytesView body);
@@ -106,24 +99,16 @@ class BftSystem {
   // ---- crash-recovery (FaultPlan hooks) ----------------------------------
   /// Destroys / rebuilds the replica process with this id (same semantics
   /// as SpiderSystem: volatile state is lost, recovery happens through the
-  /// checkpoint protocol and PBFT view rejoin).
+  /// checkpoint protocol and PBFT view rejoin, Byzantine flags resume).
   bool crash_node(NodeId id);
   bool restart_node(NodeId id);
   [[nodiscard]] bool is_crashed(NodeId id) const;
-
-  // ---- Byzantine fault injection (FaultPlan hooks) -----------------------
-  /// Applies a Byzantine flag set to the replica with this id. Flags
-  /// persist across crash_node/restart_node — a rebuilt process resumes
-  /// its scheduled misbehaviour — and are cleared by applying a
-  /// default-constructed set. Returns false for unknown ids.
-  bool set_byzantine(NodeId id, const ByzantineFlags& flags);
 
  private:
   World& world_;
   BftConfig cfg_;
   std::vector<NodeId> ids_;
   std::vector<std::unique_ptr<BftReplica>> replicas_;
-  std::map<NodeId, ByzantineFlags> byz_flags_;
 };
 
 }  // namespace spider

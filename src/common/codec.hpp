@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -317,6 +318,17 @@ M decode(BytesView b) {
   detail::get(r, m);
   r.expect_done();
   return m;
+}
+
+/// decode<M>(b), or nothing where decode would throw: for callers whose
+/// only answer to malformed bytes is to reject them.
+template <class M>
+std::optional<M> try_decode(BytesView b) {
+  try {
+    return decode<M>(b);
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace spider::codec

@@ -55,7 +55,7 @@ bool PbftReplica::instance_relevant(SeqNr s) const {
 // --------------------------------------------------------------- auth I/O
 
 void PbftReplica::broadcast(BytesView inner, bool sign) {
-  if (mute) return;
+  if (host().byzantine().mute) return;
   if (sign) {
     host().charge_sign();
     Bytes sig = crypto().sign(self(), auth_bytes(inner));
@@ -77,14 +77,14 @@ void PbftReplica::broadcast(BytesView inner, bool sign) {
 }
 
 void PbftReplica::send_authed(std::uint32_t idx, BytesView inner) {
-  if (mute || idx == cfg_.my_index) return;
+  if (host().byzantine().mute || idx == cfg_.my_index) return;
   host().charge_mac();
   Bytes tag_bytes = crypto().mac(self(), cfg_.replicas[idx], auth_bytes(inner));
   send_framed(cfg_.replicas[idx], inner, tag_bytes);
 }
 
 void PbftReplica::on_message(NodeId from, Reader& r) {
-  if (mute_rx) return;  // fully-isolated Byzantine node: deaf as well
+  if (host().byzantine().mute_rx) return;  // fully-isolated Byzantine node: deaf as well
   BytesView all = r.raw(r.remaining());
   if (all.empty()) return;
   auto type = static_cast<MsgType>(all[0]);
@@ -225,7 +225,7 @@ void PbftReplica::propose(std::vector<Bytes> batch) {
   }
 
   pbft::PrePrepareMsg m{view_, s, e.requests};
-  if (equivocate && cfg_.n() >= 3) {
+  if (host().byzantine().equivocate && cfg_.n() >= 3) {
     // Byzantine primary: conflicting but individually plausible proposals
     // for the same sequence number. The first half of the other replicas
     // receives the real batch, the second half a conflicting one (the

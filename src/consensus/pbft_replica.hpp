@@ -103,19 +103,8 @@ class PbftReplica : public Component, public Agreement {
   /// not proposed or prepared. Default accepts everything.
   std::function<bool(BytesView)> validate = [](BytesView) { return true; };
 
-  /// Test hook: a "mute" replica stops sending protocol messages
-  /// (fail-silent Byzantine behaviour, e.g. a faulty primary).
-  bool mute = false;
-  /// Test hook: also drop *inbound* protocol handling, so a fully-isolated
-  /// Byzantine node (neither speaks nor listens) is expressible — `mute`
-  /// alone still learns views and certificates from its peers.
-  bool mute_rx = false;
-  /// Test hook: an equivocating primary proposes conflicting pre-prepares
-  /// for the same sequence number to disjoint halves of the group (the
-  /// real batch to one half, a reversed batch — or a null instance for
-  /// singleton batches — to the other). Quorum intersection prevents both
-  /// digests from committing; liveness recovers via view change.
-  bool equivocate = false;
+  // Byzantine flags (mute, mute_rx, equivocate) are read from the host
+  // node's World entry where they act; a muted replica charges no MAC.
 
  private:
   struct Entry {

@@ -178,13 +178,6 @@ bool ShardedSpiderSystem::restart_node(NodeId id) {
   return false;
 }
 
-bool ShardedSpiderSystem::set_byzantine(NodeId id, const ByzantineFlags& flags) {
-  for (auto& core : cores_) {
-    if (core->set_byzantine(id, flags)) return true;
-  }
-  return false;
-}
-
 std::vector<NodeId> ShardedSpiderSystem::replica_ids() const {
   std::vector<NodeId> ids;
   for (const auto& core : cores_) {

@@ -67,10 +67,6 @@ class ShardedSpiderSystem {
   /// Routes to the core owning the replica id; see SpiderSystem.
   bool crash_node(NodeId id);
   bool restart_node(NodeId id);
-  /// Routes a Byzantine flag set to the core owning the replica id (the
-  /// per-core semantics — role-specific flags, persistence across
-  /// crash/restart — are SpiderSystem::set_byzantine's).
-  bool set_byzantine(NodeId id, const ByzantineFlags& flags);
   /// Replica ids across every core, for fault-plan targeting.
   [[nodiscard]] std::vector<NodeId> replica_ids() const;
 

@@ -1,14 +1,15 @@
 // Per-replica Byzantine behaviour toggles.
 //
-// FaultPlan composes timed Byzantine windows into one flag set per NodeId
-// and pushes it through a system's set_byzantine hook whenever the merged
-// state changes. Which fields apply depends on the replica's role:
-// execution replicas honour corrupt_replies / drop_forwarding /
-// forge_checkpoints, consensus-running replicas (Spider agreement, PBFT
-// baseline) honour mute / mute_rx / equivocate / forge_checkpoints, and
-// PBFT-baseline replicas — which both order and execute — honour
-// corrupt_replies as well. Flags a replica has no behaviour for are
-// silently ignored, so one schedule vocabulary covers every deployment.
+// Every node's flags live in one World entry (World::byzantine(NodeId)),
+// which outlives the replica process: a process rebuilt by restart_node
+// under the same id reads the entry its predecessor read, so scheduled
+// misbehaviour survives a crash. FaultPlan's Byzantine windows write the
+// entry; tests may write it directly. Each protocol class reads the flag
+// it acts on through its host node (SimNode::byzantine()) at the point
+// where it acts: PbftReplica honours mute / mute_rx / equivocate, the
+// Checkpointer forge_checkpoints, ClientPort corrupt_replies and the
+// Spider execution replica drop_forwarding. A flag no class on the node
+// acts on is ignored, so one schedule vocabulary covers every deployment.
 #pragma once
 
 #include "common/bytes.hpp"
@@ -36,7 +37,6 @@ struct ByzantineFlags {
     return corrupt_replies || drop_forwarding || mute || mute_rx || equivocate ||
            forge_checkpoints;
   }
-  bool operator==(const ByzantineFlags&) const = default;
 };
 
 /// Shared corrupt_replies tampering, applied to an encoded reply payload

@@ -210,18 +210,13 @@ void FaultPlan::apply_byz(NodeId n) {
     auto it = byz_until_.find({n, bit});
     return it != byz_until_.end() && it->second > now;
   };
-  ByzantineFlags f;
+  ByzantineFlags& f = world_.byzantine(n);
   f.corrupt_replies = active(kByzCorrupt);
   f.drop_forwarding = active(kByzDropFwd);
   f.mute = active(kByzMute);
   f.mute_rx = active(kByzMuteRx);
   f.equivocate = active(kByzEquivocate);
   f.forge_checkpoints = active(kByzForgeCp);
-
-  ByzantineFlags& cur = byz_state_[n];
-  if (cur == f) return;  // an overlapping window still holds the state
-  cur = f;
-  if (on_byzantine) on_byzantine(n, f);
 }
 
 void FaultPlan::byz_window(Time t, NodeId n, std::uint8_t bits, Duration duration) {
@@ -257,11 +252,6 @@ void FaultPlan::equivocate_at(Time t, NodeId n, Duration duration) {
 
 void FaultPlan::forge_checkpoints_at(Time t, NodeId n, Duration duration) {
   byz_window(t, n, kByzForgeCp, duration);
-}
-
-ByzantineFlags FaultPlan::byzantine(NodeId n) const {
-  auto it = byz_state_.find(n);
-  return it == byz_state_.end() ? ByzantineFlags{} : it->second;
 }
 
 void FaultPlan::randomize(const ChaosProfile& profile) {

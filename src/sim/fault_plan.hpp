@@ -18,8 +18,9 @@
 // process — volatile state is lost and the rebuilt process must recover
 // through checkpoint state transfer. Without hooks the plan falls back to
 // the crash-stop model (SimNetwork::set_node_down), which keeps state.
-// Byzantine windows go through `on_byzantine` (the systems' set_byzantine),
-// which persists flags across a crash/restart of the same node.
+// Byzantine windows write the node's World::byzantine(n) entry, which the
+// replica reads where it acts and which persists across a crash/restart of
+// the same node, so the plan needs no hook for them.
 #pragma once
 
 #include <functional>
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "sim/byzantine.hpp"
 #include "sim/network.hpp"
 
 namespace spider {
@@ -53,12 +53,6 @@ class FaultPlan {
   /// unset, crashes degrade to the crash-stop model (set_node_down).
   std::function<void(NodeId)> on_crash;
   std::function<void(NodeId)> on_restart;
-
-  /// Invoked whenever a node's merged Byzantine flag set changes (window
-  /// start, window end, overlap resolution). Typically bound to a system's
-  /// set_byzantine. Without the hook, Byzantine actions are recorded but
-  /// have no effect.
-  std::function<void(NodeId, const ByzantineFlags&)> on_byzantine;
 
   // ---- timed actions (absolute simulated time) --------------------------
   /// Cuts every link between a node of `a` and a node of `b` (both
@@ -85,10 +79,10 @@ class FaultPlan {
   void slow_node_at(Time t, NodeId n, double factor, Duration duration);
 
   // ---- timed Byzantine actions -------------------------------------------
-  // Each schedules a window [t, t + duration) in which the flag is set on
-  // node n (via on_byzantine). Overlapping windows on the same node/flag
-  // extend the effect; windows on different flags compose into one merged
-  // ByzantineFlags per node.
+  // Each schedules a window [t, t + duration) in which the flag is set in
+  // node n's World::byzantine(n) entry. Overlapping windows on the same
+  // node/flag extend the effect; windows on different flags compose into
+  // one merged ByzantineFlags per node.
   /// Execution replica answers clients with tampered values.
   void corrupt_replies_at(Time t, NodeId n, Duration duration);
   /// Execution replica silently refuses to forward client requests.
@@ -150,8 +144,6 @@ class FaultPlan {
   [[nodiscard]] bool crashed(NodeId n) const { return crashed_.count(n) > 0; }
   [[nodiscard]] std::size_t active_partitions() const { return partitions_.size(); }
   [[nodiscard]] std::uint64_t actions_fired() const { return actions_fired_; }
-  /// Currently active merged Byzantine flags of node n.
-  [[nodiscard]] ByzantineFlags byzantine(NodeId n) const;
   /// Human-readable schedule (one line per scheduled action), for
   /// reproducing a failing chaos seed.
   [[nodiscard]] std::string describe() const;
@@ -222,10 +214,9 @@ class FaultPlan {
   std::map<std::uint64_t, LinkMod> link_mods_;  // symmetric pair -> effect
   std::map<NodeId, Time> slow_until_;           // slow-node window expiry
   std::set<NodeId> crashed_;
-  // (node, flag bit) -> window expiry; merged into one ByzantineFlags per
-  // node by apply_byz (same max-extend semantics as LinkMod).
+  // (node, flag bit) -> window expiry; merged into the node's World entry
+  // by apply_byz (same max-extend semantics as LinkMod).
   std::map<std::pair<NodeId, std::uint8_t>, Time> byz_until_;
-  std::map<NodeId, ByzantineFlags> byz_state_;
   std::uint64_t actions_fired_ = 0;
   std::vector<std::pair<Time, std::string>> script_;  // for describe()
   std::vector<Action> recorded_;                      // for serialize_script()

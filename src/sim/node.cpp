@@ -17,7 +17,8 @@ const char* cpu_cat_name(CpuCat cat) {
   return "other";
 }
 
-SimNode::SimNode(World& world, NodeId id, Site site) : world_(world), id_(id), site_(site) {
+SimNode::SimNode(World& world, NodeId id, Site site)
+    : world_(world), id_(id), site_(site), byzantine_(&world.byzantine(id)) {
   world_.transport().attach(this);
 }
 

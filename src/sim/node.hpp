@@ -17,6 +17,7 @@
 #include "common/ids.hpp"
 #include "common/payload.hpp"
 #include "net/transport.hpp"
+#include "sim/byzantine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/topology.hpp"
 
@@ -50,6 +51,9 @@ class SimNode : public TransportEndpoint {
   [[nodiscard]] NodeId id() const override { return id_; }
   [[nodiscard]] Site site() const override { return site_; }
   World& world() { return world_; }
+  /// This node's Byzantine flags: its World entry, which a process rebuilt
+  /// under the same id reads as well.
+  [[nodiscard]] const ByzantineFlags& byzantine() const { return *byzantine_; }
   [[nodiscard]] Time now() const;
   CryptoProvider& crypto();
 
@@ -150,6 +154,7 @@ class SimNode : public TransportEndpoint {
   World& world_;
   NodeId id_;
   Site site_;
+  const ByzantineFlags* byzantine_;
   // Liveness token captured by every event this node schedules on the
   // world queue (drains, timers, outbox flushes). Destroying the node —
   // how a process *crash* is modeled — flips it, turning all still-pending

@@ -13,6 +13,7 @@
 #include "crypto/provider.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/byzantine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 
@@ -86,6 +87,11 @@ class World {
   /// registered before enable_tracing() still reach the tracer.
   void name_node(NodeId id, std::string name);
 
+  /// Node `id`'s Byzantine flags: one entry per NodeId, kept for the
+  /// World's lifetime, so a process rebuilt under the same id resumes
+  /// them. FaultPlan and tests write it; SimNode::byzantine() reads it.
+  ByzantineFlags& byzantine(NodeId id) { return byzantine_[id]; }
+
  private:
   EventQueue queue_;
   Rng rng_;
@@ -98,6 +104,7 @@ class World {
   std::unique_ptr<obs::Tracer> tracer_;
   obs::Tracer* tracer_raw_ = nullptr;
   std::map<NodeId, std::string> node_names_;
+  std::map<NodeId, ByzantineFlags> byzantine_;  // node-based: entries never move
   // Process-global digest total at construction: metrics report this
   // World's digests only, keeping snapshots deterministic across replays
   // in one process.

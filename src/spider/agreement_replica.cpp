@@ -52,15 +52,12 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
 
 bool AgreementReplica::validate_request(BytesView wire) {
   // A-Validity: only correctly authenticated client requests are ordered.
-  try {
-    auto req = codec::decode<RequestMsg>(wire);
-    const ClientRequest& cr = req.frame.req;
-    if (cr.kind == OpKind::WeakRead) return false;  // never ordered
-    if (cr.kind == OpKind::Reconfig && cr.client != cfg_.admin) return false;
-    return verify_client_signature(*this, req.frame);
-  } catch (const SerdeError&) {
-    return false;
-  }
+  auto req = codec::try_decode<RequestMsg>(wire);
+  if (!req) return false;
+  const ClientRequest& cr = req->frame.req;
+  if (cr.kind == OpKind::WeakRead) return false;  // never ordered
+  if (cr.kind == OpKind::Reconfig && cr.client != cfg_.admin) return false;
+  return verify_client_signature(*this, req->frame);
 }
 
 void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
@@ -369,13 +366,10 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       // driving view changes (their commit happened while we were cut
       // off; it will not be delivered here again).
       pbft_->drop_pending_if([this](BytesView wire) {
-        try {
-          auto req = codec::decode<RequestMsg>(wire);
-          auto it = t_.find(req.frame.req.client);
-          return it != t_.end() && req.frame.req.counter <= it->second;
-        } catch (const SerdeError&) {
-          return false;
-        }
+        auto req = codec::try_decode<RequestMsg>(wire);
+        if (!req) return false;
+        auto it = t_.find(req->frame.req.client);
+        return it != t_.end() && req->frame.req.counter <= it->second;
       });
       if (reg.version > registry_.version) {
         // Reconcile channels with the checkpointed registry.
@@ -417,12 +411,5 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
 }
 
 void AgreementReplica::recover() { checkpointer_->fetch_cp(1); }
-
-void AgreementReplica::apply_byzantine(const ByzantineFlags& f) {
-  pbft_->mute = f.mute;
-  pbft_->mute_rx = f.mute_rx;
-  pbft_->equivocate = f.equivocate;
-  checkpointer_->forge_checkpoints = f.forge_checkpoints;
-}
 
 }  // namespace spider

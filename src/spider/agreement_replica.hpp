@@ -53,12 +53,6 @@ class AgreementReplica : public ComponentHost {
   /// (which may never come if client traffic stopped).
   void recover();
 
-  /// Applies a Byzantine flag set (FaultPlan via the system's
-  /// set_byzantine): mute / mute_rx / equivocate drive the consensus
-  /// engine, forge_checkpoints the agreement checkpointer; execution-role
-  /// flags are ignored (agreement replicas never answer clients).
-  void apply_byzantine(const ByzantineFlags& f);
-
   // Introspection ---------------------------------------------------------
   [[nodiscard]] SeqNr ordered_seq() const { return sn_; }
   [[nodiscard]] const RegistrySnapshot& registry() const { return registry_; }

@@ -39,7 +39,12 @@ void Checkpointer::add_fetch_peers(const std::vector<NodeId>& peers) {
 
 void Checkpointer::gen_cp(SeqNr s, Bytes state) {
   if (s <= last_stable_) return;
-  if (forge_checkpoints) {
+  if (host().byzantine().forge_checkpoints) {
+    // Byzantine: instead of voting for its genuine snapshot, sign a vote
+    // for a tampered state digest and push a forged "stable" certificate
+    // to the group. Correct replicas must reject both: the bogus digest
+    // never gathers f+1 matching signatures, and the certificate fails
+    // signer dedup.
     Bytes tampered = state;
     tampered.push_back(0xbd);
     host().charge_hash(tampered.size());

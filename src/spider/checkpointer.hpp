@@ -86,15 +86,6 @@ class Checkpointer : public Component {
   /// has stopped. Returns (seq, state); seq 0 means nothing to snapshot.
   std::function<std::pair<SeqNr, Bytes>()> snapshot_now;
 
-  /// Test hook (Byzantine): instead of voting for its genuine snapshot,
-  /// the replica signs a checkpoint vote for a *tampered* state digest and
-  /// pushes a forged "stable" certificate (its own signature listed f+1
-  /// times) to the group. Correct replicas must reject both: the bogus
-  /// digest never gathers f+1 matching signatures, and the certificate
-  /// fails signer dedup. The forger keeps its genuine snapshot locally so
-  /// it adopts the group's correct checkpoint once that stabilizes.
-  bool forge_checkpoints = false;
-
   void on_message(NodeId from, Reader& r) override;
 
   [[nodiscard]] SeqNr last_stable() const { return last_stable_; }

@@ -24,7 +24,7 @@ void ClientPort::reply(NodeId client, std::uint64_t counter, BytesView result, b
              "request", "reply");
   }
   Bytes out = to_bytes(result);
-  if (corrupt_replies) corrupt_reply_payload(out);
+  if (host().byzantine().corrupt_replies) corrupt_reply_payload(out);
   send_maced({client}, codec::encode(ReplyMsg{counter, std::move(out), weak}),
              weak ? TrafficClass::kUnordered : TrafficClass::kOrdered);
 }

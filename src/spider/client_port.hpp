@@ -30,13 +30,10 @@ class ClientPort : public Component {
   /// Sends `client` a MAC'd reply. Weak (direct-path) replies are
   /// idempotent and client-retried, so they ride the unordered datagram
   /// channel on the socket backend; ordered replies stay on the reliable
-  /// control channel.
+  /// control channel. Under corrupt_replies the result is tampered with
+  /// (f+1 matching correct replies outvote it; f+1 corruptors are the
+  /// linearizability checker's canary).
   void reply(NodeId client, std::uint64_t counter, BytesView result, bool weak);
-
-  /// Byzantine test hook: replies carry a tampered result (outvoted by
-  /// f+1 matching correct replies; f+1 corruptors are the linearizability
-  /// checker's canary).
-  bool corrupt_replies = false;
 
  private:
   RequestFn on_request_;

@@ -56,12 +56,6 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
   request_next_execute();
 }
 
-void ExecutionReplica::apply_byzantine(const ByzantineFlags& f) {
-  port_->corrupt_replies = f.corrupt_replies;
-  drop_forwarding = f.drop_forwarding;
-  checkpointer_->forge_checkpoints = f.forge_checkpoints;
-}
-
 void ExecutionReplica::add_checkpoint_peers(const std::vector<NodeId>& peers) {
   checkpointer_->add_fetch_peers(peers);
   for (NodeId p : peers) trusted_peers_->insert(p);
@@ -111,7 +105,7 @@ void ExecutionReplica::handle_request(ClientFrame frame) {
   if (!verify_client_signature(*this, frame)) return;
 
   last = req.counter;
-  if (drop_forwarding) return;  // Byzantine: silently refuse to forward
+  if (byzantine().drop_forwarding) return;  // Byzantine: silently refuse to forward
   if (auto* t = tracer()) {
     t->async(obs::Ph::kAsyncInstant, now(), id(),
              obs::request_id(req.client, req.counter), "request", "forward");
@@ -128,9 +122,9 @@ void ExecutionReplica::request_next_execute() {
   // stored batch.
   commit_rx_->receive(0, sn_ + 1, [this](RecvResult res) {
     if (!res.too_old) {
-      try {
-        process_batch(codec::decode<ExecuteBatchMsg>(res.message));
-      } catch (const SerdeError&) {
+      if (auto batch = codec::try_decode<ExecuteBatchMsg>(res.message)) {
+        process_batch(*batch);
+      } else {
         // Channel contents are vouched for by fa+1 agreement replicas;
         // malformed content would indicate a local bug. Skip defensively.
         ++sn_;
@@ -190,13 +184,20 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
       // migration committed first this shard must redirect, not execute,
       // so every replica attributes the key to the same owner.
       Bytes result;
-      if (is_sys_op(x.op)) {
-        result = execute_sys_op(x.client, x.op);
-      } else if (!owns_keys(x.op)) {
-        result = make_wrong_shard_reply(*map_);
-      } else {
-        result = x.op_kind == OpKind::StrongRead ? app_->execute_readonly(x.op)
-                                                 : app_->execute(x.op);
+      try {
+        if (is_sys_op(x.op)) {
+          result = execute_sys_op(x.client, x.op);
+        } else if (!owns_keys(x.op)) {
+          result = make_wrong_shard_reply(*map_);
+        } else {
+          result = x.op_kind == OpKind::StrongRead ? app_->execute_readonly(x.op)
+                                                   : app_->execute(x.op);
+        }
+      } catch (const SerdeError&) {
+        // An op the application rejects gets no reply (as in the
+        // baselines); its sequence number is spent and the rest of the
+        // batch executes.
+        break;
       }
       e.counter = x.counter;
       e.result = std::move(result);

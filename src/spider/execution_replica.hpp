@@ -16,7 +16,6 @@
 #include "app/application.hpp"
 #include "irmc/irmc.hpp"
 #include "shard/migration.hpp"
-#include "sim/byzantine.hpp"
 #include "sim/component.hpp"
 #include "spider/checkpointer.hpp"
 #include "spider/client_port.hpp"
@@ -68,16 +67,6 @@ class ExecutionReplica : public ComponentHost {
   [[nodiscard]] std::uint64_t catchups() const { return catchups_; }
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-
-  /// Test hook: Byzantine replica that stays silent toward the agreement
-  /// group (drops request forwarding).
-  bool drop_forwarding = false;
-
-  /// Applies a Byzantine flag set (FaultPlan via the system's
-  /// set_byzantine): corrupt_replies, drop_forwarding and
-  /// forge_checkpoints are meaningful here; consensus-role flags are
-  /// ignored.
-  void apply_byzantine(const ByzantineFlags& f);
 
  private:
   void handle_request(ClientFrame frame);

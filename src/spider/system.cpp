@@ -280,18 +280,11 @@ bool SpiderSystem::crash_node(NodeId id) {
 }
 
 bool SpiderSystem::restart_node(NodeId id) {
-  // A restarted process resumes any scheduled Byzantine behaviour: the
-  // flags model the *role* being adversarial, not one incarnation of it.
-  auto stored_flags = [this](NodeId n) {
-    auto it = byz_flags_.find(n);
-    return it == byz_flags_.end() ? ByzantineFlags{} : it->second;
-  };
   for (std::size_t i = 0; i < agreement_ids_.size(); ++i) {
     if (agreement_ids_[i] == id) {
       if (agreement_[i]) return true;  // already running
       agreement_[i] =
           std::make_unique<AgreementReplica>(world_, agreement_sites_[i], agreement_config(i));
-      if (ByzantineFlags f = stored_flags(id); f.any()) agreement_[i]->apply_byzantine(f);
       agreement_[i]->recover();
       return true;
     }
@@ -302,39 +295,12 @@ bool SpiderSystem::restart_node(NodeId id) {
         auto& slot = groups_.at(g)[i];
         if (slot) return true;
         slot = build_exec_replica(g, i);
-        if (ByzantineFlags f = stored_flags(id); f.any()) slot->apply_byzantine(f);
         slot->add_checkpoint_peers(checkpoint_peers_for(g));
         return true;
       }
     }
   }
   return false;
-}
-
-bool SpiderSystem::set_byzantine(NodeId id, const ByzantineFlags& flags) {
-  for (std::size_t i = 0; i < agreement_ids_.size(); ++i) {
-    if (agreement_ids_[i] == id) {
-      byz_flags_[id] = flags;
-      if (agreement_[i]) agreement_[i]->apply_byzantine(flags);
-      return true;
-    }
-  }
-  for (auto& [g, ids] : group_members_) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == id) {
-        byz_flags_[id] = flags;
-        auto& slot = groups_.at(g)[i];
-        if (slot) slot->apply_byzantine(flags);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-ByzantineFlags SpiderSystem::byzantine_flags(NodeId id) const {
-  auto it = byz_flags_.find(id);
-  return it == byz_flags_.end() ? ByzantineFlags{} : it->second;
 }
 
 bool SpiderSystem::is_crashed(NodeId id) const {

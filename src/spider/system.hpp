@@ -104,23 +104,13 @@ class SpiderSystem {
   bool crash_node(NodeId id);
   /// Rebuilds a crashed replica under the same NodeId/site. The fresh
   /// process re-initializes through the checkpoint/state-transfer path
-  /// (fetch_cp / commit-channel replay / PBFT view rejoin).
+  /// (fetch_cp / commit-channel replay / PBFT view rejoin). It reads the
+  /// same World::byzantine(id) entry, so scheduled misbehaviour resumes.
   bool restart_node(NodeId id);
   [[nodiscard]] bool is_crashed(NodeId id) const;
   /// Every replica id of this deployment (agreement + execution), for
   /// fault-plan targeting.
   [[nodiscard]] std::vector<NodeId> replica_ids() const;
-
-  // ---- Byzantine fault injection (FaultPlan hooks) -----------------------
-  /// Applies a Byzantine flag set to the replica with this id: agreement
-  /// replicas honour the consensus-role flags (mute / mute_rx / equivocate
-  /// / forge_checkpoints), execution replicas the execution-role flags
-  /// (corrupt_replies / drop_forwarding / forge_checkpoints). Flags
-  /// persist across crash_node/restart_node — a rebuilt process resumes
-  /// its scheduled misbehaviour — and are cleared by applying a
-  /// default-constructed set. Returns false for unknown ids.
-  bool set_byzantine(NodeId id, const ByzantineFlags& flags);
-  [[nodiscard]] ByzantineFlags byzantine_flags(NodeId id) const;
 
   // ---- runtime reconfiguration (paper §3.6) ------------------------------
   /// Starts 2fe+1 replicas in `region` and submits <AddGroup> through the
@@ -163,8 +153,6 @@ class SpiderSystem {
   std::map<GroupId, Region> group_regions_;
   GroupId next_group_id_ = 1;
   std::unique_ptr<SpiderClient> admin_;
-  // Byzantine flags outlive the replica object (re-applied on restart).
-  std::map<NodeId, ByzantineFlags> byz_flags_;
 };
 
 }  // namespace spider

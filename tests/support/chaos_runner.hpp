@@ -211,7 +211,6 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
       FaultPlan plan(world);
       plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
       plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-      plan.on_byzantine = [&sys](NodeId n, const ByzantineFlags& f) { sys.set_byzantine(n, f); };
 
       std::vector<std::unique_ptr<SpiderClient>> clients;
       clients.push_back(sys.make_client(Site{Region::Virginia, 0}));
@@ -255,7 +254,6 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
       FaultPlan plan(world);
       plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
       plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-      plan.on_byzantine = [&sys](NodeId n, const ByzantineFlags& f) { sys.set_byzantine(n, f); };
 
       std::vector<std::unique_ptr<SpiderClient>> clients;
       clients.push_back(sys.make_client(Site{Region::Virginia, 1}));
@@ -294,7 +292,6 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
       FaultPlan plan(world);
       plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
       plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-      plan.on_byzantine = [&sys](NodeId n, const ByzantineFlags& f) { sys.set_byzantine(n, f); };
 
       std::vector<std::unique_ptr<ShardedClient>> clients;
       clients.push_back(sys.make_client(Site{Region::Virginia, 0}));

@@ -165,7 +165,7 @@ TEST(Batching, ViewChangeCarriesInFlightBatch) {
   // The primary cut the batch (size trigger) and broadcast the pre-prepare;
   // muting it now suppresses its commit, so followers h1/h2 reach prepared
   // with only 2 commit votes: the batch stays in flight.
-  g.hosts[0]->replica->mute = true;
+  g.world.byzantine(g.hosts[0]->id()).mute = true;
   g.world.run_for(3 * kSecond);
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_TRUE(g.hosts[i]->flat.empty()) << "batch must not commit without the primary";

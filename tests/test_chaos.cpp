@@ -317,10 +317,8 @@ TEST(ByzantineCanary, FePlusOneCorruptorsProduceFlaggedHistory) {
   auto client = sys.make_client(Site{Region::Virginia, 0});
   GroupId g = client->group().group;
 
-  ByzantineFlags corrupt;
-  corrupt.corrupt_replies = true;
-  ASSERT_TRUE(sys.set_byzantine(sys.exec(g, 0).id(), corrupt));
-  ASSERT_TRUE(sys.set_byzantine(sys.exec(g, 1).id(), corrupt));
+  world.byzantine(sys.exec(g, 0).id()).corrupt_replies = true;
+  world.byzantine(sys.exec(g, 1).id()).corrupt_replies = true;
 
   recorded_put(hist, *client, 0, "k", "honest");
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);
@@ -341,9 +339,7 @@ TEST(ByzantineCanary, FeCorruptorsAreOutvotedAndHistoryStaysClean) {
   auto client = sys.make_client(Site{Region::Virginia, 0});
   GroupId g = client->group().group;
 
-  ByzantineFlags corrupt;
-  corrupt.corrupt_replies = true;
-  ASSERT_TRUE(sys.set_byzantine(sys.exec(g, 0).id(), corrupt));
+  world.byzantine(sys.exec(g, 0).id()).corrupt_replies = true;
 
   recorded_put(hist, *client, 0, "k", "honest");
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);

@@ -3,6 +3,10 @@
 // detach/re-attach in-flight message semantics, and seed determinism.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "sim/fault_plan.hpp"
 #include "sim/node.hpp"
 #include "sim/world.hpp"
@@ -285,36 +289,55 @@ TEST(FaultPlan, RandomizedScheduleIsSeedDeterministic) {
 // Byzantine windows
 // ---------------------------------------------------------------------------
 
+/// Runs `world` one event at a time until `until`, recording (node, on)
+/// whenever any() of one of `nodes`' World flag entries changes.
+std::vector<std::pair<NodeId, bool>> byz_transitions(World& world, Time until,
+                                                     const std::vector<NodeId>& nodes) {
+  std::vector<std::pair<NodeId, bool>> out;
+  std::map<NodeId, bool> last;
+  for (NodeId n : nodes) last[n] = world.byzantine(n).any();
+  while (world.queue().next_time().value_or(until + 1) <= until) {
+    world.queue().run_next();
+    for (NodeId n : nodes) {
+      const bool on = world.byzantine(n).any();
+      if (std::exchange(last[n], on) != on) out.emplace_back(n, on);
+    }
+  }
+  world.run_until(until);
+  return out;
+}
+
 TEST(FaultPlan, ByzantineWindowTogglesFlagsThroughHook) {
+  // The plan's "hook" is the World entry each window writes.
   World world(1);
   FaultPlan plan(world);
-  std::vector<std::pair<NodeId, ByzantineFlags>> calls;
-  plan.on_byzantine = [&](NodeId n, const ByzantineFlags& f) { calls.emplace_back(n, f); };
+  const std::vector<NodeId> nodes = {7, 9};
 
   plan.corrupt_replies_at(kSecond, 7, kSecond);
   plan.mute_at(2500 * kMillisecond, 9, kSecond, /*rx_too=*/true);
 
-  world.run_until(500 * kMillisecond);
-  EXPECT_TRUE(calls.empty());
-  EXPECT_FALSE(plan.byzantine(7).any());
+  EXPECT_TRUE(byz_transitions(world, 500 * kMillisecond, nodes).empty());
+  EXPECT_FALSE(world.byzantine(7).any());
 
-  world.run_until(kSecond + 1);
+  auto calls = byz_transitions(world, kSecond + 1, nodes);
   ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0].first, 7u);
-  EXPECT_TRUE(calls[0].second.corrupt_replies);
-  EXPECT_TRUE(plan.byzantine(7).corrupt_replies);
+  EXPECT_EQ(calls[0], std::make_pair(NodeId{7}, true));
+  EXPECT_TRUE(world.byzantine(7).corrupt_replies);
 
-  world.run_until(2 * kSecond + 1);  // window end clears the node
-  ASSERT_EQ(calls.size(), 2u);
-  EXPECT_FALSE(calls[1].second.any());
-  EXPECT_FALSE(plan.byzantine(7).any());
+  calls = byz_transitions(world, 2 * kSecond + 1, nodes);  // window end clears the node
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(NodeId{7}, false));
+  EXPECT_FALSE(world.byzantine(7).any());
 
-  world.run_until(4 * kSecond);  // mute window ran [2.5s, 3.5s)
-  ASSERT_EQ(calls.size(), 4u);
-  EXPECT_EQ(calls[2].first, 9u);
-  EXPECT_TRUE(calls[2].second.mute);
-  EXPECT_TRUE(calls[2].second.mute_rx);
-  EXPECT_FALSE(calls[3].second.any());
+  calls = byz_transitions(world, 3 * kSecond, nodes);  // mute window runs [2.5s, 3.5s)
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(NodeId{9}, true));
+  EXPECT_TRUE(world.byzantine(9).mute);
+  EXPECT_TRUE(world.byzantine(9).mute_rx);
+  calls = byz_transitions(world, 4 * kSecond, nodes);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(NodeId{9}, false));
+  EXPECT_FALSE(world.byzantine(9).any());
 }
 
 TEST(FaultPlan, OverlappingByzantineWindowsExtendAndCompose) {
@@ -327,13 +350,13 @@ TEST(FaultPlan, OverlappingByzantineWindowsExtendAndCompose) {
   plan.drop_forwarding_at(200 * kMillisecond, 7, kSecond);
 
   world.run_until(1100 * kMillisecond);  // past the first corrupt end
-  EXPECT_TRUE(plan.byzantine(7).corrupt_replies);
-  EXPECT_TRUE(plan.byzantine(7).drop_forwarding);
+  EXPECT_TRUE(world.byzantine(7).corrupt_replies);
+  EXPECT_TRUE(world.byzantine(7).drop_forwarding);
   world.run_until(1300 * kMillisecond);  // drop-forwarding window over
-  EXPECT_TRUE(plan.byzantine(7).corrupt_replies);
-  EXPECT_FALSE(plan.byzantine(7).drop_forwarding);
+  EXPECT_TRUE(world.byzantine(7).corrupt_replies);
+  EXPECT_FALSE(world.byzantine(7).drop_forwarding);
   world.run_until(2 * kSecond);
-  EXPECT_FALSE(plan.byzantine(7).any());
+  EXPECT_FALSE(world.byzantine(7).any());
 }
 
 TEST(FaultPlan, RandomizedByzantineScheduleRespectsPerRoleCaps) {
@@ -342,10 +365,6 @@ TEST(FaultPlan, RandomizedByzantineScheduleRespectsPerRoleCaps) {
   // of each group.
   World world(42);
   FaultPlan plan(world);
-  std::set<NodeId> touched;
-  plan.on_byzantine = [&](NodeId n, const ByzantineFlags& f) {
-    if (f.any()) touched.insert(n);
-  };
   FaultPlan::ChaosProfile profile;
   profile.byz_consensus_groups = {{1, 2, 3, 4}};
   profile.max_byz_per_consensus_group = 1;
@@ -353,7 +372,11 @@ TEST(FaultPlan, RandomizedByzantineScheduleRespectsPerRoleCaps) {
   profile.max_byz_per_exec_group = 1;
   profile.byz_actions = 24;
   plan.randomize(profile);
-  world.run_until(profile.horizon + kSecond);
+  std::set<NodeId> touched;
+  for (const auto& [n, on] : byz_transitions(world, profile.horizon + kSecond,
+                                             {1, 2, 3, 4, 10, 11, 12, 20, 21, 22})) {
+    if (on) touched.insert(n);
+  }
 
   EXPECT_FALSE(touched.empty());
   auto count_in = [&touched](std::vector<NodeId> grp) {
@@ -403,17 +426,15 @@ TEST(FaultPlan, ScriptRoundTripReproducesScheduleExactly) {
   EXPECT_EQ(p2.describe(), p1.describe());
 
   // And it *behaves* identically: the same Byzantine transitions fire.
-  std::vector<std::pair<NodeId, bool>> t1, t2;
+  const std::vector<NodeId> nodes = {1, 2, 3, 4, 5};
   World w3(1);
   FaultPlan p3(w3);
-  p3.on_byzantine = [&t1](NodeId n, const ByzantineFlags& f) { t1.emplace_back(n, f.any()); };
   build(p3);
-  w3.run_until(10 * kSecond);
+  const auto t1 = byz_transitions(w3, 10 * kSecond, nodes);
   World w4(1);
   FaultPlan p4(w4);
-  p4.on_byzantine = [&t2](NodeId n, const ByzantineFlags& f) { t2.emplace_back(n, f.any()); };
   p4.schedule_script(script);
-  w4.run_until(10 * kSecond);
+  const auto t2 = byz_transitions(w4, 10 * kSecond, nodes);
   EXPECT_EQ(t1, t2);
   EXPECT_FALSE(t1.empty());
 }

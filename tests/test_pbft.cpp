@@ -190,7 +190,7 @@ TEST(Pbft, CrashedPrimaryTriggersViewChange) {
 
 TEST(Pbft, MutePrimaryTriggersViewChange) {
   PbftGroup g;
-  g.hosts[0]->replica->mute = true;  // fail-silent Byzantine primary
+  g.world.byzantine(g.hosts[0]->id()).mute = true;  // fail-silent Byzantine primary
   for (int i = 0; i < 3; ++i) g.order_everywhere(g.req(i));
   g.world.run_for(10 * kSecond);
   for (std::size_t r = 1; r < 4; ++r) {
@@ -201,7 +201,7 @@ TEST(Pbft, MutePrimaryTriggersViewChange) {
 
 TEST(Pbft, OrderingContinuesAfterViewChange) {
   PbftGroup g;
-  g.hosts[0]->replica->mute = true;
+  g.world.byzantine(g.hosts[0]->id()).mute = true;
   g.order_everywhere(g.req(1));
   g.world.run_for(10 * kSecond);
   ASSERT_GE(g.hosts[1]->replica->view(), 1u);

@@ -3,8 +3,9 @@
 // execution replica recovering through fetch_cp, a restarted agreement
 // replica rejoining its view, a restarted PBFT-baseline replica, Byzantine
 // primaries (muted / equivocating) that must trigger a view change and
-// commit exactly once, and the scripted crash/partition/restart acceptance
-// scenario with byte-identical seed replay.
+// commit exactly once, restarted replicas that resume their Byzantine
+// flags, and the scripted crash/partition/restart acceptance scenario with
+// byte-identical seed replay.
 #include <gtest/gtest.h>
 
 #include "baselines/bft_system.hpp"
@@ -244,7 +245,7 @@ void run_byzantine_primary_case(std::uint64_t seed, const ByzantineFlags& primar
   ASSERT_TRUE(drive::blocking_write(world, *client, "warm", "w").ok);
   SeqNr seq_before = sys.exec(va, 0).executed_seq();
 
-  ASSERT_TRUE(sys.set_byzantine(sys.agreement(0).id(), primary_flags));
+  world.byzantine(sys.agreement(0).id()) = primary_flags;
 
   std::vector<std::unique_ptr<SpiderClient>> writers;
   for (int i = 0; i < 4; ++i) {
@@ -298,6 +299,66 @@ TEST(Recovery, EquivocatingPrimaryTriggersViewChangeAndCommitsExactlyOnce) {
   // Each contested instance may be resolved as a null request before the
   // honest view re-proposes the write.
   run_byzantine_primary_case(17, f, /*max_null_slack=*/8);
+}
+
+// ---------------------------------------------------------------------------
+// Byzantine flags outlive the process. A replica rebuilt by restart_node
+// under the same id resumes its flags. Each case turns f+1 replicas of one
+// group Byzantine, one more than the threat model allows, so a write
+// stalls exactly as long as the restarted replica still misbehaves.
+// ---------------------------------------------------------------------------
+
+TEST(Recovery, RestartedExecReplicaResumesItsByzantineFlags) {
+  World world(18);
+  SpiderSystem sys(world, topo_small());
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  const GroupId g = client->group().group;
+  ASSERT_TRUE(drive::blocking_write(world, *client, "warm", "w").ok);
+
+  // fe+1 = 2 of 3 replicas drop forwarding: fs+1 = 2 forwards never meet.
+  const std::vector<NodeId> byz = {sys.exec(g, 0).id(), sys.exec(g, 1).id()};
+  for (NodeId n : byz) world.byzantine(n).drop_forwarding = true;
+  ASSERT_TRUE(sys.crash_node(byz[0]));
+  world.run_for(kSecond);
+  ASSERT_TRUE(sys.restart_node(byz[0]));
+
+  auto write = std::make_shared<bool>(false);
+  client->write(kv_put("k", to_bytes("v")), [write](Bytes, Duration) { *write = true; });
+  EXPECT_FALSE(drive::run_until(world, [&] { return *write; }, 10 * kSecond))
+      << "the restarted replica forwarded: its flags were lost";
+
+  for (NodeId n : byz) world.byzantine(n) = {};
+  EXPECT_TRUE(drive::run_until(world, [&] { return *write; }, 30 * kSecond));
+}
+
+TEST(Recovery, RestartedBftReplicaResumesItsByzantineFlags) {
+  World world(19);
+  BftConfig cfg;
+  cfg.sites = geo_replica_sites(Region::Virginia, 4);
+  cfg.checkpoint_interval = 8;
+  cfg.request_timeout = kSecond;
+  cfg.view_change_timeout = 2 * kSecond;
+  BftSystem sys(world, cfg);
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(drive::blocking_write(world, *client, "warm", "w").ok);
+
+  // f+1 = 2 of 4 replicas are fully isolated: 2f+1 = 3 votes never meet.
+  const std::vector<NodeId> byz = {sys.replica_ids()[2], sys.replica_ids()[3]};
+  for (NodeId n : byz) {
+    world.byzantine(n).mute = true;
+    world.byzantine(n).mute_rx = true;
+  }
+  ASSERT_TRUE(sys.crash_node(byz[0]));
+  world.run_for(kSecond);
+  ASSERT_TRUE(sys.restart_node(byz[0]));
+
+  auto write = std::make_shared<bool>(false);
+  client->write(kv_put("k", to_bytes("v")), [write](Bytes, Duration) { *write = true; });
+  EXPECT_FALSE(drive::run_until(world, [&] { return *write; }, 10 * kSecond))
+      << "the restarted replica voted: its flags were lost";
+
+  for (NodeId n : byz) world.byzantine(n) = {};
+  EXPECT_TRUE(drive::run_until(world, [&] { return *write; }, 30 * kSecond));
 }
 
 // ---------------------------------------------------------------------------

@@ -351,7 +351,6 @@ ReshardChaosOutcome run_reshard_chaos(std::uint64_t seed) {
   FaultPlan plan(world);
   plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
   plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-  plan.on_byzantine = [&sys](NodeId n, const ByzantineFlags& f) { sys.set_byzantine(n, f); };
 
   std::vector<std::unique_ptr<ShardedClient>> clients;
   clients.push_back(sys.make_client(Site{Region::Virginia, 0}));

@@ -173,7 +173,7 @@ TEST(Spider, VirginiaWritesFarFasterThanTokyo) {
 TEST(Spider, ByzantineReplicaRepliesOutvoted) {
   Fixture f;
   GroupId g = f.sys.nearest_group(Region::Oregon);
-  f.sys.exec(g, 0).apply_byzantine({.corrupt_replies = true});  // 1 of 3 corrupts results
+  f.world.byzantine(f.sys.exec(g, 0).id()).corrupt_replies = true;  // 1 of 3 corrupts results
   auto client = f.sys.make_client(Site{Region::Oregon, 0});
   auto [reply, lat] = f.do_write(*client, "k", "v");
   EXPECT_TRUE(reply.ok);  // fe+1 = 2 correct replies outvote the corruption
@@ -185,10 +185,76 @@ TEST(Spider, ByzantineReplicaRepliesOutvoted) {
 TEST(Spider, ByzantineReplicaDroppingForwardsHarmless) {
   Fixture f;
   GroupId g = f.sys.nearest_group(Region::Ireland);
-  f.sys.exec(g, 1).drop_forwarding = true;
+  f.world.byzantine(f.sys.exec(g, 1).id()).drop_forwarding = true;
   auto client = f.sys.make_client(Site{Region::Ireland, 0});
   auto [reply, lat] = f.do_write(*client, "k", "v");
   EXPECT_TRUE(reply.ok);  // fe+1 remaining correct replicas form the quorum
+}
+
+// An op the application cannot parse is ordered like any signed write: the
+// agreement group checks signatures, not ops. Execution spends its sequence
+// number on it, sends no reply (as the baselines do) and goes on executing.
+constexpr std::uint8_t kUnknownKvOpcode = 0x07;
+
+TEST(Spider, RejectedOpGetsNoReplyAndLaterWritesComplete) {
+  Fixture f;
+  auto bad = f.sys.make_client(Site{Region::Virginia, 0});
+  auto good = f.sys.make_client(Site{Region::Virginia, 0});
+  const GroupId g = bad->group().group;
+  ASSERT_TRUE(f.do_write(*good, "warm", "w").first.ok);
+  const SeqNr before = f.sys.exec(g, 0).executed_seq();
+
+  bool replied = false;
+  bad->write(Bytes{kUnknownKvOpcode}, [&](Bytes, Duration) { replied = true; });
+  f.world.run_for(5 * kSecond);
+  EXPECT_FALSE(replied);
+  for (std::size_t i = 0; i < f.sys.group_size(g); ++i) {
+    EXPECT_EQ(f.sys.exec(g, i).executed_seq(), before + 1) << "replica " << i;
+  }
+
+  for (int i = 0; i < 5; ++i) {
+    auto [reply, lat] = f.do_write(*good, "k" + std::to_string(i), "v", 20 * kSecond);
+    ASSERT_GE(lat, 0) << "write " << i << " never completed";
+    EXPECT_TRUE(reply.ok);
+  }
+  EXPECT_EQ(f.sys.exec(g, 0).executed_seq(), before + 6);
+  EXPECT_FALSE(replied);
+}
+
+TEST(Spider, RejectedOpFirstInItsBatchLeavesTheRestExecuting) {
+  SpiderTopology topo = test_topology();
+  topo.max_batch = 4;
+  topo.batch_delay = 50 * kMillisecond;
+  Fixture f(topo);
+  std::vector<std::unique_ptr<SpiderClient>> clients;
+  for (int i = 0; i < 5; ++i) clients.push_back(f.sys.make_client(Site{Region::Virginia, 0}));
+  const GroupId g = clients[0]->group().group;
+  ASSERT_TRUE(f.do_write(*clients[4], "warm", "w").first.ok);
+  const SeqNr before = f.sys.exec(g, 0).executed_seq();
+  const PbftReplica& primary = f.sys.agreement(0).consensus();
+  const std::uint64_t batches_before = primary.batches_proposed();
+  const std::uint64_t requests_before = primary.requests_proposed();
+
+  // The rejected op first, three writes batched behind it.
+  bool bad_replied = false;
+  clients[0]->write(Bytes{kUnknownKvOpcode}, [&](Bytes, Duration) { bad_replied = true; });
+  int ok = 0;
+  for (int i = 1; i <= 3; ++i) {
+    clients[i]->write(kv_put("k" + std::to_string(i), to_bytes("v")),
+                      [&](Bytes r, Duration) { ok += kv_decode_reply(r).ok ? 1 : 0; });
+  }
+  const Time deadline = f.world.now() + 20 * kSecond;
+  while (ok < 3 && f.world.now() < deadline && f.world.queue().run_next()) {
+  }
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(primary.batches_proposed(), batches_before + 1);
+  EXPECT_EQ(primary.requests_proposed(), requests_before + 4);
+  EXPECT_EQ(f.sys.exec(g, 0).executed_seq(), before + 4);
+
+  auto [later, lat] = f.do_write(*clients[4], "later", "x", 20 * kSecond);
+  EXPECT_GE(lat, 0) << "a write after the batch never completed";
+  EXPECT_TRUE(later.ok);
+  EXPECT_FALSE(bad_replied);
 }
 
 TEST(Spider, CrashedExecutionReplicaTolerated) {
