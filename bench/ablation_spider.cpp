@@ -101,7 +101,7 @@ void ablation_z() {
     Fleet fleet(world, 0, 60 * kSecond);
     for (int i = 0; i < 4; ++i) {
       fleet.add_client(sys.make_client(Site{Region::Virginia, static_cast<std::uint8_t>(i % 3)}),
-                       Region::Virginia, OpType::Write);
+                       Region::Virginia, OpKind::Write);
     }
     fleet.start(500 * kMillisecond);
     world.run_until(62 * kSecond);
@@ -129,7 +129,7 @@ void ablation_ka() {
     for (Region r : {Region::Virginia, Region::Tokyo}) {
       for (int i = 0; i < 4; ++i) {
         fleet.add_client(sys.make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                         OpType::Write);
+                         OpKind::Write);
       }
     }
     fleet.start(500 * kMillisecond);

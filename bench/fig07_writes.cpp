@@ -17,26 +17,6 @@
 namespace spider::bench {
 namespace {
 
-const std::vector<Region> kClientRegions = {Region::Virginia, Region::Oregon, Region::Ireland,
-                                            Region::Tokyo};
-constexpr int kClientsPerRegion = 6;
-constexpr Duration kInterval = 500 * kMillisecond;
-constexpr Time kWarmup = 5 * kSecond;
-constexpr Time kEnd = 35 * kSecond;
-
-template <typename MakeClient>
-std::map<Region, LatencyStats> run_write_load(World& world, MakeClient make_client) {
-  Fleet fleet(world, kWarmup, kEnd);
-  for (Region r : kClientRegions) {
-    for (int i = 0; i < kClientsPerRegion; ++i) {
-      fleet.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r, OpType::Write);
-    }
-  }
-  fleet.start(kInterval);
-  world.run_until(kEnd + 2 * kSecond);
-  return std::move(fleet.stats);
-}
-
 void bench_bft() {
   const std::vector<Region> order = {Region::Virginia, Region::Oregon, Region::Ireland,
                                      Region::Tokyo};
@@ -96,8 +76,8 @@ void bench_spider() {
 int main() {
   std::printf("=== Figure 7: write latency percentiles by client region ===\n");
   std::printf("(200-byte writes; %d clients/region; measure window %.0f s)\n\n",
-              spider::bench::kClientsPerRegion,
-              spider::to_sec(spider::bench::kEnd - spider::bench::kWarmup));
+              spider::bench::paper_load::kClientsPerRegion,
+              spider::to_sec(spider::bench::paper_load::kEnd - spider::bench::paper_load::kWarmup));
   spider::bench::bench_bft();
   std::printf("\n");
   spider::bench::bench_hft();

@@ -13,23 +13,17 @@
 namespace spider::bench {
 namespace {
 
-const std::vector<Region> kClientRegions = {Region::Virginia, Region::Oregon, Region::Ireland,
-                                            Region::Tokyo};
-constexpr int kClientsPerRegion = 6;
-constexpr Duration kInterval = 500 * kMillisecond;
-constexpr Time kWarmup = 5 * kSecond;
-constexpr Time kEnd = 35 * kSecond;
-
 template <typename MakeClient>
 void run_reads(World& world, const std::string& label, MakeClient make_client) {
+  using namespace paper_load;
   Fleet strong(world, kWarmup, kEnd);
   Fleet weak(world, kWarmup, kEnd);
-  for (Region r : kClientRegions) {
+  for (Region r : kRegions) {
     for (int i = 0; i < kClientsPerRegion; ++i) {
       strong.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                        OpType::StrongRead);
+                        OpKind::StrongRead);
       weak.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                      OpType::WeakRead);
+                      OpKind::WeakRead);
     }
   }
   strong.start(kInterval);

@@ -9,32 +9,6 @@
 #include "harness.hpp"
 #include "spider/system.hpp"
 
-namespace spider::bench {
-namespace {
-
-const std::vector<Region> kClientRegions = {Region::Virginia, Region::Oregon, Region::Ireland,
-                                            Region::Tokyo};
-constexpr int kClientsPerRegion = 6;
-constexpr Duration kInterval = 500 * kMillisecond;
-constexpr Time kWarmup = 5 * kSecond;
-constexpr Time kEnd = 35 * kSecond;
-
-template <typename MakeClient>
-std::map<Region, LatencyStats> run_writes(World& world, MakeClient make_client) {
-  Fleet fleet(world, kWarmup, kEnd);
-  for (Region r : kClientRegions) {
-    for (int i = 0; i < kClientsPerRegion; ++i) {
-      fleet.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r, OpType::Write);
-    }
-  }
-  fleet.start(kInterval);
-  world.run_until(kEnd + 2 * kSecond);
-  return std::move(fleet.stats);
-}
-
-}  // namespace
-}  // namespace spider::bench
-
 int main() {
   using namespace spider;
   using namespace spider::bench;
@@ -46,7 +20,8 @@ int main() {
     std::vector<Site> azs = {Site{Region::Virginia, 0}, Site{Region::Virginia, 1},
                              Site{Region::Virginia, 2}, Site{Region::Virginia, 3}};
     BftSystem sys(world, BftConfig{azs});
-    print_region_row("SPIDER-0E", run_writes(world, [&](Site s) { return sys.make_client(s); }));
+    print_region_row("SPIDER-0E",
+                     run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   {
     // Spider-1E: a single execution group co-located in Virginia.
@@ -54,12 +29,13 @@ int main() {
     SpiderTopology topo;
     topo.exec_regions = {Region::Virginia};
     SpiderSystem sys(world, topo);
-    print_region_row("SPIDER-1E", run_writes(world, [&](Site s) { return sys.make_client(s); }));
+    print_region_row("SPIDER-1E",
+                     run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   {
     World world(3);
     SpiderSystem sys(world, SpiderTopology{});
-    print_region_row("SPIDER", run_writes(world, [&](Site s) { return sys.make_client(s); }));
+    print_region_row("SPIDER", run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   return 0;
 }

@@ -54,9 +54,9 @@ Series run_timeline(World& world, MakeClient make_client,
 
   for (Region r : kInitialRegions) {
     for (int i = 0; i < kClientsPerRegion; ++i) {
-      writes.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r, OpType::Write);
+      writes.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r, OpKind::Write);
       weak.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                      OpType::WeakRead);
+                      OpKind::WeakRead);
     }
   }
   writes.start(kInterval);
@@ -70,9 +70,9 @@ Series run_timeline(World& world, MakeClient make_client,
   world.queue().schedule_at(kJoin, [&] {
     for (int i = 0; i < kClientsPerRegion; ++i) {
       writes.add_client(make_client(Site{Region::SaoPaulo, static_cast<std::uint8_t>(i % 3)}),
-                        Region::SaoPaulo, OpType::Write);
+                        Region::SaoPaulo, OpKind::Write);
       weak.add_client(make_client(Site{Region::SaoPaulo, static_cast<std::uint8_t>(i % 3)}),
-                      Region::SaoPaulo, OpType::WeakRead);
+                      Region::SaoPaulo, OpKind::WeakRead);
     }
     writes.start_new_entries(kInterval);
     weak.start_new_entries(kInterval);

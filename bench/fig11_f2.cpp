@@ -11,32 +11,6 @@
 #include "harness.hpp"
 #include "spider/system.hpp"
 
-namespace spider::bench {
-namespace {
-
-const std::vector<Region> kClientRegions = {Region::Virginia, Region::Oregon, Region::Ireland,
-                                            Region::Tokyo};
-constexpr int kClientsPerRegion = 6;
-constexpr Duration kInterval = 500 * kMillisecond;
-constexpr Time kWarmup = 5 * kSecond;
-constexpr Time kEnd = 35 * kSecond;
-
-template <typename MakeClient>
-std::map<Region, LatencyStats> run_writes(World& world, MakeClient make_client) {
-  Fleet fleet(world, kWarmup, kEnd);
-  for (Region r : kClientRegions) {
-    for (int i = 0; i < kClientsPerRegion; ++i) {
-      fleet.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r, OpType::Write);
-    }
-  }
-  fleet.start(kInterval);
-  world.run_until(kEnd + 2 * kSecond);
-  return std::move(fleet.stats);
-}
-
-}  // namespace
-}  // namespace spider::bench
-
 int main() {
   using namespace spider;
   using namespace spider::bench;
@@ -53,7 +27,7 @@ int main() {
     cfg.f = 2;
     BftSystem sys(world, cfg);
     print_region_row("BFT f=2 leader=V",
-                     run_writes(world, [&](Site s) { return sys.make_client(s); }));
+                     run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   {
     // HFT with 3f+1 = 7 replicas per site cluster.
@@ -62,7 +36,7 @@ int main() {
     cfg.f = 2;
     HftSystem sys(world, cfg);
     print_region_row("HFT f=2 leader-site=V",
-                     run_writes(world, [&](Site s) { return sys.make_client(s); }));
+                     run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   for (std::uint32_t rot : {0u, 3u}) {
     // Spider with fa = fe = 2: agreement group of 7 (Virginia AZs + Ohio),
@@ -74,7 +48,7 @@ int main() {
     topo.agreement_az_rotation = rot;
     SpiderSystem sys(world, topo);
     print_region_row("SPIDER f=2 leader=V-" + std::to_string(rot + 1),
-                     run_writes(world, [&](Site s) { return sys.make_client(s); }));
+                     run_write_load(world, [&](Site s) { return sys.make_client(s); }));
   }
   return 0;
 }

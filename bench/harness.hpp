@@ -2,8 +2,10 @@
 //
 // Emulates the paper's client population: a set of clients per region
 // issuing fixed-size KV operations at a fixed rate against any system that
-// serves SpiderClient (Spider, BFT, BFT-WV, HFT). Latencies are recorded
-// per region, with a warm-up cutoff.
+// serves SpiderClient (Spider, BFT, BFT-WV, HFT). Each client is handed one
+// op per interval through SpiderClient::fire, whether or not its last op
+// finished; the client queues it. Latencies are the client's service
+// latencies (from transmission), recorded per region with a warm-up cutoff.
 #pragma once
 
 #include <cstdio>
@@ -20,17 +22,6 @@
 
 namespace spider::bench {
 
-enum class OpType { Write, StrongRead, WeakRead };
-
-inline const char* op_name(OpType t) {
-  switch (t) {
-    case OpType::Write: return "write";
-    case OpType::StrongRead: return "strong-read";
-    case OpType::WeakRead: return "weak-read";
-  }
-  return "?";
-}
-
 /// Value padding so requests are ~200 bytes on the wire (paper §5).
 inline Bytes payload_200b() { return Bytes(160, 0x42); }
 
@@ -38,7 +29,7 @@ struct Fleet {
   struct Entry {
     std::unique_ptr<SpiderClient> client;
     Region region;
-    OpType op;
+    OpKind op;
     std::uint64_t key_seq = 0;
   };
 
@@ -57,7 +48,7 @@ struct Fleet {
   Fleet(World& w, Time measure_from_, Time stop_at_)
       : world(w), measure_from(measure_from_), stop_at(stop_at_) {}
 
-  void add_client(std::unique_ptr<SpiderClient> c, Region r, OpType op) {
+  void add_client(std::unique_ptr<SpiderClient> c, Region r, OpKind op) {
     entries.push_back(Entry{std::move(c), r, op});
   }
 
@@ -94,15 +85,41 @@ struct Fleet {
         }
       };
       std::string key = "c" + std::to_string(i) + "-k" + std::to_string(e.key_seq++ % 32);
-      switch (e.op) {
-        case OpType::Write: e.client->write(kv_put(key, payload_200b()), record); break;
-        case OpType::StrongRead: e.client->strong_read(kv_get(key), record); break;
-        case OpType::WeakRead: e.client->weak_read(kv_get(key), record); break;
-      }
+      e.client->fire(e.op, e.op == OpKind::Write ? kv_put(key, payload_200b()) : kv_get(key),
+                     record);
       schedule_next(i, interval, interval);
     });
   }
 };
+
+/// The paper's client population (Figures 7, 8, 9a and 11): six clients in
+/// each of four regions, one op per client every 500 ms until 35 s, with
+/// latencies recorded for ops submitted from 5 s on.
+namespace paper_load {
+inline const std::vector<Region> kRegions = {Region::Virginia, Region::Oregon, Region::Ireland,
+                                             Region::Tokyo};
+constexpr int kClientsPerRegion = 6;
+constexpr Duration kInterval = 500 * kMillisecond;
+constexpr Time kWarmup = 5 * kSecond;
+constexpr Time kEnd = 35 * kSecond;
+}  // namespace paper_load
+
+/// Runs the paper's 200-byte write load against clients from `make_client`
+/// (Site -> unique_ptr<SpiderClient>) and returns per-region latencies.
+template <typename MakeClient>
+std::map<Region, LatencyStats> run_write_load(World& world, MakeClient make_client) {
+  using namespace paper_load;
+  Fleet fleet(world, kWarmup, kEnd);
+  for (Region r : kRegions) {
+    for (int i = 0; i < kClientsPerRegion; ++i) {
+      fleet.add_client(make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
+                       OpKind::Write);
+    }
+  }
+  fleet.start(kInterval);
+  world.run_until(kEnd + 2 * kSecond);
+  return std::move(fleet.stats);
+}
 
 /// Prints one figure row: p50/p90 per region.
 inline void print_region_row(const std::string& label, const std::map<Region, LatencyStats>& stats) {

@@ -41,7 +41,7 @@ Result run_one(std::uint64_t max_batch, Duration batch_delay, int clients) {
   for (int i = 0; i < clients; ++i) {
     Region r = (i % 2 == 0) ? Region::Virginia : Region::Ohio;
     fleet.add_client(sys.make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                     OpType::Write);
+                     OpKind::Write);
   }
   // Offered load well above the unbatched agreement capacity, so the sweep
   // measures service rate, not load generation.

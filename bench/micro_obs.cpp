@@ -60,7 +60,7 @@ RunResult run_once(TraceMode mode) {
   for (Region r : {Region::Virginia, Region::Oregon, Region::Ireland}) {
     for (int i = 0; i < kClientsPerRegion; ++i) {
       fleet.add_client(sys.make_client(Site{r, static_cast<std::uint8_t>(i % 3)}), r,
-                       OpType::Write);
+                       OpKind::Write);
     }
   }
   fleet.start(kInterval);

@@ -236,8 +236,7 @@ bool BftSystem::is_crashed(NodeId id) const {
 
 ClientGroupInfo BftSystem::client_info() const {
   ClientGroupInfo info{0, replica_ids(), cfg_.f};
-  info.direct_strong_reads = true;
-  info.strong_quorum = 2 * cfg_.f + 1;
+  info.direct_strong_quorum = 2 * cfg_.f + 1;
   return info;
 }
 

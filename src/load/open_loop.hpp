@@ -29,8 +29,7 @@ class World;
 
 namespace spider::load {
 
-/// Operation classes the driver issues (mirrors bench::OpType, kept here so
-/// src/load does not depend on bench/ headers).
+/// Operation classes the runner submits.
 enum class LoadOp : std::uint8_t { Write, WeakRead, StrongRead };
 
 std::string_view load_op_name(LoadOp op);

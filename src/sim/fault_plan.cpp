@@ -468,59 +468,67 @@ void FaultPlan::schedule_script(const std::string& script) {
       std::vector<Site> v;
       for (std::size_t i = 0; i < n; ++i) {
         int region = 0, az = 0;
-        if (!(ls >> region >> az)) throw fail();
+        if (!(ls >> region >> az) || region < 0 || region >= kNumRegions || az < 0 ||
+            az > 255) {
+          throw fail();
+        }
         v.push_back(Site{static_cast<Region>(region), static_cast<std::uint8_t>(az)});
       }
       return v;
     };
+    // Accept only lines serialize_script could have written: every field in
+    // range and nothing after the last one.
+    auto require = [&ls, &fail](bool ok) {
+      std::string rest;
+      if (!ok || ls >> rest) throw fail();
+    };
 
     std::string kind;
     Time t = 0;
-    if (!(ls >> kind >> t)) throw fail();
+    if (!(ls >> kind >> t) || t < 0) throw fail();
+    Duration dur = 0;
     if (kind == "partition") {
-      Duration dur = 0;
       if (!(ls >> dur)) throw fail();
       std::vector<NodeId> a = get_nodes();
       std::vector<NodeId> b = get_nodes();
+      require(dur >= 0);
       partition_nodes_at(t, std::move(a), std::move(b), dur);
     } else if (kind == "sitepart") {
-      Duration dur = 0;
       if (!(ls >> dur)) throw fail();
       std::vector<Site> a = get_sites();
       std::vector<Site> b = get_sites();
+      require(dur >= 0);
       partition_sites_at(t, std::move(a), std::move(b), dur);
     } else if (kind == "healall") {
+      require(true);
       heal_at(t);
     } else if (kind == "crash" || kind == "restart") {
       NodeId n = 0;
-      if (!(ls >> n)) throw fail();
+      require(static_cast<bool>(ls >> n));
       if (kind == "crash") {
         crash_at(t, n);
       } else {
         restart_at(t, n);
       }
     } else if (kind == "delay") {
-      Duration dur = 0, extra = 0;
+      Duration extra = 0;
       NodeId a = 0, b = 0;
-      if (!(ls >> dur >> a >> b >> extra)) throw fail();
+      require((ls >> dur >> a >> b >> extra) && dur >= 0 && extra >= 0);
       link_delay_at(t, a, b, extra, dur);
     } else if (kind == "loss") {
-      Duration dur = 0;
       NodeId a = 0, b = 0;
       double loss = 0.0;
-      if (!(ls >> dur >> a >> b >> loss)) throw fail();
+      require((ls >> dur >> a >> b >> loss) && dur >= 0 && loss >= 0.0 && loss <= 1.0);
       link_loss_at(t, a, b, loss, dur);
     } else if (kind == "slow") {
-      Duration dur = 0;
       NodeId n = 0;
       double factor = 0.0;
-      if (!(ls >> dur >> n >> factor)) throw fail();
+      require((ls >> dur >> n >> factor) && dur >= 0 && factor > 0.0 && factor <= 1.0);
       slow_node_at(t, n, factor, dur);
     } else if (kind == "byz") {
-      Duration dur = 0;
       NodeId n = 0;
       unsigned bits = 0;
-      if (!(ls >> dur >> n >> bits)) throw fail();
+      require((ls >> dur >> n >> bits) && dur >= 0 && bits != 0 && bits < (kByzForgeCp << 1));
       byz_window(t, n, static_cast<std::uint8_t>(bits), dur);
     } else {
       throw fail();

@@ -155,8 +155,12 @@ class FaultPlan {
   [[nodiscard]] std::string serialize_script() const;
   /// Re-issues every action of a serialized script on this plan, in the
   /// original call order (same-time events keep their scheduling order, so
-  /// a replay is byte-identical). Throws std::invalid_argument on
-  /// malformed input. Call before running the world past the first action.
+  /// a replay is byte-identical). Throws std::invalid_argument on a line
+  /// serialize_script could not have written: an unknown kind, a missing or
+  /// trailing field, or a value out of range (a negative time, duration or
+  /// extra delay, loss outside [0, 1], slow factor outside (0, 1], Byzantine
+  /// bits zero or naming no defined flag, an unknown region or az > 255).
+  /// Call before running the world past the first action.
   void schedule_script(const std::string& script);
 
  private:

@@ -1,74 +1,9 @@
 #include "sim/stats.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
 namespace spider {
-
-void LatencyStats::add(Duration sample) {
-  if (mode_ == Mode::kBucketed) {
-    // Latencies are non-negative in a causally consistent sim; clamp so a
-    // bug upstream degrades to a 0-bucket sample instead of UB.
-    hist_.add(sample > 0 ? static_cast<std::uint64_t>(sample) : 0);
-    return;
-  }
-  samples_.push_back(sample);
-  sorted_ = false;
-}
-
-void LatencyStats::clear() {
-  hist_.clear();
-  samples_.clear();
-  sorted_ = true;
-}
-
-std::size_t LatencyStats::count() const {
-  if (mode_ == Mode::kBucketed) return static_cast<std::size_t>(hist_.count());
-  return samples_.size();
-}
-
-Duration LatencyStats::percentile(double p) const {
-  // Clamp to [0, 100] (NaN lands on 0): an out-of-range p used to produce a
-  // negative exact-mode rank whose size_t cast indexed far out of bounds.
-  if (!(p >= 0.0)) p = 0.0;
-  if (p > 100.0) p = 100.0;
-  if (mode_ == Mode::kBucketed) {
-    // Empty histograms report 0 for every quantile, matching exact mode.
-    return static_cast<Duration>(hist_.percentile(p));
-  }
-  if (samples_.empty()) return 0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  auto idx = static_cast<std::size_t>(rank);
-  if (idx + 1 >= samples_.size()) return samples_.back();
-  double frac = rank - static_cast<double>(idx);
-  return static_cast<Duration>(static_cast<double>(samples_[idx]) * (1.0 - frac) +
-                               static_cast<double>(samples_[idx + 1]) * frac);
-}
-
-Duration LatencyStats::min() const {
-  if (mode_ == Mode::kBucketed) return static_cast<Duration>(hist_.min());
-  if (samples_.empty()) return 0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-Duration LatencyStats::max() const {
-  if (mode_ == Mode::kBucketed) return static_cast<Duration>(hist_.max());
-  if (samples_.empty()) return 0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double LatencyStats::mean() const {
-  if (mode_ == Mode::kBucketed) return hist_.mean();
-  if (samples_.empty()) return 0;
-  double sum = 0;
-  for (Duration s : samples_) sum += static_cast<double>(s);
-  return sum / static_cast<double>(samples_.size());
-}
 
 TimeSeries::TimeSeries(Duration bucket_width, std::size_t max_buckets)
     : bucket_(bucket_width), max_buckets_(max_buckets) {

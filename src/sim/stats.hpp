@@ -1,8 +1,7 @@
-// Measurement utilities: latency histograms with percentiles, bucketed time
-// series (for the adaptability timeline) and CPU utilization sampling.
+// Measurement utilities: latency histograms with percentiles and bucketed
+// time series (for the adaptability timeline).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -13,46 +12,36 @@
 
 namespace spider {
 
-/// Collects duration samples; percentiles computed on demand.
-///
-/// Default mode is kBucketed: samples land in an obs::LogHistogram, whose
-/// buckets grow only to the highest one used (~7.6 KiB at most) and not
-/// with run length, so million-op benchmarks no longer hoard one Duration
-/// per request. Bucketed
-/// percentiles carry the histogram's error bound — relative error at most
-/// 2^-5 ~= 3.2%, exact for values below 32 µs. kExact keeps every sample
-/// and interpolates percentiles precisely; use it for small-N tests that
-/// assert exact quantiles.
+/// Latency samples kept in an obs::LogHistogram and read back as Durations.
+/// The histogram's buckets grow only to the highest one used (~7.6 KiB at
+/// most), not with run length, and its percentiles carry a relative error
+/// of at most 2^-5 ~= 3.2%, exact for values below 32 µs.
 class LatencyStats {
  public:
-  enum class Mode : std::uint8_t { kBucketed, kExact };
+  /// Latencies are non-negative in a causally consistent sim; a negative
+  /// sample from a bug upstream lands in the 0 bucket instead of wrapping.
+  void add(Duration sample) { hist_.add(sample > 0 ? static_cast<std::uint64_t>(sample) : 0); }
+  void clear() { hist_.clear(); }
 
-  LatencyStats() = default;
-  explicit LatencyStats(Mode mode) : mode_(mode) {}
-
-  void add(Duration sample);
-  void clear();
-
-  [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] std::size_t count() const;
-  [[nodiscard]] Duration percentile(double p) const;  // p in [0, 100]
+  [[nodiscard]] std::size_t count() const { return static_cast<std::size_t>(hist_.count()); }
+  /// p is clamped to [0, 100] (NaN to 0); an empty histogram reports 0.
+  [[nodiscard]] Duration percentile(double p) const {
+    return static_cast<Duration>(hist_.percentile(p >= 0.0 ? p : 0.0));
+  }
   [[nodiscard]] Duration median() const { return percentile(50.0); }
   [[nodiscard]] Duration p90() const { return percentile(90.0); }
   [[nodiscard]] Duration p99() const { return percentile(99.0); }
   [[nodiscard]] Duration p999() const { return percentile(99.9); }
-  [[nodiscard]] Duration min() const;
-  [[nodiscard]] Duration max() const;
-  [[nodiscard]] double mean() const;
+  [[nodiscard]] Duration min() const { return static_cast<Duration>(hist_.min()); }
+  [[nodiscard]] Duration max() const { return static_cast<Duration>(hist_.max()); }
+  [[nodiscard]] double mean() const { return hist_.mean(); }
 
-  /// Bucketed-mode backing histogram (empty in exact mode) — lets report
-  /// code merge per-region stats or snapshot them through the registry.
+  /// The backing histogram, for report code that merges per-region stats or
+  /// snapshots them through the registry.
   [[nodiscard]] const obs::LogHistogram& histogram() const { return hist_; }
 
  private:
-  Mode mode_ = Mode::kBucketed;
   obs::LogHistogram hist_;
-  mutable std::vector<Duration> samples_;
-  mutable bool sorted_ = true;
 };
 
 /// Averages samples into fixed-width time buckets (paper Figure 10 reports
@@ -95,31 +84,6 @@ class TimeSeries {
   std::size_t max_buckets_;
   std::map<std::uint64_t, Bucket> buckets_;  // bucket index -> aggregate
   std::size_t dropped_ = 0;
-};
-
-/// Utilization of a single-core CPU over a measurement window.
-struct CpuWindow {
-  Duration busy_at_start = 0;
-  Time window_start = 0;
-
-  void begin(Time now, Duration busy_accum) {
-    window_start = now;
-    busy_at_start = busy_accum;
-  }
-  /// Clamped to [0, 100]: a skipped begin() or overlapping windows can make
-  /// the raw ratio negative or exceed the window (busy time accrued before
-  /// window_start), and reports feed capacity models that assume a
-  /// percentage. busy_accum must be monotone across one window.
-  [[nodiscard]] double utilization(Time now, Duration busy_accum) const {
-    assert(busy_accum >= busy_at_start && "busy_accum must not run backwards");
-    Duration elapsed = now - window_start;
-    if (elapsed <= 0) return 0.0;
-    double u = 100.0 * static_cast<double>(busy_accum - busy_at_start) /
-               static_cast<double>(elapsed);
-    if (u < 0.0) return 0.0;
-    if (u > 100.0) return 100.0;
-    return u;
-  }
 };
 
 /// Formats microseconds as "12.3 ms" for report output.

@@ -1,9 +1,19 @@
 // Spider client (paper Fig. 15).
 //
-// Writes and strongly consistent reads are signed, sent to every replica of
-// the client's execution group, and accepted after fe+1 matching replies.
-// Weakly consistent reads take the fast path: MAC-only requests answered
-// directly by the local execution group (fe+1 matching results).
+// Every operation enters through fire(kind, op, cb), which puts it on one of
+// two lanes. Each lane keeps one request in flight at a time: the front of
+// its queue, resent with capped, jittered backoff until a quorum of matching
+// replies from the client's execution group arrives.
+//  - Ordered lane: writes, reconfigurations and strongly consistent reads.
+//    Requests are signed, ride the reliable channel and complete on fe+1
+//    matching replies.
+//  - Direct lane: weakly consistent reads (the fast path, §3.3) and, on the
+//    flat-BFT baselines, direct strong reads. Requests are MAC'd only, ride
+//    the unordered channel and complete on fe+1 matching replies, or on
+//    direct_strong_quorum for a strong read, which falls back to the ordered
+//    lane when no such quorum forms.
+// Callbacks report service latency: reply quorum minus the request's first
+// transmission. The open-loop runner stamps sojourn latency itself.
 #pragma once
 
 #include <deque>
@@ -20,11 +30,11 @@ struct ClientGroupInfo {
   GroupId group = 0;
   std::vector<NodeId> members;  // 2fe+1 execution replicas
   std::uint32_t fe = 1;
-  /// Flat-BFT optimized reads (paper §5, Fig. 8a): strongly consistent
-  /// reads query replicas directly and require `strong_quorum` matching
-  /// replies instead of passing through the ordering protocol.
-  bool direct_strong_reads = false;
-  std::uint32_t strong_quorum = 0;  // 0 => fe+1
+  /// Flat-BFT optimized reads (paper §5, Fig. 8a): when non-zero, strongly
+  /// consistent reads query replicas directly and need this many matching
+  /// replies instead of passing through the ordering protocol. 0 = strong
+  /// reads are ordered.
+  std::uint32_t direct_strong_quorum = 0;
 };
 
 class SpiderClient : public ComponentHost {
@@ -36,8 +46,8 @@ class SpiderClient : public ComponentHost {
   /// exceeds kRetryBackoffCap x the base retry interval.
   static constexpr Duration kRetryBackoffCap = 8;
 
-  /// Direct (optimized) strong reads that fail to assemble `strong_quorum`
-  /// matching replies within this many retransmissions fall back to the
+  /// Direct strong reads that fail to assemble `direct_strong_quorum`
+  /// matching replies within this many timer expiries fall back to the
   /// ordering protocol, as in Castro-Liskov's read-only optimization: too
   /// many replicas hold divergent state (stale after a partition, restarted
   /// from an old checkpoint, Byzantine) for direct replies to ever agree,
@@ -48,55 +58,40 @@ class SpiderClient : public ComponentHost {
   SpiderClient(World& world, Site site, ClientGroupInfo group,
                Duration retry = 2 * kSecond);
 
-  /// Issues an operation; ordered ops (writes / strong reads) are queued
-  /// one-outstanding-at-a-time as in the paper's client.
-  void write(Bytes op, OpCallback cb) { submit_ordered(OpKind::Write, std::move(op), std::move(cb)); }
-  void strong_read(Bytes op, OpCallback cb) {
-    if (group_.direct_strong_reads) {
-      submit_direct(OpKind::StrongRead, std::move(op), std::move(cb));
-    } else {
-      submit_ordered(OpKind::StrongRead, std::move(op), std::move(cb));
-    }
-  }
-  void weak_read(Bytes op, OpCallback cb);
-
-  /// Fire-and-record submission for open-loop load generation: the op
-  /// enters this client's pipeline immediately and the arrival process
-  /// never waits for a reply. Unlike write()/weak_read(), whose callbacks
-  /// report *service* latency (reply time minus transmission start), the
-  /// callback here reports *sojourn* latency — completion minus this
-  /// submission, including any time the op queued behind earlier ops on
-  /// this client. Under overload that queueing is exactly the signal a
-  /// closed-loop harness hides (coordinated omission), so open-loop
-  /// drivers must use this path. Kind routing matches the named entry
-  /// points: WeakRead (and StrongRead under direct_strong_reads) take the
-  /// direct path, everything else the ordered path. Ops cancelled by
-  /// cancel_pending() lose the sojourn stamp on resubmit; router-managed
-  /// deployments measure sojourn at the router instead.
+  /// Queues an operation on its lane and returns at once; `cb` fires at the
+  /// reply quorum with the op's service latency. WeakRead (and StrongRead
+  /// under direct_strong_quorum) take the direct lane, every other kind the
+  /// ordered lane. The named entry points below are wrappers over it.
   void fire(OpKind kind, Bytes op, OpCallback cb);
-
-  /// Ops queued or in flight on this client, ordered + direct paths (the
-  /// in-flight op stays in its queue until completion). Open-loop drivers
-  /// report the max depth as a saturation symptom.
-  [[nodiscard]] std::size_t queue_depth() const {
-    return queue_.size() + weak_queue_.size();
+  void write(Bytes op, OpCallback cb) { fire(OpKind::Write, std::move(op), std::move(cb)); }
+  void strong_read(Bytes op, OpCallback cb) {
+    fire(OpKind::StrongRead, std::move(op), std::move(cb));
   }
-
+  void weak_read(Bytes op, OpCallback cb) {
+    fire(OpKind::WeakRead, std::move(op), std::move(cb));
+  }
   /// Submits an admin reconfiguration command through the write path.
   void reconfig(const ReconfigCmd& cmd, OpCallback cb) {
-    submit_ordered(OpKind::Reconfig, codec::encode(cmd), std::move(cb));
+    fire(OpKind::Reconfig, codec::encode(cmd), std::move(cb));
+  }
+
+  /// Ops queued or in flight on this client, both lanes (the in-flight op
+  /// stays in its queue until completion). The open-loop runner reports
+  /// the max depth as a saturation symptom.
+  [[nodiscard]] std::size_t queue_depth() const {
+    return ordered_.queue.size() + direct_.queue.size();
   }
 
   /// Switches to a different execution group (e.g. after its region failed
-  /// or a closer group appeared). In-flight ordered ops are re-sent there.
+  /// or a closer group appeared). Each lane's in-flight op is re-sent there.
   void switch_group(ClientGroupInfo group);
 
-  /// Cancels every queued and in-flight operation — ordered and direct — and
-  /// returns them in submission order (ordered queue first) with their
-  /// callbacks, which have NOT been invoked. Routers use this to re-route
-  /// ops that are retrying against a shard that no longer owns their keys.
-  /// An in-flight write may already have committed; re-submitting it is
-  /// at-least-once, not exactly-once.
+  /// Cancels every queued and in-flight operation on both lanes and returns
+  /// them in submission order (ordered lane first) with their callbacks,
+  /// which have NOT been invoked. Routers use this to re-route ops that are
+  /// retrying against a shard that no longer owns their keys. An in-flight
+  /// write may already have committed; re-submitting it is at-least-once,
+  /// not exactly-once.
   struct PendingOp {
     OpKind kind;
     Bytes op;
@@ -104,78 +99,44 @@ class SpiderClient : public ComponentHost {
   };
   std::vector<PendingOp> cancel_pending();
 
-  /// Re-submits a cancelled op with its original kind (weak reads re-enter
-  /// the direct path, everything else the ordered path).
-  void resubmit(PendingOp op);
+  /// Re-submits a cancelled op with its original kind.
+  void resubmit(PendingOp op) { fire(op.kind, std::move(op.op), std::move(op.cb)); }
 
   [[nodiscard]] const ClientGroupInfo& group() const { return group_; }
-  /// Total retransmissions (ordered + direct). Thin read of the registry
-  /// counter `client_retransmits{node=id(), role="client"}`.
+  /// Total retransmissions, both lanes. Thin read of the registry counter
+  /// `client_retransmits{node=id(), role="client"}`.
   [[nodiscard]] std::uint64_t retries() const { return retransmits_.value(); }
 
  private:
-  struct OrderedOp {
-    OpKind kind;
-    Bytes op;
-    OpCallback cb;
-    Time enqueued = 0;  // submission time (sojourn reference for open ops)
-    bool open = false;  // fire(): report sojourn, not service latency
+  struct Lane {
+    const bool direct;
+    obs::LogHistogram& latency;     // client_latency_{ordered,direct}
+    std::deque<PendingOp> queue{};  // the front is in flight
+    bool in_flight = false;
+    std::uint64_t counter = 0;      // request counter of the current/last op
+    Bytes frame{};                  // wire frame of the in-flight request
+    Time start = 0;                 // its first transmission
+    Duration backoff = 0;           // current retransmit interval
+    std::uint64_t expiries = 0;     // timer expiries of a direct strong read
+    std::map<NodeId, Bytes> replies{};  // replica -> result (current counter)
+    EventQueue::EventId timer = EventQueue::kInvalidEvent;
   };
 
-  void submit_ordered(OpKind kind, Bytes op, OpCallback cb, bool open = false,
-                      Time enqueued = -1);
-  void start_next();
-  Duration retry_jitter(Duration base);
-  void arm_retry();
-  /// transmit_current / transmit_weak: the in-flight ordered or direct
-  /// request, MAC'd to every replica of the group. Ordered requests ride
-  /// the reliable control channel; the direct path (weak reads, optimized
-  /// strong reads) is retried and idempotent, so it rides the unordered
-  /// datagram channel on the socket backend.
-  void transmit_current();
-  void start_weak();
-  void arm_weak_retry();
-  void transmit_weak();
+  void enqueue(Lane& lane, PendingOp op);
+  void start(Lane& lane);
+  void arm(Lane& lane);
+  void transmit(const Lane& lane);
   void handle_reply(NodeId from, Reader& r);
+  [[nodiscard]] std::uint64_t trace_id(const Lane& lane) const;
 
   ClientGroupInfo group_;
   Duration retry_;
-  Rng rng_;                 // per-client stream for retransmit jitter
-  TagHandler port_;         // [kClient]: requests out, replies in
-  Duration retry_cur_ = 0;  // current backoff interval for the in-flight op
-  std::uint64_t tc_ = 0;  // counter of the *current/last* ordered request
-
-  // Ordered-op state.
-  std::deque<OrderedOp> queue_;
-  bool in_flight_ = false;
-  Bytes current_wire_;  // signed frame of the in-flight request
-  Time current_start_ = 0;
-  std::map<NodeId, Bytes> replies_;  // replica -> result (for current tc)
-  EventQueue::EventId retry_timer_ = EventQueue::kInvalidEvent;
-
+  Rng rng_;          // per-client stream for retransmit jitter
+  TagHandler port_;  // [kClient]: requests out, replies in
   // Registry-backed stats (references stay valid for the World's lifetime).
   obs::Counter& retransmits_;
-  obs::LogHistogram& lat_ordered_;
-  obs::LogHistogram& lat_direct_;
-
-  // Direct-read state (weak reads, and BFT-style optimized strong reads):
-  // one outstanding direct op at a time.
-  struct WeakOp {
-    Bytes op;
-    OpCallback cb;
-    OpKind kind = OpKind::WeakRead;
-    Time enqueued = 0;
-    bool open = false;
-  };
-  void submit_direct(OpKind kind, Bytes op, OpCallback cb, bool open = false);
-  std::deque<WeakOp> weak_queue_;
-  bool weak_in_flight_ = false;
-  Duration weak_retry_cur_ = 0;  // current backoff interval for the direct op
-  std::uint64_t weak_attempts_ = 0;  // retransmissions of the in-flight direct op
-  std::uint64_t weak_counter_ = 0;
-  Time weak_start_ = 0;
-  std::map<NodeId, Bytes> weak_replies_;
-  EventQueue::EventId weak_retry_timer_ = EventQueue::kInvalidEvent;
+  Lane ordered_;
+  Lane direct_;
 };
 
 }  // namespace spider

@@ -3,6 +3,7 @@
 #include "baselines/bft_system.hpp"
 #include "baselines/hft_system.hpp"
 #include "sim/world.hpp"
+#include "tests/support/drive.hpp"
 
 namespace spider {
 namespace {
@@ -106,6 +107,32 @@ TEST(BaselineBft, LeaderCrashCausesWanViewChange) {
   auto [reply, lat] = run_write(world, *client, "k", "v");
   EXPECT_TRUE(reply.ok);
   EXPECT_GE(sys.replica(1).consensus().view(), 1u);
+}
+
+TEST(BaselineBft, DirectStrongReadFallsBackToOrderingWhenRepliesDisagree) {
+  World world(1);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_TRUE(run_write(world, *client, "k", "v").first.ok);
+
+  // One replica down, one corrupting its replies: the three that answer
+  // never give 2f+1 matching direct replies. After
+  // kDirectReadFallbackRetries timer expiries the read is ordered, and the
+  // f+1 correct ordered replies answer from the committed state.
+  world.net().set_node_down(sys.replica(3).id(), true);
+  world.byzantine(sys.replica(2).id()).corrupt_replies = true;
+  drive::KvOutcome read = drive::blocking_strong_read(world, *client, "k", 120 * kSecond);
+  ASSERT_TRUE(read.done);
+  EXPECT_TRUE(read.ok);
+  EXPECT_EQ(to_string(read.value), "v");
+  // Every expiry before the last retransmitted the direct request; the
+  // ordered request completed without one.
+  EXPECT_EQ(client->retries(), SpiderClient::kDirectReadFallbackRetries - 1);
+  const auto latency = [&](const char* name) -> const obs::LogHistogram& {
+    return world.metrics().histogram(name, {.node = client->id(), .role = "client"});
+  };
+  EXPECT_EQ(latency("client_latency_ordered").count(), 2u);  // the write and the read
+  EXPECT_EQ(latency("client_latency_direct").count(), 0u);
 }
 
 TEST(BaselineBft, Spider0EConfiguration) {

@@ -467,6 +467,27 @@ TEST(FaultPlan, MalformedScriptThrows) {
   EXPECT_THROW(plan.schedule_script("crash notatime 5\n"), std::invalid_argument);
   EXPECT_THROW(plan.schedule_script("frobnicate 1000\n"), std::invalid_argument);
   EXPECT_THROW(plan.schedule_script("partition 1000 0 2 1\n"), std::invalid_argument);
+  // Lines serialize_script could never have written: trailing tokens, then
+  // one out-of-range value per rule.
+  for (const char* line : {
+           "crash 1000 5 6",                 // trailing token
+           "crash -1000 5",                  // negative time
+           "partition 1000 -5 1 1 1 2",      // negative heal delay: never heals
+           "delay 1000 500 1 2 -7",          // negative extra delay
+           "loss 1000 500 1 2 7.5",          // loss above 1
+           "loss 1000 -500 1 2 0.5",         // negative duration
+           "loss 1000 500 1 2 -1",           // loss below 0
+           "slow 1000 500 3 0",              // slow factor 0
+           "slow 1000 500 3 1.5",            // slow factor above 1
+           "byz 1000 500 3 0",               // no flag
+           "byz 1000 500 3 64",              // undefined flag
+           "byz 1000 500 3 255",             // undefined flags
+           "sitepart 1000 0 1 99 0 1 0 0",   // region out of range
+           "sitepart 1000 0 1 0 300 1 1 0",  // az above 255
+       }) {
+    EXPECT_THROW(plan.schedule_script(std::string(line) + "\n"), std::invalid_argument)
+        << line;
+  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "load/workload.hpp"
 #include "sim/world.hpp"
 #include "spider/system.hpp"
-#include "support/drive.hpp"
 
 namespace spider::load {
 namespace {
@@ -139,35 +138,6 @@ TEST(Knee, HealthyCurveHasNone) {
   EXPECT_FALSE(detect_knee(rows, 5.0, 0.9));
 }
 
-// ---- SpiderClient::fire sojourn accounting -------------------------------
-
-TEST(Fire, ReportsSojournNotServiceLatency) {
-  World world(21);
-  SpiderTopology topo;
-  topo.exec_regions = {Region::Virginia};
-  SpiderSystem sys(world, topo);
-  auto client = sys.make_client(Site{Region::Virginia, 0});
-
-  // Burst of ordered writes fired in the same instant: each op queues
-  // behind its predecessors, so sojourn latencies must be strictly
-  // increasing. A service-latency report would show ~equal values.
-  constexpr int kBurst = 4;
-  std::vector<Duration> latencies;
-  for (int i = 0; i < kBurst; ++i) {
-    client->fire(OpKind::Write, kv_put(workload_key(i), Bytes{0x42}),
-                 [&latencies](Bytes, Duration lat) { latencies.push_back(lat); });
-  }
-  EXPECT_EQ(client->queue_depth(), static_cast<std::size_t>(kBurst));
-
-  ASSERT_TRUE(drive::run_until(world, [&] { return latencies.size() == kBurst; }));
-  for (int i = 1; i < kBurst; ++i) {
-    EXPECT_GT(latencies[i], latencies[i - 1]) << "op " << i;
-  }
-  // The tail op waited behind three full commits: well past one RTT.
-  EXPECT_GT(latencies[kBurst - 1], 3 * latencies[0] / 2);
-  EXPECT_EQ(client->queue_depth(), 0u);
-}
-
 // ---- runner + sweep ------------------------------------------------------
 
 OpenLoopProfile small_profile() {
@@ -178,6 +148,39 @@ OpenLoopProfile small_profile() {
   p.measure = kSecond / 2;
   p.drain = kSecond;
   return p;
+}
+
+TEST(OpenLoop, SojournIncludesQueueingBehindEarlierOps) {
+  // One client slot offered more writes than its one-outstanding ordered
+  // lane serves: each arrival queues behind its predecessors. The runner
+  // stamps sojourn (completion minus arrival) itself, so its p50 carries
+  // that queueing, far above the client's service latency (reply quorum
+  // minus transmission).
+  World world(21);
+  SpiderTopology topo;
+  topo.exec_regions = {Region::Virginia};
+  SpiderSystem sys(world, topo);
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+
+  OpenLoopProfile p = small_profile();
+  p.clients = 1;
+  p.rate = 400;
+  p.write_fraction = 1.0;
+  p.weak_fraction = 0.0;
+  OpenLoopRunner runner(world, p);
+  runner.add_client(
+      [&client](LoadOp, Bytes encoded, OpenLoopRunner::Callback done) {
+        client->fire(OpKind::Write, std::move(encoded), std::move(done));
+      },
+      [&client] { return client->queue_depth(); });
+  const OpenLoopResult r = runner.run();
+  EXPECT_GT(r.max_queue_depth, 1u);  // queued ops count, not just the in-flight one
+
+  const obs::LogHistogram& service = world.metrics().histogram(
+      "client_latency_ordered", {.node = client->id(), .role = "client"});
+  ASSERT_GT(r.completed, 0u);
+  ASSERT_GT(service.count(), 0u);
+  EXPECT_GT(r.p50_us, 2 * service.percentile(50.0));
 }
 
 TEST(OpenLoop, RunnerRequiresClients) {

@@ -197,6 +197,48 @@ TEST(Reshard, StaleRoutingReroutesOnAdoptMap) {
   EXPECT_EQ(to_string(read.value), "rerouted");
 }
 
+// The weak-read twin: cancel-and-reroute must take ops off the direct lane
+// too. The client's link to the losing shard is cut, so the weak read can
+// only complete by being cancelled and re-routed after adopt_map.
+TEST(Reshard, StaleWeakReadReroutesOnAdoptMap) {
+  World world(5);
+  ShardedSpiderSystem sys(world, reshard_topo(2));
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+
+  const std::string key = "stale-key";
+  ASSERT_TRUE(drive::blocking_write(world, *client, key, "before").ok);
+  const std::uint32_t owner = sys.shard_map().shard_of(key);
+  const std::uint32_t target = 1 - owner;
+
+  const NodeId sub = client->shard_client(owner).id();
+  const std::vector<NodeId> members = client->shard_client(owner).group().members;
+  world.net().set_link_filter([sub, members](NodeId from, NodeId to) {
+    for (NodeId m : members) {
+      if ((from == sub && to == m) || (from == m && to == sub)) return false;
+    }
+    return true;
+  });
+
+  auto out = std::make_shared<drive::KvOutcome>();
+  client->weak_get(key, [out](Bytes reply, Duration) {
+    KvReply r = kv_decode_reply(reply);
+    out->done = true;
+    out->ok = r.ok;
+    out->value = std::move(r.value);
+  });
+  world.run_until(world.now() + 5 * kSecond);
+  ASSERT_FALSE(out->done);  // stuck: the read only retransmits into the cut link
+  ASSERT_EQ(client->pending_ops(), 1u);
+
+  ASSERT_TRUE(run_migration(world, sys, key, target));
+  ASSERT_TRUE(client->adopt_map(sys.shard_map()));
+
+  ASSERT_TRUE(drive::run_until(world, [&] { return out->done; }, 30 * kSecond));
+  EXPECT_TRUE(out->ok);
+  EXPECT_EQ(to_string(out->value), "before");
+  EXPECT_GE(client->reroutes(), 1u);
+}
+
 // ---------------------------------------------- weak-read backoff regression
 
 // The bug: the direct-path retransmit loop re-armed at the constant base

@@ -4,6 +4,8 @@
 // interleaved multi-client histories (E-Safety II).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "sim/world.hpp"
 #include "spider/system.hpp"
 #include "tests/support/drive.hpp"
@@ -115,6 +117,31 @@ TEST(SpiderSemantics, ClientFailoverToAnotherGroup) {
   KvReply r = f.weak(*client, "pre");  // state is global: the old write is there
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(to_string(r.value), "1");
+}
+
+TEST(SpiderSemantics, ClientFailoverResendsInFlightWeakRead) {
+  Fx f;
+  auto client = f.sys.make_client(Site{Region::Tokyo, 0});
+  GroupId tokyo = client->group().group;
+  ASSERT_TRUE(f.write(*client, "pre", "1").ok);
+
+  // fe+1 Tokyo replicas are down: a weak read there never gathers fe+1
+  // matching replies.
+  for (std::size_t i = 0; i < 2; ++i) {
+    f.world.net().set_node_down(f.sys.exec(tokyo, i).id(), true);
+  }
+  std::optional<KvReply> r;
+  client->weak_read(kv_get("pre"), [&r](Bytes reply, Duration) { r = kv_decode_reply(reply); });
+  f.world.run_for(300 * kMillisecond);
+  ASSERT_FALSE(r.has_value());
+
+  // switch_group re-sends the in-flight weak read to the new group at once,
+  // so it completes before its first retransmit timer expires.
+  client->switch_group(f.sys.group_info(f.sys.nearest_group(Region::Virginia)));
+  ASSERT_TRUE(drive::run_until(f.world, [&] { return r.has_value(); }, 30 * kSecond));
+  EXPECT_TRUE(r->ok);
+  EXPECT_EQ(to_string(r->value), "1");
+  EXPECT_EQ(client->retries(), 0u);
 }
 
 TEST(SpiderSemantics, InterleavedClientsLinearizable) {

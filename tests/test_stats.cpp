@@ -17,54 +17,16 @@ TEST(LatencyStats, EmptyIsZero) {
   EXPECT_EQ(s.p999(), 0);
 }
 
-TEST(LatencyStats, SingleSample) {
-  LatencyStats s(LatencyStats::Mode::kExact);
-  s.add(100);
-  EXPECT_EQ(s.median(), 100);
-  EXPECT_EQ(s.p90(), 100);
-  EXPECT_EQ(s.min(), 100);
-  EXPECT_EQ(s.max(), 100);
-}
-
-TEST(LatencyStats, MedianOfKnownSet) {
-  LatencyStats s(LatencyStats::Mode::kExact);
-  for (Duration v : {10, 20, 30, 40, 50}) s.add(v);
-  EXPECT_EQ(s.median(), 30);
-  EXPECT_EQ(s.percentile(0), 10);
-  EXPECT_EQ(s.percentile(100), 50);
-}
-
-TEST(LatencyStats, PercentileInterpolates) {
-  LatencyStats s(LatencyStats::Mode::kExact);
-  s.add(0);
-  s.add(100);
-  EXPECT_EQ(s.median(), 50);
-  EXPECT_EQ(s.percentile(90), 90);
-}
-
-TEST(LatencyStats, UnsortedInsertOrder) {
-  LatencyStats s(LatencyStats::Mode::kExact);
-  for (Duration v : {50, 10, 40, 20, 30}) s.add(v);
-  EXPECT_EQ(s.median(), 30);
-}
-
 TEST(LatencyStats, Mean) {
-  LatencyStats s;  // mean is exact in both modes (sum/count)
+  LatencyStats s;  // mean is exact (sum/count)
   for (Duration v : {1, 2, 3, 4}) s.add(v);
   EXPECT_DOUBLE_EQ(s.mean(), 2.5);
 }
 
-TEST(LatencyStats, P90OfHundred) {
-  LatencyStats s(LatencyStats::Mode::kExact);
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(static_cast<double>(s.p90()), 90.0, 1.0);
-}
-
-// ---- bucketed (default) mode: bounded memory, bounded error --------------
+// ---- bucketed: bounded memory, bounded error -----------------------------
 
 TEST(LatencyStats, BucketedSmallValuesExact) {
-  // Values below 32 land in width-1 buckets, so small-N quantiles are exact
-  // even without the exact-sample flag.
+  // Values below 32 land in width-1 buckets, so small-N quantiles are exact.
   LatencyStats s;
   for (Duration v : {1, 2, 3, 4, 5}) s.add(v);
   EXPECT_EQ(s.median(), 3);
@@ -105,13 +67,7 @@ TEST(LatencyStats, BucketedClearResets) {
 }
 
 TEST(LatencyStats, OutOfRangePercentileClamped) {
-  // p outside [0, 100] used to compute a negative exact-mode rank whose
-  // size_t cast indexed out of bounds; both modes now clamp.
-  LatencyStats exact(LatencyStats::Mode::kExact);
-  for (Duration v : {10, 20, 30}) exact.add(v);
-  EXPECT_EQ(exact.percentile(-10), 10);
-  EXPECT_EQ(exact.percentile(250), 30);
-
+  // p outside [0, 100] clamps to the extremes.
   LatencyStats bucketed;
   for (Duration v : {10, 20, 30}) bucketed.add(v);
   EXPECT_EQ(bucketed.percentile(-10), 10);
@@ -119,7 +75,7 @@ TEST(LatencyStats, OutOfRangePercentileClamped) {
 }
 
 TEST(LatencyStats, EmptyBucketedPercentileIsZero) {
-  LatencyStats s;  // default = bucketed
+  LatencyStats s;
   EXPECT_EQ(s.percentile(-5), 0);
   EXPECT_EQ(s.percentile(50), 0);
   EXPECT_EQ(s.percentile(1000), 0);
@@ -182,22 +138,6 @@ TEST(TimeSeries, NegativeTimeIgnored) {
   TimeSeries ts(10);
   ts.add(-5, 1);
   EXPECT_TRUE(ts.points().empty());
-}
-
-TEST(CpuWindow, Utilization) {
-  CpuWindow w;
-  w.begin(1000, 500);
-  // 300us busy over 1000us elapsed -> 30%
-  EXPECT_DOUBLE_EQ(w.utilization(2000, 800), 30.0);
-  EXPECT_DOUBLE_EQ(w.utilization(1000, 800), 0.0);  // zero elapsed guard
-}
-
-TEST(CpuWindow, UtilizationClampedTo100) {
-  // Overlapping windows (busy accrued before window_start was rebased) used
-  // to report >100%; reports feed capacity models that assume a percentage.
-  CpuWindow w;
-  w.begin(1000, 500);
-  EXPECT_DOUBLE_EQ(w.utilization(1100, 800), 100.0);  // busy 300 > elapsed 100
 }
 
 TEST(FormatMs, Formats) {
