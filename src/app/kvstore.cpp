@@ -1,184 +1,123 @@
 #include "app/kvstore.hpp"
 
-#include <stdexcept>
-
-#include "common/serde.hpp"
+#include <iterator>
 
 namespace spider {
 
-namespace {
-Bytes encode_op(KvOp op, const std::string& key, BytesView value) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(op));
-  w.str(key);
-  w.bytes(value);
-  return std::move(w).take();
+Bytes kv_reply(bool ok, BytesView body) {
+  return codec::encode(KvReplyMsg{static_cast<std::uint8_t>(ok ? 1 : 0), body});
 }
 
-Bytes make_reply(bool ok, BytesView value) {
-  Writer w;
-  w.u8(ok ? 1 : 0);
-  w.bytes(value);
-  return std::move(w).take();
+Bytes kv_put(const std::string& key, BytesView value) {
+  return codec::encode(KvOp::Put, KvKeyOp{key, value});
 }
-}  // namespace
-
-Bytes kv_put(const std::string& key, BytesView value) { return encode_op(KvOp::Put, key, value); }
-Bytes kv_get(const std::string& key) { return encode_op(KvOp::Get, key, {}); }
-Bytes kv_del(const std::string& key) { return encode_op(KvOp::Del, key, {}); }
-Bytes kv_size() { return encode_op(KvOp::Size, "", {}); }
+Bytes kv_get(const std::string& key) { return codec::encode(KvOp::Get, KvKeyOp{key, {}}); }
+Bytes kv_del(const std::string& key) { return codec::encode(KvOp::Del, KvKeyOp{key, {}}); }
+Bytes kv_size() { return codec::encode(KvOp::Size, KvKeyOp{}); }
 
 Bytes kv_mget(const std::vector<std::string>& keys) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(KvOp::MGet));
-  w.u32(static_cast<std::uint32_t>(keys.size()));
-  for (const std::string& k : keys) w.str(k);
-  return std::move(w).take();
+  return codec::encode(KvOp::MGet, KvMGetOp{keys});
 }
 
 Bytes kv_mput(const std::vector<std::pair<std::string, Bytes>>& pairs) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(KvOp::MPut));
-  w.u32(static_cast<std::uint32_t>(pairs.size()));
-  for (const auto& [k, v] : pairs) {
-    w.str(k);
-    w.bytes(v);
-  }
-  return std::move(w).take();
+  KvMPutOp m;
+  m.pairs.reserve(pairs.size());
+  for (const auto& [k, v] : pairs) m.pairs.emplace_back(k, v);
+  return codec::encode(KvOp::MPut, m);
 }
 
 KvParsedOp kv_parse_op(BytesView op, bool with_values) {
   Reader r(op);
   KvParsedOp out;
-  out.kind = static_cast<KvOp>(r.u8());
-  auto value = [&] {
-    // bytes_view() walks past the payload without copying it.
-    if (with_values) out.values.push_back(to_bytes(r.bytes_view()));
-    else r.bytes_view();
+  codec::read(r, out.kind);  // an undefined opcode throws here
+  const BytesView fields = r.raw(r.remaining());
+  auto value = [&](BytesView v) {
+    if (with_values) out.values.push_back(to_bytes(v));
   };
   switch (out.kind) {
-    case KvOp::Put: {
-      out.keys.push_back(r.str());
-      value();
-      break;
-    }
+    case KvOp::Put:
     case KvOp::Get:
-    case KvOp::Del: {
-      out.keys.push_back(r.str());
+    case KvOp::Del:
+    case KvOp::Size: {
+      KvKeyOp m = codec::decode<KvKeyOp>(fields);
+      if (out.kind == KvOp::Size) break;
+      out.keys.push_back(std::move(m.key));
+      if (out.kind == KvOp::Put) value(m.value);
       break;
     }
-    case KvOp::Size: break;
-    case KvOp::MGet: {
-      std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) out.keys.push_back(r.str());
-      break;
-    }
+    case KvOp::MGet: out.keys = codec::decode<KvMGetOp>(fields).keys; break;
     case KvOp::MPut: {
-      std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        out.keys.push_back(r.str());
-        value();
+      for (auto& [key, v] : codec::decode<KvMPutOp>(fields).pairs) {
+        out.keys.push_back(std::move(key));
+        value(v);
       }
       break;
     }
-    default: throw SerdeError("unknown KV opcode");
   }
   return out;
 }
 
 KvReply kv_decode_reply(BytesView reply) {
-  Reader r(reply);
-  KvReply out;
-  out.ok = r.u8() == 1;
-  out.value = r.bytes();
-  return out;
+  const auto frame = codec::decode<KvReplyMsg>(reply);
+  return {frame.status == 1, to_bytes(frame.body)};
 }
 
 KvMputReply kv_decode_mput_reply(BytesView reply) {
-  KvReply raw = kv_decode_reply(reply);
-  Reader r(raw.value);
-  KvMputReply out;
-  out.ok = raw.ok;
-  out.shard_seq = r.u64();
+  const auto frame = codec::decode<KvReplyMsg>(reply);
+  KvMputReply out = codec::decode<KvMputReply>(frame.body);
+  out.ok = frame.status == 1;
   return out;
 }
 
 KvMgetReply kv_decode_mget_reply(BytesView reply) {
-  KvReply raw = kv_decode_reply(reply);
-  Reader r(raw.value);
-  KvMgetReply out;
-  out.shard_seq = r.u64();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    KvReply e;
-    e.ok = r.u8() == 1;
-    e.value = r.bytes();
-    out.entries.push_back(std::move(e));
-  }
-  return out;
+  return codec::decode<KvMgetReply>(codec::decode<KvReplyMsg>(reply).body);
 }
 
 Bytes KvStore::apply(BytesView op, Mode mode) {
-  Reader r(op);
-  auto kind = static_cast<KvOp>(r.u8());
   const bool allow_mutation = mode == Mode::Mutate;
+  // Only mutations keep the values they carry.
+  KvParsedOp p = kv_parse_op(op, /*with_values=*/allow_mutation);
+  auto& data = state_.data;
 
-  switch (kind) {
+  switch (p.kind) {
     case KvOp::Put: {
-      std::string key = r.str();
-      BytesView value = r.bytes_view();
-      if (!allow_mutation) return make_reply(false, {});
-      data_[key] = to_bytes(value);
-      ++version_;
-      return make_reply(true, {});
+      if (!allow_mutation) return kv_reply(false);
+      data[p.keys[0]] = std::move(p.values[0]);
+      ++state_.version;
+      return kv_reply(true);
     }
     case KvOp::Get: {
-      std::string key = r.str();
-      auto it = data_.find(key);
-      if (it == data_.end()) return make_reply(false, {});
-      return make_reply(true, it->second);
+      auto it = data.find(p.keys[0]);
+      if (it == data.end()) return kv_reply(false);
+      return kv_reply(true, it->second);
     }
     case KvOp::Del: {
-      std::string key = r.str();
-      if (!allow_mutation) return make_reply(false, {});
-      bool existed = data_.erase(key) > 0;
-      ++version_;
-      return make_reply(existed, {});
+      if (!allow_mutation) return kv_reply(false);
+      bool existed = data.erase(p.keys[0]) > 0;
+      ++state_.version;
+      return kv_reply(existed);
     }
-    case KvOp::Size: {
-      Writer w;
-      w.u64(data_.size());
-      return make_reply(true, w.data());
-    }
+    case KvOp::Size: return kv_reply(true, codec::encode(std::uint64_t{data.size()}));
     case KvOp::MGet: {
-      std::uint32_t n = r.u32();
-      Writer w;
       // Ordered MGets report the shard's mutation count for read-your-writes
       // checks (every replica reads at the same logical position). The weak
       // fast path reports 0: replicas answering at different commit
       // positions would otherwise never produce the fe+1 byte-identical
       // replies the client quorum needs while *any* key on the shard is
       // being written.
-      w.u64(mode == Mode::WeakRead ? 0 : version_);
-      w.u32(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        auto it = data_.find(r.str());
-        w.u8(it != data_.end() ? 1 : 0);
-        w.bytes(it != data_.end() ? BytesView(it->second) : BytesView{});
+      KvMgetReply out{mode == Mode::WeakRead ? 0 : state_.version, {}};
+      out.entries.reserve(p.keys.size());
+      for (const std::string& key : p.keys) {
+        auto it = data.find(key);
+        out.entries.push_back(it != data.end() ? KvReply{true, it->second} : KvReply{});
       }
-      return make_reply(true, w.data());
+      return kv_reply(true, codec::encode(out));
     }
     case KvOp::MPut: {
-      std::uint32_t n = r.u32();
-      if (!allow_mutation) return make_reply(false, {});
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::string key = r.str();
-        data_[key] = r.bytes();
-      }
-      ++version_;  // one ordered mutation, regardless of key count
-      Writer w;
-      w.u64(version_);
-      return make_reply(true, w.data());
+      if (!allow_mutation) return kv_reply(false);
+      for (std::size_t i = 0; i < p.keys.size(); ++i) data[p.keys[i]] = std::move(p.values[i]);
+      ++state_.version;  // one ordered mutation, regardless of key count
+      return kv_reply(true, codec::encode(KvMputReply{true, state_.version}));
     }
   }
   throw SerdeError("unknown KV opcode");
@@ -197,28 +136,11 @@ Bytes KvStore::execute_weak(BytesView op) const {
 
 Bytes KvStore::snapshot() const {
   Writer w;
-  w.u64(version_);
-  w.u32(static_cast<std::uint32_t>(data_.size()));
-  for (const auto& [key, value] : data_) {
-    w.str(key);
-    w.bytes(value);
-  }
+  codec::write(w, state_);
   return std::move(w).take();
 }
 
-void KvStore::restore(BytesView snapshot) {
-  Reader r(snapshot);
-  std::uint64_t version = r.u64();
-  std::map<std::string, Bytes> next;
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    next[key] = r.bytes();
-  }
-  r.expect_done();
-  data_ = std::move(next);
-  version_ = version;
-}
+void KvStore::restore(BytesView snapshot) { state_ = codec::decode<KvImage>(snapshot); }
 
 std::unique_ptr<Application> KvStore::clone_empty() const { return std::make_unique<KvStore>(); }
 
@@ -231,37 +153,24 @@ std::vector<std::string> KvStore::op_keys(BytesView op) const {
 }
 
 Bytes KvStore::extract_keys(const std::function<bool(std::string_view)>& moved) {
-  // data_ is an ordered map, so the extracted byte string is identical
+  // The range is an ordered map, so the extracted byte string is identical
   // across replicas in the same state — it must be, because fe+1 replicas
   // reply with it and the migration driver needs matching replies.
-  Writer w;
-  std::uint32_t n = 0;
-  for (const auto& [key, value] : data_) {
-    if (moved(key)) ++n;
+  KvRange range;
+  auto& data = state_.data;
+  for (auto it = data.begin(); it != data.end();) {
+    auto next = std::next(it);
+    if (moved(it->first)) range.entries.insert(range.entries.end(), data.extract(it));
+    it = next;
   }
-  w.u32(n);
-  for (auto it = data_.begin(); it != data_.end();) {
-    if (moved(it->first)) {
-      w.str(it->first);
-      w.bytes(it->second);
-      it = data_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  ++version_;  // the cut is a mutation: shard_seq must advance deterministically
-  return std::move(w).take();
+  ++state_.version;  // the cut is a mutation: shard_seq must advance deterministically
+  return codec::encode(range);
 }
 
 void KvStore::absorb_keys(BytesView state) {
-  Reader r(state);
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    data_[key] = r.bytes();
-  }
-  r.expect_done();
-  ++version_;
+  KvRange range = codec::decode<KvRange>(state);
+  for (auto& [key, value] : range.entries) state_.data[key] = std::move(value);
+  ++state_.version;
 }
 
 }  // namespace spider

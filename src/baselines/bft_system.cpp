@@ -140,13 +140,7 @@ void BftReplica::execute_one(const Bytes& request) {
 
 Bytes BftReplica::snapshot_state() const {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(replies_.size()));
-  for (const auto& [client, e] : replies_) {
-    w.u32(client);
-    w.u64(e.counter);
-    w.bytes(e.result);
-  }
-  w.bytes(app_->snapshot());
+  codec::write(w, ReplicaImage<ReplyCacheEntry, codec::Ref>{replies_, app_->snapshot()});
   return std::move(w).take();
 }
 
@@ -159,18 +153,9 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
   last_cp_ = std::max(last_cp_, s);
   if (s > sn_) {
     try {
-      Reader r(state);
-      std::uint32_t n = r.u32();
-      std::map<NodeId, ReplyCacheEntry> replies;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        NodeId c = r.u32();
-        ReplyCacheEntry e;
-        e.counter = r.u64();
-        e.result = r.bytes();
-        replies[c] = std::move(e);
-      }
-      app_->restore(r.bytes_view());
-      replies_ = std::move(replies);
+      auto image = codec::decode<ReplicaImage<ReplyCacheEntry>>(state);
+      app_->restore(image.app);
+      replies_ = std::move(image.replies);
       for (const auto& [c, e] : replies_) t_[c] = std::max(t_[c], e.counter);
       sn_ = s;
       // Pending requests the checkpoint proves already executed must stop

@@ -53,6 +53,13 @@ class BftReplica : public ComponentHost {
   /// may never come if client traffic stopped).
   void recover();
 
+  /// Reply cache entry; its field list is the checkpoint image's entry format.
+  struct ReplyCacheEntry {
+    std::uint64_t counter = 0;
+    Bytes result;
+    static auto fields(auto& m, auto&& f) { return f(m.counter, m.result); }
+  };
+
  private:
   void handle_request(const ClientFrame& frame, BytesView body);
   void on_deliver_batch(SeqNr first, const std::vector<Bytes>& batch);
@@ -72,10 +79,6 @@ class BftReplica : public ComponentHost {
 
   SeqNr sn_ = 0;
   std::map<NodeId, std::uint64_t> t_;  // latest ordered counter per client
-  struct ReplyCacheEntry {
-    std::uint64_t counter = 0;
-    Bytes result;
-  };
   std::map<NodeId, ReplyCacheEntry> replies_;
   /// Deliveries above an execution gap (the consensus floor jumped past
   /// instances this replica never executed, e.g. a view change while it

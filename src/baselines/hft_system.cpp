@@ -10,24 +10,16 @@ namespace spider {
 
 namespace {
 constexpr Duration kExecCost = 8;
+using hft::Kind;
 
-void write_cert(Writer& w, const std::vector<std::pair<NodeId, Bytes>>& sigs) {
-  w.u32(static_cast<std::uint32_t>(sigs.size()));
-  for (const auto& [node, sig] : sigs) {
-    w.u32(node);
-    w.bytes(sig);
+/// The statement of `kind` that `statement` holds; any other kind, or
+/// bytes that are not one, throw SerdeError.
+template <class S>
+S statement_of(Kind kind, BytesView statement) {
+  if (statement.empty() || statement[0] != static_cast<std::uint8_t>(kind)) {
+    throw SerdeError("unexpected HFT statement kind");
   }
-}
-
-std::vector<std::pair<NodeId, Bytes>> read_cert(Reader& r) {
-  std::uint32_t n = r.count(4 + 4);  // node + signature length prefix
-  std::vector<std::pair<NodeId, Bytes>> sigs;
-  sigs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeId node = r.u32();
-    sigs.emplace_back(node, r.bytes());
-  }
-  return sigs;
+  return codec::decode<S>(statement.subspan(1));
 }
 }  // namespace
 
@@ -53,14 +45,15 @@ void HftReplica::handle_site_frame(NodeId from, Reader& r) {
 }
 
 void HftReplica::dispatch_site(NodeId from, BytesView body) {
-  Reader br(body);
-  switch (static_cast<Kind>(br.u8())) {
-    case Kind::SignReq: handle_sign_req(from, br); break;
-    case Kind::Partial: handle_partial(from, br); break;
-    case Kind::Update: handle_update(from, br); break;
-    case Kind::Proposal: handle_proposal(from, br); break;
-    case Kind::Accept: handle_accept(from, br); break;
-    case Kind::Commit: handle_commit(from, br); break;
+  if (body.empty()) return;
+  const BytesView fields = body.subspan(1);
+  switch (static_cast<Kind>(body[0])) {
+    case Kind::SignReq: handle_sign_req(from, fields); break;
+    case Kind::Partial: handle_partial(from, fields); break;
+    case Kind::Update: handle_update(fields); break;
+    case Kind::Proposal: handle_proposal(fields); break;
+    case Kind::Accept: handle_accept(fields); break;
+    case Kind::Commit: handle_commit(from, fields); break;
     default: break;
   }
 }
@@ -76,7 +69,7 @@ void HftReplica::send_site(NodeId to, BytesView body) {
 }
 
 bool HftReplica::verify_cert(std::uint32_t site, BytesView statement,
-                             const std::vector<std::pair<NodeId, Bytes>>& sigs) {
+                             const hft::Certificate& sigs) {
   if (site >= sites_.size()) return false;
   if (sigs.size() < threshold()) return false;
   std::set<NodeId> seen;
@@ -123,11 +116,7 @@ void HftReplica::handle_request(const ClientFrame& frame, BytesView body) {
   // Local round: threshold-certify <Update, site, h(frame)>.
   charge_hash(body.size());
   Sha256Digest h = hash_cached(body);
-  Writer st;
-  st.u8(static_cast<std::uint8_t>(Kind::Update));
-  st.u32(site_id_);
-  st.raw(BytesView(h.data(), h.size()));
-  start_local_round(std::move(st).take(), to_bytes(body));
+  start_local_round(codec::encode(Kind::Update, hft::UpdateStmt{site_id_, h}), to_bytes(body));
 }
 
 // ------------------------------------------------------- local threshold round
@@ -142,61 +131,51 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
   charge_sign();
   round.sigs[id()] = crypto().sign(id(), link_->auth_bytes(statement));
 
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(Kind::SignReq));
-  w.bytes(statement);
-  w.bytes(payload);
-  Bytes body = std::move(w).take();
+  const Bytes body = codec::encode(Kind::SignReq, hft::SignMsg{statement, payload});
   for (NodeId n : sites_[site_id_]) {
     if (n == id()) continue;
     send_site(n, body);
   }
   if (round.sigs.size() >= threshold()) {
     round.completed = true;
-    std::vector<std::pair<NodeId, Bytes>> sigs(round.sigs.begin(), round.sigs.end());
+    hft::Certificate sigs(round.sigs.begin(), round.sigs.end());
     on_certificate(round.statement, round.payload, std::move(sigs));
   }
 }
 
-void HftReplica::handle_sign_req(NodeId from, Reader& r) {
+void HftReplica::handle_sign_req(NodeId from, BytesView fields) {
   if (from != sites_[site_id_][0]) return;  // only our representative
-  Bytes statement = r.bytes();
-  Bytes payload = r.bytes();
-  if (statement.empty()) return;
+  auto m = codec::decode<hft::SignMsg>(fields);
+  if (m.statement.empty()) return;
 
   // For updates, replicas independently validate the client request so a
   // Byzantine representative cannot certify forged requests.
-  if (static_cast<Kind>(statement[0]) == Kind::Update && !payload.empty()) {
-    if (!verify_client_signature(*this, codec::decode<ClientFrame>(payload))) return;
+  if (static_cast<Kind>(m.statement[0]) == Kind::Update && !m.data.empty()) {
+    if (!verify_client_signature(*this, codec::decode<ClientFrame>(m.data))) return;
   }
 
   charge_sign();
-  Bytes sig = crypto().sign(id(), link_->auth_bytes(statement));
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(Kind::Partial));
-  w.bytes(statement);
-  w.bytes(sig);
-  send_site(from, w.data());
+  Bytes sig = crypto().sign(id(), link_->auth_bytes(m.statement));
+  send_site(from, codec::encode(Kind::Partial, hft::SignMsg{std::move(m.statement), sig}));
 }
 
-void HftReplica::handle_partial(NodeId from, Reader& r) {
+void HftReplica::handle_partial(NodeId from, BytesView fields) {
   if (!is_rep()) return;
   if (std::find(sites_[site_id_].begin(), sites_[site_id_].end(), from) ==
       sites_[site_id_].end()) {
     return;
   }
-  Bytes statement = r.bytes();
-  Bytes sig = r.bytes();
+  auto m = codec::decode<hft::SignMsg>(fields);
   charge_verify();
-  if (!crypto().verify(from, link_->auth_bytes(statement), sig)) return;
+  if (!crypto().verify(from, link_->auth_bytes(m.statement), m.data)) return;
 
-  std::uint64_t key = digest_prefix(Sha256::hash(statement));
+  std::uint64_t key = digest_prefix(Sha256::hash(m.statement));
   auto it = rounds_.find(key);
   if (it == rounds_.end() || it->second.completed) return;
-  it->second.sigs[from] = std::move(sig);
+  it->second.sigs[from] = std::move(m.data);
   if (it->second.sigs.size() >= threshold()) {
     it->second.completed = true;
-    std::vector<std::pair<NodeId, Bytes>> sigs(it->second.sigs.begin(), it->second.sigs.end());
+    hft::Certificate sigs(it->second.sigs.begin(), it->second.sigs.end());
     sigs.resize(threshold());
     on_certificate(it->second.statement, it->second.payload, std::move(sigs));
   }
@@ -205,14 +184,14 @@ void HftReplica::handle_partial(NodeId from, Reader& r) {
 // ------------------------------------------------------------ wide-area steps
 
 void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
-                                std::vector<std::pair<NodeId, Bytes>> sigs) {
+                                hft::Certificate sigs) {
   const auto kind = static_cast<Kind>(statement[0]);
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.bytes(statement);
-  if (kind != Kind::Accept) w.bytes(payload);
-  write_cert(w, sigs);
-  Bytes body = std::move(w).take();
+  if (kind == Kind::Accept) {
+    const Bytes body = codec::encode(kind, hft::AcceptMsg{statement, std::move(sigs)});
+    for (const std::vector<NodeId>& site : sites_) send_site(site[0], body);  // every rep
+    return;
+  }
+  const Bytes body = codec::encode(kind, hft::CertifiedMsg{statement, payload, std::move(sigs)});
   if (kind == Kind::Update) {
     send_site(sites_[leader_site_][0], body);  // to the leader site's representative
     return;
@@ -220,74 +199,52 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
   for (const std::vector<NodeId>& site : sites_) send_site(site[0], body);  // every rep
 }
 
-void HftReplica::handle_update(NodeId /*from*/, Reader& r) {
+void HftReplica::handle_update(BytesView fields) {
   if (id() != sites_[leader_site_][0]) return;  // leader-site representative only
-  Bytes statement = r.bytes();
-  Bytes frame = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
+  auto m = codec::decode<hft::CertifiedMsg>(fields);
+  const auto st = statement_of<hft::UpdateStmt>(Kind::Update, m.statement);
+  if (!verify_cert(st.site, m.statement, m.sigs)) return;
 
-  Reader sr(statement);
-  sr.u8();
-  std::uint32_t origin = sr.u32();
-  if (!verify_cert(origin, statement, sigs)) return;
+  // The certificate vouches for one frame: a representative that replays
+  // it next to another frame is ignored.
+  charge_hash(m.frame.size());
+  Sha256Digest h = Sha256::hash(m.frame);
+  if (h != st.digest) return;
 
   SeqNr seq = next_seq_++;
   Ordering& o = order_state_[seq];
-  o.frame = frame;
-  o.origin_site = origin;
-
-  charge_hash(frame.size());
-  Sha256Digest h = Sha256::hash(frame);
-  Writer st;
-  st.u8(static_cast<std::uint8_t>(Kind::Proposal));
-  st.u64(seq);
-  st.u32(origin);
-  st.raw(BytesView(h.data(), h.size()));
-  start_local_round(std::move(st).take(), frame);
+  o.frame = m.frame;
+  o.origin_site = st.site;
+  start_local_round(codec::encode(Kind::Proposal, hft::ProposalStmt{seq, st.site, h}), m.frame);
 }
 
-void HftReplica::handle_proposal(NodeId /*from*/, Reader& r) {
+void HftReplica::handle_proposal(BytesView fields) {
   if (!is_rep()) return;
-  Bytes statement = r.bytes();
-  Bytes frame = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
-  if (!verify_cert(leader_site_, statement, sigs)) return;
+  auto m = codec::decode<hft::CertifiedMsg>(fields);
+  const auto st = statement_of<hft::ProposalStmt>(Kind::Proposal, m.statement);
+  if (!verify_cert(leader_site_, m.statement, m.sigs)) return;
 
-  Reader sr(statement);
-  sr.u8();
-  SeqNr seq = sr.u64();
-  std::uint32_t origin = sr.u32();
-
-  Ordering& o = order_state_[seq];
+  Ordering& o = order_state_[st.seq];
   if (o.proposal_seen) return;
+  charge_hash(m.frame.size());
+  Sha256Digest h = Sha256::hash(m.frame);
+  if (h != st.digest) return;  // the proposal certifies another frame
   o.proposal_seen = true;
-  o.frame = frame;
-  o.origin_site = origin;
+  o.frame = std::move(m.frame);
+  o.origin_site = st.origin;
   o.accepts.insert(leader_site_);  // the proposal is the leader site's vote
 
-  charge_hash(frame.size());
-  Sha256Digest h = Sha256::hash(frame);
-  Writer st;
-  st.u8(static_cast<std::uint8_t>(Kind::Accept));
-  st.u32(site_id_);
-  st.u64(seq);
-  st.raw(BytesView(h.data(), h.size()));
-  start_local_round(std::move(st).take(), {});
+  start_local_round(codec::encode(Kind::Accept, hft::AcceptStmt{site_id_, st.seq, h}), {});
   try_execute();
 }
 
-void HftReplica::handle_accept(NodeId /*from*/, Reader& r) {
+void HftReplica::handle_accept(BytesView fields) {
   if (!is_rep()) return;
-  Bytes statement = r.bytes();
-  std::vector<std::pair<NodeId, Bytes>> sigs = read_cert(r);
+  auto m = codec::decode<hft::AcceptMsg>(fields);
+  const auto st = statement_of<hft::AcceptStmt>(Kind::Accept, m.statement);
+  if (!verify_cert(st.site, m.statement, m.sigs)) return;
 
-  Reader sr(statement);
-  sr.u8();
-  std::uint32_t site = sr.u32();
-  SeqNr seq = sr.u64();
-  if (!verify_cert(site, statement, sigs)) return;
-
-  order_state_[seq].accepts.insert(site);
+  order_state_[st.seq].accepts.insert(st.site);
   try_execute();
 }
 
@@ -302,12 +259,8 @@ void HftReplica::try_execute() {
     o.committed = true;
 
     // Distribute within the site and execute locally.
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(Kind::Commit));
-    w.u64(it->first);
-    w.bytes(o.frame);
-    w.u32(o.origin_site);
-    Bytes body = std::move(w).take();
+    const Bytes body =
+        codec::encode(Kind::Commit, hft::CommitMsg{it->first, o.frame, o.origin_site});
     for (NodeId n : sites_[site_id_]) {
       if (n == id()) continue;
       send_site(n, body);
@@ -316,13 +269,11 @@ void HftReplica::try_execute() {
   }
 }
 
-void HftReplica::handle_commit(NodeId from, Reader& r) {
+void HftReplica::handle_commit(NodeId from, BytesView fields) {
   if (from != sites_[site_id_][0] && from != id()) return;  // own representative
-  SeqNr seq = r.u64();
-  Bytes frame = r.bytes();
-  std::uint32_t origin = r.u32();
-  if (seq <= executed_) return;
-  commit_buffer_[seq] = {std::move(frame), origin};
+  auto m = codec::decode<hft::CommitMsg>(fields);
+  if (m.seq <= executed_) return;
+  commit_buffer_[m.seq] = {std::move(m.frame), m.origin};
 
   while (true) {
     auto it = commit_buffer_.find(executed_ + 1);

@@ -27,6 +27,7 @@
 
 #include "app/application.hpp"
 #include "app/kvstore.hpp"
+#include "crypto/sha256.hpp"
 #include "sim/component.hpp"
 #include "spider/client.hpp"
 #include "spider/client_port.hpp"
@@ -46,6 +47,74 @@ struct HftConfig {
 
 class HftSystem;
 
+// ---- wire formats: [hft::Kind][fields] inside a MAC'd [kHft] frame --------
+namespace hft {
+
+enum class Kind : std::uint8_t {
+  SignReq = 1,   // rep -> site replicas: please sign `statement`
+  Partial = 2,   // replica -> rep: signature share
+  Update = 3,    // site rep -> leader rep: update certificate + frame
+  Proposal = 4,  // leader rep -> site reps: seq assignment certificate
+  Accept = 5,    // site rep -> site reps: accept certificate
+  Commit = 6,    // rep -> own site replicas: execute
+};
+
+/// (signer, signature over the statement): a site certificate.
+using Certificate = std::vector<std::pair<NodeId, Bytes>>;
+
+/// SignReq <statement, frame it names> and Partial <statement, signature
+/// share>: one list, only the type byte differs.
+struct SignMsg {
+  Bytes statement;
+  Bytes data;
+  static auto fields(auto& m, auto&& f) { return f(m.statement, m.data); }
+};
+
+/// Update and Proposal: a certified statement and the frame it names.
+struct CertifiedMsg {
+  Bytes statement;
+  Bytes frame;
+  Certificate sigs;
+  static auto fields(auto& m, auto&& f) { return f(m.statement, m.frame, m.sigs); }
+};
+
+struct AcceptMsg {
+  Bytes statement;
+  Certificate sigs;
+  static auto fields(auto& m, auto&& f) { return f(m.statement, m.sigs); }
+};
+
+struct CommitMsg {
+  SeqNr seq = 0;
+  Bytes frame;
+  std::uint32_t origin = 0;  // site whose representative answers the client
+  static auto fields(auto& m, auto&& f) { return f(m.seq, m.frame, m.origin); }
+};
+
+// Statements a site certifies: [Kind][fields], the kind being Update,
+// Proposal or Accept. Each digest names the client frame being ordered.
+struct UpdateStmt {
+  std::uint32_t site = 0;
+  Sha256Digest digest{};
+  static auto fields(auto& m, auto&& f) { return f(m.site, m.digest); }
+};
+
+struct ProposalStmt {
+  SeqNr seq = 0;
+  std::uint32_t origin = 0;
+  Sha256Digest digest{};
+  static auto fields(auto& m, auto&& f) { return f(m.seq, m.origin, m.digest); }
+};
+
+struct AcceptStmt {
+  std::uint32_t site = 0;
+  SeqNr seq = 0;
+  Sha256Digest digest{};
+  static auto fields(auto& m, auto&& f) { return f(m.site, m.seq, m.digest); }
+};
+
+}  // namespace hft
+
 class HftReplica : public ComponentHost {
  public:
   HftReplica(World& world, NodeId self, Site site, std::uint32_t site_id,
@@ -61,16 +130,6 @@ class HftReplica : public ComponentHost {
   [[nodiscard]] const Application& app() const { return *app_; }
 
  private:
-  // Wire message kinds within tags::kHft.
-  enum class Kind : std::uint8_t {
-    SignReq = 1,   // rep -> site replicas: please sign `statement`
-    Partial = 2,   // replica -> rep: signature share
-    Update = 3,    // site rep -> leader rep: update certificate + frame
-    Proposal = 4,  // leader rep -> site reps: seq assignment certificate
-    Accept = 5,    // site rep -> site reps: accept certificate
-    Commit = 6,    // rep -> own site replicas: execute
-  };
-
   struct PendingCert {
     Bytes statement;
     Bytes payload;                       // frame carried alongside
@@ -85,17 +144,15 @@ class HftReplica : public ComponentHost {
   /// in place.
   void send_site(NodeId to, BytesView body);
   void start_local_round(const Bytes& statement, const Bytes& payload);
-  void handle_sign_req(NodeId from, Reader& r);
-  void handle_partial(NodeId from, Reader& r);
-  void on_certificate(const Bytes& statement, const Bytes& payload,
-                      std::vector<std::pair<NodeId, Bytes>> sigs);
-  void handle_update(NodeId from, Reader& r);
-  void handle_proposal(NodeId from, Reader& r);
-  void handle_accept(NodeId from, Reader& r);
-  void handle_commit(NodeId from, Reader& r);
+  void handle_sign_req(NodeId from, BytesView fields);
+  void handle_partial(NodeId from, BytesView fields);
+  void on_certificate(const Bytes& statement, const Bytes& payload, hft::Certificate sigs);
+  void handle_update(BytesView fields);
+  void handle_proposal(BytesView fields);
+  void handle_accept(BytesView fields);
+  void handle_commit(NodeId from, BytesView fields);
   void try_execute();
-  bool verify_cert(std::uint32_t site, BytesView statement,
-                   const std::vector<std::pair<NodeId, Bytes>>& sigs);
+  bool verify_cert(std::uint32_t site, BytesView statement, const hft::Certificate& sigs);
 
   std::uint32_t site_id_;
   std::uint32_t index_;

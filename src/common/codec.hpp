@@ -18,10 +18,12 @@
 //   - bool: one byte, 0 or 1
 //   - enums: the underlying integer, limited to the range WireEnum<E> gives
 //   - std::array<std::uint8_t, N> (digests): N raw bytes
-//   - Bytes, BytesView: u32 length + bytes; a BytesView decodes zero-copy,
-//     as a view into the decoded buffer
+//   - Bytes, BytesView, std::string: u32 length + bytes; a BytesView decodes
+//     zero-copy, as a view into the decoded buffer
 //   - std::pair<A, B>: A, then B
-//   - std::vector<T>: u32 count + elements
+//   - std::vector<T>, std::deque<T>: u32 count + elements
+//   - std::map<K, V>: u32 count + (key, value) pairs, keys strictly
+//     ascending (the map's own order, so each map has one encoding)
 //   - a message: its own fields, inline
 //   - nested(x): the message x, or each message of the list x, as u32
 //     length + its fields
@@ -32,7 +34,8 @@
 // reproduces b. The message must consume all of b and every nested message
 // all of its length, every list count must fit the bytes left at the
 // element's minimum size (Reader::count), every enum must hold a defined
-// value, and bool bytes must be 0 or 1. A message may also define
+// value, bool bytes must be 0 or 1, and map keys must strictly ascend (an
+// unsorted or repeated key is rejected, not merged). A message may also define
 // `void validate() const`, which runs after its fields are read and throws
 // SerdeError for invariants its field types cannot express. Anything else
 // throws SerdeError.
@@ -41,7 +44,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <iterator>
+#include <map>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -67,6 +74,15 @@ template <class T>
 Nested<T> nested(T& v) {
   return {v};
 }
+
+/// Member holders for a type that is written from live state and decoded
+/// into owned values, such as a checkpoint image: it lists its members as
+/// H<T>, Image<Ref> writes a replica's own maps without copying them, and
+/// Image<Own> is what decode returns.
+template <class T>
+using Own = T;
+template <class T>
+using Ref = const T&;
 
 /// The codec's only door into a message: a message whose fields or default
 /// constructor are private befriends this.
@@ -101,10 +117,18 @@ struct ListTypes {
 template <class T>
 using FieldTypes = decltype(Access::fields(std::declval<T&>(), ListTypes{}));
 
+/// Lists: u32 count + elements.
 template <class T>
 constexpr bool kIsVector = false;
 template <class T>
 constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+constexpr bool kIsVector<std::deque<T>> = true;
+
+template <class T>
+constexpr bool kIsMap = false;
+template <class K, class V>
+constexpr bool kIsMap<std::map<K, V>> = true;
 
 template <class T>
 constexpr bool kIsPair = false;
@@ -122,7 +146,8 @@ template <class T>
 constexpr bool kIsNested<Nested<T>> = true;
 
 template <class T>
-constexpr bool kIsBytes = std::is_same_v<T, Bytes> || std::is_same_v<T, BytesView>;
+constexpr bool kIsBytes =
+    std::is_same_v<T, Bytes> || std::is_same_v<T, BytesView> || std::is_same_v<T, std::string>;
 
 template <class T>
 constexpr std::size_t min_size();
@@ -139,7 +164,7 @@ constexpr std::size_t min_size() {
     return sizeof(T);
   } else if constexpr (kIsDigest<T>) {
     return std::tuple_size_v<T>;
-  } else if constexpr (kIsBytes<T> || kIsVector<T>) {
+  } else if constexpr (kIsBytes<T> || kIsVector<T> || kIsMap<T>) {
     return 4;
   } else if constexpr (kIsPair<T>) {
     return min_size<typename T::first_type>() + min_size<typename T::second_type>();
@@ -165,6 +190,10 @@ std::size_t size_of(const T& v) {
   } else if constexpr (kIsVector<T>) {
     std::size_t n = 4;
     for (const auto& e : v) n += size_of(e);
+    return n;
+  } else if constexpr (kIsMap<T>) {
+    std::size_t n = 4;
+    for (const auto& [key, value] : v) n += size_of(key) + size_of(value);
     return n;
   } else if constexpr (kIsNested<T>) {
     if constexpr (kIsVector<typename T::Message>) {
@@ -193,6 +222,8 @@ void put(Writer& w, const T& v) {
     put(w, static_cast<std::underlying_type_t<T>>(v));
   } else if constexpr (kIsDigest<T>) {
     w.raw(BytesView(v.data(), v.size()));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
   } else if constexpr (kIsBytes<T>) {
     w.bytes(v);
   } else if constexpr (kIsPair<T>) {
@@ -201,6 +232,12 @@ void put(Writer& w, const T& v) {
   } else if constexpr (kIsVector<T>) {
     w.u32(static_cast<std::uint32_t>(v.size()));
     for (const auto& e : v) put(w, e);
+  } else if constexpr (kIsMap<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& [key, value] : v) {
+      put(w, key);
+      put(w, value);
+    }
   } else if constexpr (kIsNested<T>) {
     if constexpr (kIsVector<typename T::Message>) {
       w.u32(static_cast<std::uint32_t>(v.v.size()));
@@ -254,19 +291,33 @@ void get(Reader& r, T& v) {
     v = r.bytes();
   } else if constexpr (std::is_same_v<T, BytesView>) {
     v = r.bytes_view();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.str();
   } else if constexpr (kIsPair<T>) {
     get(r, v.first);
     get(r, v.second);
   } else if constexpr (kIsVector<T>) {
     const std::uint32_t n = r.count(min_size<typename T::value_type>());
     v.clear();
-    v.reserve(n);
+    if constexpr (requires { v.reserve(n); }) v.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) get(r, v.emplace_back());
+  } else if constexpr (kIsMap<T>) {
+    using K = typename T::key_type;
+    const std::uint32_t n = r.count(min_size<K>() + min_size<typename T::mapped_type>());
+    v.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      K key{};
+      get(r, key);
+      if (!v.empty() && !v.key_comp()(std::prev(v.end())->first, key)) {
+        throw SerdeError("map keys not strictly ascending");
+      }
+      get(r, v.emplace_hint(v.end(), std::move(key), typename T::mapped_type{})->second);
+    }
   } else if constexpr (kIsNested<T>) {
     if constexpr (kIsVector<typename T::Message>) {
       const std::uint32_t n = r.count(4 + min_size<typename T::Message::value_type>());
       v.v.clear();
-      v.v.reserve(n);
+      if constexpr (requires { v.v.reserve(n); }) v.v.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) get_nested(r, v.v.emplace_back());
     } else {
       get_nested(r, v.v);
@@ -285,10 +336,19 @@ std::size_t wire_size(const M& m) {
   return detail::size_of(m);
 }
 
-/// Appends `m`'s fields to `w` in place.
+/// Appends `m`'s fields to `w` in place. Into a Writer without a size
+/// hint, this walks `m` once: no wire_size pass (checkpoint images).
 template <class M>
 void write(Writer& w, const M& m) {
   detail::put(w, m);
+}
+
+/// Reads `m`'s fields from `r` and leaves the rest of `r` unread, for
+/// buffers read in parts (an image with an optional tail). The caller
+/// checks that the buffer ends where it should (Reader::expect_done).
+template <class M>
+void read(Reader& r, M& m) {
+  detail::get(r, m);
 }
 
 /// `m`'s fields in one buffer allocated at its exact size.

@@ -14,6 +14,7 @@
 
 #include <optional>
 
+#include "app/kvstore.hpp"
 #include "shard/shard_map.hpp"
 
 namespace spider {
@@ -45,9 +46,10 @@ struct MigrateInCmd {
 };
 
 // ---- replies -------------------------------------------------------------
-// All replies reuse the KV status-byte framing ([u8 status][bytes body]) so
-// they survive kv_decode_reply: 1 = ok, 0 = failed. Status 2 is the
-// versioned WrongShard redirect whose body is the replica's current map.
+// All replies reuse the KV reply frame (KvReplyMsg: [u8 status][bytes body])
+// so they survive kv_decode_reply: 1 = ok, 0 = failed (kv_reply(false)).
+// Status 2 is the versioned WrongShard redirect whose body is the
+// replica's current map.
 constexpr std::uint8_t kWrongShardStatus = 2;
 
 Bytes make_wrong_shard_reply(const ShardMap& map);
@@ -55,15 +57,17 @@ Bytes make_wrong_shard_reply(const ShardMap& map);
 /// (including Byzantine redirects carrying malformed tables).
 std::optional<ShardMap> try_decode_wrong_shard(BytesView reply);
 
-Bytes make_migrate_fail_reply();
-Bytes make_migrate_out_reply(std::uint64_t new_version, BytesView state);
-Bytes make_migrate_in_reply(std::uint64_t new_version);
-
+/// The body of an ok migration reply: the map version the replica
+/// installed and, for MigrateOut, the extracted range (an encoded KvRange).
+/// `ok` is the frame's status, not a body field.
 struct MigrateReply {
   bool ok = false;
   std::uint64_t version = 0;
-  Bytes state;  // MigrateOut only: the extracted range
+  Bytes state;
+  static auto fields(auto& m, auto&& f) { return f(m.version, m.state); }
 };
+/// An ok reply; MigrateIn's carries no state.
+Bytes make_migrate_reply(std::uint64_t new_version, BytesView state = {});
 MigrateReply decode_migrate_reply(BytesView reply);
 
 }  // namespace spider

@@ -12,13 +12,6 @@ namespace {
 /// was not newer than ours (mid-migration window: the gaining shard has not
 /// committed MigrateIn yet, so both sides still refuse the range).
 constexpr Duration kRedirectRetryDelay = 250 * kMillisecond;
-
-Bytes fail_reply() {
-  Writer w;
-  w.u8(0);
-  w.bytes({});
-  return std::move(w).take();
-}
 }  // namespace
 
 ShardedClient::ShardedClient(World& world, ShardMap map,
@@ -101,7 +94,7 @@ void ShardedClient::reissue_single(std::uint64_t id) {
     // The adopted map split this op's keys across shards mid-flight; it
     // cannot be re-routed as one command. Fail it (migration caveat).
     active_.erase(it);
-    rec->done(fail_reply(), kNoShard);
+    rec->done(kv_reply(false), kNoShard);
     return;
   }
   issue_to(id, shard);
@@ -361,9 +354,7 @@ void ShardedClient::size(SizeCallback cb) {
   job->cb = std::move(cb);
   for (auto& sub : subclients_) {
     sub->strong_read(kv_size(), [this, job](Bytes reply, Duration) {
-      KvReply decoded = kv_decode_reply(reply);  // keep the value bytes alive
-      Reader r(decoded.value);
-      job->total += r.u64();
+      job->total += codec::decode<std::uint64_t>(kv_decode_reply(reply).value);
       if (--job->pending == 0) job->cb(job->total, world_.now() - job->start);
     });
   }

@@ -41,18 +41,19 @@ struct ByzantineFlags {
 
 /// Shared corrupt_replies tampering, applied to an encoded reply payload
 /// by every replica type that honours the flag. Flips the last byte when
-/// the reply carries a payload beyond the minimal KvReply header (5 bytes:
-/// ok flag + value length) so the *decoded* value changes — appending a
-/// byte would be invisible to length-prefixed decoders. Header-only
-/// replies get an appended byte instead: the wire image still differs from
-/// correct replies (so client voting sees a Byzantine reply) without
-/// breaking the decoder. Deterministic, so f+1 corruptors produce
+/// the reply carries a payload beyond the minimal KV reply header (5 bytes:
+/// status + value length) so the *decoded* value changes. A header-only
+/// reply [status][len 0] becomes [status][len 1][0xbd], a one-byte value:
+/// the wire image differs from correct replies (so client voting sees a
+/// Byzantine reply) and still decodes canonically (an appended byte would
+/// be rejected as trailing). Deterministic, so f+1 corruptors produce
 /// byte-identical tampered replies — the linearizability checker's canary
 /// relies on them winning the client's matching-reply vote.
 inline void corrupt_reply_payload(Bytes& out) {
   if (out.size() > 5) {
     out.back() ^= 0xbd;
   } else {
+    if (out.size() == 5) out[1] = 1;  // the value length's low byte
     out.push_back(0xbd);
   }
 }

@@ -62,34 +62,14 @@ bool AgreementReplica::validate_request(BytesView wire) {
 
 void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
   if (channels_.count(info.group)) return;
-  std::uint32_t fe = static_cast<std::uint32_t>((info.members.size() - 1) / 2);
-
-  IrmcConfig req_cfg;
-  req_cfg.senders = info.members;
-  req_cfg.receivers = cfg_.members;
-  req_cfg.fs = fe;
-  req_cfg.fr = cfg_.fa;
-  req_cfg.capacity = cfg_.request_capacity;
-  req_cfg.channel_tag = request_channel_tag(info.group);
-  req_cfg.progress_interval = cfg_.progress_interval;
-  req_cfg.collector_timeout = cfg_.collector_timeout;
-
-  IrmcConfig com_cfg;
-  com_cfg.senders = cfg_.members;
-  com_cfg.receivers = info.members;
-  com_cfg.fs = cfg_.fa;
-  com_cfg.fr = fe;
-  com_cfg.capacity = cfg_.commit_capacity;
-  com_cfg.channel_tag = commit_channel_tag(info.group);
-  com_cfg.progress_interval = cfg_.progress_interval;
-  com_cfg.collector_timeout = cfg_.collector_timeout;
-  com_cfg.announce_window = true;  // revived execution replicas must learn
-                                   // that the commit window moved on
-
   Channel ch;
   ch.info = info;
-  ch.request_rx = make_irmc_receiver(cfg_.irmc_kind, *this, req_cfg);
-  ch.commit_tx = make_irmc_sender(cfg_.irmc_kind, *this, com_cfg);
+  ch.request_rx = make_irmc_receiver(
+      cfg_.irmc_kind, *this,
+      request_channel(info.group, info.members, cfg_.members, cfg_.fa, cfg_.request_capacity));
+  ch.commit_tx = make_irmc_sender(
+      cfg_.irmc_kind, *this,
+      commit_channel(info.group, info.members, cfg_.members, cfg_.fa, cfg_.commit_capacity));
   GroupId g = info.group;
   ch.request_rx->on_new_subchannel = [this, g](Subchannel c) { start_pull(g, c); };
   channels_.emplace(g, std::move(ch));
@@ -319,14 +299,7 @@ void AgreementReplica::maybe_checkpoint() {
 
 Bytes AgreementReplica::snapshot_state() const {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(t_.size()));
-  for (const auto& [c, tc] : t_) {
-    w.u32(c);
-    w.u64(tc);
-  }
-  w.u32(static_cast<std::uint32_t>(hist_.size()));
-  for (const ExecuteBatchMsg& h : hist_) w.bytes(codec::encode(h));
-  w.bytes(codec::encode(registry_));
+  codec::write(w, AgreementImage<codec::Ref>{t_, hist_, registry_});
   return std::move(w).take();
 }
 
@@ -341,27 +314,13 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
   SeqNr old_sn = sn_;
   if (s > sn_) {
     // This replica fell behind: adopt the checkpoint state (L. 47-56).
-    try {
-      Reader r(state);
-      std::uint32_t nt = r.u32();
-      std::map<NodeId, std::uint64_t> t2;
-      for (std::uint32_t i = 0; i < nt; ++i) {
-        NodeId c = r.u32();
-        t2[c] = r.u64();
-      }
-      std::uint32_t nh = r.u32();
-      std::deque<ExecuteBatchMsg> hist2;
-      for (std::uint32_t i = 0; i < nh; ++i) {
-        hist2.push_back(codec::decode<ExecuteBatchMsg>(r.bytes_view()));
-      }
-      auto reg = codec::decode<RegistrySnapshot>(r.bytes_view());
-
+    if (auto image = codec::try_decode<AgreementImage<>>(state)) {
       sn_ = s;
-      t_ = std::move(t2);
+      t_ = std::move(image->t);
       for (const auto& [c, tc] : t_) {
         t_plus_[c] = std::max(t_plus_[c], tc + 1);
       }
-      hist_ = std::move(hist2);
+      hist_ = std::move(image->hist);
       // Pending requests the checkpoint proves already agreed must stop
       // driving view changes (their commit happened while we were cut
       // off; it will not be delivered here again).
@@ -371,6 +330,7 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
         auto it = t_.find(req->frame.req.client);
         return it != t_.end() && req->frame.req.counter <= it->second;
       });
+      RegistrySnapshot& reg = image->registry;
       if (reg.version > registry_.version) {
         // Reconcile channels with the checkpointed registry.
         for (const RegistryEntry& e : reg.groups) setup_channel(e, /*backfill=*/false);
@@ -384,10 +344,9 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
         registry_ = std::move(reg);
       }
       adopted = true;
-    } catch (const SerdeError&) {
-      // A stable checkpoint is created by >= 1 correct replica; decode
-      // failure here would indicate a local bug, not a Byzantine peer.
     }
+    // A stable checkpoint is created by >= 1 correct replica; an image that
+    // does not decode would indicate a local bug, not a Byzantine peer.
   }
 
   // Let consensus collect garbage before s+1 (Fig. 17, L. 42-46).

@@ -27,7 +27,6 @@ struct AgreementConfig {
   std::vector<NodeId> members;  // 3fa+1 agreement replicas
   std::uint32_t my_index = 0;
   std::uint32_t fa = 1;
-  std::uint32_t fe = 1;                  // fe of execution groups (fr for commit channels)
   IrmcKind irmc_kind = IrmcKind::ReceiverCollect;
   std::uint64_t ka = 16;                 // agreement checkpoint interval (logical requests)
   std::uint64_t ag_win = 64;             // AG-WIN (>= ka; counts logical requests)
@@ -40,8 +39,18 @@ struct AgreementConfig {
   Duration view_change_timeout = 4 * kSecond;
   NodeId admin = kInvalidNode;           // only this client may reconfigure
   std::vector<RegistryEntry> initial_groups;
-  Duration progress_interval = 50 * kMillisecond;
-  Duration collector_timeout = 300 * kMillisecond;
+};
+
+/// The agreement checkpoint image: the latest agreed counter per client,
+/// the retained Execute history and the execution-replica registry.
+template <template <class> class H = codec::Own>
+struct AgreementImage {
+  H<std::map<NodeId, std::uint64_t>> t;
+  H<std::deque<ExecuteBatchMsg>> hist;
+  H<RegistrySnapshot> registry;
+  static auto fields(auto& m, auto&& f) {
+    return f(m.t, codec::nested(m.hist), codec::nested(m.registry));
+  }
 };
 
 class AgreementReplica : public ComponentHost {

@@ -53,6 +53,22 @@ struct StateMsg {
   static auto fields(auto& m, auto&& f) { return f(m.seq, m.state, m.proof); }
 };
 
+// ---- checkpoint images ---------------------------------------------------
+// The state a replica checkpoints; each image lists its fields once, like a
+// wire message. Images are written with codec::write from the replica's
+// live maps (Image<codec::Ref>: no copy, no size pass) and decoded into
+// owned values (Image<codec::Own>). Map keys strictly ascend, so an image
+// with unsorted or repeated keys is rejected.
+
+/// An executing replica's image (Spider execution replicas, the BFT
+/// baseline): [reply cache][application snapshot].
+template <class Entry, template <class> class H = codec::Own>
+struct ReplicaImage {
+  H<std::map<NodeId, Entry>> replies;
+  BytesView app;
+  static auto fields(auto& m, auto&& f) { return f(m.replies, m.app); }
+};
+
 class Checkpointer : public Component {
  public:
   using StableFn = std::function<void(SeqNr s, BytesView state)>;

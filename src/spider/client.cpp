@@ -193,7 +193,9 @@ void SpiderClient::handle_reply(NodeId from, Reader& r) {
              lane.direct ? "direct" : "ordered");
   }
   op.cb(std::move(out), latency);
-  start(lane);  // next queued op on this lane, if any
+  // Next queued op on this lane, if any; a callback that submitted onto this
+  // lane has already started it.
+  if (!lane.in_flight) start(lane);
 }
 
 }  // namespace spider

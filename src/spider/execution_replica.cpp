@@ -12,6 +12,34 @@ namespace {
 constexpr Duration kExecCost = 8;
 }  // namespace
 
+IrmcConfig request_channel(GroupId g, const std::vector<NodeId>& members,
+                           const std::vector<NodeId>& agreement, std::uint32_t fa,
+                           Position capacity) {
+  IrmcConfig cfg;
+  cfg.senders = members;
+  cfg.receivers = agreement;
+  cfg.fs = static_cast<std::uint32_t>((members.size() - 1) / 2);
+  cfg.fr = fa;
+  cfg.capacity = capacity;
+  cfg.channel_tag = request_channel_tag(g);
+  return cfg;
+}
+
+IrmcConfig commit_channel(GroupId g, const std::vector<NodeId>& members,
+                          const std::vector<NodeId>& agreement, std::uint32_t fa,
+                          Position capacity) {
+  IrmcConfig cfg;
+  cfg.senders = agreement;
+  cfg.receivers = members;
+  cfg.fs = fa;
+  cfg.fr = static_cast<std::uint32_t>((members.size() - 1) / 2);
+  cfg.capacity = capacity;
+  cfg.channel_tag = commit_channel_tag(g);
+  cfg.announce_window = true;  // revived execution replicas must learn
+                               // that the commit window moved on
+  return cfg;
+}
+
 ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                                    std::unique_ptr<Application> app)
     : ComponentHost(world, cfg.self == kInvalidNode ? world.allocate_id() : cfg.self, site),
@@ -20,27 +48,12 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
   port_ = std::make_unique<ClientPort>(
       *this, [this](ClientFrame frame, BytesView) { handle_request(std::move(frame)); });
 
-  IrmcConfig req_cfg;
-  req_cfg.senders = cfg_.members;
-  req_cfg.receivers = cfg_.agreement;
-  req_cfg.fs = cfg_.fe;
-  req_cfg.fr = cfg_.fa;
-  req_cfg.capacity = cfg_.request_capacity;
-  req_cfg.channel_tag = request_channel_tag(cfg_.group);
-  req_cfg.progress_interval = cfg_.progress_interval;
-  req_cfg.collector_timeout = cfg_.collector_timeout;
-  request_tx_ = make_irmc_sender(cfg_.irmc_kind, *this, req_cfg);
-
-  IrmcConfig com_cfg;
-  com_cfg.senders = cfg_.agreement;
-  com_cfg.receivers = cfg_.members;
-  com_cfg.fs = cfg_.fa;
-  com_cfg.fr = cfg_.fe;
-  com_cfg.capacity = cfg_.commit_capacity;
-  com_cfg.channel_tag = commit_channel_tag(cfg_.group);
-  com_cfg.progress_interval = cfg_.progress_interval;
-  com_cfg.collector_timeout = cfg_.collector_timeout;
-  commit_rx_ = make_irmc_receiver(cfg_.irmc_kind, *this, com_cfg);
+  request_tx_ = make_irmc_sender(cfg_.irmc_kind, *this,
+                                 request_channel(cfg_.group, cfg_.members, cfg_.agreement,
+                                                 cfg_.fa, cfg_.request_capacity));
+  commit_rx_ = make_irmc_receiver(cfg_.irmc_kind, *this,
+                                  commit_channel(cfg_.group, cfg_.members, cfg_.agreement,
+                                                 cfg_.fa, cfg_.commit_capacity));
 
   auto trusted = std::make_shared<std::set<NodeId>>(cfg_.members.begin(), cfg_.members.end());
   trusted_peers_ = trusted;
@@ -238,25 +251,23 @@ bool ExecutionReplica::owns_keys(BytesView op) const {
 }
 
 Bytes ExecutionReplica::execute_sys_op(NodeId client, BytesView op) {
-  if (client != cfg_.admin) return make_migrate_fail_reply();
-  try {
-    Reader r(op);
-    const std::uint8_t code = r.u8();
-    const BytesView fields = r.raw(r.remaining());
-    if (code == kSysOpMigrateOut) return migrate_out(codec::decode<MigrateOutCmd>(fields));
-    if (code == kSysOpMigrateIn) return migrate_in(codec::decode<MigrateInCmd>(fields));
-  } catch (const SerdeError&) {
+  if (client != cfg_.admin) return kv_reply(false);
+  const BytesView fields = op.subspan(1);  // is_sys_op: op[0] is the code
+  if (op[0] == kSysOpMigrateOut) {
+    if (auto cmd = codec::try_decode<MigrateOutCmd>(fields)) return migrate_out(*cmd);
+  } else if (op[0] == kSysOpMigrateIn) {
+    if (auto cmd = codec::try_decode<MigrateInCmd>(fields)) return migrate_in(*cmd);
   }
-  return make_migrate_fail_reply();
+  return kv_reply(false);
 }
 
 Bytes ExecutionReplica::migrate_out(const MigrateOutCmd& cmd) {
-  if (!map_ || cmd.delta.base_version != map_->version()) return make_migrate_fail_reply();
+  if (!map_ || cmd.delta.base_version != map_->version()) return kv_reply(false);
   std::optional<ShardMap> next;
   try {
     next = map_->with_delta(cmd.delta);
   } catch (const std::invalid_argument&) {
-    return make_migrate_fail_reply();
+    return kv_reply(false);
   }
   // Cut exactly the keys this shard owned under the old map but does not
   // own under the new one. data_ iteration order is deterministic, so fe+1
@@ -268,26 +279,26 @@ Bytes ExecutionReplica::migrate_out(const MigrateOutCmd& cmd) {
   map_ = std::move(next);
   cut_checkpoint_ = true;
   ++migrations_;
-  return make_migrate_out_reply(map_->version(), state);
+  return make_migrate_reply(map_->version(), state);
 }
 
 Bytes ExecutionReplica::migrate_in(const MigrateInCmd& cmd) {
-  if (!map_ || cmd.delta.base_version != map_->version()) return make_migrate_fail_reply();
+  if (!map_ || cmd.delta.base_version != map_->version()) return kv_reply(false);
   std::optional<ShardMap> next;
   try {
     next = map_->with_delta(cmd.delta);
   } catch (const std::invalid_argument&) {
-    return make_migrate_fail_reply();
+    return kv_reply(false);
   }
   try {
     app_->absorb_keys(cmd.state);
   } catch (const SerdeError&) {
-    return make_migrate_fail_reply();
+    return kv_reply(false);
   }
   map_ = std::move(next);
   cut_checkpoint_ = true;
   ++migrations_;
-  return make_migrate_in_reply(map_->version());
+  return make_migrate_reply(map_->version());
 }
 
 void ExecutionReplica::maybe_checkpoint() {
@@ -305,44 +316,32 @@ void ExecutionReplica::maybe_checkpoint() {
 
 Bytes ExecutionReplica::snapshot_state() const {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(replies_.size()));
-  for (const auto& [client, e] : replies_) {
-    w.u32(client);
-    w.u64(e.counter);
-    w.boolean(e.placeholder);
-    w.bytes(e.result);
-  }
-  w.bytes(app_->snapshot());
+  codec::write(w, ReplicaImage<ReplyCacheEntry, codec::Ref>{replies_, app_->snapshot()});
   // Resharding deployments append the enforced map so adopted checkpoints
   // carry ownership along with state. Absent map = absent section, which
   // keeps the original byte format for every existing deployment.
-  if (map_) {
-    w.u32(shard_index_);
-    w.bytes(codec::encode(*map_));
-  }
+  if (map_) codec::write(w, ShardTail{shard_index_, codec::encode(*map_)});
   return std::move(w).take();
 }
 
 void ExecutionReplica::apply_state(SeqNr s, BytesView state) {
+  // Decode the whole image before touching any state.
   Reader r(state);
-  std::uint32_t n = r.u32();
-  std::map<NodeId, ReplyCacheEntry> replies;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NodeId client = r.u32();
-    ReplyCacheEntry e;
-    e.counter = r.u64();
-    e.placeholder = r.boolean();
-    e.result = r.bytes();
-    replies[client] = std::move(e);
+  ReplicaImage<ReplyCacheEntry> image;
+  codec::read(r, image);
+  std::optional<ShardMap> map;
+  ShardTail tail;
+  if (!r.done()) {
+    codec::read(r, tail);
+    map = codec::decode<ShardMap>(tail.map);
   }
-  app_->restore(r.bytes_view());
-  if (r.remaining() > 0) {
-    std::uint32_t shard_index = r.u32();
-    ShardMap map = codec::decode<ShardMap>(r.bytes_view());
-    shard_index_ = shard_index;
+  r.expect_done();
+  app_->restore(image.app);
+  if (map) {
+    shard_index_ = tail.shard_index;
     map_ = std::move(map);
   }
-  replies_ = std::move(replies);
+  replies_ = std::move(image.replies);
   sn_ = s;
   ++catchups_;
   if (auto* t = tracer()) {

@@ -27,6 +27,24 @@ namespace spider {
 constexpr std::uint32_t request_channel_tag(GroupId e) { return tags::kIrmc | (e << 1); }
 constexpr std::uint32_t commit_channel_tag(GroupId e) { return tags::kIrmc | (e << 1) | 1; }
 
+/// Group g's request channel (its 2fe+1 `members` -> the 3fa+1 `agreement`
+/// replicas) and commit channel (the reverse), one definition for both
+/// ends. fe follows from the group's size.
+IrmcConfig request_channel(GroupId g, const std::vector<NodeId>& members,
+                           const std::vector<NodeId>& agreement, std::uint32_t fa,
+                           Position capacity);
+IrmcConfig commit_channel(GroupId g, const std::vector<NodeId>& members,
+                          const std::vector<NodeId>& agreement, std::uint32_t fa,
+                          Position capacity);
+
+/// Appended to an execution checkpoint image (ReplicaImage) in resharding
+/// deployments: the shard index served and the enforced map, encoded.
+struct ShardTail {
+  std::uint32_t shard_index = 0;
+  BytesView map;
+  static auto fields(auto& m, auto&& f) { return f(m.shard_index, m.map); }
+};
+
 struct ExecutionConfig {
   NodeId self = kInvalidNode;  // explicit id (kInvalidNode = allocate)
   GroupId group = 1;
@@ -38,8 +56,6 @@ struct ExecutionConfig {
   std::uint64_t ke = 16;                // execution checkpoint interval (logical requests)
   Position commit_capacity = 64;        // >= ke + max_batch for liveness (paper §3.4)
   Position request_capacity = 2;        // per-client subchannel (Fig. 16, L. 6)
-  Duration progress_interval = 50 * kMillisecond;
-  Duration collector_timeout = 300 * kMillisecond;
   // Sharded deployments with live resharding: the partition table this
   // replica enforces and the shard index it answers for. Unset = no
   // ownership checks (standalone / statically sharded deployments).
@@ -68,6 +84,14 @@ class ExecutionReplica : public ComponentHost {
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
+  /// Reply cache entry u[c]; its field list is the image's entry format.
+  struct ReplyCacheEntry {
+    std::uint64_t counter = 0;
+    Bytes result;
+    bool placeholder = false;  // strong read executed by another group
+    static auto fields(auto& m, auto&& f) { return f(m.counter, m.placeholder, m.result); }
+  };
+
  private:
   void handle_request(ClientFrame frame);
   void request_next_execute();
@@ -91,11 +115,6 @@ class ExecutionReplica : public ComponentHost {
 
   SeqNr sn_ = 0;
   SeqNr last_cp_ = 0;  // seq of the newest checkpoint (taken or adopted)
-  struct ReplyCacheEntry {
-    std::uint64_t counter = 0;
-    Bytes result;
-    bool placeholder = false;  // strong read executed by another group
-  };
   std::map<NodeId, std::uint64_t> t_;            // latest forwarded counter per client
   std::map<NodeId, ReplyCacheEntry> replies_;    // reply cache u[c]
   std::shared_ptr<std::set<NodeId>> trusted_peers_;  // other groups' members

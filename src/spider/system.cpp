@@ -126,7 +126,6 @@ AgreementConfig SpiderSystem::agreement_config(std::size_t i) const {
   cfg.members = agreement_ids_;
   cfg.my_index = static_cast<std::uint32_t>(i);
   cfg.fa = topo_.fa;
-  cfg.fe = topo_.fe;
   cfg.irmc_kind = topo_.irmc_kind;
   cfg.ka = topo_.ka;
   cfg.ag_win = topo_.ag_win;

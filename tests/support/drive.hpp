@@ -9,6 +9,7 @@
 // timeout writes into live memory.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -73,6 +74,23 @@ KvOutcome blocking_weak_read(World& world, Client& client, const std::string& ke
                              Duration timeout = 60 * kSecond) {
   return detail::blocking_kv(
       world, [&](auto cb) { client.weak_read(kv_get(key), std::move(cb)); }, timeout);
+}
+
+/// A closed-loop client: `n` writes to distinct keys, each issued from the
+/// previous write's completion callback. Runs until the last completes (or
+/// `timeout`) and returns how many completed.
+template <class Client>
+int closed_loop_writes(World& world, Client& client, int n, Duration timeout = 60 * kSecond) {
+  int done = 0;
+  std::function<void()> next = [&] {
+    client.write(kv_put("loop" + std::to_string(done), to_bytes(std::string("v"))),
+                 [&](Bytes, Duration) {
+                   if (++done < n) next();
+                 });
+  };
+  next();
+  run_until(world, [&] { return done == n; }, timeout);
+  return done;
 }
 
 }  // namespace spider::drive

@@ -1,12 +1,13 @@
-// Every wire message the codec covers, as two tables for the codec tests:
+// Every wire message and checkpoint image the codec covers, as two tables
+// for the codec tests:
 //
-//   - samples(): one sample of each message type, for known-answer,
-//     prefix, trailing-byte and hostile-count checks;
+//   - samples(): one sample of each type, for known-answer, prefix,
+//     trailing-byte and hostile-count checks;
 //   - Decoder: the (tag family, type byte) -> decoder table. It checks
 //     that a captured frame [tag][message][auth trailer] decodes and encodes
-//     back to itself, and does the same for the messages it carries as
-//     payload (IRMC payloads, client operations, migration commands,
-//     redirect tables, checkpoint proofs).
+//     back to itself, and does the same for what it carries (IRMC payloads,
+//     HFT statements, client operations, KV and migration replies, redirect
+//     tables, checkpoint proofs and images).
 //
 // Nothing in src/ dispatches through these tables: each component reads its
 // own tag and type byte. They are the entry list for hostile-input tests.
@@ -15,15 +16,21 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "app/kvstore.hpp"
+#include "baselines/bft_system.hpp"
+#include "baselines/hft_system.hpp"
 #include "common/codec.hpp"
 #include "consensus/pbft_messages.hpp"
 #include "crypto/provider.hpp"
 #include "irmc/messages.hpp"
 #include "shard/migration.hpp"
 #include "sim/component.hpp"
+#include "spider/agreement_replica.hpp"
 #include "spider/checkpointer.hpp"
+#include "spider/execution_replica.hpp"
 #include "spider/messages.hpp"
 
 namespace spider::wire {
@@ -69,6 +76,18 @@ inline std::vector<Sample> samples() {
   const CheckpointProof proof{{{1, sig1}, {3, sig3}}};
   const Bytes proof_bytes = codec::encode(proof);
   const Bytes state{0xde, 0xad};
+
+  const Bytes v1{1};
+  const Bytes v23{2, 3};
+  const Bytes v123{1, 2, 3};
+  const Bytes v98{9, 8};
+  const Bytes v34{3, 4};
+  const Bytes payload{0x10, 0x20};
+  const hft::Certificate cert{{4, sig_a}, {6, sig_b}};
+  const Bytes update_st = codec::encode(hft::Kind::Update, hft::UpdateStmt{1, dg});
+  const Bytes proposal_st = codec::encode(hft::Kind::Proposal, hft::ProposalStmt{9, 1, dg});
+  const Bytes accept_st = codec::encode(hft::Kind::Accept, hft::AcceptStmt{2, 9, dg});
+  const Bytes kv_image = codec::encode(KvImage{2, {{"x", v1}, {"y", v23}}});
 
   return {
       sample("irmc.Send", t(MsgType::Send), irmc::SendMsg{7, 42, Bytes{1, 2, 3, 4}}),
@@ -116,8 +135,49 @@ inline std::vector<Sample> samples() {
       sample("checkpoint.Fetch", t(CheckpointMsgType::Fetch), FetchMsg{16}),
       sample("checkpoint.Proof", kNoType, proof, 0),
       sample("checkpoint.State", t(CheckpointMsgType::State), StateMsg{16, state, proof_bytes}),
+
+      sample("kv.KvKeyOp", t(KvOp::Put), KvKeyOp{"key", v123}),
+      sample("kv.KvMGetOp", t(KvOp::MGet), KvMGetOp{{"a", "bc"}}, 0),
+      sample("kv.KvMPutOp", t(KvOp::MPut), KvMPutOp{{{"a", v1}, {"bc", v23}}}, 0),
+      sample("kv.KvReplyMsg", kNoType, KvReplyMsg{1, v98}),
+      sample("kv.KvMgetReply", kNoType, KvMgetReply{1, {{true, v1}, {false, {}}}}, 8),
+      sample("kv.KvMputReply", kNoType, KvMputReply{true, 2}),
+      sample("kv.KvImage", kNoType, codec::decode<KvImage>(kv_image), 8),
+      sample("kv.KvRange", kNoType, KvRange{{{"a", v1}, {"c", v34}}}, 0),
+      sample("shard.MigrateReply", kNoType, MigrateReply{true, 5, Bytes{7, 7}}),
+
+      sample("hft.UpdateStmt", t(hft::Kind::Update), hft::UpdateStmt{1, dg}),
+      sample("hft.ProposalStmt", t(hft::Kind::Proposal), hft::ProposalStmt{9, 1, dg}),
+      sample("hft.AcceptStmt", t(hft::Kind::Accept), hft::AcceptStmt{2, 9, dg}),
+      sample("hft.SignReq", t(hft::Kind::SignReq), hft::SignMsg{update_st, payload}),
+      sample("hft.Partial", t(hft::Kind::Partial), hft::SignMsg{update_st, sig_a}),
+      sample("hft.Update", t(hft::Kind::Update), hft::CertifiedMsg{update_st, payload, cert},
+             4 + update_st.size() + 4 + payload.size()),
+      sample("hft.Proposal", t(hft::Kind::Proposal),
+             hft::CertifiedMsg{proposal_st, payload, cert},
+             4 + proposal_st.size() + 4 + payload.size()),
+      sample("hft.Accept", t(hft::Kind::Accept), hft::AcceptMsg{accept_st, cert},
+             4 + accept_st.size()),
+      sample("hft.Commit", t(hft::Kind::Commit), hft::CommitMsg{9, payload, 1}),
+
+      sample("image.Exec", kNoType,
+             ReplicaImage<ExecutionReplica::ReplyCacheEntry>{
+                 {{77, {5, Bytes{1, 2}, false}}, {78, {9, {}, true}}}, kv_image},
+             0),
+      sample("image.ShardTail", kNoType, ShardTail{1, codec::encode(ShardMap::uniform(2))}),
+      sample("image.Agreement", kNoType,
+             AgreementImage<>{{{77, 5}, {78, 9}},
+                              {ExecuteBatchMsg{{x1}}, ExecuteBatchMsg{{x2}}},
+                              RegistrySnapshot{3, {e1}}},
+             0),
+      sample("image.Bft", kNoType,
+             ReplicaImage<BftReplica::ReplyCacheEntry>{{{77, {5, Bytes{1, 2}}}}, kv_image}, 0),
   };
 }
+
+/// Who receives a captured frame: a client, or a replica of a kind whose
+/// checkpoint image format the decoder must know.
+enum class To { Client, Agreement, Exec, Bft, Hft };
 
 /// The (tag family, type byte) -> decoder table for captured frames.
 class Decoder {
@@ -125,9 +185,13 @@ class Decoder {
   explicit Decoder(const CryptoProvider& crypto)
       : mac_(crypto.mac_size()), sig_(crypto.signature_size()) {}
 
-  /// Checks one frame sent to a client node (`to_client`) or to a replica.
-  /// Frames of families outside the codec (HFT) are skipped.
-  void frame(BytesView wire, bool to_client) {
+  /// Forgets the requests of the previous capture (node ids and counters
+  /// restart with every World).
+  void begin_capture() { requests_.clear(); }
+
+  /// Checks one frame sent to node `to`, whose role is `role`. Frames are
+  /// fed in send order, so a reply's request has been seen before it.
+  void frame(BytesView wire, NodeId to, To role) {
     Reader r(wire);
     const std::uint32_t tag = r.u32();
     const BytesView rest = r.raw(r.remaining());
@@ -135,14 +199,14 @@ class Decoder {
     try {
       if (family == tags::kClient) {
         const BytesView body = strip(rest, mac_);
-        if (to_client) {
-          reply(round_trip<ReplyMsg>("spider.ReplyMsg", body));
+        if (role == To::Client) {
+          reply(to, round_trip<ReplyMsg>("spider.ReplyMsg", body));
         } else {
           client_frame(round_trip<ClientFrame>("spider.ClientFrame", body));
         }
       } else if (family == tags::kRegistry) {
         // Queries carry no body; answers are MAC'd snapshots.
-        if (to_client) {
+        if (role == To::Client) {
           seen["spider.RegistryEntry"] +=
               round_trip<RegistrySnapshot>("spider.RegistrySnapshot", strip(rest, mac_))
                   .groups.size();
@@ -152,7 +216,9 @@ class Decoder {
       } else if (family == tags::kPbft) {
         pbft_frame(rest);
       } else if (family == tags::kCheckpoint) {
-        checkpoint_frame(rest);
+        checkpoint_frame(rest, role);
+      } else if (family == tags::kHft) {
+        hft_frame(strip(rest, mac_));
       }
     } catch (const SerdeError& e) {
       fail(std::string("tag ") + std::to_string(tag) + ": " + e.what());
@@ -188,6 +254,7 @@ class Decoder {
   /// As round_trip, for [type][fields] messages.
   template <class M>
   M typed(const std::string& name, BytesView b) {
+    if (b.empty()) throw SerdeError(name + " without a type byte");
     M m = round_trip<M>(name, b.subspan(1));
     if (!bytes_equal(codec::encode(b[0], m), b)) throw SerdeError(name + " type byte changed");
     return m;
@@ -251,23 +318,96 @@ class Decoder {
     }
   }
 
-  void checkpoint_frame(BytesView rest) {
+  void checkpoint_frame(BytesView rest, To role) {
     if (rest.empty()) throw SerdeError("empty checkpoint frame");
     switch (static_cast<CheckpointMsgType>(rest[0])) {
       case CheckpointMsgType::Checkpoint:
         typed<CheckpointMsg>("checkpoint.Checkpoint", strip(rest, sig_));
         break;
       case CheckpointMsgType::Fetch: typed<FetchMsg>("checkpoint.Fetch", rest); break;
-      case CheckpointMsgType::State:
-        round_trip<CheckpointProof>("checkpoint.Proof",
-                                    typed<StateMsg>("checkpoint.State", rest).proof);
+      case CheckpointMsgType::State: {
+        const StateMsg m = typed<StateMsg>("checkpoint.State", rest);
+        round_trip<CheckpointProof>("checkpoint.Proof", m.proof);
+        image(role, m.state);
         break;
+      }
       default: throw SerdeError("unknown checkpoint type");
     }
   }
 
+  /// A checkpoint image, in the format of the replica kind receiving it.
+  void image(To role, BytesView state) {
+    switch (role) {
+      case To::Agreement: round_trip<AgreementImage<>>("image.Agreement", state); break;
+      case To::Bft:
+        round_trip<KvImage>(
+            "kv.KvImage",
+            round_trip<ReplicaImage<BftReplica::ReplyCacheEntry>>("image.Bft", state).app);
+        break;
+      case To::Exec: {
+        // [image][optional shard tail], read in parts as the replica does.
+        using Image = ReplicaImage<ExecutionReplica::ReplyCacheEntry>;
+        Reader r(state);
+        Image head;
+        codec::read(r, head);
+        const BytesView tail = state.subspan(state.size() - r.remaining());
+        round_trip<KvImage>("kv.KvImage",
+                            round_trip<Image>("image.Exec", state.first(state.size() - tail.size()))
+                                .app);
+        if (!tail.empty()) {
+          const ShardTail t = round_trip<ShardTail>("image.ShardTail", tail);
+          round_trip<ShardMap>("shard.ShardMap", t.map);
+        }
+        break;
+      }
+      default: throw SerdeError("checkpoint state for a replica without checkpoints");
+    }
+  }
+
+  void hft_frame(BytesView body) {
+    using hft::Kind;
+    if (body.empty()) throw SerdeError("empty HFT frame");
+    switch (static_cast<Kind>(body[0])) {
+      case Kind::SignReq: {
+        const auto m = typed<hft::SignMsg>("hft.SignReq", body);
+        statement(m.statement);
+        if (!m.data.empty()) hft_client_frame(m.data);  // Accept rounds carry none
+        break;
+      }
+      case Kind::Partial: statement(typed<hft::SignMsg>("hft.Partial", body).statement); break;
+      case Kind::Update:
+      case Kind::Proposal: {
+        const bool update = static_cast<Kind>(body[0]) == Kind::Update;
+        const auto m = typed<hft::CertifiedMsg>(update ? "hft.Update" : "hft.Proposal", body);
+        statement(m.statement);
+        hft_client_frame(m.frame);
+        break;
+      }
+      case Kind::Accept: statement(typed<hft::AcceptMsg>("hft.Accept", body).statement); break;
+      case Kind::Commit: hft_client_frame(typed<hft::CommitMsg>("hft.Commit", body).frame); break;
+      default: throw SerdeError("unknown HFT type");
+    }
+  }
+
+  void statement(BytesView st) {
+    using hft::Kind;
+    if (st.empty()) throw SerdeError("empty HFT statement");
+    switch (static_cast<Kind>(st[0])) {
+      case Kind::Update: typed<hft::UpdateStmt>("hft.UpdateStmt", st); break;
+      case Kind::Proposal: typed<hft::ProposalStmt>("hft.ProposalStmt", st); break;
+      case Kind::Accept: typed<hft::AcceptStmt>("hft.AcceptStmt", st); break;
+      default: throw SerdeError("unknown HFT statement");
+    }
+  }
+
+  void hft_client_frame(BytesView frame) {
+    client_frame(round_trip<ClientFrame>("spider.ClientFrame", frame));
+  }
+
   void client_frame(const ClientFrame& f) {
     ++seen["spider.ClientRequest"];
+    // A direct-lane request is MAC'd only, and its reply sets `weak`.
+    requests_[{f.req.client, f.req.counter, f.signature.empty()}] = {f.req.kind, f.req.op};
     operation(f.req.kind == OpKind::Reconfig, f.req.op);
   }
 
@@ -281,7 +421,7 @@ class Decoder {
   }
 
   /// A client operation: a reconfiguration command, a migration command, or
-  /// an application operation (outside the codec).
+  /// a KV operation.
   void operation(bool reconfig, BytesView op) {
     if (reconfig) {
       round_trip<ReconfigCmd>("spider.ReconfigCmd", op);
@@ -289,27 +429,64 @@ class Decoder {
       if (op[0] == kSysOpMigrateOut) {
         typed<MigrateOutCmd>("shard.MigrateOutCmd", op);
       } else if (op[0] == kSysOpMigrateIn) {
-        typed<MigrateInCmd>("shard.MigrateInCmd", op);
+        round_trip<KvRange>("kv.KvRange", typed<MigrateInCmd>("shard.MigrateInCmd", op).state);
       } else {
         throw SerdeError("unknown system operation");
       }
       ++seen["shard.ShardMapDelta"];
+    } else {
+      switch (kv_kind(op)) {
+        case KvOp::MGet: typed<KvMGetOp>("kv.KvMGetOp", op); break;
+        case KvOp::MPut: typed<KvMPutOp>("kv.KvMPutOp", op); break;
+        default: typed<KvKeyOp>("kv.KvKeyOp", op); break;
+      }
     }
   }
 
-  void reply(const ReplyMsg& m) {
-    // KV reply framing [u8 status][bytes body]; status 2 is a redirect whose
-    // body is the replica's shard map.
-    if (m.result.empty() || m.result[0] != kWrongShardStatus) return;
-    Reader r(m.result);
-    r.u8();
-    const BytesView table = r.bytes_view();
-    r.expect_done();
-    round_trip<ShardMap>("shard.ShardMap", table);
+  static KvOp kv_kind(BytesView op) {
+    if (op.empty()) throw SerdeError("empty KV operation");
+    return static_cast<KvOp>(op[0]);
+  }
+
+  /// A reply to `client`, decoded by the operation it answers.
+  void reply(NodeId client, const ReplyMsg& m) {
+    auto it = requests_.find({client, m.counter, m.weak});
+    if (it == requests_.end()) throw SerdeError("reply to a request never captured");
+    const auto& [kind, op] = it->second;
+    if (kind == OpKind::Reconfig) {
+      // The admin client's one non-KV reply.
+      if (to_string(m.result) != "reconfig-ok") throw SerdeError("unexpected reconfig reply");
+      return;
+    }
+    const KvReplyMsg frame = round_trip<KvReplyMsg>("kv.KvReplyMsg", m.result);
+    if (frame.status == kWrongShardStatus) {
+      round_trip<ShardMap>("shard.ShardMap", frame.body);
+      return;
+    }
+    if (frame.status != 1) {
+      if (frame.status != 0 || !frame.body.empty()) throw SerdeError("malformed failure reply");
+      return;
+    }
+    if (is_sys_op(op)) {
+      const MigrateReply r = round_trip<MigrateReply>("shard.MigrateReply", frame.body);
+      if (op[0] == kSysOpMigrateOut) round_trip<KvRange>("kv.KvRange", r.state);
+      return;
+    }
+    switch (kv_kind(op)) {
+      case KvOp::Get: break;  // the body is the value
+      case KvOp::Size: round_trip<std::uint64_t>("kv.Size", frame.body); break;
+      case KvOp::MGet: round_trip<KvMgetReply>("kv.KvMgetReply", frame.body); break;
+      case KvOp::MPut: round_trip<KvMputReply>("kv.KvMputReply", frame.body); break;
+      default:
+        if (!frame.body.empty()) throw SerdeError("Put/Del reply with a body");
+        break;
+    }
   }
 
   std::size_t mac_;
   std::size_t sig_;
+  /// (client, counter, direct lane) -> (kind, operation) of every request seen.
+  std::map<std::tuple<NodeId, std::uint64_t, bool>, std::pair<OpKind, Bytes>> requests_;
 };
 
 }  // namespace spider::wire

@@ -4,6 +4,7 @@
 #include "baselines/hft_system.hpp"
 #include "sim/world.hpp"
 #include "tests/support/drive.hpp"
+#include "tests/support/recording.hpp"
 
 namespace spider {
 namespace {
@@ -54,6 +55,22 @@ TEST(BaselineBft, WriteCompletesOverWan) {
   // Full consensus over wide-area links: order of a WAN round trip.
   EXPECT_GT(lat, 60 * kMillisecond);
   EXPECT_LT(lat, 400 * kMillisecond);
+}
+
+TEST(BaselineBft, ClosedLoopClientExecutesEachOpOnce) {
+  // Each write is issued from the previous write's completion callback; a
+  // second start of the client's lane after the callback would order and
+  // execute every write but the last twice (19 executions for 10 writes).
+  World world(1);
+  BftSystem sys(world, BftConfig{geo_sites()});
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_EQ(drive::closed_loop_writes(world, *client, 10), 10);
+  world.run_for(2 * kSecond);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    EXPECT_EQ(sys.replica(i).executed_seq(), 10u) << "replica " << i;
+    EXPECT_EQ(static_cast<const KvStore&>(sys.replica(i).app()).shard_seq(), 10u)
+        << "replica " << i;
+  }
 }
 
 TEST(BaselineBft, StateConsistentAcrossReplicas) {
@@ -190,6 +207,50 @@ TEST(BaselineHft, AllSitesExecute) {
   for (std::uint32_t s = 0; s < sys.site_count(); ++s) {
     KvReply r = kv_decode_reply(sys.replica(s, 0).app().execute_readonly(kv_get("k")));
     EXPECT_TRUE(r.ok) << "site " << s;
+  }
+}
+
+TEST(BaselineHft, ReplayedCertificateCannotCarryAnotherFrame) {
+  // A Byzantine representative of site 1 (one of f per site) replays its
+  // site's real Update certificate next to a frame the site never
+  // certified: an unsigned write for a client that does not exist. The
+  // leader must check that the certified digest names the frame it orders.
+  RecordedWorld rw(1);
+  World& world = rw.world;
+  HftSystem sys(world, HftConfig{});
+  auto client = sys.make_client(Site{Region::Oregon, 0});  // site 1
+  ASSERT_TRUE(run_write(world, *client, "k", "v").first.ok);
+
+  const NodeId rep = sys.replica(1, 0).id();
+  const NodeId leader = sys.replica(0, 0).id();
+  std::optional<hft::CertifiedMsg> update;
+  for (const RecordingTransport::Frame& f : rw.recorder.frames) {
+    const BytesView wire = f.data.view();
+    if (f.from != rep || f.to != leader || wire.size() < 5) continue;
+    const BytesView body = wire.subspan(4, wire.size() - 4 - world.crypto().mac_size());
+    if (body[0] == static_cast<std::uint8_t>(hft::Kind::Update)) {
+      update = codec::decode<hft::CertifiedMsg>(body.subspan(1));
+    }
+  }
+  ASSERT_TRUE(update.has_value());
+
+  const ClientRequest forged{OpKind::Write, 999, 1, kv_put("forged", to_bytes(std::string("x")))};
+  update->frame = codec::encode(ClientFrame{forged, {}});
+  Writer wire;
+  wire.u32(tags::kHft);
+  codec::write(wire, static_cast<std::uint8_t>(hft::Kind::Update));
+  codec::write(wire, *update);
+  Bytes frame = std::move(wire).take();
+  const Bytes mac = world.crypto().mac(rep, leader, frame);
+  frame.insert(frame.end(), mac.begin(), mac.end());
+  world.net().send(rep, leader, Payload(std::move(frame)), TrafficClass::kOrdered);
+  world.run_for(5 * kSecond);
+
+  for (std::uint32_t s = 0; s < sys.site_count(); ++s) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(sys.replica(s, i).executed_seq(), 1u) << "site " << s << " replica " << i;
+      EXPECT_FALSE(kv_decode_reply(sys.replica(s, i).app().execute_readonly(kv_get("forged"))).ok);
+    }
   }
 }
 

@@ -209,6 +209,45 @@ TEST(KvStore, MalformedOpThrows) {
   EXPECT_THROW(kv.execute(garbage), SerdeError);
 }
 
+/// [version][count][key, value]... in the given order, as a snapshot image
+/// or (without the version) a moved range.
+Bytes raw_entries(const std::vector<std::pair<std::string, std::string>>& entries,
+                  bool with_version) {
+  Writer w;
+  if (with_version) w.u64(1);
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [k, v] : entries) {
+    w.str(k);
+    w.bytes(to_bytes(v));
+  }
+  return std::move(w).take();
+}
+
+TEST(KvStore, SnapshotAndRangeWithUnsortedOrDuplicateKeysAreRejected) {
+  // Every correct replica writes keys in map order, so a snapshot or moved
+  // range that lists them otherwise is malformed. Neither may change the
+  // store (a repeated key used to be absorbed, the last copy winning).
+  KvStore kv;
+  kv.execute(kv_put("k", to_bytes(std::string("v"))));
+  for (bool image : {true, false}) {
+    for (const auto& bad : {raw_entries({{"b", "1"}, {"a", "2"}}, image),
+                            raw_entries({{"a", "1"}, {"a", "2"}}, image)}) {
+      if (image) {
+        EXPECT_THROW(kv.restore(bad), SerdeError);
+      } else {
+        EXPECT_THROW(kv.absorb_keys(bad), SerdeError);
+      }
+      EXPECT_EQ(kv.size(), 1u);
+      EXPECT_EQ(kv.shard_seq(), 1u);
+    }
+  }
+  kv.absorb_keys(raw_entries({{"a", "1"}, {"b", "2"}}, false));
+  EXPECT_EQ(kv.size(), 3u);
+  kv.restore(raw_entries({{"a", "1"}, {"b", "2"}}, true));
+  EXPECT_EQ(kv.size(), 2u);
+  EXPECT_EQ(to_string(kv_decode_reply(kv.execute(kv_get("b"))).value), "2");
+}
+
 TEST(KvStore, BinaryValues) {
   KvStore kv;
   Bytes blob(300);

@@ -244,6 +244,51 @@ const std::map<std::string, std::string> kKnownAnswers = {
     {"checkpoint.State",
      "03100000000000000002000000dead1e000000020000000100000005000000111111111103000000050000003333"
      "333333"},
+    {"kv.KvKeyOp", "01030000006b657903000000010203"},
+    {"kv.KvMGetOp", "05020000000100000061020000006263"},
+    {"kv.KvMPutOp", "060200000001000000610100000001020000006263020000000203"},
+    {"kv.KvReplyMsg", "01020000000908"},
+    {"kv.KvMgetReply", "0100000000000000020000000101000000010000000000"},
+    {"kv.KvMputReply", "0200000000000000"},
+    {"kv.KvImage", "020000000000000002000000010000007801000000010100000079020000000203"},
+    {"kv.KvRange", "02000000010000006101000000010100000063020000000304"},
+    {"shard.MigrateReply", "0500000000000000020000000707"},
+    {"hft.UpdateStmt",
+     "0301000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf"},
+    {"hft.ProposalStmt",
+     "04090000000000000001000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf"},
+    {"hft.AcceptStmt",
+     "05020000000900000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf"},
+    {"hft.SignReq",
+     "01250000000301000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf02000000"
+     "1020"},
+    {"hft.Partial",
+     "02250000000301000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf04000000"
+     "aaaaaaaa"},
+    {"hft.Update",
+     "03250000000301000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a62add1bf02000000"
+     "1020020000000400000004000000aaaaaaaa0600000003000000bbbbbb"},
+    {"hft.Proposal",
+     "042d00000004090000000000000001000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a"
+     "62add1bf020000001020020000000400000004000000aaaaaaaa0600000003000000bbbbbb"},
+    {"hft.Accept",
+     "052d00000005020000000900000000000000af2bdbe1aa9b6ec1e2ade1d694f41fc71a831d0268e9891562113d8a"
+     "62add1bf020000000400000004000000aaaaaaaa0600000003000000bbbbbb"},
+    {"hft.Commit", "06090000000000000002000000102001000000"},
+    {"image.Exec",
+     "020000004d0000000500000000000000000200000001024e00000009000000000000000100000000210000000200"
+     "00000000000002000000010000007801000000010100000079020000000203"},
+    {"image.ShardTail",
+     "010000002800000001000000000000000200000002000000000000000000000000000000ffffffffffffff7f0100"
+     "0000"},
+    {"image.Agreement",
+     "020000004d00000005000000000000004e000000090000000000000002000000280000000100000020000000010c"
+     "00000000000000010000004d00000005000000000000000102000000102026000000010000001e000000020d0000"
+     "0000000000020000004e000000090000000000000002000000002100000003000000000000000100000002000000"
+     "0303000000140000001500000016000000"},
+    {"image.Bft",
+     "010000004d0000000500000000000000020000000102210000000200000000000000020000000100000078010000"
+     "00010100000079020000000203"},
 };
 
 const wire::Sample& sample_of(const std::string& name) {
@@ -341,6 +386,67 @@ TEST(SerdeHostileCount, ViewChangeMsg) { expect_hostile_count_rejected("pbft.Vie
 TEST(SerdeHostileCount, NewViewMsg) { expect_hostile_count_rejected("pbft.NewView"); }
 TEST(SerdeHostileCount, ShardMap) { expect_hostile_count_rejected("shard.ShardMap"); }
 TEST(SerdeHostileCount, CheckpointProof) { expect_hostile_count_rejected("checkpoint.Proof"); }
+TEST(SerdeHostileCount, KvMGetOp) { expect_hostile_count_rejected("kv.KvMGetOp"); }
+TEST(SerdeHostileCount, KvMPutOp) { expect_hostile_count_rejected("kv.KvMPutOp"); }
+TEST(SerdeHostileCount, KvMgetReply) { expect_hostile_count_rejected("kv.KvMgetReply"); }
+TEST(SerdeHostileCount, KvImage) { expect_hostile_count_rejected("kv.KvImage"); }
+TEST(SerdeHostileCount, KvRange) { expect_hostile_count_rejected("kv.KvRange"); }
+TEST(SerdeHostileCount, HftCertifiedMsg) {
+  expect_hostile_count_rejected("hft.Update");
+  expect_hostile_count_rejected("hft.Proposal");
+}
+TEST(SerdeHostileCount, HftAcceptMsg) { expect_hostile_count_rejected("hft.Accept"); }
+TEST(SerdeHostileCount, ExecImage) { expect_hostile_count_rejected("image.Exec"); }
+TEST(SerdeHostileCount, AgreementImage) { expect_hostile_count_rejected("image.Agreement"); }
+TEST(SerdeHostileCount, BftImage) { expect_hostile_count_rejected("image.Bft"); }
+
+// ---- map order -----------------------------------------------------------
+// A map field is [count][key, value]... in its map's order; decoding accepts
+// only strictly ascending keys, so an image cannot carry a key twice (the
+// last copy used to win) or in another order (a second encoding).
+
+/// `empty` encoded with two entries spliced into its empty map at `at`.
+Bytes with_entries(BytesView empty, std::size_t at, BytesView first, BytesView second) {
+  Writer w;
+  w.raw(empty.first(at));
+  w.u32(2);
+  w.raw(first);
+  w.raw(second);
+  w.raw(empty.subspan(at + 4));
+  return std::move(w).take();
+}
+
+template <class M, class K, class V>
+void expect_map_order_enforced(const M& empty, std::size_t at, const std::pair<K, V>& lo,
+                               const std::pair<K, V>& hi) {
+  const Bytes e = codec::encode(empty);
+  const Bytes a = codec::encode(lo);
+  const Bytes b = codec::encode(hi);
+  const Bytes sorted = with_entries(e, at, a, b);
+  EXPECT_EQ(codec::encode(codec::decode<M>(sorted)), sorted);
+  EXPECT_THROW(codec::decode<M>(with_entries(e, at, b, a)), SerdeError) << "unsorted";
+  EXPECT_THROW(codec::decode<M>(with_entries(e, at, a, a)), SerdeError) << "duplicate";
+}
+
+TEST(SerdeCodec, MapKeysMustStrictlyAscend) {
+  const Bytes app{0xde, 0xad};
+  const auto kv = [](const char* k, Bytes v) { return std::pair{std::string(k), std::move(v)}; };
+  expect_map_order_enforced(KvImage{2, {}}, 8, kv("x", {1}), kv("y", {2, 3}));
+  expect_map_order_enforced(KvRange{}, 0, kv("a", {}), kv("b", {4}));
+
+  using ExecEntry = ExecutionReplica::ReplyCacheEntry;
+  expect_map_order_enforced(ReplicaImage<ExecEntry>{{}, app}, 0,
+                            std::pair{NodeId{77}, ExecEntry{5, {1, 2}, false}},
+                            std::pair{NodeId{78}, ExecEntry{9, {}, true}});
+  using BftEntry = BftReplica::ReplyCacheEntry;
+  expect_map_order_enforced(ReplicaImage<BftEntry>{{}, app}, 0,
+                            std::pair{NodeId{3}, BftEntry{1, {7}}},
+                            std::pair{NodeId{300}, BftEntry{2, {}}});
+  const ExecuteMsg x{ExecuteKind::Noop, 4, 1, 77, 5, OpKind::Write, {}};
+  expect_map_order_enforced(AgreementImage<>{{}, {ExecuteBatchMsg{{x}}}, RegistrySnapshot{}}, 0,
+                            std::pair{NodeId{77}, std::uint64_t{5}},
+                            std::pair{NodeId{78}, std::uint64_t{9}});
+}
 
 TEST(SerdeIrmc, NackAndWindowsRoundTrip) {
   const irmc::PositionList entries = {{1, 5}, {7, 1}, {4096, 12}};

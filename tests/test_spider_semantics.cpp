@@ -44,6 +44,26 @@ struct Fx {
   }
 };
 
+TEST(SpiderSemantics, ClosedLoopClientOrdersEachOpOnce) {
+  // Each write is issued from the previous write's completion callback.
+  // The callback starts the client's lane, so the lane must not be started
+  // a second time after it returns: that would sign and send the same op
+  // again under the next counter and get both copies ordered (19 ordered
+  // and executed requests for these 10 writes).
+  Fx f;
+  auto c = f.sys.make_client(Site{Region::Virginia, 0});
+  ASSERT_EQ(drive::closed_loop_writes(f.world, *c, 10), 10);
+  f.world.run_for(2 * kSecond);
+  for (std::size_t i = 0; i < f.sys.agreement_size(); ++i) {
+    EXPECT_EQ(f.sys.agreement(i).ordered_seq(), 10u) << "agreement " << i;
+  }
+  for (GroupId g : f.sys.group_ids()) {
+    for (std::size_t i = 0; i < f.sys.group_size(g); ++i) {
+      EXPECT_EQ(f.sys.exec(g, i).executed_seq(), 10u) << "group " << g << " replica " << i;
+    }
+  }
+}
+
 TEST(SpiderSemantics, WeakReadsMayBeStaleButConverge) {
   Fx f;
   auto writer = f.sys.make_client(Site{Region::Virginia, 0});

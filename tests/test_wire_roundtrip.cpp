@@ -1,75 +1,60 @@
 // Canonical decoding over captured traffic: every frame the system sends
 // decodes and encodes back to itself, byte for byte.
 //
-// A recording Transport sits between the nodes and the sim network. It
-// forwards every call synchronously, so schedules are those of an
-// unrecorded run, and keeps every frame sent. Four runs are captured: a
+// A recording Transport (tests/support/recording.hpp) sits between the
+// nodes and the sim network and keeps every frame sent. Five runs are captured: a
 // Spider deployment over IRMC-RC and one over IRMC-SC (primary crash and
 // restart, a partitioned execution replica, a registry query and, on RC, a
-// group added at runtime), the PBFT baseline (primary crash, partition) and
-// two shards with one live migration. Each frame goes through the
-// (tag family, type) -> decoder table in tests/support/wire_table.hpp, and
-// together the runs must produce every message type the codec covers.
+// group added at runtime), the PBFT baseline (primary crash, partition),
+// the HFT baseline, and two shards with one live migration, multi-key and
+// Size operations and a restarted execution replica. Each frame goes
+// through the (tag family, type) -> decoder table in
+// tests/support/wire_table.hpp, replies are decoded by the request they
+// answer and checkpoint states by the replica kind that receives them, and
+// together the runs must produce every type the codec covers.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "baselines/bft_system.hpp"
+#include "baselines/hft_system.hpp"
 #include "shard/sharded_system.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/world.hpp"
 #include "spider/system.hpp"
 #include "tests/support/chaos.hpp"
 #include "tests/support/drive.hpp"
+#include "tests/support/recording.hpp"
 #include "tests/support/wire_table.hpp"
 
 namespace spider {
 namespace {
 
-class RecordingTransport final : public Transport {
- public:
-  explicit RecordingTransport(SimNetwork& net) : net_(net) {}
-
-  void attach(TransportEndpoint* ep) override { net_.attach(ep); }
-  void detach(NodeId id) override { net_.detach(id); }
-  void send(NodeId from, NodeId to, Payload payload, TrafficClass cls) override {
-    frames.push_back({to, payload});
-    net_.send(from, to, std::move(payload), cls);
-  }
-  void set_node_down(NodeId id, bool down) override { net_.set_node_down(id, down); }
-  [[nodiscard]] bool is_down(NodeId id) const override { return net_.is_down(id); }
-
-  struct Frame {
-    NodeId to;
-    Payload data;
-  };
-  std::vector<Frame> frames;
-
- private:
-  SimNetwork& net_;
-};
-
-/// A World whose nodes all send through a recorder. Construct it before
-/// any node.
-struct RecordedWorld {
-  explicit RecordedWorld(std::uint64_t seed) : world(seed), recorder(world.net()) {
-    world.install_transport(&recorder);
-  }
-  World world;
-  RecordingTransport recorder;
-};
+using Roles = std::map<NodeId, wire::To>;
 
 /// Runs every captured frame through the decoder table; frames to a node
-/// outside `replicas` are frames to a client.
-void decode_all(const RecordingTransport& rec, const std::vector<NodeId>& replicas,
-                wire::Decoder& dec) {
-  const std::set<NodeId> replica_set(replicas.begin(), replicas.end());
+/// without a role are frames to a client.
+void decode_all(const RecordingTransport& rec, const Roles& roles, wire::Decoder& dec) {
+  dec.begin_capture();
   for (const RecordingTransport::Frame& f : rec.frames) {
-    dec.frame(f.data.view(), replica_set.count(f.to) == 0);
+    auto it = roles.find(f.to);
+    dec.frame(f.data.view(), f.to, it == roles.end() ? wire::To::Client : it->second);
   }
+}
+
+void add_roles(Roles& roles, const std::vector<NodeId>& ids, wire::To role) {
+  for (NodeId n : ids) roles.emplace(n, role);
+}
+
+/// Agreement replicas first: every other replica of a core executes.
+Roles spider_roles(SpiderSystem& core) {
+  Roles roles;
+  add_roles(roles, core.agreement_ids(), wire::To::Agreement);
+  add_roles(roles, core.replica_ids(), wire::To::Exec);
+  return roles;
 }
 
 SpiderTopology small_core() {
@@ -142,7 +127,7 @@ void capture_spider(IrmcKind kind, wire::Decoder& dec) {
 
   run_workload(world, std::move(handles), hist, 16 * kSecond);
   world.run_for(2 * kSecond);
-  decode_all(rw.recorder, sys.replica_ids(), dec);
+  decode_all(rw.recorder, spider_roles(sys), dec);
 }
 
 TEST(WireRoundTrip, CapturedTrafficIsCanonical) {
@@ -180,11 +165,38 @@ TEST(WireRoundTrip, CapturedTrafficIsCanonical) {
       handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
     }
     run_workload(world, std::move(handles), hist, 16 * kSecond);
-    decode_all(rw.recorder, ids, dec);
+    Roles roles;
+    add_roles(roles, ids, wire::To::Bft);
+    decode_all(rw.recorder, roles, dec);
+  }
+
+  // The HFT baseline: clients at two sites, the leader site's and another.
+  {
+    RecordedWorld rw(24);
+    World& world = rw.world;
+    HftSystem sys(world, HftConfig{});
+    HistoryRecorder hist(world);
+    std::vector<std::unique_ptr<SpiderClient>> clients;
+    clients.push_back(sys.make_client(Site{Region::Virginia, 1}));
+    clients.push_back(sys.make_client(Site{Region::Tokyo, 1}));
+    std::vector<chaos::ClientHandle> handles;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
+    }
+    run_workload(world, std::move(handles), hist, 16 * kSecond);
+    Roles roles;
+    for (std::uint32_t site = 0; site < sys.site_count(); ++site) {
+      for (std::uint32_t i = 0; i < 3 * HftConfig{}.f + 1; ++i) {
+        roles.emplace(sys.replica(site, i).id(), wire::To::Hft);
+      }
+    }
+    decode_all(rw.recorder, roles, dec);
   }
 
   // Two shards and one live migration; a client still routing on the old
-  // map is redirected with the new one.
+  // map is redirected with the new one. Then one MGet, MPut and Size each,
+  // and an execution replica that misses enough writes to restart from a
+  // checkpoint, which carries the shard tail.
   {
     RecordedWorld rw(23);
     World& world = rw.world;
@@ -205,7 +217,38 @@ TEST(WireRoundTrip, CapturedTrafficIsCanonical) {
     ASSERT_TRUE(drive::run_until(world, [&] { return done; }));
     EXPECT_EQ(to_string(drive::blocking_strong_read(world, *client, key).value), "v");
     EXPECT_GE(client->redirects(), 1u);
-    decode_all(rw.recorder, sys.replica_ids(), dec);
+
+    int multi = 0;
+    client->mput({{"a", to_bytes(std::string("1"))}, {"b", to_bytes(std::string("2"))}},
+                 [&](ShardedClient::MputResult r, Duration) {
+                   EXPECT_TRUE(r.ok);
+                   ++multi;
+                 });
+    client->mget({"a", "b", "absent"}, [&](std::vector<ShardedClient::MgetEntry>, Duration) {
+      ++multi;
+    });
+    client->size([&](std::uint64_t, Duration) { ++multi; });
+    ASSERT_TRUE(drive::run_until(world, [&] { return multi == 3; }));
+
+    // The gaining shard: after the move it owns the whole key space.
+    const std::uint32_t shard = sys.shard_map().shard_of(key);
+    SpiderSystem& core = sys.core(shard);
+    const NodeId down = core.exec(core.group_ids().front(), 2).id();
+    ASSERT_TRUE(sys.crash_node(down));
+    for (int i = 0, written = 0; written < 40; ++i) {
+      const std::string k = "k" + std::to_string(i);
+      if (sys.shard_map().shard_of(k) != shard) continue;
+      ASSERT_TRUE(drive::blocking_write(world, *client, k, "x").ok);
+      ++written;
+    }
+    ASSERT_TRUE(sys.restart_node(down));
+    world.run_for(3 * kSecond);
+
+    Roles roles;
+    for (std::uint32_t s = 0; s < topo.shards; ++s) {
+      for (const auto& [n, role] : spider_roles(sys.core(s))) roles.emplace(n, role);
+    }
+    decode_all(rw.recorder, roles, dec);
   }
 
   EXPECT_EQ(dec.failed, 0u) << (dec.failures.empty() ? "" : dec.failures.front());
