@@ -149,8 +149,14 @@ void HftReplica::handle_sign_req(NodeId from, BytesView fields) {
   if (m.statement.empty()) return;
 
   // For updates, replicas independently validate the client request so a
-  // Byzantine representative cannot certify forged requests.
-  if (static_cast<Kind>(m.statement[0]) == Kind::Update && !m.data.empty()) {
+  // Byzantine representative cannot certify forged requests: the statement
+  // must name this site and the digest of the signed frame shown with it.
+  if (static_cast<Kind>(m.statement[0]) == Kind::Update) {
+    if (m.data.empty()) return;
+    const auto st = statement_of<hft::UpdateStmt>(Kind::Update, m.statement);
+    if (st.site != site_id_) return;
+    charge_hash(m.data.size());
+    if (Sha256::hash(m.data) != st.digest) return;
     if (!verify_client_signature(*this, codec::decode<ClientFrame>(m.data))) return;
   }
 

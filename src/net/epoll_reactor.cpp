@@ -3,7 +3,9 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <ctime>
 #include <stdexcept>
 #include <vector>
 
@@ -59,25 +61,23 @@ void EpollReactor::cancel_timer(TimerId id) {
   timer_index_.erase(it);
 }
 
-std::size_t EpollReactor::wait(int timeout_ms) {
+std::size_t EpollReactor::wait(std::chrono::microseconds timeout) {
   // Clamp the wait by the next backoff deadline so reconnects fire on time.
   if (!timers_.empty()) {
-    const auto now = Clock::now();
-    const auto next = timers_.begin()->first.first;
-    if (next <= now) {
-      timeout_ms = 0;
-    } else {
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(next - now);
-      if (timeout_ms < 0 || ms.count() < timeout_ms) {
-        timeout_ms = static_cast<int>(ms.count()) + 1;
-      }
-    }
+    const auto left = std::max(
+        std::chrono::ceil<std::chrono::microseconds>(timers_.begin()->first.first - Clock::now()),
+        std::chrono::microseconds::zero());
+    if (timeout.count() < 0 || left < timeout) timeout = left;
   }
 
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout.count() / 1'000'000);
+  ts.tv_nsec = static_cast<long>(timeout.count() % 1'000'000) * 1000;
   epoll_event events[64];
-  int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
+  int n = ::epoll_pwait2(epfd_, events, 64, timeout.count() < 0 ? nullptr : &ts, nullptr);
   if (n < 0) {
-    if (errno != EINTR) throw std::runtime_error("epoll_wait failed");
+    if (errno == ENOSYS) throw std::runtime_error("epoll_pwait2 unsupported (needs Linux >= 5.11)");
+    if (errno != EINTR) throw std::runtime_error("epoll_pwait2 failed");
     n = 0;
   }
 

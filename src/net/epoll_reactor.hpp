@@ -3,8 +3,10 @@
 // Owns one epoll instance, a registry of fd -> I/O callback, and a small
 // wall-clock deadline list (used by the transport for reconnect backoff).
 // wait() blocks up to the caller's timeout (clamped by the next deadline),
-// dispatches ready I/O callbacks, then fires due timers. Everything runs
-// on the calling thread; no locks anywhere in src/net/.
+// dispatches ready I/O callbacks, then fires due timers. It blocks in
+// epoll_pwait2 (Linux >= 5.11, glibc >= 2.35) because its timespec timeout
+// is exact to the microsecond, where epoll_wait's is whole milliseconds.
+// Everything runs on the calling thread; no locks anywhere in src/net/.
 //
 // Callbacks may add/remove fds (including their own) while wait() is
 // dispatching: handlers are looked up at dispatch time, so a ready-event
@@ -45,9 +47,11 @@ class EpollReactor {
   TimerId add_timer(Clock::time_point when, std::function<void()> fn);
   void cancel_timer(TimerId id);
 
-  /// Waits up to `timeout_ms` (0 = poll) for readiness, dispatches I/O
-  /// callbacks and due timers. Returns the number of I/O events handled.
-  std::size_t wait(int timeout_ms);
+  /// Waits up to `timeout` (negative = block, zero = poll) for readiness,
+  /// dispatches I/O callbacks and due timers. Returns the number of I/O
+  /// events handled. Throws std::runtime_error if the kernel lacks
+  /// epoll_pwait2.
+  std::size_t wait(std::chrono::microseconds timeout);
 
  private:
   struct Handler {

@@ -325,6 +325,7 @@ void LoopbackTransport::start_connect(const std::shared_ptr<OutboundConn>& conn)
 
   conn->fd = fd;
   conn->connected = false;
+  conn->out_armed = true;
   // EPOLLOUT completes the connect; EPOLLIN afterwards only ever signals
   // peer close (connections are unidirectional).
   std::weak_ptr<OutboundConn> weak = conn;
@@ -399,8 +400,13 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
     conn->queued_bytes -= static_cast<std::size_t>(n);
     if (c.off >= total) conn->queue.pop_front();
   }
-  reactor_.modify(conn->fd,
-                  EPOLLIN | (conn->queue.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT)));
+  // Ask for EPOLLOUT only while bytes wait; touch the interest set only
+  // when that changes.
+  const bool want_out = !conn->queue.empty();
+  if (want_out != conn->out_armed) {
+    conn->out_armed = want_out;
+    reactor_.modify(conn->fd, EPOLLIN | (want_out ? static_cast<std::uint32_t>(EPOLLOUT) : 0u));
+  }
 }
 
 void LoopbackTransport::fail_outbound(const std::shared_ptr<OutboundConn>& conn) {
@@ -514,6 +520,9 @@ void LoopbackTransport::on_inbound_readable(int fd) {
       close_inbound(fd);
       return;
     }
+    // A short read took what the socket held; the fd is level-triggered,
+    // so bytes that arrive later are reported by the next wait.
+    if (static_cast<std::size_t>(n) < udp_buf_.size()) return;
   }
 }
 
@@ -538,12 +547,8 @@ void LoopbackTransport::dispatch(NodeId from, NodeId to, Payload payload) {
   it->second.ep->deliver(from, std::move(payload));
 }
 
-std::size_t LoopbackTransport::poll(int timeout_ms) { return reactor_.wait(timeout_ms); }
-
-void LoopbackTransport::drain(std::size_t max_passes) {
-  for (std::size_t i = 0; i < max_passes; ++i) {
-    if (poll(0) == 0) return;
-  }
+std::size_t LoopbackTransport::poll(std::chrono::microseconds timeout) {
+  return reactor_.wait(timeout);
 }
 
 }  // namespace spider::net

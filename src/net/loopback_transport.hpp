@@ -24,7 +24,8 @@
 // instead of growing without bound — fire-and-forget never blocks.
 //
 // Everything is single-threaded: send() enqueues to kernel buffers or user
-// queues, poll() runs the reactor once and dispatches deliveries on the
+// queues, poll(timeout) runs the reactor once — blocking at most `timeout`
+// microseconds, exactly (epoll_pwait2) — and dispatches deliveries on the
 // calling thread. Pair with net::RealtimeDriver to interleave the reactor
 // with a World's virtual-time event queue.
 #pragma once
@@ -71,14 +72,11 @@ class LoopbackTransport final : public Transport {
   [[nodiscard]] bool is_down(NodeId id) const override;
 
   // ---- driving -----------------------------------------------------------
-  /// Runs the reactor once: waits up to `timeout_ms` for socket readiness,
-  /// dispatches reads/writes/timers, delivers complete messages to their
-  /// endpoints. Returns the number of I/O events handled.
-  std::size_t poll(int timeout_ms);
-
-  /// Polls with zero timeout until a pass handles no events (bounded by
-  /// `max_passes`). Useful in tests to settle loopback traffic.
-  void drain(std::size_t max_passes = 1000);
+  /// Runs the reactor once: waits up to `timeout` (negative = block, zero =
+  /// poll) for socket readiness, dispatches reads/writes/timers, delivers
+  /// complete messages to their endpoints. Returns the number of I/O events
+  /// handled.
+  std::size_t poll(std::chrono::microseconds timeout);
 
   // ---- introspection -----------------------------------------------------
   struct Counters {
@@ -126,6 +124,7 @@ class LoopbackTransport final : public Transport {
     NodeId to = 0;
     int fd = -1;
     bool connected = false;
+    bool out_armed = false;  // EPOLLOUT is in the fd's registered interest
     std::deque<OutChunk> queue;
     std::size_t queued_bytes = 0;
     std::chrono::milliseconds backoff{0};

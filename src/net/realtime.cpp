@@ -34,30 +34,12 @@ void RealtimeDriver::run_until_virtual(Time target) {
     // *new* queue events — get picked up promptly.
     Time deadline = target;
     if (std::optional<Time> nt = q.next_time(); nt && *nt < deadline) deadline = *nt;
-    const Time wait_us = deadline > vnow ? deadline - vnow : 0;
-    const int timeout_ms = static_cast<int>(std::min<Time>((wait_us + 999) / 1000, 50));
-    transport_.poll(timeout_ms);
+    const Time wait_us = std::clamp<Time>(deadline - vnow, 0, 50 * kMillisecond);
+    transport_.poll(std::chrono::microseconds(wait_us));
   }
   // Land the virtual clock exactly on target (the loop may overshoot in
   // wall time; the queue never runs past target above).
   q.run_until(target);
-}
-
-bool RealtimeDriver::run_until(const std::function<bool()>& pred,
-                               std::chrono::milliseconds wall_budget) {
-  EventQueue& q = world_.queue();
-  const Time base_virtual = q.now();
-  const auto base_wall = Clock::now();
-  const auto deadline = base_wall + wall_budget;
-
-  for (;;) {
-    if (pred()) return true;
-    if (Clock::now() >= deadline) return false;
-    const Time vnow = base_virtual + elapsed_us(base_wall);
-    q.run_until(vnow);
-    if (pred()) return true;
-    transport_.poll(1);
-  }
 }
 
 }  // namespace spider::net

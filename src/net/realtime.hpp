@@ -10,12 +10,16 @@
 //
 //   virtual-now = base_virtual + wall-microseconds-elapsed
 //   queue.run_until(min(virtual-now, target))   // due protocol work
-//   transport.poll(until next event or target)  // socket readiness
+//   transport.poll(min(next event, target) - virtual-now, <= 50 ms)
 //
 // so one virtual microsecond == one wall microsecond for the duration of
-// the call. Modeled CPU costs therefore still bound throughput ("modeled
-// CPU, real wire"), which is what makes an open-loop saturation knee
-// findable on a loopback deployment.
+// the call. The poll waits the exact microsecond gap to the next queue
+// event (the reactor blocks in epoll_pwait2), so a modeled CPU completion
+// or timer that no socket traffic wakes fires within the host's timer
+// slack (~50 us) of its due time; every protocol hop pays that lateness.
+// Modeled CPU costs still bound throughput ("modeled CPU, real wire"),
+// which is what makes an open-loop saturation knee findable on a loopback
+// deployment.
 //
 // Installing the driver hooks World::run_until/run_for via
 // World::set_run_driver, so existing harnesses (OpenLoopRunner,
@@ -23,7 +27,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 
 #include "common/time.hpp"
 #include "net/loopback_transport.hpp"
@@ -44,12 +47,6 @@ class RealtimeDriver {
   /// Advances the world to virtual time `target` (the World::run_until
   /// path), pumping the reactor while waiting for virtual time to elapse.
   void run_until_virtual(Time target);
-
-  /// Pumps until `pred()` holds, or `wall_budget` elapses (returns false).
-  /// The virtual clock advances with the wall clock exactly as in
-  /// run_until_virtual. For tests: "run until this reply arrived".
-  bool run_until(const std::function<bool()>& pred,
-                 std::chrono::milliseconds wall_budget);
 
  private:
   using Clock = std::chrono::steady_clock;

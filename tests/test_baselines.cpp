@@ -254,6 +254,79 @@ TEST(BaselineHft, ReplayedCertificateCannotCarryAnotherFrame) {
   }
 }
 
+TEST(BaselineHft, SiteReplicasSignOnlyTheFrameTheyAreShown) {
+  // A Byzantine representative of site 1 asks its three replicas to sign
+  // an Update statement naming the digest of an unsigned write by a client
+  // that does not exist, showing them an honest client's signed frame
+  // instead, then sends the leader that certificate next to the forged
+  // frame. Site replicas must check that the statement names the frame.
+  RecordedWorld rw(1);
+  World& world = rw.world;
+  HftSystem sys(world, HftConfig{});
+  auto client = sys.make_client(Site{Region::Oregon, 0});  // site 1
+  ASSERT_TRUE(run_write(world, *client, "k", "v").first.ok);
+
+  const NodeId rep = sys.replica(1, 0).id();
+  const NodeId leader = sys.replica(0, 0).id();
+  const auto body_of = [&](const RecordingTransport::Frame& f) {
+    const BytesView wire = f.data.view();
+    return wire.subspan(4, wire.size() - 4 - world.crypto().mac_size());
+  };
+  std::optional<Bytes> honest;
+  for (const RecordingTransport::Frame& f : rw.recorder.frames) {
+    if (f.from != rep || f.to != leader || f.data.size() < 5) continue;
+    const BytesView body = body_of(f);
+    if (body[0] == static_cast<std::uint8_t>(hft::Kind::Update)) {
+      honest = codec::decode<hft::CertifiedMsg>(body.subspan(1)).frame;
+    }
+  }
+  ASSERT_TRUE(honest.has_value());
+
+  const ClientRequest forged{OpKind::Write, 999, 1, kv_put("forged", to_bytes(std::string("x")))};
+  const Bytes forged_frame = codec::encode(ClientFrame{forged, {}});
+  const Bytes statement =
+      codec::encode(hft::Kind::Update, hft::UpdateStmt{1, Sha256::hash(forged_frame)});
+  const auto send_hft = [&](NodeId to, const Bytes& body) {
+    Writer wire;
+    wire.u32(tags::kHft);
+    wire.raw(body);
+    Bytes frame = std::move(wire).take();
+    const Bytes mac = world.crypto().mac(rep, to, frame);
+    frame.insert(frame.end(), mac.begin(), mac.end());
+    world.net().send(rep, to, Payload(std::move(frame)), TrafficClass::kOrdered);
+  };
+
+  const std::size_t mark = rw.recorder.frames.size();
+  const Bytes sign_req = codec::encode(hft::Kind::SignReq, hft::SignMsg{statement, *honest});
+  for (std::uint32_t i = 1; i < 4; ++i) send_hft(sys.replica(1, i).id(), sign_req);
+  world.run_for(1 * kSecond);
+
+  Writer dom;
+  dom.u32(tags::kHft);
+  dom.raw(statement);
+  hft::Certificate sigs{{rep, world.crypto().sign(rep, dom.data())}};
+  for (std::size_t k = mark; k < rw.recorder.frames.size(); ++k) {
+    const RecordingTransport::Frame& f = rw.recorder.frames[k];
+    if (f.to != rep || f.data.size() < 5) continue;
+    const BytesView body = body_of(f);
+    if (body[0] != static_cast<std::uint8_t>(hft::Kind::Partial)) continue;
+    hft::SignMsg partial = codec::decode<hft::SignMsg>(body.subspan(1));
+    if (partial.statement == statement) sigs.emplace_back(f.from, std::move(partial.data));
+  }
+  EXPECT_EQ(sigs.size(), 1u) << "site replicas signed a digest of a frame they were not shown";
+
+  send_hft(leader,
+           codec::encode(hft::Kind::Update, hft::CertifiedMsg{statement, forged_frame, sigs}));
+  world.run_for(5 * kSecond);
+
+  for (std::uint32_t s = 0; s < sys.site_count(); ++s) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(sys.replica(s, i).executed_seq(), 1u) << "site " << s << " replica " << i;
+      EXPECT_FALSE(kv_decode_reply(sys.replica(s, i).app().execute_readonly(kv_get("forged"))).ok);
+    }
+  }
+}
+
 TEST(BaselineHft, WeakReadsAreLocal) {
   World world(1);
   HftSystem sys(world, HftConfig{});

@@ -5,18 +5,23 @@
 // a backend that cannot pass this battery cannot host the protocol stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "net/epoll_reactor.hpp"
 #include "net/loopback_transport.hpp"
+#include "net/realtime.hpp"
 #include "net/transport.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
 namespace {
+
+using namespace std::chrono_literals;
 
 constexpr Site kVirginiaA{Region::Virginia, 0};
 constexpr Site kVirginiaB{Region::Virginia, 1};
@@ -94,14 +99,14 @@ class LoopbackBackend final : public Backend {
 
   bool settle(const std::function<bool()>& pred) override {
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!pred() && std::chrono::steady_clock::now() < deadline) net_.poll(1);
+    while (!pred() && std::chrono::steady_clock::now() < deadline) net_.poll(1ms);
     return pred();
   }
 
   void settle_quiet() override {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-    while (std::chrono::steady_clock::now() < deadline) net_.poll(1);
+    while (std::chrono::steady_clock::now() < deadline) net_.poll(1ms);
   }
 
   [[nodiscard]] bool delivers_shared_buffers() const override { return false; }
@@ -387,8 +392,59 @@ TEST(LoopbackTransport, ShutdownWithLiveConnectionsLeaksNothing) {
   net->attach(&b);
   net->send(1, 2, make_payload("tcp"), TrafficClass::kOrdered);
   net->send(1, 2, make_payload("udp"), TrafficClass::kUnordered);
-  net->poll(1);
+  net->poll(1ms);
   net.reset();  // destructor must close every fd and free every queue
+}
+
+// ---- pacing ----------------------------------------------------------------
+// The reactor waits exactly as long as it is asked, so the realtime driver
+// fires a queue event that no socket traffic wakes close to its due time
+// instead of rounding the wait up to a whole millisecond.
+
+std::chrono::microseconds median(std::vector<std::chrono::microseconds> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::chrono::microseconds since(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                               t);
+}
+
+TEST(EpollReactor, IdleWaitLastsTheMicrosecondTimeout) {
+  net::EpollReactor reactor;
+  std::vector<std::chrono::microseconds> took;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(reactor.wait(250us), 0u);
+    took.push_back(since(start));
+    EXPECT_GE(took.back(), 250us) << "wait returned early";
+  }
+  EXPECT_LT(median(took), 1ms);
+}
+
+TEST(RealtimeDriver, IdleQueueEventsFireOnTime) {
+  World world(1);
+  net::LoopbackTransport sock;
+  world.install_transport(&sock);
+  net::RealtimeDriver driver(world, sock);
+
+  // Events 1.1 ms apart: a whole-millisecond wait overshoots each by ~0.9 ms.
+  constexpr int kEvents = 20;
+  constexpr Duration kGap = 1100;
+  const Time base = world.now();
+  const auto wall_base = std::chrono::steady_clock::now();
+  std::vector<std::chrono::microseconds> late;
+  for (int i = 1; i <= kEvents; ++i) {
+    const Duration due = i * kGap;
+    world.queue().schedule_at(base + due, [&late, wall_base, due] {
+      late.push_back(since(wall_base) - std::chrono::microseconds(due));
+    });
+  }
+  world.run_for((kEvents + 1) * kGap);
+
+  ASSERT_EQ(late.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_LT(median(late), 400us);
 }
 
 }  // namespace
