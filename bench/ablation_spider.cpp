@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations for the design choices of paper §3.4-3.5:
 //
 //  A. IRMC window capacity vs. channel throughput — flow control bounds the
 //     in-flight bandwidth-delay product, so small windows throttle a WAN

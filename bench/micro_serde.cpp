@@ -4,8 +4,8 @@
 // Models what the transport hot path does for one multicast of a B-byte
 // body to R recipients:
 //   naive: per recipient, wrap [tag][body] with a fresh growing Writer
-//          (the pre-optimisation ComponentHost::send_component), hand the
-//          copy to the recipient, and hash the body again on arrival.
+//          (the send path before the zero-copy Payload), hand the copy to
+//          the recipient, and hash the body again on arrival.
 //   fast:  serialize the frame once into a refcounted Payload with a
 //          size-hinted Writer, bump a refcount per recipient, and reuse
 //          the memoized digest.

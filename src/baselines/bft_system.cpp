@@ -53,8 +53,9 @@ void BftReplica::handle_request(const ClientFrame& frame, BytesView body) {
     // need f+1 matching replies, strong reads 2f+1 (both requiring a WAN
     // quorum in this architecture — the point of paper Figure 8).
     charge(kExecCost);
-    Bytes result = app_->execute_weak(req.op);
-    port_->reply(req.client, req.counter, result, true);
+    if (auto result = execute_op(*app_, OpKind::WeakRead, req.op)) {
+      port_->reply(req.client, req.counter, *result, true);
+    }
     return;
   }
 
@@ -117,25 +118,22 @@ void BftReplica::drain_stash() {
 
 void BftReplica::execute_one(const Bytes& request) {
   if (request.empty()) return;  // null request from a view change
-  try {
-    auto frame = codec::decode<ClientFrame>(request);
-    const ClientRequest& req = frame.req;
-    std::uint64_t& last = t_[req.client];
-    ReplyCacheEntry& e = replies_[req.client];
-    if (req.counter <= e.counter) {
-      if (req.counter == e.counter) port_->reply(req.client, req.counter, e.result, false);
-      return;
-    }
-    last = std::max(last, req.counter);
-    charge(kExecCost);
-    Bytes result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
-                                                  : app_->execute(req.op);
-    e.counter = req.counter;
-    e.result = std::move(result);
-    port_->reply(req.client, req.counter, e.result, false);
-  } catch (const SerdeError&) {
+  auto frame = codec::try_decode<ClientFrame>(request);
+  if (!frame) return;
+  const ClientRequest& req = frame->req;
+  std::uint64_t& last = t_[req.client];
+  ReplyCacheEntry& e = replies_[req.client];
+  if (req.counter <= e.counter) {
+    if (req.counter == e.counter) port_->reply(req.client, req.counter, e.result, false);
     return;
   }
+  last = std::max(last, req.counter);
+  charge(kExecCost);
+  std::optional<Bytes> result = execute_op(*app_, req.kind, req.op);
+  if (!result) return;
+  e.counter = req.counter;
+  e.result = std::move(*result);
+  port_->reply(req.client, req.counter, e.result, false);
 }
 
 Bytes BftReplica::snapshot_state() const {

@@ -12,14 +12,15 @@ namespace {
 constexpr Duration kExecCost = 8;
 using hft::Kind;
 
-/// The statement of `kind` that `statement` holds; any other kind, or
-/// bytes that are not one, throw SerdeError.
+/// The statement of `kind` that `statement` holds; nothing, counted as a
+/// malformed drop at `host`, for any other kind or bytes that are not one.
 template <class S>
-S statement_of(Kind kind, BytesView statement) {
+std::optional<S> statement_of(ComponentHost& host, Kind kind, BytesView statement) {
   if (statement.empty() || statement[0] != static_cast<std::uint8_t>(kind)) {
-    throw SerdeError("unexpected HFT statement kind");
+    host.drop(Drop::kMalformed);
+    return std::nullopt;
   }
-  return codec::decode<S>(statement.subspan(1));
+  return host.decode<S>(statement.subspan(1));
 }
 }  // namespace
 
@@ -33,19 +34,18 @@ HftReplica::HftReplica(World& world, NodeId self, Site site, std::uint32_t site_
     handle_request(frame, body);
   });
   link_ = std::make_unique<TagHandler>(
-      *this, tags::kHft, [this](NodeId from, Reader& r) { handle_site_frame(from, r); });
+      *this, tags::kHft, [this](NodeId from, BytesView f) { handle_site_frame(from, f); });
 }
 
 // ------------------------------------------------------------------ plumbing
 
-void HftReplica::handle_site_frame(NodeId from, Reader& r) {
-  std::optional<BytesView> body =
-      verified_body(from, link_->tag(), r.raw(r.remaining()), /*is_sig=*/false);
+void HftReplica::handle_site_frame(NodeId from, BytesView frame) {
+  std::optional<BytesView> body = verified_body(from, link_->tag(), frame, /*is_sig=*/false);
   if (body) dispatch_site(from, *body);
 }
 
 void HftReplica::dispatch_site(NodeId from, BytesView body) {
-  if (body.empty()) return;
+  if (body.empty()) return drop(Drop::kMalformed);
   const BytesView fields = body.subspan(1);
   switch (static_cast<Kind>(body[0])) {
     case Kind::SignReq: handle_sign_req(from, fields); break;
@@ -54,7 +54,7 @@ void HftReplica::dispatch_site(NodeId from, BytesView body) {
     case Kind::Proposal: handle_proposal(fields); break;
     case Kind::Accept: handle_accept(fields); break;
     case Kind::Commit: handle_commit(from, fields); break;
-    default: break;
+    default: drop(Drop::kMalformed); break;
   }
 }
 
@@ -94,8 +94,9 @@ void HftReplica::handle_request(const ClientFrame& frame, BytesView body) {
   const ClientRequest& req = frame.req;
   if (req.kind == OpKind::WeakRead) {
     charge(kExecCost);
-    Bytes result = app_->execute_weak(req.op);
-    port_->reply(req.client, req.counter, result, true);
+    if (auto result = execute_op(*app_, OpKind::WeakRead, req.op)) {
+      port_->reply(req.client, req.counter, *result, true);
+    }
     return;
   }
 
@@ -144,41 +145,44 @@ void HftReplica::start_local_round(const Bytes& statement, const Bytes& payload)
 }
 
 void HftReplica::handle_sign_req(NodeId from, BytesView fields) {
-  if (from != sites_[site_id_][0]) return;  // only our representative
-  auto m = codec::decode<hft::SignMsg>(fields);
-  if (m.statement.empty()) return;
+  if (from != sites_[site_id_][0]) return drop(Drop::kNotMember);  // only our representative
+  auto m = decode<hft::SignMsg>(fields);
+  if (!m) return;
+  if (m->statement.empty()) return drop(Drop::kMalformed);
 
   // For updates, replicas independently validate the client request so a
   // Byzantine representative cannot certify forged requests: the statement
   // must name this site and the digest of the signed frame shown with it.
-  if (static_cast<Kind>(m.statement[0]) == Kind::Update) {
-    if (m.data.empty()) return;
-    const auto st = statement_of<hft::UpdateStmt>(Kind::Update, m.statement);
-    if (st.site != site_id_) return;
-    charge_hash(m.data.size());
-    if (Sha256::hash(m.data) != st.digest) return;
-    if (!verify_client_signature(*this, codec::decode<ClientFrame>(m.data))) return;
+  if (static_cast<Kind>(m->statement[0]) == Kind::Update) {
+    if (m->data.empty()) return drop(Drop::kMalformed);
+    const auto st = statement_of<hft::UpdateStmt>(*this, Kind::Update, m->statement);
+    if (!st || st->site != site_id_) return;
+    charge_hash(m->data.size());
+    if (Sha256::hash(m->data) != st->digest) return;
+    const auto frame = decode<ClientFrame>(m->data);
+    if (!frame || !verify_client_signature(*this, *frame)) return;
   }
 
   charge_sign();
-  Bytes sig = crypto().sign(id(), link_->auth_bytes(m.statement));
-  send_site(from, codec::encode(Kind::Partial, hft::SignMsg{std::move(m.statement), sig}));
+  Bytes sig = crypto().sign(id(), link_->auth_bytes(m->statement));
+  send_site(from, codec::encode(Kind::Partial, hft::SignMsg{std::move(m->statement), sig}));
 }
 
 void HftReplica::handle_partial(NodeId from, BytesView fields) {
   if (!is_rep()) return;
   if (std::find(sites_[site_id_].begin(), sites_[site_id_].end(), from) ==
       sites_[site_id_].end()) {
-    return;
+    return drop(Drop::kNotMember);
   }
-  auto m = codec::decode<hft::SignMsg>(fields);
+  auto m = decode<hft::SignMsg>(fields);
+  if (!m) return;
   charge_verify();
-  if (!crypto().verify(from, link_->auth_bytes(m.statement), m.data)) return;
+  if (!crypto().verify(from, link_->auth_bytes(m->statement), m->data)) return;
 
-  std::uint64_t key = digest_prefix(Sha256::hash(m.statement));
+  std::uint64_t key = digest_prefix(Sha256::hash(m->statement));
   auto it = rounds_.find(key);
   if (it == rounds_.end() || it->second.completed) return;
-  it->second.sigs[from] = std::move(m.data);
+  it->second.sigs[from] = std::move(m->data);
   if (it->second.sigs.size() >= threshold()) {
     it->second.completed = true;
     hft::Certificate sigs(it->second.sigs.begin(), it->second.sigs.end());
@@ -207,50 +211,54 @@ void HftReplica::on_certificate(const Bytes& statement, const Bytes& payload,
 
 void HftReplica::handle_update(BytesView fields) {
   if (id() != sites_[leader_site_][0]) return;  // leader-site representative only
-  auto m = codec::decode<hft::CertifiedMsg>(fields);
-  const auto st = statement_of<hft::UpdateStmt>(Kind::Update, m.statement);
-  if (!verify_cert(st.site, m.statement, m.sigs)) return;
+  auto m = decode<hft::CertifiedMsg>(fields);
+  if (!m) return;
+  const auto st = statement_of<hft::UpdateStmt>(*this, Kind::Update, m->statement);
+  if (!st || !verify_cert(st->site, m->statement, m->sigs)) return;
 
   // The certificate vouches for one frame: a representative that replays
   // it next to another frame is ignored.
-  charge_hash(m.frame.size());
-  Sha256Digest h = Sha256::hash(m.frame);
-  if (h != st.digest) return;
+  charge_hash(m->frame.size());
+  Sha256Digest h = Sha256::hash(m->frame);
+  if (h != st->digest) return;
 
   SeqNr seq = next_seq_++;
   Ordering& o = order_state_[seq];
-  o.frame = m.frame;
-  o.origin_site = st.site;
-  start_local_round(codec::encode(Kind::Proposal, hft::ProposalStmt{seq, st.site, h}), m.frame);
+  o.frame = m->frame;
+  o.origin_site = st->site;
+  start_local_round(codec::encode(Kind::Proposal, hft::ProposalStmt{seq, st->site, h}),
+                    m->frame);
 }
 
 void HftReplica::handle_proposal(BytesView fields) {
   if (!is_rep()) return;
-  auto m = codec::decode<hft::CertifiedMsg>(fields);
-  const auto st = statement_of<hft::ProposalStmt>(Kind::Proposal, m.statement);
-  if (!verify_cert(leader_site_, m.statement, m.sigs)) return;
+  auto m = decode<hft::CertifiedMsg>(fields);
+  if (!m) return;
+  const auto st = statement_of<hft::ProposalStmt>(*this, Kind::Proposal, m->statement);
+  if (!st || !verify_cert(leader_site_, m->statement, m->sigs)) return;
 
-  Ordering& o = order_state_[st.seq];
+  Ordering& o = order_state_[st->seq];
   if (o.proposal_seen) return;
-  charge_hash(m.frame.size());
-  Sha256Digest h = Sha256::hash(m.frame);
-  if (h != st.digest) return;  // the proposal certifies another frame
+  charge_hash(m->frame.size());
+  Sha256Digest h = Sha256::hash(m->frame);
+  if (h != st->digest) return;  // the proposal certifies another frame
   o.proposal_seen = true;
-  o.frame = std::move(m.frame);
-  o.origin_site = st.origin;
+  o.frame = std::move(m->frame);
+  o.origin_site = st->origin;
   o.accepts.insert(leader_site_);  // the proposal is the leader site's vote
 
-  start_local_round(codec::encode(Kind::Accept, hft::AcceptStmt{site_id_, st.seq, h}), {});
+  start_local_round(codec::encode(Kind::Accept, hft::AcceptStmt{site_id_, st->seq, h}), {});
   try_execute();
 }
 
 void HftReplica::handle_accept(BytesView fields) {
   if (!is_rep()) return;
-  auto m = codec::decode<hft::AcceptMsg>(fields);
-  const auto st = statement_of<hft::AcceptStmt>(Kind::Accept, m.statement);
-  if (!verify_cert(st.site, m.statement, m.sigs)) return;
+  auto m = decode<hft::AcceptMsg>(fields);
+  if (!m) return;
+  const auto st = statement_of<hft::AcceptStmt>(*this, Kind::Accept, m->statement);
+  if (!st || !verify_cert(st->site, m->statement, m->sigs)) return;
 
-  order_state_[st.seq].accepts.insert(st.site);
+  order_state_[st->seq].accepts.insert(st->site);
   try_execute();
 }
 
@@ -276,30 +284,29 @@ void HftReplica::try_execute() {
 }
 
 void HftReplica::handle_commit(NodeId from, BytesView fields) {
-  if (from != sites_[site_id_][0] && from != id()) return;  // own representative
-  auto m = codec::decode<hft::CommitMsg>(fields);
-  if (m.seq <= executed_) return;
-  commit_buffer_[m.seq] = {std::move(m.frame), m.origin};
+  // From our own representative, or a step this representative takes itself.
+  if (from != sites_[site_id_][0] && from != id()) return drop(Drop::kNotMember);
+  auto m = decode<hft::CommitMsg>(fields);
+  if (!m || m->seq <= executed_) return;
+  commit_buffer_[m->seq] = {std::move(m->frame), m->origin};
 
   while (true) {
     auto it = commit_buffer_.find(executed_ + 1);
     if (it == commit_buffer_.end()) return;
     executed_ = it->first;
-    try {
-      auto cf = codec::decode<ClientFrame>(it->second.first);
-      const ClientRequest& req = cf.req;
+    if (auto cf = codec::try_decode<ClientFrame>(it->second.first)) {
+      const ClientRequest& req = cf->req;
       auto& cached = replies_[req.client];
       if (req.counter > cached.first) {
         charge(kExecCost);
-        Bytes result = req.kind == OpKind::StrongRead ? app_->execute_readonly(req.op)
-                                                      : app_->execute(req.op);
-        cached = {req.counter, std::move(result)};
-        t_[req.client] = std::max(t_[req.client], req.counter);
-        if (it->second.second == site_id_) {
-          port_->reply(req.client, req.counter, cached.second, false);
+        if (auto result = execute_op(*app_, req.kind, req.op)) {
+          cached = {req.counter, std::move(*result)};
+          t_[req.client] = std::max(t_[req.client], req.counter);
+          if (it->second.second == site_id_) {
+            port_->reply(req.client, req.counter, cached.second, false);
+          }
         }
       }
-    } catch (const SerdeError&) {
     }
     commit_buffer_.erase(it);
   }

@@ -15,10 +15,9 @@
 //   site reps exchange Accepts                      (WAN broadcast)
 //   majority of site Accepts -> globally ordered -> execute + reply locally
 //
-// Simplifications vs. full Steward (documented in DESIGN.md): fixed site
-// representatives, no hierarchical view changes, no state transfer — the
-// baseline is evaluated fault-free, exactly as in the paper's latency
-// experiments.
+// Simplifications vs. full Steward: fixed site representatives, no
+// hierarchical view changes, no state transfer — the baseline is evaluated
+// fault-free, exactly as in the paper's latency experiments.
 #pragma once
 
 #include <map>
@@ -138,7 +137,7 @@ class HftReplica : public ComponentHost {
   };
 
   void handle_request(const ClientFrame& frame, BytesView body);
-  void handle_site_frame(NodeId from, Reader& r);
+  void handle_site_frame(NodeId from, BytesView frame);
   void dispatch_site(NodeId from, BytesView body);
   /// MAC'd [kHft] frame to `to`; one addressed to this replica is handled
   /// in place.

@@ -14,8 +14,10 @@
 // different message.
 //
 // `Reader` performs strict bounds checking and throws `SerdeError` on any
-// malformed input, so Byzantine (garbage) messages are rejected at the
-// decoding boundary instead of corrupting protocol state.
+// malformed input. Receive handlers decode through `ComponentHost::decode`
+// (`codec::try_decode` plus a msg_dropped_malformed count), so Byzantine
+// (garbage) messages are refused where they are decoded instead of
+// corrupting protocol state.
 #pragma once
 
 #include <cstdint>

@@ -83,29 +83,27 @@ void PbftReplica::send_authed(std::uint32_t idx, BytesView inner) {
   send_framed(cfg_.replicas[idx], inner, tag_bytes);
 }
 
-void PbftReplica::on_message(NodeId from, Reader& r) {
+void PbftReplica::on_message(NodeId from, BytesView all) {
   if (host().byzantine().mute_rx) return;  // fully-isolated Byzantine node: deaf as well
-  BytesView all = r.raw(r.remaining());
-  if (all.empty()) return;
+  if (all.empty()) return host().drop(Drop::kMalformed);
   auto type = static_cast<MsgType>(all[0]);
   const bool signed_msg = type == MsgType::ViewChange || type == MsgType::NewView;
   std::optional<std::uint32_t> idx = index_of(from);
-  if (!idx) return;  // not a group member
+  if (!idx) return host().drop(Drop::kNotMember);
   std::optional<BytesView> body = host().verified_body(from, tag(), all, signed_msg);
   if (!body) return;
 
   const BytesView fields = body->subspan(1);  // after the type, already inspected
+  auto handle = [&]<class M>(void (PbftReplica::*fn)(std::uint32_t, M)) {
+    if (auto m = host().decode<M>(fields)) (this->*fn)(*idx, std::move(*m));
+  };
   switch (type) {
-    case MsgType::PrePrepare:
-      handle_preprepare(*idx, codec::decode<pbft::PrePrepareMsg>(fields));
-      break;
-    case MsgType::Prepare: handle_prepare(*idx, codec::decode<pbft::PrepareMsg>(fields)); break;
-    case MsgType::Commit: handle_commit(*idx, codec::decode<pbft::CommitMsg>(fields)); break;
-    case MsgType::ViewChange:
-      handle_viewchange(*idx, codec::decode<pbft::ViewChangeMsg>(fields));
-      break;
-    case MsgType::NewView: handle_newview(*idx, codec::decode<pbft::NewViewMsg>(fields)); break;
-    default: break;
+    case MsgType::PrePrepare: handle(&PbftReplica::handle_preprepare); break;
+    case MsgType::Prepare: handle(&PbftReplica::handle_prepare); break;
+    case MsgType::Commit: handle(&PbftReplica::handle_commit); break;
+    case MsgType::ViewChange: handle(&PbftReplica::handle_viewchange); break;
+    case MsgType::NewView: handle(&PbftReplica::handle_newview); break;
+    default: host().drop(Drop::kMalformed); break;
   }
 }
 

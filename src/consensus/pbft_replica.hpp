@@ -15,9 +15,9 @@
 //     gc(s), matching the paper's design where the consensus box is told
 //     to "collect garbage before s+1" (Fig. 17, L. 46)
 //
-// Simplifications vs. Castro-Liskov (documented in DESIGN.md): view-change
-// messages assert stable floors / prepared sets under the sender's
-// signature instead of carrying nested per-message proofs.
+// Simplifications vs. Castro-Liskov: view-change messages assert stable
+// floors / prepared sets under the sender's signature instead of carrying
+// nested per-message proofs.
 #pragma once
 
 #include <deque>
@@ -84,7 +84,7 @@ class PbftReplica : public Component, public Agreement {
   void drop_pending_if(const std::function<bool(BytesView)>& stale);
 
   // Component interface --------------------------------------------------
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView all) override;
 
   // Introspection (tests, stats) -----------------------------------------
   [[nodiscard]] ViewNr view() const { return view_; }

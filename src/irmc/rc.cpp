@@ -33,22 +33,20 @@ void RcSender::drop_below(Subchannel sc, Position lo) {
   if (it != sent_.end()) it->second.erase(it->second.begin(), it->second.lower_bound(lo));
 }
 
-void RcSender::on_message(NodeId from, Reader& r) {
-  BytesView frame = r.raw(r.remaining());
-  if (frame.empty()) return;
+void RcSender::on_message(NodeId from, BytesView frame) {
+  if (frame.empty()) return host().drop(Drop::kMalformed);
   auto type = static_cast<MsgType>(frame[0]);
-  if (type != MsgType::Move && type != MsgType::Nack) return;
+  if (type != MsgType::Move && type != MsgType::Nack) return host().drop(Drop::kMalformed);
   std::optional<std::uint32_t> idx = irmc::index_of(cfg_.receivers, from);
-  if (!idx) return;
+  if (!idx) return host().drop(Drop::kNotMember);
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/false);
   if (!body) return;
 
   const BytesView fields = body->subspan(1);
   if (type == MsgType::Nack) {
-    answer_nack(from, codec::decode<irmc::NackMsg>(fields).stalled);
-  } else {
-    auto mv = codec::decode<irmc::MoveMsg>(fields);
-    on_receiver_move(*idx, mv.sc, mv.p);
+    if (auto nack = host().decode<irmc::NackMsg>(fields)) answer_nack(from, nack->stalled);
+  } else if (auto mv = host().decode<irmc::MoveMsg>(fields)) {
+    on_receiver_move(*idx, mv->sc, mv->p);
   }
 }
 
@@ -158,29 +156,27 @@ bool RcReceiver::move_counts(std::uint32_t idx, Subchannel sc, Position p) const
   return p > w->second.start && p > w->second.moves[idx];
 }
 
-void RcReceiver::on_message(NodeId from, Reader& r) {
-  BytesView frame = r.raw(r.remaining());
-  if (frame.empty()) return;
+void RcReceiver::on_message(NodeId from, BytesView frame) {
+  if (frame.empty()) return host().drop(Drop::kMalformed);
   std::optional<std::uint32_t> idx = irmc::index_of(cfg_.senders, from);
-  if (!idx) return;
+  if (!idx) return host().drop(Drop::kNotMember);
 
   auto type = static_cast<MsgType>(frame[0]);
   if (type == MsgType::Send || type == MsgType::SendMove) {
     on_send(from, *idx, frame, type == MsgType::SendMove);
     return;
   }
-  if (type != MsgType::Move && type != MsgType::Windows) return;
+  if (type != MsgType::Move && type != MsgType::Windows) return host().drop(Drop::kMalformed);
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/false);
   if (!body) return;
 
   const BytesView fields = body->subspan(1);
   if (type == MsgType::Move) {
-    auto mv = codec::decode<irmc::MoveMsg>(fields);
-    apply_move(from, *idx, note_subchannel(mv.sc), mv.p);
-  } else {
-    for (const auto& [sc, p] : codec::decode<irmc::WindowsMsg>(fields).windows) {
-      apply_move(from, *idx, note_subchannel(sc), p);
+    if (auto mv = host().decode<irmc::MoveMsg>(fields)) {
+      apply_move(from, *idx, note_subchannel(mv->sc), mv->p);
     }
+  } else if (auto ws = host().decode<irmc::WindowsMsg>(fields)) {
+    for (const auto& [sc, p] : ws->windows) apply_move(from, *idx, note_subchannel(sc), p);
   }
 }
 
@@ -189,36 +185,37 @@ void RcReceiver::on_send(NodeId from, std::uint32_t idx, BytesView frame, bool m
   // can change nothing: the vote cannot count, and it carries no window
   // statement that could.
   std::size_t sig_len = crypto().signature_size();
-  if (frame.size() <= sig_len) return;
-  auto msg = codec::decode<irmc::SendMsgView>(frame.subspan(1, frame.size() - sig_len - 1));
-  const bool counts = vote_counts(idx, msg.sc, msg.p);
-  if (!counts && !(moves && move_counts(idx, msg.sc, msg.p))) {
+  if (frame.size() <= sig_len) return host().drop(Drop::kMalformed);
+  auto msg = host().decode<irmc::SendMsgView>(frame.subspan(1, frame.size() - sig_len - 1));
+  if (!msg) return;
+  const bool counts = vote_counts(idx, msg->sc, msg->p);
+  if (!counts && !(moves && move_counts(idx, msg->sc, msg->p))) {
     votes_unverified_.inc();
     return;
   }
   if (!host().verified_body(from, tag(), frame, /*is_sig=*/true)) return;
 
-  Window& w = note_subchannel(msg.sc);
+  Window& w = note_subchannel(msg->sc);
   // Where a separate Move preceding this Send would have been applied.
-  if (moves) apply_move(from, idx, w, msg.p);
+  if (moves) apply_move(from, idx, w, msg->p);
   if (!counts) return;
   // Store only within a bounded horizon (window + one extra window of
   // slack for senders running ahead of this receiver).
-  if (msg.p < w.start || msg.p > w.start + 2 * cfg_.capacity - 1) return;
+  if (msg->p < w.start || msg->p > w.start + 2 * cfg_.capacity - 1) return;
 
-  host().charge_hash(msg.payload.size());
-  std::uint64_t key = digest_prefix(host().hash_cached(msg.payload));
-  Slot& slot = slots_[msg.sc][msg.p];
+  host().charge_hash(msg->payload.size());
+  std::uint64_t key = digest_prefix(host().hash_cached(msg->payload));
+  Slot& slot = slots_[msg->sc][msg->p];
   slot.voters.insert(idx);
   auto& [payload, votes] = slot.candidates[key];
-  if (votes++ == 0) payload = host().capture(msg.payload);
+  if (votes++ == 0) payload = host().capture(msg->payload);
   // Only this candidate's count moved, and a delivered slot takes no more
   // votes: it is the one to deliver.
   if (votes < cfg_.fs + 1) return;
   if (auto* t = host().tracer()) {
-    t->instant(host().now(), host().id(), "irmc", "rc-deliver", "sc", msg.sc, "pos", msg.p);
+    t->instant(host().now(), host().id(), "irmc", "rc-deliver", "sc", msg->sc, "pos", msg->p);
   }
-  deliver(w, msg.p, payload);
+  deliver(w, msg->p, payload);
 }
 
 void RcReceiver::apply_move(NodeId from, std::uint32_t idx, Window& w, Position p) {

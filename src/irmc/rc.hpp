@@ -35,7 +35,7 @@ class RcSender : public IrmcSenderEndpoint {
  public:
   using IrmcSenderEndpoint::IrmcSenderEndpoint;
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView frame) override;
 
  private:
   void transmit(Subchannel sc, Position p, Bytes m, bool move) override;
@@ -54,7 +54,7 @@ class RcReceiver : public IrmcReceiverEndpoint {
   RcReceiver(ComponentHost& host, IrmcConfig cfg);
   ~RcReceiver() override;
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView frame) override;
 
  private:
   struct Slot {

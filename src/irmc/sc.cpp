@@ -96,37 +96,39 @@ void ScSender::on_progress_timer() {
   if (!pm.progress.empty()) send_maced(cfg_.receivers, codec::encode(MsgType::Progress, pm));
 }
 
-void ScSender::on_message(NodeId from, Reader& r) {
-  BytesView frame = r.raw(r.remaining());
-  if (frame.empty()) return;
+void ScSender::on_message(NodeId from, BytesView frame) {
+  if (frame.empty()) return host().drop(Drop::kMalformed);
   auto type = static_cast<MsgType>(frame[0]);
   // Fellow senders sign their SigShares; receivers MAC Move and Select.
   const bool share = type == MsgType::SigShare;
-  if (!share && type != MsgType::Move && type != MsgType::Select) return;
+  if (!share && type != MsgType::Move && type != MsgType::Select) {
+    return host().drop(Drop::kMalformed);
+  }
   std::optional<std::uint32_t> idx = irmc::index_of(share ? cfg_.senders : cfg_.receivers, from);
-  if (!idx) return;
+  if (!idx) return host().drop(Drop::kNotMember);
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/share);
   if (!body) return;
 
   const BytesView fields = body->subspan(1);
   if (type == MsgType::Move) {
-    auto mv = codec::decode<irmc::MoveMsg>(fields);
-    on_receiver_move(*idx, mv.sc, mv.p);
+    if (auto mv = host().decode<irmc::MoveMsg>(fields)) on_receiver_move(*idx, mv->sc, mv->p);
   } else if (share) {
-    auto s = codec::decode<irmc::SigShareMsg>(fields);
-    Position lo = window_start(s.sc);
-    if (s.p < lo || s.p > lo + 2 * cfg_.capacity - 1) return;
-    Collect& c = collect(s.sc);
-    Slot& slot = c.slots[s.p];
+    auto s = host().decode<irmc::SigShareMsg>(fields);
+    if (!s) return;
+    Position lo = window_start(s->sc);
+    if (s->p < lo || s->p > lo + 2 * cfg_.capacity - 1) return;
+    Collect& c = collect(s->sc);
+    Slot& slot = c.slots[s->p];
     auto [entry, fresh] = slot.shares.try_emplace(*idx);
     if (!fresh) return;
-    entry->second = {digest_prefix(s.digest), to_bytes(frame.subspan(body->size()))};
-    try_certificate(s.sc, s.p, c, slot);
+    entry->second = {digest_prefix(s->digest), to_bytes(frame.subspan(body->size()))};
+    try_certificate(s->sc, s->p, c, slot);
   } else {
-    auto sel = codec::decode<irmc::SelectMsg>(fields);
-    Collect& c = collect(sel.sc);
-    c.collector[*idx] = sel.collector;
-    if (sel.collector != my_index_) return;
+    auto sel = host().decode<irmc::SelectMsg>(fields);
+    if (!sel) return;
+    Collect& c = collect(sel->sc);
+    c.collector[*idx] = sel->collector;
+    if (sel->collector != my_index_) return;
     // Held certificates for this subchannel go out to the new selector.
     for (const auto& [p, slot] : c.slots) {
       if (!slot.certificate.empty()) send_wire(cfg_.receivers[*idx], slot.certificate);
@@ -175,27 +177,30 @@ void ScReceiver::on_gap_timer(Subchannel sc) {
   arm_gap_timer(sc, g);
 }
 
-void ScReceiver::on_message(NodeId from, Reader& r) {
-  BytesView frame = r.raw(r.remaining());
-  if (frame.empty()) return;
+void ScReceiver::on_message(NodeId from, BytesView frame) {
+  if (frame.empty()) return host().drop(Drop::kMalformed);
   std::optional<std::uint32_t> idx = irmc::index_of(cfg_.senders, from);
-  if (!idx) return;
+  if (!idx) return host().drop(Drop::kNotMember);
   auto type = static_cast<MsgType>(frame[0]);
   // Collectors sign Certificates; senders MAC Move and Progress.
   const bool cert = type == MsgType::Certificate;
-  if (!cert && type != MsgType::Move && type != MsgType::Progress) return;
+  if (!cert && type != MsgType::Move && type != MsgType::Progress) {
+    return host().drop(Drop::kMalformed);
+  }
   std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/cert);
   if (!body) return;
 
   const BytesView fields = body->subspan(1);
   if (cert) {
-    auto c = codec::decode<irmc::CertificateMsgView>(fields);
-    on_certificate(note_subchannel(c.sc), c);
+    if (auto c = host().decode<irmc::CertificateMsgView>(fields)) {
+      on_certificate(note_subchannel(c->sc), *c);
+    }
   } else if (type == MsgType::Move) {
-    auto mv = codec::decode<irmc::MoveMsg>(fields);
-    on_sender_move(note_subchannel(mv.sc), *idx, mv.p);
-  } else {
-    for (const auto& [sc, p] : codec::decode<irmc::ProgressMsg>(fields).progress) {
+    if (auto mv = host().decode<irmc::MoveMsg>(fields)) {
+      on_sender_move(note_subchannel(mv->sc), *idx, mv->p);
+    }
+  } else if (auto pm = host().decode<irmc::ProgressMsg>(fields)) {
+    for (const auto& [sc, p] : pm->progress) {
       Gap& g = gap(sc);
       g.progress[*idx] = std::max(g.progress[*idx], p);
       g.merged = irmc::kth_highest(g.progress, cfg_.fs);

@@ -25,7 +25,7 @@ class ScSender : public IrmcSenderEndpoint {
   ScSender(ComponentHost& host, IrmcConfig cfg);
   ~ScSender() override;
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView frame) override;
 
  private:
   struct Slot {
@@ -62,7 +62,7 @@ class ScReceiver : public IrmcReceiverEndpoint {
   ScReceiver(ComponentHost& host, IrmcConfig cfg);
   ~ScReceiver() override;
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView frame) override;
 
   /// Collector currently selected for a subchannel (test introspection).
   [[nodiscard]] std::uint32_t collector(Subchannel sc) const;

@@ -68,8 +68,9 @@ void ShardMap::set_ranges(std::vector<ShardRange> ranges, std::uint64_t version)
 void ShardMap::validate() const {
   // The table came off the wire: invariant violations are wire corruption
   // (or a Byzantine sender), not programming errors, and must surface as
-  // SerdeError so the message-boundary catch drops the frame instead of
-  // letting std::invalid_argument escape and kill the node.
+  // SerdeError so the decoding caller (codec::try_decode, a checkpoint
+  // restore) refuses the bytes instead of letting std::invalid_argument
+  // escape and kill the node.
   if (shards_ == 0) throw SerdeError("ShardMap: shards must be >= 1");
   try {
     check(ranges_, shards_);

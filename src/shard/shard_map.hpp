@@ -90,8 +90,8 @@ class ShardMap {
   static auto fields(auto& m, auto&& f) { return f(m.version_, m.shards_, m.ranges_); }
   /// Malformed wire tables — gaps, overlaps, out-of-range shard ids, zero
   /// shard count — throw SerdeError like any other wire-decode failure, so
-  /// a Byzantine redirect cannot install a broken table (it is caught and
-  /// dropped at the message boundary).
+  /// a Byzantine redirect cannot install a broken table (its decode fails,
+  /// and the caller refuses it like any other malformed bytes).
   void validate() const;
 
   std::uint32_t shards_ = 0;

@@ -2,23 +2,11 @@
 
 namespace spider {
 
-void ComponentHost::send_component(std::uint32_t tag, NodeId to, BytesView inner) {
-  Writer w(4 + inner.size());
-  w.u32(tag);
-  w.raw(inner);
-  send_to(to, Payload(std::move(w)));
-}
-
 void ComponentHost::on_message(NodeId from, BytesView data) {
-  try {
-    Reader r(data);
-    std::uint32_t tag = r.u32();
-    auto it = components_.find(tag);
-    if (it == components_.end()) return;  // unknown component: drop
-    it->second->on_message(from, r);
-  } catch (const SerdeError&) {
-    // Malformed (possibly Byzantine) message: drop silently.
-  }
+  if (data.size() < 4) return drop(Drop::kMalformed);
+  auto it = components_.find(Reader(data).u32());
+  if (it == components_.end()) return drop(Drop::kUnknownTag);
+  it->second->on_message(from, data.subspan(4));
 }
 
 Payload Component::wire_frame(BytesView body, BytesView auth) const {

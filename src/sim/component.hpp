@@ -8,10 +8,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/serde.hpp"
+#include "common/codec.hpp"
 #include "crypto/provider.hpp"
 #include "sim/node.hpp"
 
@@ -36,13 +37,19 @@ class ComponentHost : public SimNode {
   void register_component(std::uint32_t tag, Component* c) { components_[tag] = c; }
   void unregister_component(std::uint32_t tag) { components_.erase(tag); }
 
-  /// Wraps and sends a component message.
-  void send_component(std::uint32_t tag, NodeId to, BytesView inner);
-
-  /// Dispatches inbound messages to components; unknown tags and malformed
-  /// payloads are dropped (Byzantine-safe default). The one place a
-  /// message's tag is read and the one receive-path SerdeError catch.
+  /// Hands an inbound [tag][body] to the tag's component as `body`. The one
+  /// place a message's tag is read: a message too short for a tag, or with
+  /// a tag no component holds, is dropped here.
   void on_message(NodeId from, BytesView data) override;
+
+  /// codec::try_decode<M>(b), counting a failure as a malformed drop: the
+  /// one way a receive handler decodes what it was sent.
+  template <class M>
+  std::optional<M> decode(BytesView b) {
+    std::optional<M> m = codec::try_decode<M>(b);
+    if (!m) drop(Drop::kMalformed);
+    return m;
+  }
 
  private:
   std::unordered_map<std::uint32_t, Component*> components_;
@@ -59,9 +66,10 @@ class Component {
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  /// Inbound payload (without the tag). Throws SerdeError on malformed
-  /// input; the host catches and drops.
-  virtual void on_message(NodeId from, Reader& r) = 0;
+  /// Inbound payload (without the tag). A handler refuses a message by
+  /// returning early, and counts the refusal where it decides it: through
+  /// host().decode, SimNode::verified_body or SimNode::drop.
+  virtual void on_message(NodeId from, BytesView body) = 0;
 
   [[nodiscard]] std::uint32_t tag() const { return tag_; }
 
@@ -71,11 +79,9 @@ class Component {
   [[nodiscard]] Time now() const { return host_.now(); }
   CryptoProvider& crypto() { return host_.crypto(); }
 
-  void send(NodeId to, BytesView inner) { host_.send_component(tag_, to, inner); }
-
   /// Builds the full wire frame [tag][body][auth] in one allocation. A
   /// multicast builds the frame once and send_wire()s the same refcounted
-  /// buffer to every destination (bytes identical to send(to, body+auth)).
+  /// buffer to every destination.
   [[nodiscard]] Payload wire_frame(BytesView body, BytesView auth = {}) const;
 
   /// Sends a pre-built wire frame (zero-copy: refcount bump per recipient).
@@ -112,11 +118,11 @@ class Component {
 /// send under the same tag.
 class TagHandler : public Component {
  public:
-  using Fn = std::function<void(NodeId from, Reader& r)>;
+  using Fn = std::function<void(NodeId from, BytesView body)>;
   TagHandler(ComponentHost& host, std::uint32_t tag, Fn fn)
       : Component(host, tag), fn_(std::move(fn)) {}
 
-  void on_message(NodeId from, Reader& r) override { fn_(from, r); }
+  void on_message(NodeId from, BytesView body) override { fn_(from, body); }
 
   using Component::auth_bytes;
   using Component::send_maced;

@@ -56,7 +56,10 @@ Sha256Digest SimNode::hash_cached(BytesView sub) const {
 std::optional<BytesView> SimNode::verified_body(NodeId from, std::uint32_t tag_word,
                                                 BytesView frame, bool is_sig) {
   const std::size_t auth_len = is_sig ? crypto().signature_size() : crypto().mac_size();
-  if (frame.size() <= auth_len) return std::nullopt;
+  if (frame.size() <= auth_len) {
+    drop(Drop::kMalformed);
+    return std::nullopt;
+  }
   const BytesView body = frame.first(frame.size() - auth_len);
   const BytesView auth = frame.subspan(body.size());
   if (is_sig) {
@@ -82,8 +85,17 @@ std::optional<BytesView> SimNode::verified_body(NodeId from, std::uint32_t tag_w
   }
   const bool ok = is_sig ? crypto().verify(from, signed_bytes, auth)
                          : crypto().verify_mac(from, id_, signed_bytes, auth);
-  if (!ok) return std::nullopt;
+  if (!ok) {
+    drop(Drop::kBadAuth);
+    return std::nullopt;
+  }
   return body;
+}
+
+void SimNode::drop(Drop why) {
+  static constexpr const char* kNames[] = {"msg_dropped_unknown_tag", "msg_dropped_malformed",
+                                           "msg_dropped_bad_auth", "msg_dropped_not_member"};
+  world_.metrics().counter(kNames[static_cast<std::size_t>(why)], {.node = id_}).inc();
 }
 
 void SimNode::enqueue_task(std::function<void()> logic, Duration base_cost) {

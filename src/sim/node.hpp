@@ -40,6 +40,15 @@ enum class CpuCat : std::uint8_t {
 inline constexpr std::size_t kCpuCatCount = 4;
 const char* cpu_cat_name(CpuCat cat);
 
+/// Why a node refused an inbound message. Each reason is a per-node counter,
+/// msg_dropped_<reason>, created on the node's first drop for that reason.
+enum class Drop : std::uint8_t {
+  kUnknownTag,  // no component holds the message's tag
+  kMalformed,   // too short for its tag, type byte or trailer; unknown type; does not decode
+  kBadAuth,     // MAC or signature check failed, or a client frame names another client
+  kNotMember,   // the sender is outside the group the component serves
+};
+
 class SimNode : public TransportEndpoint {
  public:
   SimNode(World& world, NodeId id, Site site);
@@ -86,11 +95,6 @@ class SimNode : public TransportEndpoint {
     send_to(to, Payload(std::move(data)), cls);
   }
 
-  /// The wire message currently being handled (set while on_message runs;
-  /// null inside timer tasks). Lets handlers reuse the inbound buffer's
-  /// memoized digests via hash_cached().
-  [[nodiscard]] const Payload* current_message() const { return current_msg_; }
-
   /// SHA-256 of `sub`, memoized on the inbound message buffer when `sub`
   /// points into it (the common case for nested wire views). Digests are
   /// bit-identical to Sha256::hash(sub); only wall-clock cost changes —
@@ -99,15 +103,18 @@ class SimNode : public TransportEndpoint {
 
   /// The body of an inbound `frame` [body][auth] whose trailer is a
   /// signature by `from` (is_sig) or a (from -> this) MAC over the
-  /// domain-separated bytes [u32 tag_word][body]; nothing when the frame
-  /// is too short to hold the trailer or the check fails. Charges the
-  /// modeled verify or MAC check. Bit-identical to rebuilding those bytes
-  /// and calling crypto().verify / verify_mac — but when `frame` is the
-  /// tail of the message being handled ([tag][body][auth], the layout
-  /// every component's on_message sees), it verifies zero-copy over the
-  /// message prefix instead of re-allocating.
+  /// domain-separated bytes [u32 tag_word][body]; nothing, counted as a
+  /// drop, when the frame is too short to hold the trailer or the check
+  /// fails. Charges the modeled verify or MAC check. Bit-identical to
+  /// rebuilding those bytes and calling crypto().verify / verify_mac — but
+  /// when `frame` is the tail of the message being handled
+  /// ([tag][body][auth], the layout every component's on_message sees), it
+  /// verifies zero-copy over the message prefix instead of re-allocating.
   std::optional<BytesView> verified_body(NodeId from, std::uint32_t tag_word, BytesView frame,
                                          bool is_sig);
+
+  /// Counts one refused inbound message, at the handler that refuses it.
+  void drop(Drop why);
 
   /// Retains `sub` beyond the current handler: a zero-copy slice of the
   /// inbound message when `sub` points into it, an owned copy otherwise.

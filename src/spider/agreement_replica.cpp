@@ -39,7 +39,7 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
   // Registry lookups (paper §3.1): any query gets the MAC'd snapshot.
   registry_port_ = std::make_unique<TagHandler>(
       *this, tags::kRegistry,
-      [this](NodeId from, Reader&) {
+      [this](NodeId from, BytesView) {
         registry_port_->send_maced({from}, codec::encode(registry_));
       });
 
@@ -165,46 +165,39 @@ void AgreementReplica::handle_ordered(SeqNr first, const std::vector<Bytes>& bat
   canonical.items.reserve(batch.size());
   SeqNr s = first;
   for (const Bytes& request : batch) {
-    ExecuteMsg x;
-    x.seq = s;
+    // A no-op unless the request decodes and orders something. `items` is
+    // reserved, so `x` stays valid while the loop appends.
+    ExecuteMsg& x = canonical.items.emplace_back();
+    x.seq = s++;
+    if (request.empty()) continue;
+    auto req = codec::try_decode<RequestMsg>(request);
+    if (!req) continue;
+    const ClientRequest& cr = req->frame.req;
+    x.origin = req->origin;
+    x.client = cr.client;
+    x.counter = cr.counter;
+    x.op_kind = cr.kind;
 
-    if (request.empty()) {
-      x.kind = ExecuteKind::Noop;
+    if (cr.counter <= t_[cr.client] && cr.kind != OpKind::Reconfig) {
+      // Old/duplicate request: stays a no-op (Fig. 17, L. 30).
+    } else if (cr.kind == OpKind::Reconfig) {
+      auto cmd = codec::try_decode<ReconfigCmd>(cr.op);
+      if (!cmd) continue;
+      apply_reconfig(*cmd);
+      x.kind = ExecuteKind::Reconfig;
+      x.op = cr.op;
+      t_[cr.client] = cr.counter;
+      t_plus_[cr.client] = std::max(t_plus_[cr.client], cr.counter + 1);
     } else {
-      try {
-        auto req = codec::decode<RequestMsg>(request);
-        const ClientRequest& cr = req.frame.req;
-        x.origin = req.origin;
-        x.client = cr.client;
-        x.counter = cr.counter;
-        x.op_kind = cr.kind;
-
-        if (cr.counter <= t_[cr.client] && cr.kind != OpKind::Reconfig) {
-          // Old/duplicate request: replace with a no-op (Fig. 17, L. 30).
-          x.kind = ExecuteKind::Noop;
-        } else if (cr.kind == OpKind::Reconfig) {
-          apply_reconfig(codec::decode<ReconfigCmd>(cr.op));
-          x.kind = ExecuteKind::Reconfig;
-          x.op = cr.op;
-          t_[cr.client] = cr.counter;
-          t_plus_[cr.client] = std::max(t_plus_[cr.client], cr.counter + 1);
-        } else {
-          x.kind = ExecuteKind::Full;
-          x.op = cr.op;
-          t_[cr.client] = cr.counter;
-          t_plus_[cr.client] = std::max(t_plus_[cr.client], cr.counter + 1);
-        }
-        if (auto* t = tracer()) {
-          t->async(obs::Ph::kAsyncInstant, now(), id(),
-                   obs::request_id(cr.client, cr.counter), "request", "ordered",
-                   "seq", s);
-        }
-      } catch (const SerdeError&) {
-        x.kind = ExecuteKind::Noop;
-      }
+      x.kind = ExecuteKind::Full;
+      x.op = cr.op;
+      t_[cr.client] = cr.counter;
+      t_plus_[cr.client] = std::max(t_plus_[cr.client], cr.counter + 1);
     }
-    canonical.items.push_back(std::move(x));
-    ++s;
+    if (auto* t = tracer()) {
+      t->async(obs::Ph::kAsyncInstant, now(), id(), obs::request_id(cr.client, cr.counter),
+               "request", "ordered", "seq", x.seq);
+    }
   }
   sn_ = canonical.last();
 

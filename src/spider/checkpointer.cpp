@@ -110,7 +110,7 @@ void Checkpointer::check_stable(SeqNr s) {
     // We lack the snapshot: pull it from a replica that vouched for it.
     for (const auto& [signer, sig] : pending.sigs) {
       if (signer == self()) continue;
-      Component::send(signer, codec::encode(CheckpointMsgType::Fetch, FetchMsg{s}));
+      send_wire(signer, wire_frame(codec::encode(CheckpointMsgType::Fetch, FetchMsg{s})));
       break;
     }
     return;
@@ -192,8 +192,8 @@ bool Checkpointer::send_state(NodeId to, SeqNr s) {
   if (it->first < s) return false;
   Bytes proof = proof_for(it->first);
   if (proof.empty()) return false;
-  Component::send(to,
-                  codec::encode(CheckpointMsgType::State, StateMsg{it->first, it->second, proof}));
+  send_wire(to, wire_frame(codec::encode(CheckpointMsgType::State,
+                                         StateMsg{it->first, it->second, proof})));
   return true;
 }
 
@@ -208,11 +208,11 @@ void Checkpointer::handle_state(const StateMsg& m) {
   Bytes body = checkpoint_body(s, h);
   Bytes signed_bytes = auth_bytes(body);
 
-  const auto proof = codec::decode<CheckpointProof>(m.proof);
-  if (proof.sigs.size() < f_ + 1) return;
+  const auto proof = host().decode<CheckpointProof>(m.proof);
+  if (!proof || proof->sigs.size() < f_ + 1) return;
   std::set<NodeId> seen;
   std::uint32_t valid = 0;
-  for (const auto& [signer, sig] : proof.sigs) {
+  for (const auto& [signer, sig] : proof->sigs) {
     if (seen.count(signer) || !trusted_(signer)) continue;
     host().charge_verify();
     if (!crypto().verify(signer, signed_bytes, sig)) continue;
@@ -224,39 +224,43 @@ void Checkpointer::handle_state(const StateMsg& m) {
   // Record the proof so we can serve it onward, then deliver.
   candidates_[s][digest_prefix(h)].digest = h;
   // Re-store verified signatures for proof forwarding.
-  for (const auto& [signer, sig] : proof.sigs) {
+  for (const auto& [signer, sig] : proof->sigs) {
     if (seen.count(signer)) candidates_[s][digest_prefix(h)].sigs[signer] = to_bytes(sig);
   }
   deliver(s, std::move(state));
 }
 
-void Checkpointer::on_message(NodeId from, Reader& r) {
-  BytesView all = r.raw(r.remaining());
-  if (all.empty()) return;
+void Checkpointer::on_message(NodeId from, BytesView all) {
+  if (all.empty()) return host().drop(Drop::kMalformed);
   auto type = static_cast<CheckpointMsgType>(all[0]);
 
   if (type == CheckpointMsgType::Checkpoint) {
-    if (std::find(group_.begin(), group_.end(), from) == group_.end()) return;
+    if (std::find(group_.begin(), group_.end(), from) == group_.end()) {
+      return host().drop(Drop::kNotMember);
+    }
     std::optional<BytesView> body = host().verified_body(from, tag(), all, /*is_sig=*/true);
     if (!body) return;
 
-    const auto cp = codec::decode<CheckpointMsg>(body->subspan(1));
-    if (cp.seq <= last_stable_) return;
-    Pending& p = candidates_[cp.seq][digest_prefix(cp.digest)];
-    p.digest = cp.digest;
+    const auto cp = host().decode<CheckpointMsg>(body->subspan(1));
+    if (!cp || cp->seq <= last_stable_) return;
+    Pending& p = candidates_[cp->seq][digest_prefix(cp->digest)];
+    p.digest = cp->digest;
     p.sigs[from] = to_bytes(all.subspan(body->size()));  // the signature trailer
-    check_stable(cp.seq);
+    check_stable(cp->seq);
   } else if (type == CheckpointMsgType::Fetch) {
     // Only trusted replicas may pull state — and, below, make every group
     // member snapshot on demand. An untrusted node must not be able to
     // force O(state) snapshot + sign + broadcast work on the whole group.
-    if (!trusted_(from)) return;
-    if (!send_state(from, codec::decode<FetchMsg>(all.subspan(1)).seq) && snapshot_now) {
+    if (!trusted_(from)) return host().drop(Drop::kNotMember);
+    auto fetch = host().decode<FetchMsg>(all.subspan(1));
+    if (fetch && !send_state(from, fetch->seq) && snapshot_now) {
       auto [seq, state] = snapshot_now();
       if (seq > 0) gen_cp(seq, std::move(state));
     }
   } else if (type == CheckpointMsgType::State) {
-    handle_state(codec::decode<StateMsg>(all.subspan(1)));
+    if (auto state = host().decode<StateMsg>(all.subspan(1))) handle_state(*state);
+  } else {
+    host().drop(Drop::kMalformed);
   }
 }
 

@@ -102,7 +102,7 @@ class Checkpointer : public Component {
   /// has stopped. Returns (seq, state); seq 0 means nothing to snapshot.
   std::function<std::pair<SeqNr, Bytes>()> snapshot_now;
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView all) override;
 
   [[nodiscard]] SeqNr last_stable() const { return last_stable_; }
 

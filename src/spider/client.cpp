@@ -26,7 +26,7 @@ SpiderClient::SpiderClient(World& world, Site site, ClientGroupInfo group, Durat
       group_(std::move(group)),
       retry_(retry),
       rng_(world.rng().fork()),
-      port_(*this, tags::kClient, [this](NodeId from, Reader& r) { handle_reply(from, r); }),
+      port_(*this, tags::kClient, [this](NodeId from, BytesView f) { handle_reply(from, f); }),
       retransmits_(world.metrics().counter("client_retransmits",
                                            {.node = id(), .role = "client"})),
       ordered_{.direct = false,
@@ -158,18 +158,20 @@ std::vector<SpiderClient::PendingOp> SpiderClient::cancel_pending() {
   return out;
 }
 
-void SpiderClient::handle_reply(NodeId from, Reader& r) {
+void SpiderClient::handle_reply(NodeId from, BytesView frame) {
   // Replies only count from members of the current group.
-  if (std::find(group_.members.begin(), group_.members.end(), from) == group_.members.end()) return;
+  if (std::find(group_.members.begin(), group_.members.end(), from) == group_.members.end()) {
+    return drop(Drop::kNotMember);
+  }
 
-  std::optional<BytesView> body =
-      verified_body(from, port_.tag(), r.raw(r.remaining()), /*is_sig=*/false);
+  std::optional<BytesView> body = verified_body(from, port_.tag(), frame, /*is_sig=*/false);
   if (!body) return;
 
-  auto reply = codec::decode<ReplyMsg>(*body);
-  Lane& lane = reply.weak ? direct_ : ordered_;
-  if (!lane.in_flight || reply.counter != lane.counter) return;
-  lane.replies[from] = reply.result;
+  auto reply = decode<ReplyMsg>(*body);
+  if (!reply) return;
+  Lane& lane = reply->weak ? direct_ : ordered_;
+  if (!lane.in_flight || reply->counter != lane.counter) return;
+  lane.replies[from] = reply->result;
   std::uint32_t quorum = group_.fe + 1;
   if (lane.direct && lane.queue.front().kind == OpKind::StrongRead &&
       group_.direct_strong_quorum != 0) {

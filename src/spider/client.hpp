@@ -126,7 +126,7 @@ class SpiderClient : public ComponentHost {
   void start(Lane& lane);
   void arm(Lane& lane);
   void transmit(const Lane& lane);
-  void handle_reply(NodeId from, Reader& r);
+  void handle_reply(NodeId from, BytesView frame);
   [[nodiscard]] std::uint64_t trace_id(const Lane& lane) const;
 
   ClientGroupInfo group_;

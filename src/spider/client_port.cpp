@@ -9,13 +9,14 @@ namespace spider {
 ClientPort::ClientPort(ComponentHost& host, RequestFn on_request)
     : Component(host, tags::kClient), on_request_(std::move(on_request)) {}
 
-void ClientPort::on_message(NodeId from, Reader& r) {
-  std::optional<BytesView> body =
-      host().verified_body(from, tag(), r.raw(r.remaining()), /*is_sig=*/false);
+void ClientPort::on_message(NodeId from, BytesView frame) {
+  std::optional<BytesView> body = host().verified_body(from, tag(), frame, /*is_sig=*/false);
   if (!body) return;
-  auto frame = codec::decode<ClientFrame>(*body);
-  if (frame.req.client != from) return;  // claimed identity must match the channel
-  on_request_(std::move(frame), *body);
+  auto decoded = host().decode<ClientFrame>(*body);
+  if (!decoded) return;
+  // The claimed identity must match the channel.
+  if (decoded->req.client != from) return host().drop(Drop::kBadAuth);
+  on_request_(std::move(*decoded), *body);
 }
 
 void ClientPort::reply(NodeId client, std::uint64_t counter, BytesView result, bool weak) {
@@ -35,6 +36,18 @@ bool verify_client_signature(SimNode& node, const ClientFrame& frame) {
   codec::write(w, frame.req);
   node.charge_verify();
   return node.crypto().verify(frame.req.client, w.data(), frame.signature);
+}
+
+std::optional<Bytes> execute_op(Application& app, OpKind kind, BytesView op) {
+  try {
+    switch (kind) {
+      case OpKind::WeakRead: return app.execute_weak(op);
+      case OpKind::StrongRead: return app.execute_readonly(op);
+      default: return app.execute(op);
+    }
+  } catch (const SerdeError&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace spider

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
+#include "app/application.hpp"
 #include "sim/component.hpp"
 #include "spider/messages.hpp"
 
@@ -25,7 +27,7 @@ class ClientPort : public Component {
 
   ClientPort(ComponentHost& host, RequestFn on_request);
 
-  void on_message(NodeId from, Reader& r) override;
+  void on_message(NodeId from, BytesView frame) override;
 
   /// Sends `client` a MAC'd reply. Weak (direct-path) replies are
   /// idempotent and client-retried, so they ride the unordered datagram
@@ -42,5 +44,11 @@ class ClientPort : public Component {
 /// Charges one modeled verify and checks the client's signature over
 /// [kClient][frame.req], the bytes SpiderClient signs.
 bool verify_client_signature(SimNode& node, const ClientFrame& frame);
+
+/// Runs `op` the way `kind` asks: execute_weak for a weak read,
+/// execute_readonly for a strong read, execute otherwise. Nothing when the
+/// application rejects the op (it throws SerdeError on bytes it cannot
+/// parse): the one place a replica catches an application's refusal.
+std::optional<Bytes> execute_op(Application& app, OpKind kind, BytesView op);
 
 }  // namespace spider

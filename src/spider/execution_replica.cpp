@@ -90,8 +90,9 @@ void ExecutionReplica::handle_request(ClientFrame frame) {
                obs::request_id(req.client, req.counter, /*weak=*/true), "request",
                "weak-exec");
     }
-    Bytes result = app_->execute_weak(req.op);
-    port_->reply(req.client, req.counter, result, /*weak=*/true);
+    if (auto result = execute_op(*app_, OpKind::WeakRead, req.op)) {
+      port_->reply(req.client, req.counter, *result, /*weak=*/true);
+    }
     return;
   }
 
@@ -196,24 +197,19 @@ void ExecutionReplica::process_execute(const ExecuteMsg& x) {
       // Ownership is decided at commit time — the op was ordered, but if a
       // migration committed first this shard must redirect, not execute,
       // so every replica attributes the key to the same owner.
-      Bytes result;
-      try {
-        if (is_sys_op(x.op)) {
-          result = execute_sys_op(x.client, x.op);
-        } else if (!owns_keys(x.op)) {
-          result = make_wrong_shard_reply(*map_);
-        } else {
-          result = x.op_kind == OpKind::StrongRead ? app_->execute_readonly(x.op)
-                                                   : app_->execute(x.op);
-        }
-      } catch (const SerdeError&) {
-        // An op the application rejects gets no reply (as in the
-        // baselines); its sequence number is spent and the rest of the
-        // batch executes.
-        break;
+      std::optional<Bytes> result;
+      if (is_sys_op(x.op)) {
+        result = execute_sys_op(x.client, x.op);
+      } else if (!owns_keys(x.op)) {
+        result = make_wrong_shard_reply(*map_);
+      } else {
+        result = execute_op(*app_, x.op_kind, x.op);
       }
+      // An op the application rejects gets no reply (as in the baselines);
+      // its sequence number is spent and the rest of the batch executes.
+      if (!result) break;
       e.counter = x.counter;
-      e.result = std::move(result);
+      e.result = std::move(*result);
       e.placeholder = false;
       if (x.origin == cfg_.group) port_->reply(x.client, x.counter, e.result, false);
       break;
@@ -355,7 +351,7 @@ void ExecutionReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
     try {
       apply_state(s, state);
     } catch (const SerdeError&) {
-      return;  // defensive; see process_execute
+      return;  // defensive; see request_next_execute
     }
   }
   last_cp_ = std::max(last_cp_, s);

@@ -1,15 +1,19 @@
 // The client wire protocol at its one boundary: ClientPort on Spider
 // execution replicas and on both baselines, SpiderClient's reply handler,
 // and ComponentHost's dispatch for every other tag. Hostile frames must be
-// dropped without crashing and without moving any replica's state,
-// requests of an undefined kind must never execute, and a signed request
-// padded with extra bytes must not be ordered as a second request.
+// dropped without crashing and without moving any replica's state, and
+// each drop is counted under its reason; requests of an undefined kind
+// must never execute, a signed request padded with extra bytes must not be
+// ordered as a second request, and an error thrown by a completion
+// callback must reach the caller.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 
 #include "baselines/bft_system.hpp"
 #include "baselines/hft_system.hpp"
+#include "irmc/messages.hpp"
 #include "spider/system.hpp"
 #include "tests/support/drive.hpp"
 
@@ -57,7 +61,8 @@ std::vector<Bytes> padded_frames(const Bytes& frame) {
 /// Sends `to` every kind of hostile frame from `evil`: frames shorter than
 /// their MAC under each MAC'd tag, MAC'd garbage under kClient and kHft, a
 /// correctly signed and MAC'd request that claims `victim` as its client,
-/// and an unknown tag.
+/// an unknown tag, a kClient frame whose MAC fails, and MAC'd frames that
+/// only a membership check refuses (PBFT, checkpoint Fetch, HFT SignReq).
 void send_hostile_frames(World& world, ComponentHost& evil, NodeId to, NodeId victim) {
   const Bytes short_trailer(world.crypto().mac_size() - 1, 0xab);
   for (std::uint32_t tag : {tags::kClient, tags::kHft, tags::kRegistry}) {
@@ -73,6 +78,32 @@ void send_hostile_frames(World& world, ComponentHost& evil, NodeId to, NodeId vi
   evil.send_to(to, maced(world, tags::kClient, evil.id(), to,
                          signed_frame(world, victim, forged)));
   evil.send_to(to, tagged(kUnknownTag, garbage));
+  Bytes bad_mac = maced(world, tags::kClient, evil.id(), to, garbage);
+  bad_mac.back() ^= 1;
+  evil.send_to(to, bad_mac);
+  evil.send_to(to, maced(world, tags::kPbft, evil.id(), to, garbage));
+  evil.send_to(to, maced(world, tags::kCheckpoint, evil.id(), to,
+                         codec::encode(CheckpointMsgType::Fetch, FetchMsg{1})));
+  evil.send_to(to, maced(world, tags::kHft, evil.id(), to,
+                         codec::encode(hft::Kind::SignReq, hft::SignMsg{Bytes{1}, {}})));
+}
+
+/// `node`'s msg_dropped_* counters: unknown tag, malformed, bad auth, not
+/// a member.
+using Drops = std::array<std::uint64_t, 4>;
+Drops drops_at(World& world, NodeId node) {
+  Drops out{};
+  const char* names[] = {"msg_dropped_unknown_tag", "msg_dropped_malformed",
+                         "msg_dropped_bad_auth", "msg_dropped_not_member"};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = world.metrics().counter(names[i], {.node = node}).value();
+  }
+  return out;
+}
+
+/// Drop counters exist only once something was dropped.
+bool nothing_dropped(World& world) {
+  return world.metrics().snapshot_json().find("msg_dropped_") == std::string::npos;
 }
 
 bool has_key(const Application& app, const std::string& key) {
@@ -181,6 +212,7 @@ TEST(ClientPortHostile, SpiderReplicasDropEveryHostileFrame) {
   auto client = sys.make_client(Site{Region::Virginia, 0});
   ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
   world.run_for(kSecond);
+  EXPECT_TRUE(nothing_dropped(world));
 
   struct State {
     SeqNr seq;
@@ -197,9 +229,34 @@ TEST(ClientPortHostile, SpiderReplicasDropEveryHostileFrame) {
     ordered_before.push_back(sys.agreement(i).ordered_seq());
   }
 
+  // Besides the common frames, MAC'd Moves under both IRMC channel tags of
+  // the client's group: its channels' endpoints refuse them as not from a
+  // member, every other execution replica holds neither tag.
+  const GroupId home = sys.nearest_group(Region::Virginia);
+  const Bytes move = codec::encode(irmc::MsgType::Move, irmc::MoveMsg{1, 2});
   ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
-  for (NodeId n : sys.replica_ids()) send_hostile_frames(world, evil, n, client->id());
+  for (NodeId n : sys.replica_ids()) {
+    send_hostile_frames(world, evil, n, client->id());
+    for (std::uint32_t tag : {request_channel_tag(home), commit_channel_tag(home)}) {
+      evil.send_to(n, maced(world, tag, evil.id(), n, move));
+    }
+  }
   world.run_for(3 * kSecond);
+
+  const std::vector<NodeId> agreement = sys.agreement_ids();
+  const std::vector<NodeId> group = sys.group_info(home).members;
+  auto in = [](const std::vector<NodeId>& v, NodeId n) {
+    return std::find(v.begin(), v.end(), n) != v.end();
+  };
+  for (NodeId n : sys.replica_ids()) {
+    // Agreement replicas hold kPbft, kCheckpoint, kRegistry (which answers
+    // any query) and every IRMC tag; execution replicas hold kClient,
+    // kCheckpoint and their own group's IRMC tags.
+    const Drops expected = in(agreement, n) ? Drops{8, 1, 0, 4}
+                           : in(group, n)   ? Drops{6, 3, 2, 3}
+                                            : Drops{8, 3, 2, 1};
+    EXPECT_EQ(drops_at(world, n), expected) << n;
+  }
 
   std::size_t k = 0;
   for (GroupId g : sys.group_ids()) {
@@ -224,6 +281,7 @@ TEST(ClientPortHostile, BftReplicasDropEveryHostileFrame) {
   auto client = sys.make_client(Site{Region::Virginia, 0});
   ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
   world.run_for(kSecond);
+  EXPECT_TRUE(nothing_dropped(world));
 
   std::vector<SeqNr> seq_before;
   std::vector<Bytes> app_before;
@@ -235,6 +293,9 @@ TEST(ClientPortHostile, BftReplicasDropEveryHostileFrame) {
   ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
   for (NodeId n : sys.replica_ids()) send_hostile_frames(world, evil, n, client->id());
   world.run_for(3 * kSecond);
+
+  // BFT replicas hold kClient, kPbft and kCheckpoint.
+  for (NodeId n : sys.replica_ids()) EXPECT_EQ(drops_at(world, n), (Drops{5, 3, 2, 2})) << n;
 
   for (std::size_t i = 0; i < sys.size(); ++i) {
     EXPECT_EQ(sys.replica(i).executed_seq(), seq_before[i]) << i;
@@ -249,6 +310,7 @@ TEST(ClientPortHostile, HftReplicasDropEveryHostileFrame) {
   auto client = sys.make_client(Site{Region::Virginia, 0});
   ASSERT_TRUE(drive::blocking_write(world, *client, "before", "v").ok);
   world.run_for(kSecond);
+  EXPECT_TRUE(nothing_dropped(world));
 
   std::vector<SeqNr> seq_before;
   std::vector<Bytes> app_before;
@@ -264,6 +326,9 @@ TEST(ClientPortHostile, HftReplicasDropEveryHostileFrame) {
   ComponentHost evil(world, world.allocate_id(), Site{Region::Virginia, 0});
   for (HftReplica* r : all) send_hostile_frames(world, evil, r->id(), client->id());
   world.run_for(3 * kSecond);
+
+  // HFT replicas hold kClient and kHft, whose frames are MAC'd.
+  for (HftReplica* r : all) EXPECT_EQ(drops_at(world, r->id()), (Drops{4, 5, 2, 1})) << r->id();
 
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i]->executed_seq(), seq_before[i]) << i;
@@ -283,6 +348,8 @@ TEST(ClientPortHostile, SpiderClientDropsEveryHostileFrame) {
   info.members.push_back(evil.id());
   SpiderClient client(world, Site{Region::Virginia, 0}, info, kSecond);
   ASSERT_TRUE(drive::blocking_write(world, client, "before", "v").ok);
+  // Only `evil` dropped something: the request, under a tag it does not hold.
+  EXPECT_EQ(drops_at(world, client.id()), Drops{});
 
   send_hostile_frames(world, evil, client.id(), client.id());
   // A well-formed MAC'd reply for a counter the client never used.
@@ -290,10 +357,31 @@ TEST(ClientPortHostile, SpiderClientDropsEveryHostileFrame) {
   evil.send_to(client.id(),
                maced(world, tags::kClient, evil.id(), client.id(), codec::encode(stray)));
   world.run_for(kSecond);
+  // The client holds kClient only; the signed request is no reply, and a
+  // stray reply is ignored, not dropped.
+  EXPECT_EQ(drops_at(world, client.id()), (Drops{7, 4, 1, 0}));
 
   const drive::KvOutcome after = drive::blocking_write(world, client, "after", "w");
   EXPECT_TRUE(after.ok);
   EXPECT_EQ(to_string(drive::blocking_weak_read(world, client, "after").value), "w");
+}
+
+// ------------------------------------------------- completion callbacks
+
+TEST(ClientReplyCallback, SerdeErrorReachesTheCaller) {
+  // A caller that cannot parse its reply throws SerdeError from the
+  // completion callback, as kv_decode_reply does. The error must leave
+  // World::run_for, not be taken for a malformed inbound frame and dropped.
+  World world(9);
+  SpiderSystem sys(world, small_topology());
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  int calls = 0;
+  client->write(kv_put("k", to_bytes(std::string("v"))), [&](Bytes, Duration) {
+    ++calls;
+    throw SerdeError("unparseable reply");
+  });
+  EXPECT_THROW(world.run_for(10 * kSecond), SerdeError);
+  EXPECT_EQ(calls, 1);
 }
 
 // ------------------------------------------------------ padded requests
