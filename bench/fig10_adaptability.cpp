@@ -24,16 +24,17 @@ constexpr Time kJoin = 80 * kSecond;
 constexpr Time kEnd = 110 * kSecond;
 
 struct Series {
-  TimeSeries writes{kSecond};
-  TimeSeries weak_reads{kSecond};
+  Timeline writes;
+  Timeline weak_reads;
 };
 
 void print_series(const std::string& label, const Series& s) {
-  auto dump = [&](const char* kind, const TimeSeries& ts) {
+  auto dump = [&](const char* kind, const Timeline& tl) {
     std::printf("%s %s:", label.c_str(), kind);
-    for (const auto& p : ts.points()) {
-      if (p.bucket_start < kStartMeasure) continue;
-      std::printf(" %lld:%0.0f", static_cast<long long>(p.bucket_start / kSecond), p.average);
+    for (const auto& [second, agg] : tl.seconds) {
+      if (second * kSecond < kStartMeasure) continue;
+      std::printf(" %lld:%0.0f", static_cast<long long>(second),
+                  agg.sum_ms / static_cast<double>(agg.count));
     }
     std::printf("\n");
   };

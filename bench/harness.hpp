@@ -25,6 +25,21 @@ namespace spider::bench {
 /// Value padding so requests are ~200 bytes on the wire (paper §5).
 inline Bytes payload_200b() { return Bytes(160, 0x42); }
 
+/// Average latency per second of issue time (Figure 10's timeline).
+struct Timeline {
+  struct Second {
+    double sum_ms = 0;
+    std::size_t count = 0;
+  };
+  std::map<Time, Second> seconds;  // whole seconds since the start
+
+  void add(Time issued, Duration latency) {
+    Second& s = seconds[issued / kSecond];
+    s.sum_ms += to_ms(latency);
+    ++s.count;
+  }
+};
+
 struct Fleet {
   struct Entry {
     std::unique_ptr<SpiderClient> client;
@@ -42,7 +57,7 @@ struct Fleet {
   /// service-rate counter for throughput sweeps (latency stats stay gated
   /// on issue time so warm-up ops never pollute them).
   std::uint64_t completed = 0;
-  TimeSeries* timeline = nullptr;                 // optional (Figure 10)
+  Timeline* timeline = nullptr;                   // optional (Figure 10)
   std::function<bool(const Entry&)> active = {};  // optional gating
 
   Fleet(World& w, Time measure_from_, Time stop_at_)
@@ -81,7 +96,7 @@ struct Fleet {
         if (world.now() >= measure_from && world.now() < stop_at) ++completed;
         if (issued >= measure_from) {
           stats[en.region].add(lat);
-          if (timeline) timeline->add(issued, to_ms(lat));
+          if (timeline) timeline->add(issued, lat);
         }
       };
       std::string key = "c" + std::to_string(i) + "-k" + std::to_string(e.key_seq++ % 32);

@@ -7,6 +7,8 @@
 // through checkpoint state transfer — all scripted as timed windows on a
 // deterministic FaultPlan, while clients keep getting correct answers.
 //
+// Exits 1 when the final read misses.
+//
 //   $ ./examples/fault_injection
 #include <cstdio>
 
@@ -43,14 +45,14 @@ int main() {
   GroupId g = client->group().group;
 
   std::printf("== 1. Byzantine execution replica corrupts its replies ==\n");
-  plan.corrupt_replies_at(world.now(), spider.exec(g, 0).id(), 4 * kSecond);
+  plan.byzantine_at(world.now(), spider.exec(g, 0).id(), {.corrupt_replies = true}, 4 * kSecond);
   world.run_for(kMillisecond);
   drive::KvOutcome w = drive::blocking_write(world, *client, "account", "100");
   std::printf("   write %s in %s  (fe+1 matching correct replies outvote it)\n",
               w.ok ? "succeeded" : "FAILED", format_ms(w.latency).c_str());
 
   std::printf("== 2. Another replica silently drops request forwarding ==\n");
-  plan.drop_forwarding_at(world.now(), spider.exec(g, 1).id(), 4 * kSecond);
+  plan.byzantine_at(world.now(), spider.exec(g, 1).id(), {.drop_forwarding = true}, 4 * kSecond);
   world.run_for(kMillisecond);
   w = drive::blocking_write(world, *client, "account", "90");
   std::printf("   write %s in %s  (fe+1 correct forwarders satisfy the IRMC)\n",
@@ -65,8 +67,9 @@ int main() {
   // agreement replica pushes checkpoint votes and forged f+1 certificates
   // for a tampered state digest; correct replicas reject both.
   ViewNr view_before = spider.agreement(1).consensus().view();
-  plan.equivocate_at(world.now(), spider.agreement(0).id(), 6 * kSecond);
-  plan.forge_checkpoints_at(world.now(), spider.agreement(1).id(), 6 * kSecond);
+  plan.byzantine_at(world.now(), spider.agreement(0).id(), {.equivocate = true}, 6 * kSecond);
+  plan.byzantine_at(world.now(), spider.agreement(1).id(), {.forge_checkpoints = true},
+                    6 * kSecond);
   world.run_for(kMillisecond);
   w = drive::blocking_write(world, *client, "account", "85");
   std::printf("   write %s in %s despite the equivocation; view %llu -> %llu\n",
@@ -126,5 +129,5 @@ int main() {
               static_cast<unsigned long long>(plan.actions_fired()), plan.describe().c_str());
   std::printf("\nfinal state check: account = \"%s\" (%s)\n", to_string(r.value).c_str(),
               r.ok ? "ok" : "missing");
-  return 0;
+  return r.ok ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "check/history.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -122,13 +123,24 @@ std::vector<RecordedOp> parse_history_text(const std::string& text) {
     ++lineno;
     if (line.empty()) continue;
     std::istringstream ls(line);
-    std::string tag, key_hex, arg_hex, result_hex;
+    std::string tag, key_hex, arg_hex, result_hex, shard, rest;
     unsigned kind = 0;
     int responded = 0, ok = 0;
     RecordedOp op;
-    if (!(ls >> tag >> op.client >> kind >> key_hex >> arg_hex >> op.invoke >> op.respond >>
-          responded >> ok >> result_hex) ||
-        tag != "op") {
+    // Accept only lines serialize_ops_text could have written: a defined
+    // kind, 0/1 flags and at most one numeric shard token (sharded runs)
+    // after the result, with nothing after it.
+    bool valid = (ls >> tag >> op.client >> kind >> key_hex >> arg_hex >> op.invoke >>
+                  op.respond >> responded >> ok >> result_hex) &&
+                 tag == "op" && kind >= static_cast<unsigned>(HistOp::Put) &&
+                 kind <= static_cast<unsigned>(HistOp::WeakGet) &&
+                 (responded == 0 || responded == 1) && (ok == 0 || ok == 1);
+    if (valid && ls >> shard) {
+      const char* end = shard.data() + shard.size();
+      const auto [ptr, ec] = std::from_chars(shard.data(), end, op.shard);
+      valid = ec == std::errc{} && ptr == end && !(ls >> rest);
+    }
+    if (!valid) {
       throw std::invalid_argument("history text line " + std::to_string(lineno) +
                                   " malformed: " + line);
     }
@@ -138,8 +150,6 @@ std::vector<RecordedOp> parse_history_text(const std::string& text) {
     op.responded = responded != 0;
     op.ok = ok != 0;
     op.result = parse_hex_token(result_hex);
-    std::uint32_t shard = 0;
-    if (ls >> shard) op.shard = shard;  // optional trailing token (sharded runs)
     ops.push_back(std::move(op));
   }
   return ops;

@@ -3,14 +3,21 @@
 // Every node's flags live in one World entry (World::byzantine(NodeId)),
 // which outlives the replica process: a process rebuilt by restart_node
 // under the same id reads the entry its predecessor read, so scheduled
-// misbehaviour survives a crash. FaultPlan's Byzantine windows write the
+// misbehaviour survives a crash. FaultPlan::byzantine_at windows write the
 // entry; tests may write it directly. Each protocol class reads the flag
 // it acts on through its host node (SimNode::byzantine()) at the point
 // where it acts: PbftReplica honours mute / mute_rx / equivocate, the
 // Checkpointer forge_checkpoints, ClientPort corrupt_replies and the
 // Spider execution replica drop_forwarding. A flag no class on the node
 // acts on is ignored, so one schedule vocabulary covers every deployment.
+//
+// kByzantineFlags lists every flag once, in field order, with its name in
+// fault scripts and describe() output. A new behaviour is its field, its
+// table row and the read site that honours it.
 #pragma once
+
+#include <algorithm>
+#include <array>
 
 #include "common/bytes.hpp"
 
@@ -33,11 +40,28 @@ struct ByzantineFlags {
   /// state digest (correct replicas must reject both).
   bool forge_checkpoints = false;
 
-  [[nodiscard]] bool any() const {
-    return corrupt_replies || drop_forwarding || mute || mute_rx || equivocate ||
-           forge_checkpoints;
-  }
+  [[nodiscard]] bool any() const;
 };
+
+/// One row per flag, in field order. Row i is bit i of a FaultPlan
+/// script's Byzantine mask, and `name` is the flag's label.
+struct ByzantineFlag {
+  const char* name;
+  bool ByzantineFlags::*field;
+};
+inline constexpr std::array<ByzantineFlag, 6> kByzantineFlags = {{
+    {"corrupt-replies", &ByzantineFlags::corrupt_replies},
+    {"drop-forwarding", &ByzantineFlags::drop_forwarding},
+    {"mute", &ByzantineFlags::mute},
+    {"mute-rx", &ByzantineFlags::mute_rx},
+    {"equivocate", &ByzantineFlags::equivocate},
+    {"forge-checkpoints", &ByzantineFlags::forge_checkpoints},
+}};
+
+inline bool ByzantineFlags::any() const {
+  return std::any_of(kByzantineFlags.begin(), kByzantineFlags.end(),
+                     [this](const ByzantineFlag& f) { return this->*f.field; });
+}
 
 /// Shared corrupt_replies tampering, applied to an encoded reply payload
 /// by every replica type that honours the flag. Flips the last byte when

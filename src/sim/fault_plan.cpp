@@ -1,32 +1,83 @@
 #include "sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 
 #include "sim/world.hpp"
 
 namespace spider {
 
 namespace {
-bool site_in(const Site& s, const std::vector<Site>& set) {
-  return std::find(set.begin(), set.end(), s) != set.end();
+
+// randomize() draws each outage from [kMinOutage, kMaxOutage), each loss
+// rate from [0.05, kMaxLoss), each extra delay from [1, kMaxExtraDelay]
+// and each slow factor from [kMinBandwidthFactor, 0.5).
+constexpr Duration kMinOutage = kSecond;
+constexpr Duration kMaxOutage = 6 * kSecond;
+constexpr double kMaxLoss = 0.4;
+constexpr Duration kMaxExtraDelay = 120 * kMillisecond;
+constexpr double kMinBandwidthFactor = 0.1;
+
+// The flag sets a randomized Byzantine window draws from, per role.
+// corrupt-replies on a consensus target exercises PBFT-baseline replicas
+// (which also execute); pure agreement replicas have no client replies
+// and ignore the flag.
+constexpr ByzantineFlags kConsensusDraws[] = {
+    {.mute = true}, {.mute = true, .mute_rx = true}, {.equivocate = true},
+    {.forge_checkpoints = true}, {.corrupt_replies = true}};
+constexpr ByzantineFlags kExecDraws[] = {
+    {.corrupt_replies = true}, {.drop_forwarding = true}, {.forge_checkpoints = true}};
+
+/// A script field after "<kind> <t>".
+enum class Field : std::uint8_t {
+  kDuration, kNode, kPeer, kSideA, kSideB, kExtraDelay, kLoss, kFactor, kBits
+};
+
+struct KindSpec {
+  const char* name;
+  std::vector<Field> fields;
+};
+
+/// Every script kind with its fields in line order, indexed by
+/// FaultPlan::Kind. serialize_script writes each line by this list and
+/// schedule_script reads it back by the same list.
+const std::vector<KindSpec>& kinds() {
+  static const std::vector<KindSpec> table = {
+      {"partition", {Field::kDuration, Field::kSideA, Field::kSideB}},
+      {"crash", {Field::kNode}},
+      {"restart", {Field::kNode}},
+      {"delay", {Field::kDuration, Field::kNode, Field::kPeer, Field::kExtraDelay}},
+      {"loss", {Field::kDuration, Field::kNode, Field::kPeer, Field::kLoss}},
+      {"slow", {Field::kDuration, Field::kNode, Field::kFactor}},
+      {"byz", {Field::kDuration, Field::kNode, Field::kBits}},
+  };
+  return table;
 }
 
-// Doubles (loss rates, bandwidth factors) must survive the text round
-// trip bit-exactly; max_digits10 guarantees that.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+// Elements are read one at a time: a corrupted count in a hand-edited
+// artifact must land on the malformed-line diagnostic, not pre-allocate
+// an absurd vector.
+bool read_nodes(std::istream& in, std::vector<NodeId>& out) {
+  std::size_t n = 0;
+  if (!(in >> n)) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    NodeId id = 0;
+    if (!(in >> id)) return false;
+    out.push_back(id);
+  }
+  return true;
 }
+
+bool contains(const std::vector<NodeId>& side, NodeId n) {
+  return std::find(side.begin(), side.end(), n) != side.end();
+}
+
 }  // namespace
 
 FaultPlan::FaultPlan(World& world) : world_(world), alive_(std::make_shared<bool>(true)) {
-  world_.net().set_fault_shaper(
-      [this](NodeId from, Site fs, NodeId to, Site ts) { return shape(from, fs, to, ts); });
+  world_.net().set_fault_shaper([this](NodeId from, NodeId to) { return shape(from, to); });
 }
 
 FaultPlan::~FaultPlan() {
@@ -34,224 +85,149 @@ FaultPlan::~FaultPlan() {
   world_.net().set_fault_shaper({});
 }
 
-std::uint64_t FaultPlan::link_key(NodeId a, NodeId b) {
-  NodeId lo = std::min(a, b), hi = std::max(a, b);
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+FaultPlan::WindowKey FaultPlan::link_key(Kind kind, NodeId a, NodeId b) {
+  return {kind, std::min(a, b), std::max(a, b)};
 }
 
-LinkFault FaultPlan::shape(NodeId from, Site from_site, NodeId to, Site to_site) const {
-  LinkFault f;
-  for (const Partition& p : partitions_) {
-    const bool from_a = p.a.count(from) > 0 || site_in(from_site, p.sa);
-    const bool from_b = p.b.count(from) > 0 || site_in(from_site, p.sb);
-    const bool to_a = p.a.count(to) > 0 || site_in(to_site, p.sa);
-    const bool to_b = p.b.count(to) > 0 || site_in(to_site, p.sb);
-    if ((from_a && to_b) || (from_b && to_a)) {
-      f.cut = true;
-      return f;
+LinkFault FaultPlan::shape(NodeId from, NodeId to) const {
+  for (std::size_t i : partitions_) {
+    const Action& p = actions_[i];
+    if ((contains(p.side_a, from) && contains(p.side_b, to)) ||
+        (contains(p.side_b, from) && contains(p.side_a, to))) {
+      return LinkFault{.cut = true};
     }
   }
-  auto it = link_mods_.find(link_key(from, to));
-  if (it != link_mods_.end()) {
-    f.extra_delay = it->second.extra_delay;
-    f.loss = it->second.loss;
-  }
-  return f;
-}
-
-void FaultPlan::schedule(Time t, std::string what, std::function<void()> fn) {
-  script_.emplace_back(t, std::move(what));
-  world_.queue().schedule_at(t, [this, alive = alive_, fn = std::move(fn)] {
-    if (!*alive) return;
-    ++actions_fired_;
-    fn();
-  });
-}
-
-void FaultPlan::remove_partition(std::uint64_t id) {
-  partitions_.erase(std::remove_if(partitions_.begin(), partitions_.end(),
-                                   [id](const Partition& p) { return p.id == id; }),
-                    partitions_.end());
+  auto value = [&](Kind kind) {
+    auto it = windows_.find(link_key(kind, from, to));
+    return it == windows_.end() ? 0.0 : it->second.value;
+  };
+  return LinkFault{.loss = value(Kind::kLoss),
+                   .extra_delay = static_cast<Duration>(value(Kind::kDelay))};
 }
 
 void FaultPlan::partition_nodes_at(Time t, std::vector<NodeId> a, std::vector<NodeId> b,
                                    Duration heal_after) {
-  recorded_.push_back(Action{"partition", t, heal_after, 0, 0, 0.0, 0, a, b, {}, {}});
-  std::uint64_t id = next_partition_id_++;
-  Partition part;
-  part.id = id;
-  part.a.insert(a.begin(), a.end());
-  part.b.insert(b.begin(), b.end());
-  schedule(t, "partition#" + std::to_string(id),
-           [this, part = std::move(part)] { partitions_.push_back(part); });
-  if (heal_after > 0) {
-    schedule(t + heal_after, "heal#" + std::to_string(id),
-             [this, id] { remove_partition(id); });
-  }
+  add({.kind = Kind::kPartition, .t = t, .duration = heal_after, .side_a = std::move(a),
+       .side_b = std::move(b)});
 }
 
-void FaultPlan::partition_sites_at(Time t, std::vector<Site> a, std::vector<Site> b,
-                                   Duration heal_after) {
-  recorded_.push_back(Action{"sitepart", t, heal_after, 0, 0, 0.0, 0, {}, {}, a, b});
-  std::uint64_t id = next_partition_id_++;
-  Partition part;
-  part.id = id;
-  part.sa = std::move(a);
-  part.sb = std::move(b);
-  schedule(t, "site-partition#" + std::to_string(id),
-           [this, part = std::move(part)] { partitions_.push_back(part); });
-  if (heal_after > 0) {
-    schedule(t + heal_after, "heal#" + std::to_string(id),
-             [this, id] { remove_partition(id); });
-  }
-}
+void FaultPlan::crash_at(Time t, NodeId n) { add({.kind = Kind::kCrash, .t = t, .node = n}); }
 
-void FaultPlan::heal_at(Time t) {
-  recorded_.push_back(Action{"healall", t, 0, 0, 0, 0.0, 0, {}, {}, {}, {}});
-  schedule(t, "heal-all", [this] { partitions_.clear(); });
-}
-
-void FaultPlan::apply_crash(NodeId n) {
-  if (!crashed_.insert(n).second) return;  // already down
-  if (on_crash) {
-    on_crash(n);
-  } else {
-    world_.net().set_node_down(n, true);  // crash-stop fallback
-  }
-}
-
-void FaultPlan::apply_restart(NodeId n) {
-  if (crashed_.erase(n) == 0) return;  // not down
-  if (on_restart) {
-    on_restart(n);
-  } else {
-    world_.net().set_node_down(n, false);
-  }
-}
-
-void FaultPlan::crash_at(Time t, NodeId n) {
-  recorded_.push_back(Action{"crash", t, 0, n, 0, 0.0, 0, {}, {}, {}, {}});
-  schedule(t, "crash node " + std::to_string(n), [this, n] { apply_crash(n); });
-}
-
-void FaultPlan::restart_at(Time t, NodeId n) {
-  recorded_.push_back(Action{"restart", t, 0, n, 0, 0.0, 0, {}, {}, {}, {}});
-  schedule(t, "restart node " + std::to_string(n), [this, n] { apply_restart(n); });
-}
+void FaultPlan::restart_at(Time t, NodeId n) { add({.kind = Kind::kRestart, .t = t, .node = n}); }
 
 void FaultPlan::link_delay_at(Time t, NodeId a, NodeId b, Duration extra, Duration duration) {
-  recorded_.push_back(
-      Action{"delay", t, duration, a, b, static_cast<double>(extra), 0, {}, {}, {}, {}});
-  std::uint64_t key = link_key(a, b);
-  schedule(t, "delay+" + std::to_string(extra) + "us link " + std::to_string(a) + "<->" +
-                  std::to_string(b),
-           [this, key, extra, until = t + duration] {
-             LinkMod& m = link_mods_[key];
-             m.extra_delay = extra;
-             m.delay_until = std::max(m.delay_until, until);
-           });
-  schedule(t + duration, "delay-end link " + std::to_string(a) + "<->" + std::to_string(b),
-           [this, key] {
-             LinkMod& m = link_mods_[key];
-             if (world_.now() >= m.delay_until) m.extra_delay = 0;
-           });
+  add({.kind = Kind::kDelay, .t = t, .duration = duration, .node = a, .peer = b,
+       .value = static_cast<double>(extra)});
 }
 
 void FaultPlan::link_loss_at(Time t, NodeId a, NodeId b, double loss, Duration duration) {
-  recorded_.push_back(Action{"loss", t, duration, a, b, loss, 0, {}, {}, {}, {}});
-  std::uint64_t key = link_key(a, b);
-  schedule(t, "loss " + std::to_string(loss) + " link " + std::to_string(a) + "<->" +
-                  std::to_string(b),
-           [this, key, loss, until = t + duration] {
-             LinkMod& m = link_mods_[key];
-             m.loss = loss;
-             m.loss_until = std::max(m.loss_until, until);
-           });
-  schedule(t + duration, "loss-end link " + std::to_string(a) + "<->" + std::to_string(b),
-           [this, key] {
-             LinkMod& m = link_mods_[key];
-             if (world_.now() >= m.loss_until) m.loss = 0.0;
-           });
+  add({.kind = Kind::kLoss, .t = t, .duration = duration, .node = a, .peer = b, .value = loss});
 }
 
 void FaultPlan::slow_node_at(Time t, NodeId n, double factor, Duration duration) {
-  recorded_.push_back(Action{"slow", t, duration, n, 0, factor, 0, {}, {}, {}, {}});
-  schedule(t, "slow node " + std::to_string(n) + " x" + std::to_string(factor),
-           [this, n, factor, until = t + duration] {
-             world_.net().set_node_bandwidth_factor(n, factor);
-             Time& cur = slow_until_[n];
-             cur = std::max(cur, until);
-           });
-  schedule(t + duration, "slow-end node " + std::to_string(n), [this, n] {
-    if (world_.now() >= slow_until_[n]) world_.net().set_node_bandwidth_factor(n, 1.0);
-  });
+  add({.kind = Kind::kSlow, .t = t, .duration = duration, .node = n, .value = factor});
 }
 
-// --------------------------------------------------------- Byzantine windows
+void FaultPlan::byzantine_at(Time t, NodeId n, ByzantineFlags flags, Duration duration) {
+  std::uint8_t bits = 0;
+  for (std::size_t f = 0; f < kByzantineFlags.size(); ++f) {
+    if (flags.*kByzantineFlags[f].field) bits |= static_cast<std::uint8_t>(1u << f);
+  }
+  if (bits == 0) throw std::invalid_argument("FaultPlan::byzantine_at: no flag set");
+  add({.kind = Kind::kByz, .t = t, .duration = duration, .node = n, .bits = bits});
+}
 
-std::string FaultPlan::byz_label(std::uint8_t bits) {
-  std::string out;
-  auto add = [&out](const char* name) {
-    if (!out.empty()) out += "+";
-    out += name;
+void FaultPlan::add(Action a) {
+  const std::size_t i = actions_.size();
+  actions_.push_back(std::move(a));
+  auto at = [this, i](Time t, void (FaultPlan::*fn)(std::size_t)) {
+    world_.queue().schedule_at(t, [this, alive = alive_, fn, i] {
+      if (!*alive) return;
+      ++actions_fired_;
+      (this->*fn)(i);
+    });
   };
-  if (bits & kByzCorrupt) add("corrupt-replies");
-  if (bits & kByzDropFwd) add("drop-forwarding");
-  if (bits & kByzMute) add("mute");
-  if (bits & kByzMuteRx) add("mute-rx");
-  if (bits & kByzEquivocate) add("equivocate");
-  if (bits & kByzForgeCp) add("forge-checkpoints");
-  return out;
+  const Action& act = actions_.back();
+  at(act.t, &FaultPlan::start);
+  if (act.has_end()) at(act.t + act.duration, &FaultPlan::end);
+}
+
+void FaultPlan::start(std::size_t i) {
+  const Action& a = actions_[i];
+  // The latest start sets a window's value; it lasts until the latest end.
+  auto open = [this, until = a.t + a.duration](const WindowKey& key, double value) {
+    Window& w = windows_[key];
+    w.value = value;
+    w.until = std::max(w.until, until);
+  };
+  switch (a.kind) {
+    case Kind::kPartition:
+      partitions_.push_back(i);
+      break;
+    case Kind::kCrash:
+    case Kind::kRestart: {
+      const bool crash = a.kind == Kind::kCrash;
+      // A crash of a down node and a restart of a live one do nothing.
+      if (crash ? !crashed_.insert(a.node).second : crashed_.erase(a.node) == 0) break;
+      if (const auto& hook = crash ? on_crash : on_restart) {
+        hook(a.node);
+      } else {
+        world_.net().set_node_down(a.node, crash);  // crash-stop fallback
+      }
+      break;
+    }
+    case Kind::kDelay:
+    case Kind::kLoss:
+      open(link_key(a.kind, a.node, a.peer), a.value);
+      break;
+    case Kind::kSlow:
+      open({Kind::kSlow, a.node, 0}, a.value);
+      world_.net().set_node_bandwidth_factor(a.node, a.value);
+      break;
+    case Kind::kByz:
+      for (std::uint32_t f = 0; f < kByzantineFlags.size(); ++f) {
+        if ((a.bits >> f) & 1) open({Kind::kByz, a.node, f}, 1.0);
+      }
+      apply_byz(a.node);
+      break;
+  }
+}
+
+void FaultPlan::end(std::size_t i) {
+  const Action& a = actions_[i];
+  switch (a.kind) {
+    case Kind::kPartition:
+      std::erase(partitions_, i);
+      break;
+    case Kind::kCrash:
+    case Kind::kRestart: break;  // no end event
+    case Kind::kDelay:
+    case Kind::kLoss:
+      close(link_key(a.kind, a.node, a.peer));
+      break;
+    case Kind::kSlow:
+      if (close({Kind::kSlow, a.node, 0})) world_.net().set_node_bandwidth_factor(a.node, 1.0);
+      break;
+    case Kind::kByz:
+      apply_byz(a.node);
+      break;
+  }
+}
+
+bool FaultPlan::close(const WindowKey& key) {
+  Window& w = windows_[key];
+  if (world_.now() < w.until) return false;
+  w.value = 0.0;
+  return true;
 }
 
 void FaultPlan::apply_byz(NodeId n) {
-  const Time now = world_.now();
-  auto active = [this, n, now](std::uint8_t bit) {
-    auto it = byz_until_.find({n, bit});
-    return it != byz_until_.end() && it->second > now;
-  };
-  ByzantineFlags& f = world_.byzantine(n);
-  f.corrupt_replies = active(kByzCorrupt);
-  f.drop_forwarding = active(kByzDropFwd);
-  f.mute = active(kByzMute);
-  f.mute_rx = active(kByzMuteRx);
-  f.equivocate = active(kByzEquivocate);
-  f.forge_checkpoints = active(kByzForgeCp);
-}
-
-void FaultPlan::byz_window(Time t, NodeId n, std::uint8_t bits, Duration duration) {
-  recorded_.push_back(Action{"byz", t, duration, n, 0, 0.0, bits, {}, {}, {}, {}});
-  schedule(t, "byz+" + byz_label(bits) + " node " + std::to_string(n),
-           [this, n, bits, until = t + duration] {
-             for (std::uint8_t bit = 1; bit != 0; bit = static_cast<std::uint8_t>(bit << 1)) {
-               if ((bits & bit) == 0) continue;
-               Time& cur = byz_until_[{n, bit}];
-               cur = std::max(cur, until);
-             }
-             apply_byz(n);
-           });
-  schedule(t + duration, "byz-end node " + std::to_string(n), [this, n] { apply_byz(n); });
-}
-
-void FaultPlan::corrupt_replies_at(Time t, NodeId n, Duration duration) {
-  byz_window(t, n, kByzCorrupt, duration);
-}
-
-void FaultPlan::drop_forwarding_at(Time t, NodeId n, Duration duration) {
-  byz_window(t, n, kByzDropFwd, duration);
-}
-
-void FaultPlan::mute_at(Time t, NodeId n, Duration duration, bool rx_too) {
-  byz_window(t, n, static_cast<std::uint8_t>(rx_too ? (kByzMute | kByzMuteRx) : kByzMute),
-             duration);
-}
-
-void FaultPlan::equivocate_at(Time t, NodeId n, Duration duration) {
-  byz_window(t, n, kByzEquivocate, duration);
-}
-
-void FaultPlan::forge_checkpoints_at(Time t, NodeId n, Duration duration) {
-  byz_window(t, n, kByzForgeCp, duration);
+  // Every flag of the node is recomputed: on while its window is open.
+  ByzantineFlags& flags = world_.byzantine(n);
+  for (std::uint32_t f = 0; f < kByzantineFlags.size(); ++f) {
+    const WindowKey key{Kind::kByz, n, f};
+    flags.*kByzantineFlags[f].field = windows_.count(key) > 0 && !close(key);
+  }
 }
 
 void FaultPlan::randomize(const ChaosProfile& profile) {
@@ -266,9 +242,8 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
   auto draw_window = [&rng, &profile](Time& t, Duration& outage) {
     const Time span = std::max<Time>(profile.horizon - profile.start, 1);
     t = profile.start + static_cast<Time>(rng.uniform(static_cast<std::uint64_t>(span)));
-    outage = profile.min_outage +
-             static_cast<Duration>(rng.uniform(static_cast<std::uint64_t>(
-                 std::max<Duration>(profile.max_outage - profile.min_outage, 1))));
+    outage = kMinOutage + static_cast<Duration>(rng.uniform(static_cast<std::uint64_t>(
+                              std::max<Duration>(kMaxOutage - kMinOutage, 1))));
     outage = std::min<Duration>(outage, profile.horizon - t);
     return outage > 0;
   };
@@ -283,8 +258,7 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
 
     std::uint64_t kind = rng.uniform(5);
     if (kind == 0 && !profile.crash_targets.empty()) {
-      NodeId target =
-          profile.crash_targets[rng.uniform(profile.crash_targets.size())];
+      NodeId target = profile.crash_targets[rng.uniform(profile.crash_targets.size())];
       // Respect the crash-concurrency cap; a disallowed crash degrades to a
       // slow-node window so the action count stays seed-stable.
       std::size_t overlapping = 0;
@@ -324,18 +298,17 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
       NodeId a = pool[ia];
       NodeId b = pool[(ia + 1 + rng.uniform(pool.size() - 1)) % pool.size()];
       if (kind == 2) {
-        double loss = 0.05 + rng.uniform01() * (profile.max_loss - 0.05);
+        double loss = 0.05 + rng.uniform01() * (kMaxLoss - 0.05);
         link_loss_at(t, a, b, loss, outage);
       } else {
         Duration extra = 1 + static_cast<Duration>(rng.uniform(
-                                 static_cast<std::uint64_t>(profile.max_extra_delay)));
+                                 static_cast<std::uint64_t>(kMaxExtraDelay)));
         link_delay_at(t, a, b, extra, outage);
       }
       continue;
     }
     NodeId n = pool[rng.uniform(pool.size())];
-    double factor =
-        profile.min_bw_factor + rng.uniform01() * (0.5 - profile.min_bw_factor);
+    double factor = kMinBandwidthFactor + rng.uniform01() * (0.5 - kMinBandwidthFactor);
     slow_node_at(t, n, factor, outage);
   }
 
@@ -371,65 +344,41 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
     Duration outage = 0;
     if (!draw_window(t, outage)) continue;
     const ByzTarget& bt = targets[rng.uniform(targets.size())];
-    if (bt.consensus) {
-      // corrupt-replies on a consensus target exercises PBFT-baseline
-      // replicas (which also execute); pure agreement replicas have no
-      // client replies and ignore the flag.
-      switch (rng.uniform(5)) {
-        case 0: mute_at(t, bt.node, outage, /*rx_too=*/false); break;
-        case 1: mute_at(t, bt.node, outage, /*rx_too=*/true); break;
-        case 2: equivocate_at(t, bt.node, outage); break;
-        case 3: forge_checkpoints_at(t, bt.node, outage); break;
-        default: corrupt_replies_at(t, bt.node, outage); break;
-      }
-    } else {
-      switch (rng.uniform(3)) {
-        case 0: corrupt_replies_at(t, bt.node, outage); break;
-        case 1: drop_forwarding_at(t, bt.node, outage); break;
-        default: forge_checkpoints_at(t, bt.node, outage); break;
-      }
-    }
+    const ByzantineFlags flags = bt.consensus
+                                     ? kConsensusDraws[rng.uniform(std::size(kConsensusDraws))]
+                                     : kExecDraws[rng.uniform(std::size(kExecDraws))];
+    byzantine_at(t, bt.node, flags, outage);
   }
 }
 
 std::string FaultPlan::serialize_script() const {
-  // One line per top-level action, in the original call order — replaying
-  // the lines in order reproduces the event-queue scheduling order, which
-  // matters for same-time events.
+  // One line per action, in call order: replaying the lines in order
+  // reproduces the event-queue scheduling order, which matters for
+  // same-time events. Doubles (loss rates, slow factors) must survive the
+  // round trip bit-exactly; max_digits10 guarantees that.
   std::ostringstream out;
-  auto put_nodes = [&out](const std::vector<NodeId>& v) {
-    out << " " << v.size();
-    for (NodeId n : v) out << " " << n;
-  };
-  auto put_sites = [&out](const std::vector<Site>& v) {
-    out << " " << v.size();
-    for (const Site& s : v) {
-      out << " " << static_cast<int>(s.region) << " " << static_cast<int>(s.az);
-    }
-  };
-  for (const Action& a : recorded_) {
-    out << a.kind << " " << a.t;
-    if (a.kind == "partition") {
-      out << " " << a.duration;
-      put_nodes(a.set_a);
-      put_nodes(a.set_b);
-    } else if (a.kind == "sitepart") {
-      out << " " << a.duration;
-      put_sites(a.sites_a);
-      put_sites(a.sites_b);
-    } else if (a.kind == "healall") {
-      // time only
-    } else if (a.kind == "crash" || a.kind == "restart") {
-      out << " " << a.a;
-    } else if (a.kind == "delay") {
-      out << " " << a.duration << " " << a.a << " " << a.b << " "
-          << static_cast<Duration>(a.x);
-    } else if (a.kind == "loss") {
-      out << " " << a.duration << " " << a.a << " " << a.b << " " << fmt_double(a.x);
-    } else if (a.kind == "slow") {
-      out << " " << a.duration << " " << a.a << " " << fmt_double(a.x);
-    } else if (a.kind == "byz") {
-      out << " " << a.duration << " " << a.a << " " << static_cast<unsigned>(a.bits);
+  out.precision(17);
+  for (const Action& a : actions_) {
+    const KindSpec& spec = kinds()[static_cast<std::size_t>(a.kind)];
+    out << spec.name << " " << a.t;
+    for (Field f : spec.fields) {
+      out << " ";
+      switch (f) {
+        case Field::kDuration: out << a.duration; break;
+        case Field::kNode: out << a.node; break;
+        case Field::kPeer: out << a.peer; break;
+        case Field::kSideA:
+        case Field::kSideB: {
+          const std::vector<NodeId>& side = f == Field::kSideA ? a.side_a : a.side_b;
+          out << side.size();
+          for (NodeId n : side) out << " " << n;
+          break;
+        }
+        case Field::kExtraDelay: out << static_cast<Duration>(a.value); break;
+        case Field::kLoss:
+        case Field::kFactor: out << a.value; break;
+        case Field::kBits: out << static_cast<unsigned>(a.bits); break;
+      }
     }
     out << "\n";
   }
@@ -444,104 +393,91 @@ void FaultPlan::schedule_script(const std::string& script) {
     ++lineno;
     if (line.empty()) continue;
     std::istringstream ls(line);
-    auto fail = [&lineno, &line]() -> std::invalid_argument {
-      return std::invalid_argument("FaultPlan script line " + std::to_string(lineno) +
-                                   " malformed: " + line);
-    };
-    // Elements are read one at a time: a corrupted count in a hand-edited
-    // artifact must land on the malformed-line diagnostic, not pre-allocate
-    // an absurd vector.
-    auto get_nodes = [&ls, &fail] {
-      std::size_t n = 0;
-      if (!(ls >> n)) throw fail();
-      std::vector<NodeId> v;
-      for (std::size_t i = 0; i < n; ++i) {
-        NodeId id = 0;
-        if (!(ls >> id)) throw fail();
-        v.push_back(id);
-      }
-      return v;
-    };
-    auto get_sites = [&ls, &fail] {
-      std::size_t n = 0;
-      if (!(ls >> n)) throw fail();
-      std::vector<Site> v;
-      for (std::size_t i = 0; i < n; ++i) {
-        int region = 0, az = 0;
-        if (!(ls >> region >> az) || region < 0 || region >= kNumRegions || az < 0 ||
-            az > 255) {
-          throw fail();
+    // Reads one field into `a`: false when it is missing or out of range.
+    auto read = [&ls](Action& a, Field f) -> bool {
+      switch (f) {
+        case Field::kDuration: return (ls >> a.duration) && a.duration >= 0;
+        case Field::kNode: return static_cast<bool>(ls >> a.node);
+        case Field::kPeer: return static_cast<bool>(ls >> a.peer);
+        case Field::kSideA: return read_nodes(ls, a.side_a);
+        case Field::kSideB: return read_nodes(ls, a.side_b);
+        case Field::kExtraDelay: {
+          Duration extra = 0;
+          if (!(ls >> extra) || extra < 0) return false;
+          a.value = static_cast<double>(extra);
+          return true;
         }
-        v.push_back(Site{static_cast<Region>(region), static_cast<std::uint8_t>(az)});
+        case Field::kLoss: return (ls >> a.value) && a.value >= 0.0 && a.value <= 1.0;
+        case Field::kFactor: return (ls >> a.value) && a.value > 0.0 && a.value <= 1.0;
+        case Field::kBits: {
+          unsigned bits = 0;
+          if (!(ls >> bits) || bits == 0 || (bits >> kByzantineFlags.size()) != 0) return false;
+          a.bits = static_cast<std::uint8_t>(bits);
+          return true;
+        }
       }
-      return v;
-    };
-    // Accept only lines serialize_script could have written: every field in
-    // range and nothing after the last one.
-    auto require = [&ls, &fail](bool ok) {
-      std::string rest;
-      if (!ok || ls >> rest) throw fail();
+      return false;
     };
 
-    std::string kind;
-    Time t = 0;
-    if (!(ls >> kind >> t) || t < 0) throw fail();
-    Duration dur = 0;
-    if (kind == "partition") {
-      if (!(ls >> dur)) throw fail();
-      std::vector<NodeId> a = get_nodes();
-      std::vector<NodeId> b = get_nodes();
-      require(dur >= 0);
-      partition_nodes_at(t, std::move(a), std::move(b), dur);
-    } else if (kind == "sitepart") {
-      if (!(ls >> dur)) throw fail();
-      std::vector<Site> a = get_sites();
-      std::vector<Site> b = get_sites();
-      require(dur >= 0);
-      partition_sites_at(t, std::move(a), std::move(b), dur);
-    } else if (kind == "healall") {
-      require(true);
-      heal_at(t);
-    } else if (kind == "crash" || kind == "restart") {
-      NodeId n = 0;
-      require(static_cast<bool>(ls >> n));
-      if (kind == "crash") {
-        crash_at(t, n);
-      } else {
-        restart_at(t, n);
-      }
-    } else if (kind == "delay") {
-      Duration extra = 0;
-      NodeId a = 0, b = 0;
-      require((ls >> dur >> a >> b >> extra) && dur >= 0 && extra >= 0);
-      link_delay_at(t, a, b, extra, dur);
-    } else if (kind == "loss") {
-      NodeId a = 0, b = 0;
-      double loss = 0.0;
-      require((ls >> dur >> a >> b >> loss) && dur >= 0 && loss >= 0.0 && loss <= 1.0);
-      link_loss_at(t, a, b, loss, dur);
-    } else if (kind == "slow") {
-      NodeId n = 0;
-      double factor = 0.0;
-      require((ls >> dur >> n >> factor) && dur >= 0 && factor > 0.0 && factor <= 1.0);
-      slow_node_at(t, n, factor, dur);
-    } else if (kind == "byz") {
-      NodeId n = 0;
-      unsigned bits = 0;
-      require((ls >> dur >> n >> bits) && dur >= 0 && bits != 0 && bits < (kByzForgeCp << 1));
-      byz_window(t, n, static_cast<std::uint8_t>(bits), dur);
-    } else {
-      throw fail();
+    // Accept only lines serialize_script could have written: a known kind,
+    // every field in range and nothing after the last one.
+    std::string name;
+    Action a;
+    bool ok = (ls >> name >> a.t) && a.t >= 0;
+    const std::vector<KindSpec>& table = kinds();
+    auto spec = std::find_if(table.begin(), table.end(),
+                             [&name](const KindSpec& k) { return name == k.name; });
+    ok = ok && spec != table.end();
+    if (ok) {
+      a.kind = static_cast<Kind>(spec - table.begin());
+      for (Field f : spec->fields) ok = ok && read(a, f);
     }
+    std::string rest;
+    if (!ok || ls >> rest) {
+      throw std::invalid_argument("FaultPlan script line " + std::to_string(lineno) +
+                                  " malformed: " + line);
+    }
+    add(std::move(a));
   }
 }
 
 std::string FaultPlan::describe() const {
-  std::vector<std::pair<Time, std::string>> sorted = script_;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<Time, std::string>> lines;
+  std::uint64_t partitions = 0;
+  for (const Action& a : actions_) {
+    // Labels start with the script name; a window's end is "<name>-end".
+    const std::string name = kinds()[static_cast<std::size_t>(a.kind)].name;
+    const std::string where =
+        a.kind == Kind::kDelay || a.kind == Kind::kLoss
+            ? " link " + std::to_string(a.node) + "<->" + std::to_string(a.peer)
+            : " node " + std::to_string(a.node);
+    std::string start = name, end = name + "-end" + where;
+    switch (a.kind) {
+      case Kind::kPartition:
+        start += "#" + std::to_string(++partitions);
+        end = "heal#" + std::to_string(partitions);
+        break;
+      case Kind::kCrash:
+      case Kind::kRestart: start += where; break;
+      case Kind::kDelay:
+        start += "+" + std::to_string(static_cast<Duration>(a.value)) + "us" + where;
+        break;
+      case Kind::kLoss: start += " " + std::to_string(a.value) + where; break;
+      case Kind::kSlow: start += where + " x" + std::to_string(a.value); break;
+      case Kind::kByz:
+        for (std::size_t f = 0; f < kByzantineFlags.size(); ++f) {
+          if ((a.bits >> f) & 1) start += std::string("+") + kByzantineFlags[f].name;
+        }
+        start += where;
+        break;
+    }
+    lines.emplace_back(a.t, std::move(start));
+    if (a.has_end()) lines.emplace_back(a.t + a.duration, std::move(end));
+  }
+  std::stable_sort(lines.begin(), lines.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
   std::string out;
-  for (const auto& [t, what] : sorted) {
+  for (const auto& [t, what] : lines) {
     out += "t=" + std::to_string(t) + "us  " + what + "\n";
   }
   return out;

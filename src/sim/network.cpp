@@ -65,7 +65,7 @@ void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cl
 
   // Fault shaping stacks on top of the user filter (checked above).
   LinkFault fault;
-  if (fault_shaper_) fault = fault_shaper_(from, src->site(), to, dst->site());
+  if (fault_shaper_) fault = fault_shaper_(from, to);
   if (fault.cut) return;
   if (fault.loss > 0.0 && rng_.uniform01() < fault.loss) return;
 

@@ -62,8 +62,7 @@ class SimNetwork final : public Transport {
   /// stack; neither replaces the other). Installed by FaultPlan to express
   /// partitions, loss rates and delay spikes without clobbering a link
   /// filter a test already set.
-  using FaultShaper =
-      std::function<LinkFault(NodeId from, Site from_site, NodeId to, Site to_site)>;
+  using FaultShaper = std::function<LinkFault(NodeId from, NodeId to)>;
   void set_fault_shaper(FaultShaper shaper) { fault_shaper_ = std::move(shaper); }
 
   /// Slow-node mode: scales the node's NIC bandwidth by `factor` in (0, 1];

@@ -1,11 +1,9 @@
-// Measurement utilities: latency histograms with percentiles and bucketed
-// time series (for the adaptability timeline).
+// Measurement utilities: latency histograms with percentiles, and the
+// millisecond formatting reports use.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
@@ -42,48 +40,6 @@ class LatencyStats {
 
  private:
   obs::LogHistogram hist_;
-};
-
-/// Averages samples into fixed-width time buckets (paper Figure 10 reports
-/// average response time over wall-clock time).
-///
-/// Storage is sparse (one map node per non-empty bucket) and capped at
-/// `max_buckets` distinct buckets, so a single far-future timestamp costs
-/// one node instead of resizing a dense array to gigabytes — open-loop
-/// runs with multi-hour horizons stay bounded. Samples that would create a
-/// bucket beyond the cap are counted in dropped() instead of recorded.
-class TimeSeries {
- public:
-  static constexpr std::size_t kDefaultMaxBuckets = 1 << 20;
-
-  /// Throws std::invalid_argument unless bucket_width > 0 (a zero width
-  /// used to divide by zero on the first add).
-  explicit TimeSeries(Duration bucket_width,
-                      std::size_t max_buckets = kDefaultMaxBuckets);
-
-  void add(Time at, double value);
-
-  struct Point {
-    Time bucket_start;
-    double average;
-    std::size_t count;
-  };
-  [[nodiscard]] std::vector<Point> points() const;
-
-  /// Non-empty buckets currently stored.
-  [[nodiscard]] std::size_t bucket_nodes() const { return buckets_.size(); }
-  /// Samples discarded because they addressed a new bucket past the cap.
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
-
- private:
-  struct Bucket {
-    double sum = 0;
-    std::size_t count = 0;
-  };
-  Duration bucket_;
-  std::size_t max_buckets_;
-  std::map<std::uint64_t, Bucket> buckets_;  // bucket index -> aggregate
-  std::size_t dropped_ = 0;
 };
 
 /// Formats microseconds as "12.3 ms" for report output.

@@ -36,10 +36,17 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
     return std::make_pair(sn_, snapshot_state());
   };
 
-  // Registry lookups (paper §3.1): any query gets the MAC'd snapshot.
+  // Registry lookups (paper §3.1): a query is the bare tag, answered with
+  // the MAC'd snapshot. Queries stay unauthenticated, since clients this
+  // group does not know yet look the registry up; a frame with bytes after
+  // the tag is refused.
   registry_port_ = std::make_unique<TagHandler>(
       *this, tags::kRegistry,
-      [this](NodeId from, BytesView) {
+      [this](NodeId from, BytesView body) {
+        if (!body.empty()) {
+          drop(Drop::kMalformed);
+          return;
+        }
         registry_port_->send_maced({from}, codec::encode(registry_));
       });
 

@@ -250,9 +250,9 @@ TEST(ClientPortHostile, SpiderReplicasDropEveryHostileFrame) {
   };
   for (NodeId n : sys.replica_ids()) {
     // Agreement replicas hold kPbft, kCheckpoint, kRegistry (which answers
-    // any query) and every IRMC tag; execution replicas hold kClient,
-    // kCheckpoint and their own group's IRMC tags.
-    const Drops expected = in(agreement, n) ? Drops{8, 1, 0, 4}
+    // only the bare tag) and every IRMC tag; execution replicas hold
+    // kClient, kCheckpoint and their own group's IRMC tags.
+    const Drops expected = in(agreement, n) ? Drops{8, 2, 0, 4}
                            : in(group, n)   ? Drops{6, 3, 2, 3}
                                             : Drops{8, 3, 2, 1};
     EXPECT_EQ(drops_at(world, n), expected) << n;

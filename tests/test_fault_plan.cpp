@@ -1,6 +1,7 @@
 // Sim-layer tests for the fault-schedule engine: partition stacking on the
 // user link filter, crash/restart hooks, link shaping, slow-node mode,
-// detach/re-attach in-flight message semantics, and seed determinism.
+// Byzantine windows, detach/re-attach in-flight message semantics, seed
+// determinism and the script's text formats.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -56,36 +57,21 @@ TEST(FaultPlan, PartitionCutsAndHeals) {
   EXPECT_EQ(b.received, 2);
 }
 
-TEST(FaultPlan, SitePartitionMatchesPlacement) {
-  World world(1);
-  EchoNode a(world, Site{Region::Virginia, 0});
-  EchoNode b(world, Site{Region::Tokyo, 1});
-  EchoNode c(world, Site{Region::Oregon, 0});
-  FaultPlan plan(world);
-  plan.partition_sites_at(0, {Site{Region::Virginia, 0}}, {Site{Region::Tokyo, 1}});
-
-  world.run_for(10);
-  world.net().send(a.id(), b.id(), payload("x"));  // cut by site
-  world.net().send(a.id(), c.id(), payload("y"));  // unaffected
-  world.run_for(kSecond);
-  EXPECT_EQ(b.received, 0);
-  EXPECT_EQ(c.received, 1);
-}
-
 TEST(FaultPlan, StacksOnUserLinkFilter) {
   World world(1);
   EchoNode a(world, Site{Region::Virginia, 0});
   EchoNode b(world, Site{Region::Virginia, 1});
   EchoNode c(world, Site{Region::Virginia, 2});
 
-  // User filter drops a->c; the plan cuts a<->b. Neither clobbers the other.
+  // User filter drops a->c; the plan cuts a<->b until 1 s + 10 us. Neither
+  // clobbers the other.
   NodeId cid = c.id();
   NodeId aid = a.id();
   world.net().set_link_filter([aid, cid](NodeId from, NodeId to) {
     return !(from == aid && to == cid);
   });
   FaultPlan plan(world);
-  plan.partition_nodes_at(0, {a.id()}, {b.id()});
+  plan.partition_nodes_at(0, {a.id()}, {b.id()}, /*heal_after=*/kSecond + 10);
 
   world.run_for(10);
   world.net().send(a.id(), b.id(), payload("x"));
@@ -94,7 +80,6 @@ TEST(FaultPlan, StacksOnUserLinkFilter) {
   EXPECT_EQ(b.received, 0);  // plan cut
   EXPECT_EQ(c.received, 0);  // user filter still applies
 
-  plan.heal_at(world.now());
   world.run_for(10);
   world.net().send(a.id(), b.id(), payload("x2"));
   world.net().send(a.id(), c.id(), payload("y2"));
@@ -313,8 +298,10 @@ TEST(FaultPlan, ByzantineWindowTogglesFlagsThroughHook) {
   FaultPlan plan(world);
   const std::vector<NodeId> nodes = {7, 9};
 
-  plan.corrupt_replies_at(kSecond, 7, kSecond);
-  plan.mute_at(2500 * kMillisecond, 9, kSecond, /*rx_too=*/true);
+  plan.byzantine_at(kSecond, 7, {.corrupt_replies = true}, kSecond);
+  plan.byzantine_at(2500 * kMillisecond, 9, {.mute = true, .mute_rx = true}, kSecond);
+  // A window with no flag could not be read back from the script.
+  EXPECT_THROW(plan.byzantine_at(kSecond, 7, {}, kSecond), std::invalid_argument);
 
   EXPECT_TRUE(byz_transitions(world, 500 * kMillisecond, nodes).empty());
   EXPECT_FALSE(world.byzantine(7).any());
@@ -345,9 +332,9 @@ TEST(FaultPlan, OverlappingByzantineWindowsExtendAndCompose) {
   FaultPlan plan(world);
   // Same flag overlapping: [0, 1s) and [0.5s, 1.5s) — the first end must
   // not clear the flag early. A different flag on the same node composes.
-  plan.corrupt_replies_at(0, 7, kSecond);
-  plan.corrupt_replies_at(500 * kMillisecond, 7, kSecond);
-  plan.drop_forwarding_at(200 * kMillisecond, 7, kSecond);
+  plan.byzantine_at(0, 7, {.corrupt_replies = true}, kSecond);
+  plan.byzantine_at(500 * kMillisecond, 7, {.corrupt_replies = true}, kSecond);
+  plan.byzantine_at(200 * kMillisecond, 7, {.drop_forwarding = true}, kSecond);
 
   world.run_until(1100 * kMillisecond);  // past the first corrupt end
   EXPECT_TRUE(world.byzantine(7).corrupt_replies);
@@ -396,19 +383,16 @@ TEST(FaultPlan, RandomizedByzantineScheduleRespectsPerRoleCaps) {
 TEST(FaultPlan, ScriptRoundTripReproducesScheduleExactly) {
   auto build = [](FaultPlan& plan) {
     plan.partition_nodes_at(kSecond, {1, 2}, {3, 4}, 2 * kSecond);
-    plan.partition_sites_at(kSecond, {Site{Region::Virginia, 0}}, {Site{Region::Tokyo, 1}},
-                            kSecond);
     plan.crash_at(2 * kSecond, 5);
     plan.restart_at(4 * kSecond, 5);
     plan.link_delay_at(3 * kSecond, 1, 3, 80 * kMillisecond, kSecond);
     plan.link_loss_at(3 * kSecond, 2, 4, 0.375, kSecond);
     plan.slow_node_at(5 * kSecond, 2, 0.25, kSecond);
-    plan.mute_at(6 * kSecond, 1, kSecond, /*rx_too=*/true);
-    plan.equivocate_at(6 * kSecond, 2, kSecond);
-    plan.forge_checkpoints_at(6 * kSecond, 3, kSecond);
-    plan.corrupt_replies_at(7 * kSecond, 4, kSecond);
-    plan.drop_forwarding_at(7 * kSecond, 5, kSecond);
-    plan.heal_at(8 * kSecond);
+    plan.byzantine_at(6 * kSecond, 1, {.mute = true, .mute_rx = true}, kSecond);
+    plan.byzantine_at(6 * kSecond, 2, {.equivocate = true}, kSecond);
+    plan.byzantine_at(6 * kSecond, 3, {.forge_checkpoints = true}, kSecond);
+    plan.byzantine_at(7 * kSecond, 4, {.corrupt_replies = true}, kSecond);
+    plan.byzantine_at(7 * kSecond, 5, {.drop_forwarding = true}, kSecond);
   };
 
   World w1(1);
@@ -461,6 +445,71 @@ TEST(FaultPlan, RandomizedScheduleSurvivesScriptRoundTrip) {
   EXPECT_EQ(p2.describe(), p1.describe());
 }
 
+TEST(FaultPlan, ScriptAndDescribeKnownAnswers) {
+  // Pins every script line format and describe() label: one action of each
+  // kind, one window per Byzantine flag plus mute+mute-rx, a loss rate that
+  // needs 17 digits, and calls out of time order (describe() sorts by time,
+  // stably; the script keeps call order).
+  World world(1);
+  FaultPlan plan(world);
+  plan.partition_nodes_at(kSecond, {1, 2}, {3, 4}, 2 * kSecond);
+  plan.partition_nodes_at(1500 * kMillisecond, {5}, {6, 7});
+  plan.crash_at(2 * kSecond, 5);
+  plan.restart_at(4 * kSecond, 5);
+  plan.link_delay_at(3 * kSecond, 1, 3, 80 * kMillisecond, kSecond);
+  plan.link_loss_at(3 * kSecond, 2, 4, 0.1, kSecond);
+  plan.slow_node_at(500 * kMillisecond, 2, 0.25, kSecond);
+  plan.byzantine_at(6 * kSecond, 1, {.corrupt_replies = true}, kSecond);
+  plan.byzantine_at(6 * kSecond, 2, {.drop_forwarding = true}, kSecond);
+  plan.byzantine_at(5 * kSecond, 3, {.mute = true}, 2 * kSecond);
+  plan.byzantine_at(5 * kSecond, 4, {.mute_rx = true}, 2 * kSecond);
+  plan.byzantine_at(5500 * kMillisecond, 5, {.equivocate = true}, kSecond);
+  plan.byzantine_at(6500 * kMillisecond, 6, {.forge_checkpoints = true}, kSecond);
+  plan.byzantine_at(7 * kSecond, 7, {.mute = true, .mute_rx = true}, kSecond);
+
+  EXPECT_EQ(plan.serialize_script(),
+            "partition 1000000 2000000 2 1 2 2 3 4\n"
+            "partition 1500000 0 1 5 2 6 7\n"
+            "crash 2000000 5\n"
+            "restart 4000000 5\n"
+            "delay 3000000 1000000 1 3 80000\n"
+            "loss 3000000 1000000 2 4 0.10000000000000001\n"
+            "slow 500000 1000000 2 0.25\n"
+            "byz 6000000 1000000 1 1\n"
+            "byz 6000000 1000000 2 2\n"
+            "byz 5000000 2000000 3 4\n"
+            "byz 5000000 2000000 4 8\n"
+            "byz 5500000 1000000 5 16\n"
+            "byz 6500000 1000000 6 32\n"
+            "byz 7000000 1000000 7 12\n");
+  EXPECT_EQ(plan.describe(),
+            "t=500000us  slow node 2 x0.250000\n"
+            "t=1000000us  partition#1\n"
+            "t=1500000us  partition#2\n"
+            "t=1500000us  slow-end node 2\n"
+            "t=2000000us  crash node 5\n"
+            "t=3000000us  heal#1\n"
+            "t=3000000us  delay+80000us link 1<->3\n"
+            "t=3000000us  loss 0.100000 link 2<->4\n"
+            "t=4000000us  restart node 5\n"
+            "t=4000000us  delay-end link 1<->3\n"
+            "t=4000000us  loss-end link 2<->4\n"
+            "t=5000000us  byz+mute node 3\n"
+            "t=5000000us  byz+mute-rx node 4\n"
+            "t=5500000us  byz+equivocate node 5\n"
+            "t=6000000us  byz+corrupt-replies node 1\n"
+            "t=6000000us  byz+drop-forwarding node 2\n"
+            "t=6500000us  byz-end node 5\n"
+            "t=6500000us  byz+forge-checkpoints node 6\n"
+            "t=7000000us  byz-end node 1\n"
+            "t=7000000us  byz-end node 2\n"
+            "t=7000000us  byz-end node 3\n"
+            "t=7000000us  byz-end node 4\n"
+            "t=7000000us  byz+mute+mute-rx node 7\n"
+            "t=7500000us  byz-end node 6\n"
+            "t=8000000us  byz-end node 7\n");
+}
+
 TEST(FaultPlan, MalformedScriptThrows) {
   World world(1);
   FaultPlan plan(world);
@@ -482,8 +531,9 @@ TEST(FaultPlan, MalformedScriptThrows) {
            "byz 1000 500 3 0",               // no flag
            "byz 1000 500 3 64",              // undefined flag
            "byz 1000 500 3 255",             // undefined flags
-           "sitepart 1000 0 1 99 0 1 0 0",   // region out of range
-           "sitepart 1000 0 1 0 300 1 1 0",  // az above 255
+           "sitepart 1000 0 1 99 0 1 0 0",   // site partitions are not a kind
+           "sitepart 1000 0 1 0 300 1 1 0",  // (also with an az above 255)
+           "healall 1000",                   // heal-all is not a kind
        }) {
     EXPECT_THROW(plan.schedule_script(std::string(line) + "\n"), std::invalid_argument)
         << line;

@@ -289,6 +289,21 @@ TEST(Linearizer, HistoryTextRoundTripsByteIdentically) {
 TEST(Linearizer, MalformedHistoryTextThrows) {
   EXPECT_THROW(parse_history_text("op 1 notanumber"), std::invalid_argument);
   EXPECT_THROW(parse_history_text("nop 1 1 - - 0 0 0 0 -"), std::invalid_argument);
+  // Lines serialize_ops_text never writes.
+  for (const char* line : {
+           "op 1 9 6b - 0 5 1 1 -",         // kind 9 names no HistOp
+           "op 1 0 6b - 0 5 1 1 -",         // kind 0
+           "op 1 1 6b - 0 5 7 1 -",         // responded is 7
+           "op 1 1 6b - 0 5 1 2 -",         // ok is 2
+           "op 1 1 6b - 0 5 1 1 - 3 junk",  // a token after the shard
+           "op 1 1 6b - 0 5 1 1 - junk",    // a non-numeric shard
+           "op 1 1 6b - 0 5 1 1 - -3",      // a negative shard
+       }) {
+    EXPECT_THROW(parse_history_text(line), std::invalid_argument) << line;
+  }
+  // The same line with a numeric shard, and without one, parses.
+  EXPECT_EQ(parse_history_text("op 1 1 6b - 0 5 1 1 - 3").at(0).shard, 3u);
+  EXPECT_EQ(parse_history_text("op 1 1 6b - 0 5 1 1 -").at(0).shard, kShardUnattributed);
 }
 
 }  // namespace

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <stdexcept>
-
 #include "sim/stats.hpp"
 
 namespace spider {
@@ -79,65 +76,6 @@ TEST(LatencyStats, EmptyBucketedPercentileIsZero) {
   EXPECT_EQ(s.percentile(-5), 0);
   EXPECT_EQ(s.percentile(50), 0);
   EXPECT_EQ(s.percentile(1000), 0);
-}
-
-TEST(TimeSeries, InvalidConstructionThrows) {
-  EXPECT_THROW(TimeSeries(0), std::invalid_argument);    // divided by zero on add
-  EXPECT_THROW(TimeSeries(-10), std::invalid_argument);
-  EXPECT_THROW(TimeSeries(10, 0), std::invalid_argument);
-}
-
-TEST(TimeSeries, FarFutureTimestampStaysBounded) {
-  // A single far-future sample used to resize the dense bucket vector to
-  // gigabytes; sparse storage costs one node per touched bucket.
-  TimeSeries ts(1000);
-  ts.add(std::numeric_limits<Time>::max() - 1, 1.0);
-  ts.add(0, 2.0);
-  EXPECT_EQ(ts.bucket_nodes(), 2u);
-  EXPECT_EQ(ts.dropped(), 0u);
-  auto pts = ts.points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].bucket_start, 0);
-  EXPECT_DOUBLE_EQ(pts[0].average, 2.0);
-}
-
-TEST(TimeSeries, DistinctBucketCapDropsOverflow) {
-  TimeSeries ts(10, /*max_buckets=*/4);
-  for (int i = 0; i < 6; ++i) ts.add(i * 10, 1.0);
-  EXPECT_EQ(ts.bucket_nodes(), 4u);
-  EXPECT_EQ(ts.dropped(), 2u);
-  ts.add(5, 7.0);  // existing buckets still accept samples at the cap
-  EXPECT_EQ(ts.dropped(), 2u);
-  EXPECT_EQ(ts.points().front().count, 2u);
-}
-
-TEST(TimeSeries, BucketsAverages) {
-  TimeSeries ts(1000);
-  ts.add(0, 10);
-  ts.add(500, 20);
-  ts.add(1500, 40);
-  auto pts = ts.points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].bucket_start, 0);
-  EXPECT_DOUBLE_EQ(pts[0].average, 15.0);
-  EXPECT_EQ(pts[0].count, 2u);
-  EXPECT_EQ(pts[1].bucket_start, 1000);
-  EXPECT_DOUBLE_EQ(pts[1].average, 40.0);
-}
-
-TEST(TimeSeries, SkipsEmptyBuckets) {
-  TimeSeries ts(10);
-  ts.add(5, 1);
-  ts.add(95, 2);
-  auto pts = ts.points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[1].bucket_start, 90);
-}
-
-TEST(TimeSeries, NegativeTimeIgnored) {
-  TimeSeries ts(10);
-  ts.add(-5, 1);
-  EXPECT_TRUE(ts.points().empty());
 }
 
 TEST(FormatMs, Formats) {
