@@ -1,12 +1,12 @@
-// Minimal single-threaded epoll reactor.
+// Minimal single-threaded epoll reactor: fd readiness only.
 //
-// Owns one epoll instance, a registry of fd -> I/O callback, and a small
-// wall-clock deadline list (used by the transport for reconnect backoff).
-// wait() blocks up to the caller's timeout (clamped by the next deadline),
-// dispatches ready I/O callbacks, then fires due timers. It blocks in
-// epoll_pwait2 (Linux >= 5.11, glibc >= 2.35) because its timespec timeout
-// is exact to the microsecond, where epoll_wait's is whole milliseconds.
-// Everything runs on the calling thread; no locks anywhere in src/net/.
+// Owns one epoll instance and a registry of fd -> I/O callback. wait()
+// blocks up to the caller's timeout and dispatches ready I/O callbacks; the
+// caller owns every deadline (RealtimeDriver passes the gap to the next
+// queue event). It blocks in epoll_pwait2 (Linux >= 5.11, glibc >= 2.35)
+// because its timespec timeout is exact to the microsecond, where
+// epoll_wait's is whole milliseconds. Everything runs on the calling
+// thread; no locks anywhere in src/net/.
 //
 // Callbacks may add/remove fds (including their own) while wait() is
 // dispatching: handlers are looked up at dispatch time, so a ready-event
@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -24,9 +23,7 @@ namespace spider::net {
 
 class EpollReactor {
  public:
-  using Clock = std::chrono::steady_clock;
   using IoCallback = std::function<void(std::uint32_t events)>;
-  using TimerId = std::uint64_t;
 
   EpollReactor();
   ~EpollReactor();
@@ -43,14 +40,9 @@ class EpollReactor {
   void remove(int fd);
   [[nodiscard]] std::size_t watched() const { return handlers_.size(); }
 
-  /// One-shot wall-clock timer (reconnect backoff). Fires inside wait().
-  TimerId add_timer(Clock::time_point when, std::function<void()> fn);
-  void cancel_timer(TimerId id);
-
-  /// Waits up to `timeout` (negative = block, zero = poll) for readiness,
-  /// dispatches I/O callbacks and due timers. Returns the number of I/O
-  /// events handled. Throws std::runtime_error if the kernel lacks
-  /// epoll_pwait2.
+  /// Waits up to `timeout` (negative = block, zero = poll) for readiness
+  /// and dispatches I/O callbacks. Returns the number of I/O events
+  /// handled. Throws std::runtime_error if the kernel lacks epoll_pwait2.
   std::size_t wait(std::chrono::microseconds timeout);
 
  private:
@@ -60,10 +52,6 @@ class EpollReactor {
 
   int epfd_ = -1;
   std::unordered_map<int, std::shared_ptr<Handler>> handlers_;
-
-  TimerId next_timer_ = 1;
-  std::map<std::pair<Clock::time_point, TimerId>, std::function<void()>> timers_;
-  std::unordered_map<TimerId, Clock::time_point> timer_index_;
 };
 
 }  // namespace spider::net

@@ -67,37 +67,20 @@ void raise_fd_limit() {
 
 bool would_block(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
+/// UDP receive buffer request (best-effort; the kernel may clamp).
+constexpr int kUdpRcvBuf = 1 << 22;
+
 }  // namespace
 
-LoopbackTransport::LoopbackTransport(Config cfg) : cfg_(cfg) {
+LoopbackTransport::LoopbackTransport() {
   raise_fd_limit();
   udp_buf_.resize(64 * 1024);
 }
 
 LoopbackTransport::~LoopbackTransport() {
-  // Close everything in an order that never touches a freed record: break
-  // outbound/inbound first, then the listeners and UDP sockets.
-  for (auto& [key, conn] : outbound_) {
-    if (conn->retry_timer != 0) reactor_.cancel_timer(conn->retry_timer);
-    close_outbound_fd(*conn);
-  }
-  outbound_.clear();
-  for (auto& [fd, conn] : inbound_) {
-    reactor_.remove(fd);
-    ::close(fd);
-  }
-  inbound_.clear();
-  for (auto& [id, ep] : endpoints_) {
-    if (ep.udp_fd >= 0) {
-      reactor_.remove(ep.udp_fd);
-      ::close(ep.udp_fd);
-    }
-    if (ep.listen_fd >= 0) {
-      reactor_.remove(ep.listen_fd);
-      ::close(ep.listen_fd);
-    }
-  }
-  endpoints_.clear();
+  // Every connection runs from or to an attached endpoint, so detaching
+  // them all closes every fd and frees every queue.
+  while (!endpoints_.empty()) detach(endpoints_.begin()->first);
 }
 
 void LoopbackTransport::attach(TransportEndpoint* ep) {
@@ -112,7 +95,7 @@ void LoopbackTransport::attach(TransportEndpoint* ep) {
   // UDP socket for unordered traffic.
   rec.udp_fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (rec.udp_fd < 0) throw std::runtime_error("udp socket() failed");
-  ::setsockopt(rec.udp_fd, SOL_SOCKET, SO_RCVBUF, &cfg_.udp_rcvbuf, sizeof(cfg_.udp_rcvbuf));
+  ::setsockopt(rec.udp_fd, SOL_SOCKET, SO_RCVBUF, &kUdpRcvBuf, sizeof(kUdpRcvBuf));
   sockaddr_in addr = loopback_addr(0);
   if (::bind(rec.udp_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(rec.udp_fd);
@@ -149,14 +132,10 @@ void LoopbackTransport::detach(NodeId id) {
   // already accepted by the kernel die with the fds, and a later attach()
   // binds fresh ports — a new incarnation no old sender still points at.
   Endpoint& rec = it->second;
-  if (rec.udp_fd >= 0) {
-    reactor_.remove(rec.udp_fd);
-    ::close(rec.udp_fd);
-  }
-  if (rec.listen_fd >= 0) {
-    reactor_.remove(rec.listen_fd);
-    ::close(rec.listen_fd);
-  }
+  reactor_.remove(rec.udp_fd);
+  ::close(rec.udp_fd);
+  reactor_.remove(rec.listen_fd);
+  ::close(rec.listen_fd);
   endpoints_.erase(it);
 
   // Inbound connections delivering to this endpoint.
@@ -171,14 +150,7 @@ void LoopbackTransport::detach(NodeId id) {
   for (auto& [key, conn] : outbound_) {
     if (key.first == id || key.second == id) gone.push_back(conn);
   }
-  for (auto& conn : gone) destroy_outbound(conn);
-}
-
-void LoopbackTransport::set_node_down(NodeId id, bool down) { down_[id] = down; }
-
-bool LoopbackTransport::is_down(NodeId id) const {
-  auto it = down_.find(id);
-  return it != down_.end() && it->second;
+  for (auto& conn : gone) tear_down(conn);
 }
 
 void LoopbackTransport::send(NodeId from, NodeId to, Payload payload, TrafficClass cls) {
@@ -265,104 +237,89 @@ void LoopbackTransport::on_udp_readable(NodeId id) {
 // ---- TCP (kOrdered) ------------------------------------------------------
 
 void LoopbackTransport::send_tcp(NodeId from, NodeId to, Payload payload) {
-  OutboundConn* conn = get_outbound(from, to);
-  if (conn == nullptr) return;
+  std::optional<Bytes> head = frame_prologue(from, payload.size());
+  if (!head) {
+    ++counters_.dropped_oversize;  // fire-and-forget: nobody to throw to
+    return;
+  }
 
-  OutChunk chunk;
-  chunk.head = frame_prologue(from, payload.size(), cfg_.max_frame);
-  chunk.body = std::move(payload);
-  const std::size_t sz = chunk.head.size() + chunk.body.size();
+  std::shared_ptr<OutboundConn>& slot = outbound_[{from, to}];
+  if (!slot) {
+    slot = std::make_shared<OutboundConn>();
+    slot->from = from;
+    slot->to = to;
+  }
+  // A reference of our own: a failed connect or write below tears the
+  // connection down, which erases `slot`.
+  const std::shared_ptr<OutboundConn> conn = slot;
 
-  if (conn->queued_bytes + sz > cfg_.max_queue_bytes) {
+  const std::size_t sz = head->size() + payload.size();
+  if (conn->queued_bytes + sz > kMaxQueueBytes) {
     ++counters_.dropped_backpressure;
     return;
   }
-  conn->queue.push_back(std::move(chunk));
+  conn->queue.push_back(OutChunk{std::move(*head), std::move(payload), 0});
   conn->queued_bytes += sz;
   ++counters_.tcp_frames_sent;
 
-  if (conn->connected) {
-    auto it = outbound_.find({from, to});
-    flush_outbound(it->second);
+  if (conn->fd < 0) {
+    start_connect(conn);  // no connection yet: this frame opens one
+  } else if (conn->connected) {
+    flush_outbound(conn);
   }
-}
-
-LoopbackTransport::OutboundConn* LoopbackTransport::get_outbound(NodeId from, NodeId to) {
-  auto it = outbound_.find({from, to});
-  if (it != outbound_.end()) return it->second.get();
-
-  auto conn = std::make_shared<OutboundConn>();
-  conn->from = from;
-  conn->to = to;
-  outbound_.emplace(std::make_pair(from, to), conn);
-  start_connect(conn);
-  // start_connect may have destroyed the record on immediate failure.
-  auto again = outbound_.find({from, to});
-  return again == outbound_.end() ? nullptr : again->second.get();
 }
 
 void LoopbackTransport::start_connect(const std::shared_ptr<OutboundConn>& conn) {
-  auto dst = endpoints_.find(conn->to);
-  if (dst == endpoints_.end()) {
-    destroy_outbound(conn);
+  conn->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (conn->fd < 0) {
+    tear_down(conn);
+    return;
+  }
+  set_nodelay(conn->fd);
+
+  // send() checked that the destination is attached.
+  sockaddr_in addr = loopback_addr(endpoints_.at(conn->to).tcp_port);
+  if (::connect(conn->fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      errno != EINPROGRESS) {
+    tear_down(conn);
     return;
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    fail_outbound(conn);
-    return;
-  }
-  set_nodelay(fd);
-
-  sockaddr_in addr = loopback_addr(dst->second.tcp_port);
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    fail_outbound(conn);
-    return;
-  }
-
-  conn->fd = fd;
-  conn->connected = false;
   conn->out_armed = true;
   // EPOLLOUT completes the connect; EPOLLIN afterwards only ever signals
   // peer close (connections are unidirectional).
   std::weak_ptr<OutboundConn> weak = conn;
-  reactor_.add(fd, EPOLLOUT | EPOLLIN, [this, weak](std::uint32_t events) {
+  reactor_.add(conn->fd, EPOLLOUT | EPOLLIN, [this, weak](std::uint32_t events) {
     if (auto c = weak.lock()) on_outbound_ready(c, events);
   });
 }
 
 void LoopbackTransport::on_outbound_ready(const std::shared_ptr<OutboundConn>& conn,
                                           std::uint32_t events) {
-  if (conn->fd < 0) return;
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
+    tear_down(conn);
+    return;
+  }
 
   if (!conn->connected) {
     int err = 0;
     socklen_t len = sizeof(err);
-    if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
-        ::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      fail_outbound(conn);
+    if (::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
+      tear_down(conn);
       return;
     }
     conn->connected = true;
-    conn->backoff = std::chrono::milliseconds{0};
     ++counters_.tcp_connects;
     flush_outbound(conn);
     return;
   }
 
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    fail_outbound(conn);
-    return;
-  }
   if ((events & EPOLLIN) != 0) {
     // The peer never sends application data our way; readable means EOF.
     std::uint8_t scratch[256];
     const ssize_t n = ::recv(conn->fd, scratch, sizeof(scratch), 0);
     if (n == 0 || (n < 0 && !would_block(errno) && errno != EINTR)) {
-      fail_outbound(conn);
+      tear_down(conn);
       return;
     }
   }
@@ -373,13 +330,9 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
   while (!conn->queue.empty()) {
     OutChunk& c = conn->queue.front();
     const std::size_t total = c.head.size() + c.body.size();
-    if (c.off >= total) {
-      conn->queue.pop_front();
-      continue;
-    }
 
     iovec iov[2];
-    int iovcnt = 0;
+    std::size_t iovcnt = 0;
     if (c.off < c.head.size()) {
       iov[iovcnt++] = {c.head.data() + c.off, c.head.size() - c.off};
     }
@@ -389,16 +342,21 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
                        c.body.size() - body_off};
     }
 
-    const ssize_t n = ::writev(conn->fd, iov, iovcnt);
+    // sendmsg, not writev, for MSG_NOSIGNAL: a write to a reset connection
+    // must fail with EPIPE and tear the connection down, not raise SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (would_block(errno)) break;
       if (errno == EINTR) continue;
-      fail_outbound(conn);
+      tear_down(conn);
       return;
     }
     c.off += static_cast<std::size_t>(n);
     conn->queued_bytes -= static_cast<std::size_t>(n);
-    if (c.off >= total) conn->queue.pop_front();
+    if (c.off == total) conn->queue.pop_front();
   }
   // Ask for EPOLLOUT only while bytes wait; touch the interest set only
   // when that changes.
@@ -409,58 +367,19 @@ void LoopbackTransport::flush_outbound(const std::shared_ptr<OutboundConn>& conn
   }
 }
 
-void LoopbackTransport::fail_outbound(const std::shared_ptr<OutboundConn>& conn) {
-  close_outbound_fd(*conn);
-
-  if (endpoints_.count(conn->to) == 0) {
-    // Destination detached: queued messages are in-flight traffic to a dead
-    // incarnation — drop them with the connection.
-    destroy_outbound(conn);
-    return;
+// The one way an outbound connection ends. Whatever is still queued — a
+// frame cut off mid-body included — is dropped with the record, so the
+// pair's next send opens a fresh connection whose stream starts on a frame
+// boundary.
+void LoopbackTransport::tear_down(std::shared_ptr<OutboundConn> conn) {
+  ++counters_.tcp_teardowns;
+  counters_.dropped_teardown += conn->queue.size();
+  if (conn->fd >= 0) {
+    reactor_.remove(conn->fd);
+    ::close(conn->fd);
+    conn->fd = -1;
   }
-
-  // Transient failure (listen backlog, connect race): retry with backoff,
-  // re-querying the endpoint registry when the timer fires.
-  conn->backoff = conn->backoff.count() == 0
-                      ? cfg_.backoff_min
-                      : std::min(conn->backoff * 2, cfg_.backoff_max);
-  ++counters_.tcp_retries;
-  std::weak_ptr<OutboundConn> weak = conn;
-  conn->retry_timer = reactor_.add_timer(
-      EpollReactor::Clock::now() + conn->backoff, [this, weak] {
-        auto c = weak.lock();
-        if (!c) return;
-        c->retry_timer = 0;
-        // Still the live record for this pair? (A detach/reattach cycle
-        // replaces it.)
-        auto it = outbound_.find({c->from, c->to});
-        if (it == outbound_.end() || it->second != c) return;
-        if (endpoints_.count(c->to) == 0) {
-          destroy_outbound(c);
-          return;
-        }
-        start_connect(c);
-      });
-}
-
-void LoopbackTransport::destroy_outbound(const std::shared_ptr<OutboundConn>& conn) {
-  if (conn->retry_timer != 0) {
-    reactor_.cancel_timer(conn->retry_timer);
-    conn->retry_timer = 0;
-  }
-  close_outbound_fd(*conn);
-  conn->queue.clear();
-  conn->queued_bytes = 0;
-  auto it = outbound_.find({conn->from, conn->to});
-  if (it != outbound_.end() && it->second == conn) outbound_.erase(it);
-}
-
-void LoopbackTransport::close_outbound_fd(OutboundConn& conn) {
-  if (conn.fd < 0) return;
-  reactor_.remove(conn.fd);
-  ::close(conn.fd);
-  conn.fd = -1;
-  conn.connected = false;
+  outbound_.erase({conn->from, conn->to});
 }
 
 void LoopbackTransport::on_accept(NodeId id) {
@@ -471,7 +390,7 @@ void LoopbackTransport::on_accept(NodeId id) {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient accept error: try next wait
     set_nodelay(fd);
-    auto conn = std::make_unique<InboundConn>(cfg_.max_frame);
+    auto conn = std::make_unique<InboundConn>();
     conn->fd = fd;
     conn->to = id;
     inbound_.emplace(fd, std::move(conn));
@@ -501,21 +420,20 @@ void LoopbackTransport::on_inbound_readable(int fd) {
     }
 
     const NodeId to = conn.to;
-    try {
-      conn.decoder.feed(BytesView(udp_buf_.data(), static_cast<std::size_t>(n)));
-      // Drain complete frames. Re-look-up the connection every iteration:
-      // a delivery callback may detach the endpoint and close this fd.
-      for (;;) {
-        auto again = inbound_.find(fd);
-        if (again == inbound_.end() || again->second.get() != &conn) return;
-        std::optional<Frame> f = conn.decoder.next();
-        if (!f) break;
-        ++counters_.tcp_frames_received;
-        dispatch(f->from, to, Payload(std::move(f->payload)));
-      }
-    } catch (const SerdeError&) {
+    conn.decoder.feed(BytesView(udp_buf_.data(), static_cast<std::size_t>(n)));
+    // Drain complete frames. Re-look-up the connection every iteration:
+    // a delivery callback may detach the endpoint and close this fd.
+    for (;;) {
+      auto again = inbound_.find(fd);
+      if (again == inbound_.end() || again->second.get() != &conn) return;
+      std::optional<Frame> f = conn.decoder.next();
+      if (!f) break;
+      ++counters_.tcp_frames_received;
+      dispatch(f->from, to, Payload(std::move(f->payload)));
+    }
+    if (conn.decoder.failed()) {
       // Protocol violation from a (potentially Byzantine) peer: close the
-      // connection; the sender's reconnect path decides what happens next.
+      // connection. Its sender sees EOF and tears its side down.
       ++counters_.tcp_decode_errors;
       close_inbound(fd);
       return;

@@ -7,8 +7,15 @@
 //     weak-read fast path tolerates loss and reordering, so datagrams map
 //     exactly onto its semantics.
 //   * kOrdered traffic rides length-prefixed framed TCP (tcp_framer.hpp),
-//     one outbound connection per (from, to) pair, established lazily on
-//     first send and re-established with exponential backoff after failure.
+//     one outbound connection per (from, to) pair, opened lazily on the
+//     first send after the pair has none.
+//
+// An outbound connection ends one way: a connect error, a write error, peer
+// EOF or a detach of either endpoint closes its fd, drops what it still
+// queues (a half-written frame included, counted in
+// `counters().dropped_teardown`) and erases it; the next send opens a fresh
+// connection that starts on a frame boundary. The transport never retries:
+// reliability is the protocols' job (IRMC retransmission, client retries).
 //
 // The delivery contract matches SimNetwork (see net/transport.hpp and the
 // conformance battery in tests/test_transport.cpp): FIFO per (from, to)
@@ -19,7 +26,7 @@
 // and down-node drops at both send and dispatch.
 //
 // Write backpressure: each outbound connection buffers at most
-// `max_queue_bytes` beyond what the kernel accepts; past that, new sends on
+// `kMaxQueueBytes` beyond what the kernel accepts; past that, new sends on
 // that connection are dropped and counted (`counters().dropped_backpressure`)
 // instead of growing without bound — fire-and-forget never blocks.
 //
@@ -31,6 +38,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -46,19 +54,11 @@ namespace spider::net {
 
 class LoopbackTransport final : public Transport {
  public:
-  struct Config {
-    std::size_t max_frame = kDefaultMaxFrame;
-    /// Per-connection user-space write-queue cap (bytes); beyond it sends
-    /// on that connection are dropped, not buffered.
-    std::size_t max_queue_bytes = 8u * 1024 * 1024;
-    std::chrono::milliseconds backoff_min{5};
-    std::chrono::milliseconds backoff_max{500};
-    /// UDP receive buffer request (best-effort; the kernel may clamp).
-    int udp_rcvbuf = 1 << 22;
-  };
+  /// Per-connection user-space write-queue cap (bytes); beyond it sends
+  /// on that connection are dropped, not buffered.
+  static constexpr std::size_t kMaxQueueBytes = 8u * 1024 * 1024;
 
-  LoopbackTransport() : LoopbackTransport(Config()) {}
-  explicit LoopbackTransport(Config cfg);
+  LoopbackTransport();
   ~LoopbackTransport() override;
 
   LoopbackTransport(const LoopbackTransport&) = delete;
@@ -68,12 +68,10 @@ class LoopbackTransport final : public Transport {
   void attach(TransportEndpoint* ep) override;
   void detach(NodeId id) override;
   void send(NodeId from, NodeId to, Payload payload, TrafficClass cls) override;
-  void set_node_down(NodeId id, bool down) override;
-  [[nodiscard]] bool is_down(NodeId id) const override;
 
   // ---- driving -----------------------------------------------------------
   /// Runs the reactor once: waits up to `timeout` (negative = block, zero =
-  /// poll) for socket readiness, dispatches reads/writes/timers, delivers
+  /// poll) for socket readiness, dispatches reads and writes, delivers
   /// complete messages to their endpoints. Returns the number of I/O events
   /// handled.
   std::size_t poll(std::chrono::microseconds timeout);
@@ -86,10 +84,12 @@ class LoopbackTransport final : public Transport {
     std::uint64_t tcp_frames_sent = 0;    // enqueued onto a connection
     std::uint64_t tcp_frames_received = 0;
     std::uint64_t tcp_connects = 0;       // successful connection establishments
-    std::uint64_t tcp_retries = 0;        // backoff-scheduled reconnect attempts
+    std::uint64_t tcp_teardowns = 0;      // outbound connections ended (error, EOF, detach)
     std::uint64_t tcp_decode_errors = 0;  // framer violations -> connection closed
     std::uint64_t tcp_dirty_closes = 0;   // peer closed mid-frame
     std::uint64_t dropped_backpressure = 0;
+    std::uint64_t dropped_oversize = 0;   // payload larger than a frame can carry
+    std::uint64_t dropped_teardown = 0;   // frames queued on a torn-down connection
     std::uint64_t dropped_unknown_dest = 0;
     std::uint64_t dropped_down = 0;
   };
@@ -97,8 +97,6 @@ class LoopbackTransport final : public Transport {
 
   [[nodiscard]] std::size_t attached_count() const { return endpoints_.size(); }
   [[nodiscard]] bool is_attached(NodeId id) const { return endpoints_.count(id) != 0; }
-
-  EpollReactor& reactor() { return reactor_; }
 
  private:
   struct Endpoint {
@@ -127,27 +125,21 @@ class LoopbackTransport final : public Transport {
     bool out_armed = false;  // EPOLLOUT is in the fd's registered interest
     std::deque<OutChunk> queue;
     std::size_t queued_bytes = 0;
-    std::chrono::milliseconds backoff{0};
-    EpollReactor::TimerId retry_timer = 0;
   };
 
   struct InboundConn {
     int fd = -1;
     NodeId to = 0;  // endpoint this connection delivers to
     FrameDecoder decoder;
-    explicit InboundConn(std::size_t max_frame) : decoder(max_frame) {}
   };
 
   void send_udp(NodeId from, NodeId to, const Payload& payload);
   void send_tcp(NodeId from, NodeId to, Payload payload);
 
-  OutboundConn* get_outbound(NodeId from, NodeId to);
   void start_connect(const std::shared_ptr<OutboundConn>& conn);
   void on_outbound_ready(const std::shared_ptr<OutboundConn>& conn, std::uint32_t events);
   void flush_outbound(const std::shared_ptr<OutboundConn>& conn);
-  void fail_outbound(const std::shared_ptr<OutboundConn>& conn);
-  void destroy_outbound(const std::shared_ptr<OutboundConn>& conn);
-  void close_outbound_fd(OutboundConn& conn);
+  void tear_down(std::shared_ptr<OutboundConn> conn);
 
   void on_udp_readable(NodeId id);
   void on_accept(NodeId id);
@@ -157,12 +149,10 @@ class LoopbackTransport final : public Transport {
   void dispatch(NodeId from, NodeId to, Payload payload);
   void account_send(NodeId from, NodeId to, std::size_t bytes);
 
-  Config cfg_;
   EpollReactor reactor_;
   std::unordered_map<NodeId, Endpoint> endpoints_;
   std::map<std::pair<NodeId, NodeId>, std::shared_ptr<OutboundConn>> outbound_;
   std::unordered_map<int, std::unique_ptr<InboundConn>> inbound_;
-  std::unordered_map<NodeId, bool> down_;
   Counters counters_;
   std::vector<std::uint8_t> udp_buf_;
 };

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -99,9 +100,17 @@ class Transport {
     send(from, to, Payload(std::move(payload)), TrafficClass::kOrdered);
   }
 
-  /// A "down" node neither sends nor receives (crash fault).
-  virtual void set_node_down(NodeId id, bool down) = 0;
-  [[nodiscard]] virtual bool is_down(NodeId id) const = 0;
+  /// A "down" node neither sends nor receives (crash fault). Each backend
+  /// drops at send and at delivery by asking is_down(); the two stay
+  /// virtual so a decorator can forward them to the transport it wraps.
+  virtual void set_node_down(NodeId id, bool down) {
+    if (down) {
+      down_.insert(id);
+    } else {
+      down_.erase(id);
+    }
+  }
+  [[nodiscard]] virtual bool is_down(NodeId id) const { return down_.count(id) != 0; }
 
   // ---- accounting ------------------------------------------------------
   LinkStats& stats() { return stats_; }
@@ -114,6 +123,9 @@ class Transport {
  protected:
   LinkStats stats_;
   std::unordered_map<NodeId, PerNodeNetStats> node_stats_;
+
+ private:
+  std::unordered_set<NodeId> down_;
 };
 
 }  // namespace spider

@@ -1,6 +1,7 @@
 #include "sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
@@ -56,6 +57,16 @@ const std::vector<KindSpec>& kinds() {
   return table;
 }
 
+// A node id is a token of decimal digits that fits NodeId: extracting it
+// straight into the unsigned type would accept "-5" and wrap it.
+bool read_node(std::istream& in, NodeId& out) {
+  std::string token;
+  if (!(in >> token)) return false;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 // Elements are read one at a time: a corrupted count in a hand-edited
 // artifact must land on the malformed-line diagnostic, not pre-allocate
 // an absurd vector.
@@ -64,7 +75,7 @@ bool read_nodes(std::istream& in, std::vector<NodeId>& out) {
   if (!(in >> n)) return false;
   for (std::size_t i = 0; i < n; ++i) {
     NodeId id = 0;
-    if (!(in >> id)) return false;
+    if (!read_node(in, id)) return false;
     out.push_back(id);
   }
   return true;
@@ -397,8 +408,8 @@ void FaultPlan::schedule_script(const std::string& script) {
     auto read = [&ls](Action& a, Field f) -> bool {
       switch (f) {
         case Field::kDuration: return (ls >> a.duration) && a.duration >= 0;
-        case Field::kNode: return static_cast<bool>(ls >> a.node);
-        case Field::kPeer: return static_cast<bool>(ls >> a.peer);
+        case Field::kNode: return read_node(ls, a.node);
+        case Field::kPeer: return read_node(ls, a.peer);
         case Field::kSideA: return read_nodes(ls, a.side_a);
         case Field::kSideB: return read_nodes(ls, a.side_b);
         case Field::kExtraDelay: {

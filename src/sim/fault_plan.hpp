@@ -21,7 +21,7 @@
 // (the systems' crash_node/restart_node), a crash destroys the replica
 // process — volatile state is lost and the rebuilt process must recover
 // through checkpoint state transfer. Without hooks the plan falls back to
-// the crash-stop model (SimNetwork::set_node_down), which keeps state.
+// the crash-stop model (Transport::set_node_down), which keeps state.
 // Byzantine windows write the node's World::byzantine(n) entry, which the
 // replica reads where it acts and which persists across a crash/restart of
 // the same node, so the plan needs no hook for them.

@@ -38,13 +38,6 @@ double SimNetwork::node_bandwidth_factor(NodeId id) const {
   return it == bw_factor_.end() ? 1.0 : it->second;
 }
 
-bool SimNetwork::is_down(NodeId id) const {
-  auto it = down_.find(id);
-  return it != down_.end() && it->second;
-}
-
-void SimNetwork::set_node_down(NodeId id, bool down) { down_[id] = down; }
-
 void SimNetwork::set_link_filter(std::function<bool(NodeId, NodeId)> filter) {
   filter_ = std::move(filter);
 }

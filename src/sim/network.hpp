@@ -54,9 +54,6 @@ class SimNetwork final : public Transport {
   // ---- fault injection ------------------------------------------------
   /// Drops every message for which the filter returns false.
   void set_link_filter(std::function<bool(NodeId from, NodeId to)> filter);
-  /// A "down" node neither sends nor receives (crash fault).
-  void set_node_down(NodeId id, bool down) override;
-  [[nodiscard]] bool is_down(NodeId id) const override;
 
   /// Fault shaper consulted *in addition to* the user link filter (the two
   /// stack; neither replaces the other). Installed by FaultPlan to express
@@ -97,7 +94,6 @@ class SimNetwork final : public Transport {
   EventQueue& queue_;
   Rng rng_;
   std::unordered_map<NodeId, TransportEndpoint*> nodes_;
-  std::unordered_map<NodeId, bool> down_;
   std::unordered_map<NodeId, std::uint64_t> incarnation_;
   std::unordered_map<NodeId, double> bw_factor_;
   // Earliest time the next message on a (from,to) pair may arrive, to keep

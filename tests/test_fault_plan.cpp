@@ -521,6 +521,9 @@ TEST(FaultPlan, MalformedScriptThrows) {
   for (const char* line : {
            "crash 1000 5 6",                 // trailing token
            "crash -1000 5",                  // negative time
+           "crash 1000 -5",                  // negative node
+           "partition 1000 500 1 -1 1 2",    // negative node on a partition side
+           "delay 1000 500 1 -2 7",          // negative peer
            "partition 1000 -5 1 1 1 2",      // negative heal delay: never heals
            "delay 1000 500 1 2 -7",          // negative extra delay
            "loss 1000 500 1 2 7.5",          // loss above 1

@@ -4,6 +4,10 @@
 // Whatever protocol code may assume about message delivery is pinned here;
 // a backend that cannot pass this battery cannot host the protocol stack.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -332,10 +336,64 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
                          });
 
 // ---- loopback-only behaviours -------------------------------------------
-// Socket mechanics the sim has no analogue for: reconnect after the
-// listener vanishes mid-stream, and bounded buffering under backpressure.
+// Socket mechanics the sim has no analogue for: the one way a connection
+// ends (peer restart, peer shutdown mid-frame, a hostile prologue), frames
+// no connection can carry, and bounded buffering under backpressure.
 
-TEST(LoopbackTransport, ReconnectsAfterPeerRestartWithBackoff) {
+/// This process's TCP connections, found through the kernel rather than
+/// any transport API: a listener has SO_ACCEPTCONN set, an accepted
+/// connection shares its listener's local port, and an outbound
+/// connection's peer is a listener. Fds are allocated lowest-first, so a
+/// test's few sockets sit far below the scan bound.
+struct TcpSockets {
+  std::vector<int> accepted;
+  std::vector<int> outbound;
+};
+
+std::uint16_t local_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
+  return ntohs(addr.sin_port);
+}
+
+std::uint16_t peer_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
+  return ntohs(addr.sin_port);
+}
+
+TcpSockets tcp_sockets() {
+  std::vector<int> streams;
+  std::vector<std::uint16_t> listen_ports;
+  TcpSockets out;
+  for (int fd = 0; fd < 1024; ++fd) {
+    int type = 0, listening = 0;
+    socklen_t len = sizeof(type);
+    if (::getsockopt(fd, SOL_SOCKET, SO_TYPE, &type, &len) != 0 || type != SOCK_STREAM) continue;
+    len = sizeof(listening);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0) continue;
+    if (listening != 0) {
+      listen_ports.push_back(local_port(fd));
+    } else {
+      streams.push_back(fd);
+    }
+  }
+  const auto is_listen_port = [&](std::uint16_t port) {
+    return std::find(listen_ports.begin(), listen_ports.end(), port) != listen_ports.end();
+  };
+  for (int fd : streams) {
+    if (is_listen_port(local_port(fd))) {
+      out.accepted.push_back(fd);
+    } else if (is_listen_port(peer_port(fd))) {
+      out.outbound.push_back(fd);
+    }
+  }
+  return out;
+}
+
+TEST(LoopbackTransport, ReconnectsAfterPeerRestart) {
   LoopbackBackend backend;
   net::LoopbackTransport& net = backend.loopback();
 
@@ -364,19 +422,124 @@ TEST(LoopbackTransport, ReconnectsAfterPeerRestartWithBackoff) {
   net.detach(2);
 }
 
-TEST(LoopbackTransport, BackpressureDropsInsteadOfBufferingUnbounded) {
-  net::LoopbackTransport::Config cfg;
-  cfg.max_queue_bytes = 64 * 1024;  // tiny cap so the test fills it instantly
-  net::LoopbackTransport net(cfg);
+TEST(LoopbackTransport, PeerShutdownMidFrameNextSendStartsOnAFrameBoundary) {
+  LoopbackBackend backend;
+  net::LoopbackTransport& net = backend.loopback();
+
+  RecordingEndpoint a(1, kVirginiaA), b(2, kVirginiaB);
+  net.attach(&a);
+  net.attach(&b);
+  net.send(1, 2, make_payload("before"), TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 1; }));
+
+  // Nothing polls, so B reads none of this frame: the kernel takes a
+  // window's worth and the rest waits in A's queue.
+  const Payload big(Bytes(6u * 1024 * 1024, 0xab));
+  net.send(1, 2, big, TrafficClass::kOrdered);
+  const TcpSockets socks = tcp_sockets();
+  ASSERT_EQ(socks.accepted.size(), 1u);
+  ASSERT_EQ(socks.outbound.size(), 1u);
+  int unacked = 0, unread = 0;
+  ASSERT_EQ(::ioctl(socks.outbound[0], TIOCOUTQ, &unacked), 0);
+  ASSERT_EQ(::ioctl(socks.accepted[0], FIONREAD, &unread), 0);
+  ASSERT_LT(static_cast<std::size_t>(unacked) + static_cast<std::size_t>(unread), big.size())
+      << "the frame must be half written when the connection ends";
+
+  // B's side shuts down: A reads EOF and tears its connection down, and B
+  // then reads the cut-off frame up to A's close, a dirty close.
+  ASSERT_EQ(::shutdown(socks.accepted[0], SHUT_WR), 0);
+  ASSERT_TRUE(backend.settle([&] { return net.counters().tcp_dirty_closes == 1; }));
+
+  net.send(1, 2, make_payload("after"), TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 2; }));
+  EXPECT_EQ(as_string(b.received[1].second), "after");
+  EXPECT_EQ(net.counters().tcp_decode_errors, 0u)
+      << "the fresh connection resumed the cut-off frame mid-body";
+  EXPECT_EQ(net.counters().tcp_connects, 2u);
+  EXPECT_EQ(net.counters().tcp_teardowns, 1u);
+  EXPECT_EQ(net.counters().dropped_teardown, 1u) << "the cut-off frame is dropped and counted";
+
+  net.detach(1);
+  net.detach(2);
+}
+
+TEST(LoopbackTransport, BadPrologueClosesOnlyItsConnection) {
+  LoopbackBackend backend;
+  net::LoopbackTransport& net = backend.loopback();
+
+  RecordingEndpoint a(1, kVirginiaA), b(2, kVirginiaB);
+  net.attach(&a);
+  net.attach(&b);
+  net.send(1, 2, make_payload("before"), TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 1; }));
+
+  // B's listener is the one that accepted A's connection.
+  const TcpSockets socks = tcp_sockets();
+  ASSERT_EQ(socks.accepted.size(), 1u);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(local_port(socks.accepted[0]));
+
+  // A raw local client declares a 3-byte frame: too short for a sender id.
+  const int raw = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(raw, 0);
+  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::uint8_t prologue[8] = {3, 0, 0, 0, 9, 0, 0, 0};
+  ASSERT_EQ(::send(raw, prologue, sizeof(prologue), MSG_NOSIGNAL), 8);
+  ASSERT_TRUE(backend.settle([&] { return net.counters().tcp_decode_errors == 1; }));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(raw, &byte, 1, MSG_DONTWAIT), 0) << "the hostile connection stayed open";
+  ::close(raw);
+
+  // A's connection to the same listener is untouched.
+  net.send(1, 2, make_payload("after"), TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 2; }));
+  EXPECT_EQ(as_string(b.received[1].second), "after");
+  EXPECT_EQ(net.counters().tcp_connects, 1u);
+  EXPECT_EQ(net.counters().tcp_decode_errors, 1u);
+
+  net.detach(1);
+  net.detach(2);
+}
+
+TEST(LoopbackTransport, OversizedPayloadIsDroppedAndCounted) {
+  LoopbackBackend backend;
+  net::LoopbackTransport& net = backend.loopback();
 
   RecordingEndpoint a(1, kVirginiaA), b(2, kVirginiaB);
   net.attach(&a);
   net.attach(&b);
 
-  // Never poll, so nothing drains: the user-space queue must cap out and
-  // start dropping rather than grow.
+  // With the sender id, a payload of kDefaultMaxFrame bytes is one byte
+  // more than any frame may declare.
+  const Payload huge(Bytes(net::kDefaultMaxFrame, 0xcd));
+  EXPECT_NO_THROW(net.send(1, 2, huge, TrafficClass::kOrdered));
+  EXPECT_EQ(net.counters().dropped_oversize, 1u);
+  EXPECT_EQ(net.counters().tcp_frames_sent, 0u);
+
+  net.send(1, 2, make_payload("small"), TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 1; }));
+  EXPECT_EQ(as_string(b.received[0].second), "small");
+
+  net.detach(1);
+  net.detach(2);
+}
+
+TEST(LoopbackTransport, BackpressureDropsInsteadOfBufferingUnbounded) {
+  net::LoopbackTransport net;
+
+  RecordingEndpoint a(1, kVirginiaA), b(2, kVirginiaB);
+  net.attach(&a);
+  net.attach(&b);
+
+  // Never poll, so the connect never completes and nothing drains: the
+  // user-space queue must cap out and start dropping rather than grow.
+  // Every send shares one 16 KiB buffer, so reaching the cap copies
+  // nothing.
   const Payload big(Bytes(16 * 1024, 0xab));
-  for (int i = 0; i < 64; ++i) net.send(1, 2, big, TrafficClass::kOrdered);
+  const std::size_t sends = net::LoopbackTransport::kMaxQueueBytes / big.size() + 8;
+  for (std::size_t i = 0; i < sends; ++i) net.send(1, 2, big, TrafficClass::kOrdered);
   EXPECT_GT(net.counters().dropped_backpressure, 0u);
 
   net.detach(1);
