@@ -30,16 +30,15 @@ int main() {
   topo.view_change_timeout = 2 * kSecond;
   SpiderSystem spider(world, topo);
 
-  // The fault plan drives every fault in this tour. Crash/restart actions
-  // go through the system's crash-recovery hooks: a crash destroys the
-  // replica process (volatile state and all), a restart rebuilds it under
-  // the same NodeId and lets the protocol recover it. Byzantine windows
-  // need no hook: they write the node's World::byzantine(n) entry, which
-  // the replica reads where it acts. The flags turn on at the window start
-  // and off at its end, and a process rebuilt in between reads them too.
-  FaultPlan plan(world);
-  plan.on_crash = [&spider](NodeId n) { spider.crash_node(n); };
-  plan.on_restart = [&spider](NodeId n) { spider.restart_node(n); };
+  // The fault plan drives every fault in this tour. Built from the
+  // system's fault surface, its crash/restart actions go through the
+  // system's crash_node/restart_node: a crash destroys the replica process
+  // (volatile state and all), a restart rebuilds it under the same NodeId
+  // and lets the protocol recover it. Byzantine windows need no hook: they
+  // write the node's World::byzantine(n) entry, which the replica reads
+  // where it acts. The flags turn on at the window start and off at its
+  // end, and a process rebuilt in between reads them too.
+  FaultPlan plan(world, spider);
 
   auto client = spider.make_client(Site{Region::Oregon, 0});
   GroupId g = client->group().group;

@@ -183,7 +183,13 @@ BftSystem::BftSystem(World& world, BftConfig cfg) : world_(world), cfg_(std::mov
   }
 }
 
-std::vector<NodeId> BftSystem::replica_ids() const { return ids_; }
+std::vector<ReplicaGroup> BftSystem::replica_groups() const { return {{ids_, cfg_.f, true}}; }
+
+std::vector<std::vector<NodeId>> BftSystem::partition_groups() const {
+  std::vector<std::vector<NodeId>> sides;
+  for (NodeId n : ids_) sides.push_back({n});
+  return sides;
+}
 
 bool BftSystem::crash_node(NodeId id) {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
@@ -218,7 +224,7 @@ bool BftSystem::is_crashed(NodeId id) const {
 }
 
 ClientGroupInfo BftSystem::client_info() const {
-  ClientGroupInfo info{0, replica_ids(), cfg_.f};
+  ClientGroupInfo info{0, ids_, cfg_.f};
   info.direct_strong_quorum = 2 * cfg_.f + 1;
   return info;
 }

@@ -17,6 +17,7 @@
 #include "app/application.hpp"
 #include "app/kvstore.hpp"
 #include "consensus/pbft_replica.hpp"
+#include "sim/fault_surface.hpp"
 #include "spider/checkpointer.hpp"
 #include "spider/client.hpp"
 #include "spider/client_port.hpp"
@@ -87,25 +88,28 @@ class BftReplica : public ComponentHost {
   std::map<SeqNr, std::vector<Bytes>> stash_;
 };
 
-class BftSystem {
+class BftSystem : public FaultSurface {
  public:
   BftSystem(World& world, BftConfig cfg);
 
   [[nodiscard]] std::size_t size() const { return replicas_.size(); }
   BftReplica& replica(std::size_t i) { return *replicas_[i]; }
-  [[nodiscard]] std::vector<NodeId> replica_ids() const;
 
   /// Client info: all replicas, f+1 matching replies.
   [[nodiscard]] ClientGroupInfo client_info() const;
   std::unique_ptr<SpiderClient> make_client(Site site, Duration retry = 2 * kSecond);
 
-  // ---- crash-recovery (FaultPlan hooks) ----------------------------------
+  // ---- fault surface ------------------------------------------------------
   /// Destroys / rebuilds the replica process with this id (same semantics
   /// as SpiderSystem: volatile state is lost, recovery happens through the
   /// checkpoint protocol and PBFT view rejoin, Byzantine flags resume).
-  bool crash_node(NodeId id);
-  bool restart_node(NodeId id);
+  bool crash_node(NodeId id) override;
+  bool restart_node(NodeId id) override;
   [[nodiscard]] bool is_crashed(NodeId id) const;
+  /// One group of f that orders and executes.
+  [[nodiscard]] std::vector<ReplicaGroup> replica_groups() const override;
+  /// One replica at a time: each replica sits at its own site.
+  [[nodiscard]] std::vector<std::vector<NodeId>> partition_groups() const override;
 
  private:
   World& world_;

@@ -40,7 +40,8 @@ IrmcSenderEndpoint::IrmcSenderEndpoint(ComponentHost& host, IrmcConfig cfg)
       window_waits_(host.world().metrics().counter("irmc_window_waits",
                                                    {.node = host.id(), .role = "irmc"})) {
   if (cfg_.announce_window) {
-    announce_timer_ = set_timer(cfg_.window_announce_interval, [this] { on_announce_timer(); });
+    announce_timer_ =
+        set_timer(IrmcConfig::kWindowAnnounceInterval, [this] { on_announce_timer(); });
   }
 }
 
@@ -92,7 +93,7 @@ void IrmcSenderEndpoint::send_move(Subchannel sc, Position p) {
 }
 
 void IrmcSenderEndpoint::on_announce_timer() {
-  announce_timer_ = set_timer(cfg_.window_announce_interval, [this] { on_announce_timer(); });
+  announce_timer_ = set_timer(IrmcConfig::kWindowAnnounceInterval, [this] { on_announce_timer(); });
   for (const auto& [sc, w] : windows_) {
     if (w.own_move > 0) send_move(sc, w.own_move);
   }

@@ -56,7 +56,7 @@ struct IrmcConfig {
 
   // IRMC-SC sends Progress every progress_interval, and a receiver selects
   // another collector after a gap lasted collector_timeout. IRMC-RC nacks
-  // every window_announce_interval + collector_timeout.
+  // every kWindowAnnounceInterval + collector_timeout.
   Duration progress_interval = 50 * kMillisecond;
   Duration collector_timeout = 300 * kMillisecond;
 
@@ -64,8 +64,8 @@ struct IrmcConfig {
   // requested window starts so that receivers that were unreachable (and
   // missed Move messages) learn that they fell behind. Models the
   // retransmission behaviour of the reliable links the paper assumes.
+  static constexpr Duration kWindowAnnounceInterval = 200 * kMillisecond;
   bool announce_window = false;
-  Duration window_announce_interval = 200 * kMillisecond;
 
   [[nodiscard]] std::uint32_t ns() const { return static_cast<std::uint32_t>(senders.size()); }
   [[nodiscard]] std::uint32_t nr() const { return static_cast<std::uint32_t>(receivers.size()); }

@@ -105,7 +105,7 @@ RcReceiver::~RcReceiver() {
 
 void RcReceiver::arm_nack_timer() {
   if (nack_timer_ != EventQueue::kInvalidEvent) return;
-  nack_timer_ = set_timer(cfg_.window_announce_interval + cfg_.collector_timeout,
+  nack_timer_ = set_timer(IrmcConfig::kWindowAnnounceInterval + cfg_.collector_timeout,
                           [this] { on_nack_timer(); });
 }
 

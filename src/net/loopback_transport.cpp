@@ -253,8 +253,10 @@ void LoopbackTransport::send_tcp(NodeId from, NodeId to, Payload payload) {
   // connection down, which erases `slot`.
   const std::shared_ptr<OutboundConn> conn = slot;
 
+  // An empty queue admits any frame the framer can carry, so an ordered
+  // payload up to kDefaultMaxFrame crosses loopback as it crosses the sim.
   const std::size_t sz = head->size() + payload.size();
-  if (conn->queued_bytes + sz > kMaxQueueBytes) {
+  if (!conn->queue.empty() && conn->queued_bytes + sz > kMaxQueueBytes) {
     ++counters_.dropped_backpressure;
     return;
   }

@@ -25,10 +25,13 @@
 // closes the endpoint's sockets, so kernel-buffered bytes die with them),
 // and down-node drops at both send and dispatch.
 //
-// Write backpressure: each outbound connection buffers at most
-// `kMaxQueueBytes` beyond what the kernel accepts; past that, new sends on
-// that connection are dropped and counted (`counters().dropped_backpressure`)
-// instead of growing without bound — fire-and-forget never blocks.
+// Write backpressure: a send onto a connection that already queues frames
+// beyond what the kernel accepts is dropped and counted
+// (`counters().dropped_backpressure`) when the queue would pass
+// `kMaxQueueBytes`, instead of growing without bound — fire-and-forget
+// never blocks. An empty queue admits one frame of any size the framer
+// carries (up to kDefaultMaxFrame), so no payload the sim delivers is
+// refused for its size alone.
 //
 // Everything is single-threaded: send() enqueues to kernel buffers or user
 // queues, poll(timeout) runs the reactor once — blocking at most `timeout`
@@ -55,7 +58,7 @@ namespace spider::net {
 class LoopbackTransport final : public Transport {
  public:
   /// Per-connection user-space write-queue cap (bytes); beyond it sends
-  /// on that connection are dropped, not buffered.
+  /// onto a non-empty queue are dropped, not buffered.
   static constexpr std::size_t kMaxQueueBytes = 8u * 1024 * 1024;
 
   LoopbackTransport();

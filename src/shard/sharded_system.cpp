@@ -178,13 +178,13 @@ bool ShardedSpiderSystem::restart_node(NodeId id) {
   return false;
 }
 
-std::vector<NodeId> ShardedSpiderSystem::replica_ids() const {
-  std::vector<NodeId> ids;
+std::vector<ReplicaGroup> ShardedSpiderSystem::replica_groups() const {
+  std::vector<ReplicaGroup> groups;
   for (const auto& core : cores_) {
-    std::vector<NodeId> core_ids = core->replica_ids();
-    ids.insert(ids.end(), core_ids.begin(), core_ids.end());
+    std::vector<ReplicaGroup> core_groups = core->replica_groups();
+    groups.insert(groups.end(), core_groups.begin(), core_groups.end());
   }
-  return ids;
+  return groups;
 }
 
 }  // namespace spider

@@ -44,7 +44,7 @@ struct ShardedTopology {
 /// throws std::invalid_argument naming the offending field.
 void validate_topology(const ShardedTopology& t);
 
-class ShardedSpiderSystem {
+class ShardedSpiderSystem : public FaultSurface {
  public:
   ShardedSpiderSystem(World& world, ShardedTopology topology);
 
@@ -63,12 +63,13 @@ class ShardedSpiderSystem {
   GroupId add_group(std::uint32_t shard, Region region, std::function<void()> done = {});
   void remove_group(std::uint32_t shard, GroupId g, std::function<void()> done = {});
 
-  // ---- crash-recovery (FaultPlan hooks) ----------------------------------
+  // ---- fault surface ------------------------------------------------------
   /// Routes to the core owning the replica id; see SpiderSystem.
-  bool crash_node(NodeId id);
-  bool restart_node(NodeId id);
-  /// Replica ids across every core, for fault-plan targeting.
-  [[nodiscard]] std::vector<NodeId> replica_ids() const;
+  bool crash_node(NodeId id) override;
+  bool restart_node(NodeId id) override;
+  /// Every core's replica groups, core by core: each shard's agreement
+  /// group is a consensus group of its own.
+  [[nodiscard]] std::vector<ReplicaGroup> replica_groups() const override;
 
   /// Installs a rebalanced shard map; the new table only reaches routers
   /// that adopt_map() it. The shard count is fixed by the deployment.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/fault_surface.hpp"
 #include "sim/world.hpp"
 
 namespace spider {
@@ -89,6 +90,12 @@ bool contains(const std::vector<NodeId>& side, NodeId n) {
 
 FaultPlan::FaultPlan(World& world) : world_(world), alive_(std::make_shared<bool>(true)) {
   world_.net().set_fault_shaper([this](NodeId from, NodeId to) { return shape(from, to); });
+}
+
+FaultPlan::FaultPlan(World& world, FaultSurface& system) : FaultPlan(world) {
+  system_ = &system;
+  on_crash = [&system](NodeId n) { system.crash_node(n); };
+  on_restart = [&system](NodeId n) { system.restart_node(n); };
 }
 
 FaultPlan::~FaultPlan() {
@@ -242,10 +249,22 @@ void FaultPlan::apply_byz(NodeId n) {
 }
 
 void FaultPlan::randomize(const ChaosProfile& profile) {
+  if (system_ == nullptr) {
+    throw std::logic_error("FaultPlan::randomize: the plan was built without a FaultSurface");
+  }
   Rng rng = world_.rng().fork();
 
-  std::vector<NodeId> pool = profile.crash_targets;
-  for (const auto& g : profile.partition_groups) pool.insert(pool.end(), g.begin(), g.end());
+  const std::vector<NodeId> crash_targets = system_->replica_ids();
+  const std::vector<std::vector<NodeId>> partition_groups = system_->partition_groups();
+  const std::vector<ReplicaGroup> groups = system_->replica_groups();
+  // At most the smallest group f down at once, so no group loses more.
+  std::uint32_t max_concurrent_crashes = groups.empty() ? 0 : groups[0].f;
+  for (const ReplicaGroup& g : groups) {
+    max_concurrent_crashes = std::min(max_concurrent_crashes, g.f);
+  }
+
+  std::vector<NodeId> pool = crash_targets;
+  for (const auto& g : partition_groups) pool.insert(pool.end(), g.begin(), g.end());
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
@@ -268,8 +287,8 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
     if (!draw_window(t, outage)) continue;
 
     std::uint64_t kind = rng.uniform(5);
-    if (kind == 0 && !profile.crash_targets.empty()) {
-      NodeId target = profile.crash_targets[rng.uniform(profile.crash_targets.size())];
+    if (kind == 0 && !crash_targets.empty()) {
+      NodeId target = crash_targets[rng.uniform(crash_targets.size())];
       // Respect the crash-concurrency cap; a disallowed crash degrades to a
       // slow-node window so the action count stays seed-stable.
       std::size_t overlapping = 0;
@@ -282,7 +301,7 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
         // silently cancelling a fault the schedule claims to inject.
         if (n == target && t0 <= t + outage && t <= t1) same_target = true;
       }
-      if (!same_target && overlapping < profile.max_concurrent_crashes) {
+      if (!same_target && overlapping < max_concurrent_crashes) {
         crash_busy.emplace_back(target, t, t + outage);
         crash_at(t, target);
         restart_at(t + outage, target);
@@ -290,14 +309,13 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
       }
       kind = 4;
     }
-    if (kind == 1 && profile.partition_groups.size() >= 2) {
-      std::size_t side = rng.uniform(profile.partition_groups.size());
-      std::vector<NodeId> a = profile.partition_groups[side];
+    if (kind == 1 && partition_groups.size() >= 2) {
+      std::size_t side = rng.uniform(partition_groups.size());
+      std::vector<NodeId> a = partition_groups[side];
       std::vector<NodeId> b;
-      for (std::size_t g = 0; g < profile.partition_groups.size(); ++g) {
+      for (std::size_t g = 0; g < partition_groups.size(); ++g) {
         if (g == side) continue;
-        b.insert(b.end(), profile.partition_groups[g].begin(),
-                 profile.partition_groups[g].end());
+        b.insert(b.end(), partition_groups[g].begin(), partition_groups[g].end());
       }
       partition_nodes_at(t, std::move(a), std::move(b), outage);
       continue;
@@ -324,29 +342,25 @@ void FaultPlan::randomize(const ChaosProfile& profile) {
   }
 
   // ---- Byzantine schedule ------------------------------------------------
-  // First fix WHO turns Byzantine: at most the capped number of distinct
-  // members per group per role — the ≤f threat-model boundary. Then draw
-  // the timed misbehaviour windows over that fixed set.
+  // First fix WHO turns Byzantine: at most f distinct members per group —
+  // the ≤f threat-model boundary — consensus groups first. Then draw the
+  // timed misbehaviour windows over that fixed set.
   if (profile.byz_actions == 0) return;
   struct ByzTarget {
     NodeId node;
     bool consensus;
   };
   std::vector<ByzTarget> targets;
-  auto sample_group = [&rng, &targets](const std::vector<NodeId>& grp, std::uint32_t cap,
-                                       bool consensus) {
-    std::vector<NodeId> candidates = grp;
-    for (std::uint32_t k = 0; k < cap && !candidates.empty(); ++k) {
-      std::size_t i = rng.uniform(candidates.size());
-      targets.push_back(ByzTarget{candidates[i], consensus});
-      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
+  for (const bool consensus : {true, false}) {
+    for (const ReplicaGroup& grp : groups) {
+      if (grp.orders != consensus) continue;
+      std::vector<NodeId> candidates = grp.members;
+      for (std::uint32_t k = 0; k < grp.f && !candidates.empty(); ++k) {
+        std::size_t i = rng.uniform(candidates.size());
+        targets.push_back(ByzTarget{candidates[i], consensus});
+        candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
+      }
     }
-  };
-  for (const auto& grp : profile.byz_consensus_groups) {
-    sample_group(grp, profile.max_byz_per_consensus_group, true);
-  }
-  for (const auto& grp : profile.byz_exec_groups) {
-    sample_group(grp, profile.max_byz_per_exec_group, false);
   }
   if (targets.empty()) return;
 

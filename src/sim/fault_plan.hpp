@@ -17,10 +17,12 @@
 // follow one rule: the later start's value wins and the effect lasts until
 // the latest end.
 //
-// Crash semantics are pluggable: with `on_crash`/`on_restart` hooks set
-// (the systems' crash_node/restart_node), a crash destroys the replica
+// Crash semantics are pluggable: a plan built from a system's FaultSurface
+// (`FaultPlan(world, sys)`) sets its `on_crash`/`on_restart` hooks to the
+// system's crash_node/restart_node, so a crash destroys the replica
 // process — volatile state is lost and the rebuilt process must recover
-// through checkpoint state transfer. Without hooks the plan falls back to
+// through checkpoint state transfer. A caller may set the hooks itself on
+// a plan built from the World alone. Without hooks the plan falls back to
 // the crash-stop model (Transport::set_node_down), which keeps state.
 // Byzantine windows write the node's World::byzantine(n) entry, which the
 // replica reads where it acts and which persists across a crash/restart of
@@ -41,6 +43,7 @@
 
 namespace spider {
 
+class FaultSurface;
 class World;
 
 class FaultPlan {
@@ -48,15 +51,20 @@ class FaultPlan {
   /// Installs this plan's fault shaper on the world's network. One plan
   /// per World at a time; the destructor uninstalls it.
   explicit FaultPlan(World& world);
+  /// A plan against `system`: binds the crash hooks to its crash_node /
+  /// restart_node and lets randomize() draw its targets from its groups.
+  /// `system` must outlive the plan.
+  FaultPlan(World& world, FaultSurface& system);
   ~FaultPlan();
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
   // ---- crash-recovery hooks --------------------------------------------
-  /// Invoked when a scheduled crash/restart fires. Typically bound to a
-  /// system's crash_node/restart_node (process teardown + rebuild). When
-  /// unset, crashes degrade to the crash-stop model (set_node_down).
+  /// Invoked when a scheduled crash/restart fires. The FaultSurface
+  /// constructor binds them to the system's crash_node/restart_node
+  /// (process teardown + rebuild). When unset, crashes degrade to the
+  /// crash-stop model (set_node_down).
   std::function<void(NodeId)> on_crash;
   std::function<void(NodeId)> on_restart;
 
@@ -86,40 +94,24 @@ class FaultPlan {
 
   // ---- random scenario generation ---------------------------------------
   struct ChaosProfile {
-    /// Nodes that may crash (each crash is paired with a restart).
-    std::vector<NodeId> crash_targets;
-    /// Candidate sides for partitions: a random group is cut off from the
-    /// union of the others. Typically one group per site or per role.
-    std::vector<std::vector<NodeId>> partition_groups;
     /// All actions start in [start, horizon) and end by horizon.
     Time start = 2 * kSecond;
     Time horizon = 20 * kSecond;
     std::size_t actions = 4;
-    std::uint32_t max_concurrent_crashes = 1;
-
-    // ---- Byzantine schedules (active adversaries) ------------------------
-    /// Consensus-role candidates, one entry per agreement/BFT group. At
-    /// most `max_byz_per_consensus_group` distinct members of each entry
-    /// ever turn Byzantine — the hard cap; set it to the group's f. A node
-    /// should appear in at most one entry across both candidate lists (the
-    /// caps are per group, not aggregated across roles).
-    std::vector<std::vector<NodeId>> byz_consensus_groups;
-    std::uint32_t max_byz_per_consensus_group = 0;
-    /// Execution-role candidates, one entry per execution group; capped at
-    /// `max_byz_per_exec_group` (set it to the group's fe) distinct
-    /// members each.
-    std::vector<std::vector<NodeId>> byz_exec_groups;
-    std::uint32_t max_byz_per_exec_group = 0;
-    /// Number of timed Byzantine windows drawn over the capped node sets.
+    /// Number of timed Byzantine windows (active adversaries).
     std::size_t byz_actions = 0;
   };
-  /// Draws `profile.actions` random timed actions from the World RNG:
-  /// crash+restart pairs, partitions, loss/delay spikes and slow-node
-  /// windows, each lasting 1-6 s — plus `profile.byz_actions` Byzantine
-  /// windows (mute, equivocation, corrupt replies, dropped forwarding,
-  /// forged checkpoints) over at most the capped number of distinct
-  /// replicas per role. Every fault ends by `profile.horizon`, so a run
-  /// driven past the horizon always returns to a fault-free, honest system.
+  /// Draws `profile.actions` random timed actions from the World RNG over
+  /// the system's fault surface: crash+restart pairs of replicas (at most
+  /// the smallest group f down at once), partitions cutting one partition
+  /// group off from the others, loss/delay spikes and slow-node windows,
+  /// each lasting 1-6 s. Then it fixes at most f Byzantine members per
+  /// replica group, consensus groups before execution groups, and draws
+  /// `profile.byz_actions` windows over them (mute, equivocation, corrupt
+  /// replies, dropped forwarding, forged checkpoints). Every fault ends by
+  /// `profile.horizon`, so a run driven past the horizon always returns to
+  /// a fault-free, honest system. Throws std::logic_error on a plan built
+  /// without a FaultSurface.
   void randomize(const ChaosProfile& profile);
 
   // ---- introspection ------------------------------------------------------
@@ -183,6 +175,7 @@ class FaultPlan {
   static WindowKey link_key(Kind kind, NodeId a, NodeId b);
 
   World& world_;
+  FaultSurface* system_ = nullptr;
   std::shared_ptr<bool> alive_;
   std::vector<Action> actions_;
   std::vector<std::size_t> partitions_;  // active partitions, by action index

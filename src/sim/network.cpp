@@ -75,10 +75,10 @@ void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cl
 
   Duration base = one_way_latency(src->site(), dst->site());
   Duration jitter = static_cast<Duration>(rng_.uniform01() * jitter_frac * static_cast<double>(base));
-  double bw = bandwidth_bytes_per_us *
+  double bw = kBandwidthBytesPerUs *
               std::min(node_bandwidth_factor(from), node_bandwidth_factor(to));
   Duration transmit = static_cast<Duration>(static_cast<double>(size) / bw);
-  Time arrival = queue_.now() + fixed_overhead + base + jitter + transmit + fault.extra_delay;
+  Time arrival = queue_.now() + kFixedOverhead + base + jitter + transmit + fault.extra_delay;
 
   if (tracer_) {
     tracer_->instant(queue_.now(), from, wan ? "net-wan" : "net-lan", "send",

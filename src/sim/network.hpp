@@ -82,11 +82,11 @@ class SimNetwork final : public Transport {
   /// RNG or alters delivery.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Per-node NIC bandwidth in bytes per microsecond (default ~0.6 Gbit/s
+  /// Per-node NIC bandwidth in bytes per microsecond (~0.6 Gbit/s
   /// sustained, matching a t3.small-class instance).
-  double bandwidth_bytes_per_us = 75.0;
+  static constexpr double kBandwidthBytesPerUs = 75.0;
   /// Extra fixed per-hop delay (kernel/NIC).
-  Duration fixed_overhead = 30;
+  static constexpr Duration kFixedOverhead = 30;
   /// Relative uniform jitter applied to the propagation delay.
   double jitter_frac = 0.02;
 

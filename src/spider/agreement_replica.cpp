@@ -73,7 +73,7 @@ void AgreementReplica::setup_channel(const RegistryEntry& info, bool backfill) {
   ch.info = info;
   ch.request_rx = make_irmc_receiver(
       cfg_.irmc_kind, *this,
-      request_channel(info.group, info.members, cfg_.members, cfg_.fa, cfg_.request_capacity));
+      request_channel(info.group, info.members, cfg_.members, cfg_.fa));
   ch.commit_tx = make_irmc_sender(
       cfg_.irmc_kind, *this,
       commit_channel(info.group, info.members, cfg_.members, cfg_.fa, cfg_.commit_capacity));

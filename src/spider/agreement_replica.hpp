@@ -34,7 +34,6 @@ struct AgreementConfig {
   Duration batch_delay = 0;              // max wait for a batch to fill
   std::uint32_t z = 0;                   // trailing groups that may be skipped
   Position commit_capacity = 64;
-  Position request_capacity = 2;
   Duration request_timeout = 2 * kSecond;
   Duration view_change_timeout = 4 * kSecond;
   NodeId admin = kInvalidNode;           // only this client may reconfigure

@@ -13,14 +13,13 @@ constexpr Duration kExecCost = 8;
 }  // namespace
 
 IrmcConfig request_channel(GroupId g, const std::vector<NodeId>& members,
-                           const std::vector<NodeId>& agreement, std::uint32_t fa,
-                           Position capacity) {
+                           const std::vector<NodeId>& agreement, std::uint32_t fa) {
   IrmcConfig cfg;
   cfg.senders = members;
   cfg.receivers = agreement;
   cfg.fs = static_cast<std::uint32_t>((members.size() - 1) / 2);
   cfg.fr = fa;
-  cfg.capacity = capacity;
+  cfg.capacity = kRequestCapacity;
   cfg.channel_tag = request_channel_tag(g);
   return cfg;
 }
@@ -50,7 +49,7 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
 
   request_tx_ = make_irmc_sender(cfg_.irmc_kind, *this,
                                  request_channel(cfg_.group, cfg_.members, cfg_.agreement,
-                                                 cfg_.fa, cfg_.request_capacity));
+                                                 cfg_.fa));
   commit_rx_ = make_irmc_receiver(cfg_.irmc_kind, *this,
                                   commit_channel(cfg_.group, cfg_.members, cfg_.agreement,
                                                  cfg_.fa, cfg_.commit_capacity));

@@ -27,12 +27,15 @@ namespace spider {
 constexpr std::uint32_t request_channel_tag(GroupId e) { return tags::kIrmc | (e << 1); }
 constexpr std::uint32_t commit_channel_tag(GroupId e) { return tags::kIrmc | (e << 1) | 1; }
 
+/// Per-client subchannel capacity of every request channel (paper Fig. 16,
+/// L. 6).
+inline constexpr Position kRequestCapacity = 2;
+
 /// Group g's request channel (its 2fe+1 `members` -> the 3fa+1 `agreement`
 /// replicas) and commit channel (the reverse), one definition for both
 /// ends. fe follows from the group's size.
 IrmcConfig request_channel(GroupId g, const std::vector<NodeId>& members,
-                           const std::vector<NodeId>& agreement, std::uint32_t fa,
-                           Position capacity);
+                           const std::vector<NodeId>& agreement, std::uint32_t fa);
 IrmcConfig commit_channel(GroupId g, const std::vector<NodeId>& members,
                           const std::vector<NodeId>& agreement, std::uint32_t fa,
                           Position capacity);
@@ -55,7 +58,6 @@ struct ExecutionConfig {
   IrmcKind irmc_kind = IrmcKind::ReceiverCollect;
   std::uint64_t ke = 16;                // execution checkpoint interval (logical requests)
   Position commit_capacity = 64;        // >= ke + max_batch for liveness (paper §3.4)
-  Position request_capacity = 2;        // per-client subchannel (Fig. 16, L. 6)
   // Sharded deployments with live resharding: the partition table this
   // replica enforces and the shard index it answers for. Unset = no
   // ownership checks (standalone / statically sharded deployments).

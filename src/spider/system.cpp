@@ -133,7 +133,6 @@ AgreementConfig SpiderSystem::agreement_config(std::size_t i) const {
   cfg.batch_delay = topo_.batch_delay;
   cfg.z = topo_.z;
   cfg.commit_capacity = topo_.commit_capacity;
-  cfg.request_capacity = topo_.request_capacity;
   cfg.request_timeout = topo_.request_timeout;
   cfg.view_change_timeout = topo_.view_change_timeout;
   cfg.admin = admin_->id();
@@ -152,7 +151,6 @@ ExecutionConfig SpiderSystem::exec_config(GroupId g, std::size_t i) const {
   cfg.irmc_kind = topo_.irmc_kind;
   cfg.ke = topo_.ke;
   cfg.commit_capacity = topo_.commit_capacity;
-  cfg.request_capacity = topo_.request_capacity;
   cfg.shard_map = topo_.shard_map;
   cfg.shard_index = topo_.shard_index;
   cfg.admin = admin_->id();
@@ -314,12 +312,10 @@ bool SpiderSystem::is_crashed(NodeId id) const {
   return false;
 }
 
-std::vector<NodeId> SpiderSystem::replica_ids() const {
-  std::vector<NodeId> ids = agreement_ids_;
-  for (const auto& [g, members] : group_members_) {
-    ids.insert(ids.end(), members.begin(), members.end());
-  }
-  return ids;
+std::vector<ReplicaGroup> SpiderSystem::replica_groups() const {
+  std::vector<ReplicaGroup> groups = {{agreement_ids_, topo_.fa, true}};
+  for (const auto& [g, members] : group_members_) groups.push_back({members, topo_.fe, false});
+  return groups;
 }
 
 }  // namespace spider

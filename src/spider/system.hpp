@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "app/kvstore.hpp"
+#include "sim/fault_surface.hpp"
 #include "spider/agreement_replica.hpp"
 #include "spider/client.hpp"
 #include "spider/execution_replica.hpp"
@@ -33,7 +34,6 @@ struct SpiderTopology {
   std::uint64_t max_batch = 1;
   Duration batch_delay = 0;
   Position commit_capacity = 64;
-  Position request_capacity = 2;
   std::uint32_t z = 0;     // trailing groups that may be skipped
   /// Rotates the agreement replicas' AZ assignment so the view-0 leader
   /// sits in a different availability zone (paper Fig. 7: "Leader in V-k").
@@ -76,7 +76,7 @@ Region nearby_region(Region r);
 /// home region, then AZs of the nearby region (additional fault domains).
 std::vector<Site> geo_replica_sites(Region home, std::size_t n);
 
-class SpiderSystem {
+class SpiderSystem : public FaultSurface {
  public:
   SpiderSystem(World& world, SpiderTopology topology);
 
@@ -96,21 +96,20 @@ class SpiderSystem {
   /// Creates a client at `site` attached to the nearest execution group.
   std::unique_ptr<SpiderClient> make_client(Site site);
 
-  // ---- crash-recovery (FaultPlan hooks) ----------------------------------
+  // ---- fault surface ------------------------------------------------------
   /// Crashes the replica process with the given id: the object is
   /// destroyed, so all volatile state (app state, logs, IRMC endpoint
   /// state, timers) is lost; messages in flight to it are dropped.
   /// Returns false if no replica of this deployment has that id.
-  bool crash_node(NodeId id);
+  bool crash_node(NodeId id) override;
   /// Rebuilds a crashed replica under the same NodeId/site. The fresh
   /// process re-initializes through the checkpoint/state-transfer path
   /// (fetch_cp / commit-channel replay / PBFT view rejoin). It reads the
   /// same World::byzantine(id) entry, so scheduled misbehaviour resumes.
-  bool restart_node(NodeId id);
+  bool restart_node(NodeId id) override;
   [[nodiscard]] bool is_crashed(NodeId id) const;
-  /// Every replica id of this deployment (agreement + execution), for
-  /// fault-plan targeting.
-  [[nodiscard]] std::vector<NodeId> replica_ids() const;
+  /// The agreement group (fa, orders), then each execution group (fe).
+  [[nodiscard]] std::vector<ReplicaGroup> replica_groups() const override;
 
   // ---- runtime reconfiguration (paper §3.6) ------------------------------
   /// Starts 2fe+1 replicas in `region` and submits <AddGroup> through the

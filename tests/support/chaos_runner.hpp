@@ -1,9 +1,11 @@
-// Shared chaos-scenario runner: builds one of the five deployment shapes
+// Shared chaos-scenario runner: builds one of the six deployment shapes
 // (Spider f=1, Spider f=2, geo-replicated PBFT baseline, 2-shard sharded,
-// and Spider f=1 over IRMC-SC instead of IRMC-RC),
-// schedules a randomized (or replayed) FaultPlan plus a recorded client
-// workload, and drives the run through chaos / recovery / verification
-// phases. Shared by the chaos suite's sweeps, replay and golden tests.
+// Spider f=1 over IRMC-SC instead of IRMC-RC, and the PBFT baseline with
+// weighted voting), schedules a FaultPlan drawn from the system's fault
+// surface (or replayed) plus a recorded client workload, and drives the
+// run through chaos / recovery / verification phases. A config chooses
+// only its topology and client sites. Shared by the chaos suite's sweeps,
+// replay and golden tests.
 #pragma once
 
 #include <memory>
@@ -30,6 +32,7 @@ enum class ChaosConfig : int {
   PbftBaseline = 2,
   Sharded2 = 3,
   SpiderF1Sc = 4,  // the SpiderF1 deployment with sender-collect channels
+  BftWv = 5,       // the PBFT baseline with weighted voting (WHEAT-style)
 };
 
 inline const char* config_name(ChaosConfig c) {
@@ -39,6 +42,7 @@ inline const char* config_name(ChaosConfig c) {
     case ChaosConfig::PbftBaseline: return "pbft_baseline";
     case ChaosConfig::Sharded2: return "sharded_2";
     case ChaosConfig::SpiderF1Sc: return "spider_f1_sc";
+    case ChaosConfig::BftWv: return "bft_wv";
   }
   return "?";
 }
@@ -63,41 +67,35 @@ struct ChaosOutcome {
 /// JSON sibling — "what was the system doing right before it wedged".
 inline constexpr Time kFlightWindow = 5 * kSecond;
 
-/// Runs the common chaos phases once the config-specific setup produced
-/// client handles, fault targets and partition groups.
+/// What a chaos scenario sets besides its deployment.
 struct ScenarioParts {
-  std::vector<chaos::ClientHandle> handles;
-  chaos::ClientHandle reader;  // used for the final per-key strong reads
-  std::vector<NodeId> crash_targets;
-  std::vector<std::vector<NodeId>> partition_groups;
-  std::uint32_t max_concurrent_crashes = 1;
+  std::vector<Site> client_sites{};  // the first client also issues the final reads
   std::size_t ops_per_client = 10;
-  // Byzantine sweep: candidate sets per role and the ≤f hard caps.
-  std::vector<std::vector<NodeId>> byz_consensus_groups;
-  std::vector<std::vector<NodeId>> byz_exec_groups;
-  std::uint32_t max_byz_consensus = 0;
-  std::uint32_t max_byz_exec = 0;
   bool byzantine = false;
   // Replay mode: schedule this serialized script instead of randomize().
   const std::string* replay_script = nullptr;
 };
 
-inline ChaosOutcome drive_chaos(World& world, HistoryRecorder& hist, FaultPlan& plan,
-                                ScenarioParts parts) {
+/// Runs the common chaos phases against `sys`: a FaultPlan drawn from its
+/// fault surface (or replayed), a recorded workload from one client per
+/// site, then chaos, recovery and verification.
+template <class System>
+ChaosOutcome drive_chaos(World& world, HistoryRecorder& hist, System& sys,
+                         const ScenarioParts& parts) {
+  FaultPlan plan(world, sys);
+  std::vector<decltype(sys.make_client(Site{}))> clients;
+  std::vector<chaos::ClientHandle> handles;
+  for (std::size_t i = 0; i < parts.client_sites.size(); ++i) {
+    clients.push_back(sys.make_client(parts.client_sites[i]));
+    handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
+  }
+  chaos::ClientHandle reader = chaos::ClientHandle::wrap(hist, *clients[0], 99);
+
   FaultPlan::ChaosProfile profile;
-  profile.crash_targets = std::move(parts.crash_targets);
-  profile.partition_groups = std::move(parts.partition_groups);
   profile.start = 2 * kSecond;
   profile.horizon = 18 * kSecond;
   profile.actions = 5;
-  profile.max_concurrent_crashes = parts.max_concurrent_crashes;
-  if (parts.byzantine) {
-    profile.byz_consensus_groups = std::move(parts.byz_consensus_groups);
-    profile.byz_exec_groups = std::move(parts.byz_exec_groups);
-    profile.max_byz_per_consensus_group = parts.max_byz_consensus;
-    profile.max_byz_per_exec_group = parts.max_byz_exec;
-    profile.byz_actions = 4;
-  }
+  if (parts.byzantine) profile.byz_actions = 4;
   if (parts.replay_script != nullptr) {
     // Mirror randomize()'s single World-RNG fork so the workload schedule
     // drawn below stays bit-identical with the recorded run.
@@ -111,7 +109,7 @@ inline ChaosOutcome drive_chaos(World& world, HistoryRecorder& hist, FaultPlan& 
   opt.ops_per_client = parts.ops_per_client;
   opt.mean_gap = 900 * kMillisecond;
   std::vector<std::string> keys = chaos::key_pool(6);
-  chaos::schedule_workload(world, parts.handles, keys, opt);
+  chaos::schedule_workload(world, std::move(handles), keys, opt);
 
   ChaosOutcome out;
   out.fault_script = plan.describe();
@@ -125,7 +123,7 @@ inline ChaosOutcome drive_chaos(World& world, HistoryRecorder& hist, FaultPlan& 
 
   // Verification phase: a final strong read per key pins the outcome of
   // every acknowledged write into the checked history.
-  for (const std::string& k : keys) parts.reader.strong_get(k);
+  for (const std::string& k : keys) reader.strong_get(k);
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 60 * kSecond);
 
   out.pending = hist.pending_count();
@@ -186,19 +184,22 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
   // wire bytes), so the golden-pinned histories below are unaffected.
   world.enable_tracing(obs::Tracer::Mode::kRing, 1 << 15);
   HistoryRecorder hist(world);
+  ScenarioParts parts{.byzantine = byzantine, .replay_script = replay_script};
+
+  // Every Spider core, standalone or sharded.
+  SpiderTopology topo;
+  topo.ka = 8;
+  topo.ke = 8;
+  topo.ag_win = 32;
+  topo.commit_capacity = 16;
+  topo.client_retry = kSecond;
+  topo.request_timeout = kSecond;
+  topo.view_change_timeout = 2 * kSecond;
 
   switch (config) {
     case ChaosConfig::SpiderF1:
     case ChaosConfig::SpiderF2:
     case ChaosConfig::SpiderF1Sc: {
-      SpiderTopology topo;
-      topo.ka = 8;
-      topo.ke = 8;
-      topo.ag_win = 32;
-      topo.commit_capacity = 16;
-      topo.client_retry = kSecond;
-      topo.request_timeout = kSecond;
-      topo.view_change_timeout = 2 * kSecond;
       if (config == ChaosConfig::SpiderF1Sc) topo.irmc_kind = IrmcKind::SenderCollect;
       if (config == ChaosConfig::SpiderF2) {
         topo.fa = 2;
@@ -208,120 +209,40 @@ inline ChaosOutcome run_chaos(ChaosConfig config, std::uint64_t seed, bool byzan
         topo.exec_regions = {Region::Virginia, Region::Tokyo};
       }
       SpiderSystem sys(world, topo);
-      FaultPlan plan(world);
-      plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-      plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-
-      std::vector<std::unique_ptr<SpiderClient>> clients;
-      clients.push_back(sys.make_client(Site{Region::Virginia, 0}));
-      clients.push_back(sys.make_client(Site{topo.exec_regions.back(), 0}));
-      clients.push_back(sys.make_client(Site{Region::Oregon, 1}));
-
-      ScenarioParts parts;
-      parts.byzantine = byzantine;
-      parts.replay_script = replay_script;
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        parts.handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
-      }
-      parts.reader = chaos::ClientHandle::wrap(hist, *clients[0], 99);
-      parts.crash_targets = sys.replica_ids();
-      parts.partition_groups.push_back(sys.agreement_ids());
-      for (GroupId g : sys.group_ids()) {
-        std::vector<NodeId> members;
-        for (std::size_t i = 0; i < sys.group_size(g); ++i) members.push_back(sys.exec(g, i).id());
-        parts.partition_groups.push_back(std::move(members));
-      }
-      // Threat-model caps: ≤fa Byzantine agreement replicas, ≤fe per
-      // execution group (partition_groups[0] is the agreement group, the
-      // rest are the execution groups).
-      parts.byz_consensus_groups = {sys.agreement_ids()};
-      parts.byz_exec_groups.assign(parts.partition_groups.begin() + 1,
-                                   parts.partition_groups.end());
-      parts.max_byz_consensus = topo.fa;
-      parts.max_byz_exec = topo.fe;
-      parts.max_concurrent_crashes = config == ChaosConfig::SpiderF2 ? 2 : 1;
-      return drive_chaos(world, hist, plan, std::move(parts));
+      parts.client_sites = {Site{Region::Virginia, 0}, Site{topo.exec_regions.back(), 0},
+                            Site{Region::Oregon, 1}};
+      return drive_chaos(world, hist, sys, parts);
     }
 
-    case ChaosConfig::PbftBaseline: {
+    case ChaosConfig::PbftBaseline:
+    case ChaosConfig::BftWv: {
       BftConfig cfg;
       cfg.sites = {Site{Region::Virginia, 0}, Site{Region::Oregon, 0}, Site{Region::Ireland, 0},
                    Site{Region::Tokyo, 0}};
+      if (config == ChaosConfig::BftWv) {
+        // fig10's weighted-voting deployment: a fifth replica in Sao Paulo,
+        // weight 2 on Virginia and Oregon.
+        cfg.sites.push_back(Site{Region::SaoPaulo, 0});
+        cfg.weights = {2, 2, 1, 1, 1};
+        cfg.quorum_weight = 5;
+      }
       cfg.checkpoint_interval = 8;
       cfg.request_timeout = 2 * kSecond;
       cfg.view_change_timeout = 3 * kSecond;
       BftSystem sys(world, cfg);
-      FaultPlan plan(world);
-      plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-      plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-
-      std::vector<std::unique_ptr<SpiderClient>> clients;
-      clients.push_back(sys.make_client(Site{Region::Virginia, 1}));
-      clients.push_back(sys.make_client(Site{Region::Tokyo, 1}));
-
-      ScenarioParts parts;
-      parts.byzantine = byzantine;
-      parts.replay_script = replay_script;
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        parts.handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
-      }
-      parts.reader = chaos::ClientHandle::wrap(hist, *clients[0], 99);
-      parts.crash_targets = sys.replica_ids();
-      for (NodeId n : sys.replica_ids()) parts.partition_groups.push_back({n});
-      // Baseline replicas both order and execute, so they appear once, as
-      // one consensus group capped at f (they draw corrupt-replies from
-      // the consensus-role action set).
-      parts.byz_consensus_groups = {sys.replica_ids()};
-      parts.max_byz_consensus = cfg.f;
+      parts.client_sites = {Site{Region::Virginia, 1}, Site{Region::Tokyo, 1}};
       parts.ops_per_client = 8;  // WAN consensus: each op takes ~2 RTTs
-      return drive_chaos(world, hist, plan, std::move(parts));
+      return drive_chaos(world, hist, sys, parts);
     }
 
     case ChaosConfig::Sharded2: {
-      ShardedTopology topo;
-      topo.shards = 2;
-      topo.base.exec_regions = {Region::Virginia};
-      topo.base.ka = 8;
-      topo.base.ke = 8;
-      topo.base.ag_win = 32;
-      topo.base.commit_capacity = 16;
-      topo.base.client_retry = kSecond;
-      topo.base.request_timeout = kSecond;
-      topo.base.view_change_timeout = 2 * kSecond;
-      ShardedSpiderSystem sys(world, topo);
-      FaultPlan plan(world);
-      plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-      plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
-
-      std::vector<std::unique_ptr<ShardedClient>> clients;
-      clients.push_back(sys.make_client(Site{Region::Virginia, 0}));
-      clients.push_back(sys.make_client(Site{Region::Virginia, 1}));
-
-      ScenarioParts parts;
-      parts.byzantine = byzantine;
-      parts.replay_script = replay_script;
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        parts.handles.push_back(chaos::ClientHandle::wrap(hist, *clients[i], i));
-      }
-      parts.reader = chaos::ClientHandle::wrap(hist, *clients[0], 99);
-      parts.crash_targets = sys.replica_ids();
-      for (std::uint32_t s = 0; s < sys.shard_count(); ++s) {
-        // Each shard's agreement group is its own consensus group (the ≤f
-        // cap applies per group, so both shards may host an adversary).
-        parts.byz_consensus_groups.push_back(sys.core(s).agreement_ids());
-        parts.partition_groups.push_back(sys.core(s).agreement_ids());
-        for (GroupId g : sys.core(s).group_ids()) {
-          std::vector<NodeId> members;
-          for (std::size_t i = 0; i < sys.core(s).group_size(g); ++i) {
-            members.push_back(sys.core(s).exec(g, i).id());
-          }
-          parts.byz_exec_groups.push_back(members);
-          parts.partition_groups.push_back(std::move(members));
-        }
-      }
-      parts.max_byz_consensus = topo.base.fa;
-      parts.max_byz_exec = topo.base.fe;
-      return drive_chaos(world, hist, plan, std::move(parts));
+      ShardedTopology sharded;
+      sharded.shards = 2;
+      sharded.base = topo;
+      sharded.base.exec_regions = {Region::Virginia};
+      ShardedSpiderSystem sys(world, sharded);
+      parts.client_sites = {Site{Region::Virginia, 0}, Site{Region::Virginia, 1}};
+      return drive_chaos(world, hist, sys, parts);
     }
   }
   return {};

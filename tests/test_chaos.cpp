@@ -1,17 +1,19 @@
-// Seed-swept chaos suite: random FaultPlans against four deployment
-// shapes — Spider f=1, Spider f=2, the geo-replicated PBFT baseline, and a
-// 2-shard sharded deployment — with every client operation recorded and
-// the whole history checked for per-key linearizability (weak reads
-// against the committed-prefix rule).
+// Seed-swept chaos suite: random FaultPlans against six deployment
+// shapes — Spider f=1, Spider f=2, the geo-replicated PBFT baseline, a
+// 2-shard sharded deployment, Spider f=1 over IRMC-SC, and the PBFT
+// baseline with weighted voting (BFT-WV) — with every client operation
+// recorded and the whole history checked for per-key linearizability
+// (weak reads against the committed-prefix rule). Every fault target
+// comes from the system's fault surface (sim/fault_surface.hpp).
 //
 //   - Benign sweep: crashes + restarts, partitions, loss, delay spikes,
-//     slow nodes. 16 seeds x 4 configs = 64 scenarios.
+//     slow nodes. 16 seeds x 6 configs = 96 scenarios.
 //   - Byzantine sweep: the benign faults *plus* scheduled active-adversary
 //     windows (equivocating primaries, corrupt replies, dropped request
 //     forwarding, muted / fully-isolated consensus replicas, forged
 //     checkpoint certificates), hard-capped at ≤f Byzantine replicas per
-//     consensus group and ≤fe per execution group. 8 seeds x 4 configs =
-//     32 scenarios. Linearizability must hold under ANY such schedule; the
+//     consensus group and ≤fe per execution group. 8 seeds x 6 configs =
+//     48 scenarios. Linearizability must hold under ANY such schedule; the
 //     fe+1-corruptor canary below proves the checker would catch a breach.
 //
 // On failure each scenario writes chaos_failure_<config>_seed<N>.txt
@@ -111,7 +113,7 @@ std::string chaos_param_name(const ::testing::TestParamInfo<std::tuple<int, std:
 }
 
 INSTANTIATE_TEST_SUITE_P(Chaos, ChaosSweep,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                                             ::testing::Range<std::uint64_t>(1, 17)),
                          chaos_param_name);
 
@@ -136,7 +138,7 @@ TEST_P(ByzChaosSweep, LinearizableUnderActiveAdversaries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Chaos, ByzChaosSweep,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                                             ::testing::Range<std::uint64_t>(101, 109)),
                          chaos_param_name);
 

@@ -1,14 +1,18 @@
 // Sim-layer tests for the fault-schedule engine: partition stacking on the
 // user link filter, crash/restart hooks, link shaping, slow-node mode,
 // Byzantine windows, detach/re-attach in-flight message semantics, seed
-// determinism and the script's text formats.
+// determinism and the script's text formats. randomize() runs against a
+// small fake fault surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/fault_plan.hpp"
+#include "sim/fault_surface.hpp"
 #include "sim/node.hpp"
 #include "sim/world.hpp"
 
@@ -32,6 +36,27 @@ class EchoNode : public SimNode {
 };
 
 Bytes payload(const char* s) { return to_bytes(std::string(s)); }
+
+/// A fault surface with no processes behind it: fixed replica groups, and
+/// crash/restart calls that only track which replicas are down.
+class FakeSurface final : public FaultSurface {
+ public:
+  explicit FakeSurface(std::vector<ReplicaGroup> groups) : groups_(std::move(groups)) {}
+
+  bool crash_node(NodeId id) override {
+    down.insert(id);
+    max_down = std::max(max_down, down.size());
+    return true;
+  }
+  bool restart_node(NodeId id) override { return down.erase(id) > 0; }
+  [[nodiscard]] std::vector<ReplicaGroup> replica_groups() const override { return groups_; }
+
+  std::set<NodeId> down;
+  std::size_t max_down = 0;
+
+ private:
+  std::vector<ReplicaGroup> groups_;
+};
 
 TEST(FaultPlan, PartitionCutsAndHeals) {
   World world(1);
@@ -109,6 +134,27 @@ TEST(FaultPlan, CrashRestartHooksFire) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].first, "restart");
   EXPECT_FALSE(plan.crashed(42));
+}
+
+TEST(FaultPlan, FaultSurfaceConstructorBindsCrashHooks) {
+  World world(1);
+  FakeSurface sys({{{1, 2, 3, 4}, 1, true}});
+  FaultPlan plan(world, sys);
+  plan.crash_at(kSecond, 3);
+  plan.restart_at(2 * kSecond, 3);
+
+  world.run_until(kSecond + 1);
+  EXPECT_EQ(sys.down, std::set<NodeId>{3});
+  EXPECT_FALSE(world.net().is_down(3)) << "a bound crash must not fall back to crash-stop";
+  world.run_until(3 * kSecond);
+  EXPECT_TRUE(sys.down.empty());
+}
+
+TEST(FaultPlan, RandomizeWithoutFaultSurfaceThrows) {
+  World world(1);
+  FaultPlan plan(world);
+  EXPECT_THROW(plan.randomize({}), std::logic_error);
+  EXPECT_EQ(plan.serialize_script(), "");
 }
 
 TEST(FaultPlan, CrashStopFallbackWithoutHooks) {
@@ -257,10 +303,9 @@ TEST(NetworkIncarnation, InFlightFromDeadSenderStillArrives) {
 TEST(FaultPlan, RandomizedScheduleIsSeedDeterministic) {
   auto script_for = [](std::uint64_t seed) {
     World world(seed);
-    FaultPlan plan(world);
+    FakeSurface sys({{{1, 2}, 1, true}, {{3, 4}, 1, false}});
+    FaultPlan plan(world, sys);
     FaultPlan::ChaosProfile profile;
-    profile.crash_targets = {1, 2, 3, 4};
-    profile.partition_groups = {{1, 2}, {3, 4}};
     profile.actions = 6;
     plan.randomize(profile);
     return plan.describe();
@@ -268,6 +313,28 @@ TEST(FaultPlan, RandomizedScheduleIsSeedDeterministic) {
   EXPECT_EQ(script_for(5), script_for(5));
   EXPECT_NE(script_for(5), script_for(6));
   EXPECT_FALSE(script_for(5).empty());
+}
+
+TEST(FaultPlan, RandomizedCrashesStayWithinTheSmallestGroupF) {
+  // At most the smallest group f replicas are down at once: one when any
+  // group tolerates only one fault, two when every group tolerates two.
+  auto max_down = [](std::uint32_t exec_f) {
+    std::size_t most = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      World world(seed);
+      FakeSurface sys({{{1, 2, 3, 4, 5, 6, 7}, 2, true}, {{10, 11, 12, 13, 14}, exec_f, false}});
+      FaultPlan plan(world, sys);
+      FaultPlan::ChaosProfile profile;
+      profile.actions = 40;
+      plan.randomize(profile);
+      world.run_until(profile.horizon + kSecond);
+      EXPECT_TRUE(sys.down.empty()) << "every crash restarts by the horizon";
+      most = std::max(most, sys.max_down);
+    }
+    return most;
+  };
+  EXPECT_EQ(max_down(1), 1u);
+  EXPECT_EQ(max_down(2), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,16 +414,14 @@ TEST(FaultPlan, OverlappingByzantineWindowsExtendAndCompose) {
 }
 
 TEST(FaultPlan, RandomizedByzantineScheduleRespectsPerRoleCaps) {
-  // With caps of 1 per consensus group and 1 per exec group, a schedule of
-  // many Byzantine actions must never touch more than one distinct node
-  // of each group.
+  // With f = 1 in every consensus and exec group, a schedule of many
+  // Byzantine actions must never touch more than one distinct node of
+  // each group.
   World world(42);
-  FaultPlan plan(world);
+  FakeSurface sys({{{1, 2, 3, 4}, 1, true}, {{10, 11, 12}, 1, false}, {{20, 21, 22}, 1, false}});
+  FaultPlan plan(world, sys);
   FaultPlan::ChaosProfile profile;
-  profile.byz_consensus_groups = {{1, 2, 3, 4}};
-  profile.max_byz_per_consensus_group = 1;
-  profile.byz_exec_groups = {{10, 11, 12}, {20, 21, 22}};
-  profile.max_byz_per_exec_group = 1;
+  profile.actions = 0;
   profile.byz_actions = 24;
   plan.randomize(profile);
   std::set<NodeId> touched;
@@ -425,15 +490,10 @@ TEST(FaultPlan, ScriptRoundTripReproducesScheduleExactly) {
 
 TEST(FaultPlan, RandomizedScheduleSurvivesScriptRoundTrip) {
   World w1(9);
-  FaultPlan p1(w1);
+  FakeSurface sys({{{1, 2, 3, 4}, 1, true}, {{10, 11, 12}, 1, false}});
+  FaultPlan p1(w1, sys);
   FaultPlan::ChaosProfile profile;
-  profile.crash_targets = {1, 2, 3, 4};
-  profile.partition_groups = {{1, 2}, {3, 4}};
   profile.actions = 6;
-  profile.byz_consensus_groups = {{1, 2, 3, 4}};
-  profile.max_byz_per_consensus_group = 1;
-  profile.byz_exec_groups = {{10, 11, 12}};
-  profile.max_byz_per_exec_group = 1;
   profile.byz_actions = 5;
   p1.randomize(profile);
   std::string script = p1.serialize_script();

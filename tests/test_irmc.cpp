@@ -60,7 +60,7 @@ struct ChannelFixture {
   /// IRMC-RC nack timer period: a stalled subchannel is nacked at the
   /// second tick without progress.
   [[nodiscard]] Duration nack_period() const {
-    return cfg.window_announce_interval + cfg.collector_timeout;
+    return IrmcConfig::kWindowAnnounceInterval + cfg.collector_timeout;
   }
 
   void send_from_all(Subchannel sc, Position p, const Bytes& m) {

@@ -395,9 +395,7 @@ ScriptedResult run_scripted(std::uint64_t seed) {
   auto c1 = sys.make_client(Site{Region::Tokyo, 0});
   auto c2 = sys.make_client(Site{Region::Oregon, 0});
 
-  FaultPlan plan(world);
-  plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-  plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
+  FaultPlan plan(world, sys);
 
   const Time t1 = 2 * kSecond, t2 = 4 * kSecond, t3 = 10 * kSecond;
   NodeId leader = sys.agreement(0).id();

@@ -390,9 +390,7 @@ ReshardChaosOutcome run_reshard_chaos(std::uint64_t seed) {
   World world(seed);
   HistoryRecorder hist(world);
   ShardedSpiderSystem sys(world, reshard_topo(4));
-  FaultPlan plan(world);
-  plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-  plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
+  FaultPlan plan(world, sys);
 
   std::vector<std::unique_ptr<ShardedClient>> clients;
   clients.push_back(sys.make_client(Site{Region::Virginia, 0}));
@@ -400,26 +398,10 @@ ReshardChaosOutcome run_reshard_chaos(std::uint64_t seed) {
   clients.push_back(sys.make_client(Site{Region::Virginia, 2}));
 
   FaultPlan::ChaosProfile profile;
-  profile.crash_targets = sys.replica_ids();
   profile.start = 2 * kSecond;
   profile.horizon = 18 * kSecond;
   profile.actions = 5;
-  profile.max_concurrent_crashes = 1;
   profile.byz_actions = 4;
-  for (std::uint32_t s = 0; s < sys.shard_count(); ++s) {
-    profile.byz_consensus_groups.push_back(sys.core(s).agreement_ids());
-    profile.partition_groups.push_back(sys.core(s).agreement_ids());
-    for (GroupId g : sys.core(s).group_ids()) {
-      std::vector<NodeId> members;
-      for (std::size_t i = 0; i < sys.core(s).group_size(g); ++i) {
-        members.push_back(sys.core(s).exec(g, i).id());
-      }
-      profile.byz_exec_groups.push_back(members);
-      profile.partition_groups.push_back(std::move(members));
-    }
-  }
-  profile.max_byz_per_consensus_group = sys.topology().base.fa;
-  profile.max_byz_per_exec_group = sys.topology().base.fe;
   plan.randomize(profile);
 
   const std::vector<std::string> keys = chaos::key_pool(6);

@@ -338,7 +338,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
 // ---- loopback-only behaviours -------------------------------------------
 // Socket mechanics the sim has no analogue for: the one way a connection
 // ends (peer restart, peer shutdown mid-frame, a hostile prologue), frames
-// no connection can carry, and bounded buffering under backpressure.
+// no connection can carry, and bounded buffering under backpressure that
+// still lets a single large frame through.
 
 /// This process's TCP connections, found through the kernel rather than
 /// any transport API: a listener has SO_ACCEPTCONN set, an accepted
@@ -521,6 +522,27 @@ TEST(LoopbackTransport, OversizedPayloadIsDroppedAndCounted) {
   net.send(1, 2, make_payload("small"), TrafficClass::kOrdered);
   ASSERT_TRUE(backend.settle([&] { return b.received.size() == 1; }));
   EXPECT_EQ(as_string(b.received[0].second), "small");
+
+  net.detach(1);
+  net.detach(2);
+}
+
+TEST(LoopbackTransport, FrameAboveTheQueueCapCrossesAnIdleConnection) {
+  LoopbackBackend backend;
+  net::LoopbackTransport& net = backend.loopback();
+
+  RecordingEndpoint a(1, kVirginiaA), b(2, kVirginiaB);
+  net.attach(&a);
+  net.attach(&b);
+
+  // Larger than the queue cap but within the framer's bound: the sim
+  // delivers such a payload, so an empty connection queue must admit it.
+  const Payload big(Bytes(9u * 1024 * 1024, 0x5a));
+  ASSERT_GT(big.size(), net::LoopbackTransport::kMaxQueueBytes);
+  net.send(1, 2, big, TrafficClass::kOrdered);
+  ASSERT_TRUE(backend.settle([&] { return b.received.size() == 1; }));
+  EXPECT_TRUE(std::ranges::equal(b.received[0].second.view(), big.view()));
+  EXPECT_EQ(net.counters().dropped_backpressure, 0u);
 
   net.detach(1);
   net.detach(2);

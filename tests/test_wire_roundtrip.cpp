@@ -89,9 +89,7 @@ void capture_spider(IrmcKind kind, wire::Decoder& dec) {
   topo.irmc_kind = kind;
   SpiderSystem sys(world, topo);
   HistoryRecorder hist(world);
-  FaultPlan plan(world);
-  plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-  plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
+  FaultPlan plan(world, sys);
 
   // The primary crashes (view change) and comes back (state transfer); an
   // execution replica is cut off and healed (retransmission, collector
@@ -149,9 +147,7 @@ TEST(WireRoundTrip, CapturedTrafficIsCanonical) {
     cfg.view_change_timeout = 3 * kSecond;
     BftSystem sys(world, cfg);
     HistoryRecorder hist(world);
-    FaultPlan plan(world);
-    plan.on_crash = [&sys](NodeId n) { sys.crash_node(n); };
-    plan.on_restart = [&sys](NodeId n) { sys.restart_node(n); };
+    FaultPlan plan(world, sys);
     const std::vector<NodeId> ids = sys.replica_ids();
     plan.crash_at(3 * kSecond, ids[0]);
     plan.restart_at(10 * kSecond, ids[0]);
