@@ -29,8 +29,7 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
   pc.batch_delay = cfg.batch_delay;
   pbft_ = std::make_unique<PbftReplica>(
       *this, pc,
-      PbftReplica::BatchDeliverFn(
-          [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver_batch(first, batch); }));
+      [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver_batch(first, batch); });
   // A-Validity: only order authenticated client requests.
   pbft_->validate = [this](BytesView wire) {
     auto frame = codec::try_decode<ClientFrame>(wire);

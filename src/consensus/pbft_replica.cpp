@@ -13,21 +13,11 @@ namespace {
 constexpr std::size_t kKnownCap = 200'000;  // bounded dedup memory
 }
 
-PbftReplica::PbftReplica(ComponentHost& host, PbftConfig config, DeliverFn deliver,
-                         std::uint32_t tag)
-    : Component(host, tag),
-      cfg_(std::move(config)),
-      deliver_(std::move(deliver)),
-      views_adopted_(host.world().metrics().counter(
-          "pbft_views_adopted", {.node = host.id(), .role = "consensus"})) {
-  vc_timeout_cur_ = cfg_.view_change_timeout;
-}
-
 PbftReplica::PbftReplica(ComponentHost& host, PbftConfig config, BatchDeliverFn deliver,
                          std::uint32_t tag)
     : Component(host, tag),
       cfg_(std::move(config)),
-      deliver_batch_(std::move(deliver)),
+      deliver_(std::move(deliver)),
       views_adopted_(host.world().metrics().counter(
           "pbft_views_adopted", {.node = host.id(), .role = "consensus"})) {
   vc_timeout_cur_ = cfg_.view_change_timeout;
@@ -410,28 +400,19 @@ void PbftReplica::handle_commit(std::uint32_t from_idx, pbft::CommitMsg m) {
 void PbftReplica::deliver_requests(SeqNr start, SeqNr from, const std::vector<Bytes>& requests) {
   if (requests.empty()) {
     // Null instance: consumes one sequence number.
-    if (deliver_batch_) {
-      deliver_batch_(from, std::vector<Bytes>{Bytes{}});
-    } else {
-      deliver_(from, BytesView{});
-    }
+    deliver_(from, std::vector<Bytes>{Bytes{}});
     return;
   }
   for (const Bytes& req : requests) {
     if (!req.empty()) note_delivered(digest_prefix(pbft::request_digest(req)));
   }
-  if (deliver_batch_) {
-    if (from == start) {
-      deliver_batch_(start, requests);
-    } else {
-      // Head of the batch was already skipped past by gc(); deliver the tail.
-      std::vector<Bytes> tail(requests.begin() + static_cast<std::ptrdiff_t>(from - start),
-                              requests.end());
-      deliver_batch_(from, tail);
-    }
+  if (from == start) {
+    deliver_(start, requests);
   } else {
-    const SeqNr end = start + static_cast<SeqNr>(requests.size()) - 1;
-    for (SeqNr s = from; s <= end; ++s) deliver_(s, requests[s - start]);
+    // Head of the batch was already skipped past by gc(); deliver the tail.
+    std::vector<Bytes> tail(requests.begin() + static_cast<std::ptrdiff_t>(from - start),
+                            requests.end());
+    deliver_(from, tail);
   }
 }
 

@@ -1,4 +1,11 @@
-// PBFT consensus replica implementing the Agreement black box.
+// PBFT consensus replica: Spider's agreement black box (paper Figure 12).
+//
+// Spider treats consensus as a pluggable black box with exactly this
+// contract: order() submits a message, the deliver callback emits messages
+// in a gap-free total order, and gc(s) discards everything before sequence
+// number s (after which no sequence number < s may be delivered). Delivery
+// here is batch-granular: a per-request consumer flattens each batch, whose
+// requests take consecutive sequence numbers from the first.
 //
 // Features:
 //   - three-phase normal case (pre-prepare / prepare / commit)
@@ -27,7 +34,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "consensus/agreement.hpp"
 #include "consensus/pbft_messages.hpp"
 #include "obs/metrics.hpp"
 #include "sim/component.hpp"
@@ -56,24 +62,25 @@ struct PbftConfig {
   }
 };
 
-class PbftReplica : public Component, public Agreement {
+class PbftReplica : public Component {
  public:
-  /// Batch-granular delivery: one call per committed instance with the
-  /// logical seq of the first request. A null instance delivers a batch
-  /// holding a single empty request. Embedding layers that forward whole
-  /// batches downstream (Spider's commit channels) use this form; per-
-  /// request consumers use Agreement::DeliverFn and receive each request
-  /// of the batch as its own gap-free delivery.
+  /// In-order delivery: one call per committed instance with the logical
+  /// seq of its first request (the first delivered seq is 1). A null
+  /// instance, decided during fault handling, delivers a batch holding a
+  /// single empty request; consumers must still consume its seq.
   using BatchDeliverFn = std::function<void(SeqNr first, const std::vector<Bytes>& batch)>;
 
-  PbftReplica(ComponentHost& host, PbftConfig config, DeliverFn deliver,
-              std::uint32_t tag = tags::kPbft);
   PbftReplica(ComponentHost& host, PbftConfig config, BatchDeliverFn deliver,
               std::uint32_t tag = tags::kPbft);
 
-  // Agreement interface -------------------------------------------------
-  void order(Bytes m) override;
-  void gc(SeqNr s) override;
+  // Agreement black box ---------------------------------------------------
+  /// Requests ordering of `m`. May be called on any replica; duplicates
+  /// (same content) are ordered at most once.
+  void order(Bytes m);
+  /// Forget everything before (<) sequence number `s`. After this call no
+  /// sequence number < s will be delivered; a replica that had not yet
+  /// delivered up to s-1 skips forward (the caller has the state).
+  void gc(SeqNr s);
 
   /// Drops pending (unordered) requests the predicate marks stale and
   /// cancels their liveness timers. Used by the embedding after adopting
@@ -89,7 +96,6 @@ class PbftReplica : public Component, public Agreement {
   // Introspection (tests, stats) -----------------------------------------
   [[nodiscard]] ViewNr view() const { return view_; }
   [[nodiscard]] bool is_primary() const { return primary_index(view_) == cfg_.my_index; }
-  [[nodiscard]] SeqNr last_delivered() const { return last_delivered_; }
   [[nodiscard]] SeqNr floor() const { return floor_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_reqs_.size(); }
   [[nodiscard]] std::uint64_t view_changes_started() const { return vc_started_; }
@@ -166,8 +172,7 @@ class PbftReplica : public Component, public Agreement {
   std::vector<Bytes> take_pending(std::uint64_t limit);
 
   PbftConfig cfg_;
-  DeliverFn deliver_;             // per-request delivery (exactly one set)
-  BatchDeliverFn deliver_batch_;  // batch-granular delivery
+  BatchDeliverFn deliver_;
 
   ViewNr view_ = 0;
   bool vc_active_ = false;

@@ -81,7 +81,6 @@ class BigInt {
   friend class Montgomery;
 
   void trim();
-  [[nodiscard]] std::size_t nlimbs() const { return limbs_.size(); }
 
   std::vector<std::uint64_t> limbs_;  // little-endian, no trailing zero limbs
 };

@@ -14,6 +14,12 @@ namespace spider::load {
 
 namespace {
 
+/// Knee thresholds run_sweep applies (see sweep.hpp): the p99 blow-up
+/// multiple vs the low-load baseline, and the share of in-window arrivals
+/// completions must track.
+constexpr double kKneeP99Factor = 5.0;
+constexpr double kKneeGoodputFrac = 0.9;
+
 /// Short-WAN deployment shared by every sweep point (cf. micro_batching /
 /// micro_sharding): two execution regions keep the request path cheap so
 /// the agreement group — the resource batching and sharding scale — is the
@@ -176,7 +182,7 @@ SweepResult run_sweep(const SweepConfig& cfg,
   for (double rate : cfg.rates) {
     res.rows.push_back(run_point(cfg, rate));
     if (on_row) on_row(res.rows.back());
-    res.knee_index = detect_knee(res.rows, cfg.knee_p99_factor, cfg.knee_goodput_frac);
+    res.knee_index = detect_knee(res.rows, kKneeP99Factor, kKneeGoodputFrac);
     if (res.knee_index &&
         res.rows.size() - 1 >= *res.knee_index + cfg.points_past_knee) {
       break;  // deep past the knee: further points only measure collapse

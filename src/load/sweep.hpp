@@ -4,10 +4,9 @@
 // seed (so points differ only in offered rate, not in accumulated state),
 // runs the open-loop driver, and records a latency-vs-throughput row. The
 // knee is the first rate where the system stops behaving like an unloaded
-// queue: p99 sojourn exceeds `knee_p99_factor` times the low-load baseline
-// (the ladder's first point), or completions drop below
-// `knee_goodput_frac` of in-window arrivals (the service rate stopped
-// tracking the arrival process and left a backlog unserved). The
+// queue: p99 sojourn exceeds 5x the low-load baseline (the ladder's first
+// point), or completions drop below 90% of in-window arrivals (the service
+// rate stopped tracking the arrival process and left a backlog unserved). The
 // ladder early-stops `points_past_knee` points after the knee so sweeps
 // don't burn time deep inside collapse.
 //
@@ -27,8 +26,6 @@ struct SweepConfig {
   std::uint32_t shards = 1;      ///< 1 = standalone SpiderSystem (no router)
   std::uint64_t max_batch = 1;   ///< PBFT request batching knob
   std::vector<double> rates;     ///< offered-rate ladder, ascending ops/s
-  double knee_p99_factor = 5.0;  ///< p99 blow-up multiple vs low-load baseline
-  double knee_goodput_frac = 0.9;  ///< completions must track arrivals this closely
   std::size_t points_past_knee = 1;  ///< extra ladder points run after the knee
   std::uint64_t seed = 42;
   OpenLoopProfile profile;  ///< per-point profile; `rate` is overridden

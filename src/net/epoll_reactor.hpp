@@ -38,7 +38,6 @@ class EpollReactor {
   void modify(int fd, std::uint32_t events);
   /// Deregisters the fd. Safe to call from inside its own callback.
   void remove(int fd);
-  [[nodiscard]] std::size_t watched() const { return handlers_.size(); }
 
   /// Waits up to `timeout` (negative = block, zero = poll) for readiness
   /// and dispatches I/O callbacks. Returns the number of I/O events

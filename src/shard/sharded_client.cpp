@@ -1,5 +1,6 @@
 #include "shard/sharded_client.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "shard/migration.hpp"
@@ -12,7 +13,25 @@ namespace {
 /// was not newer than ours (mid-migration window: the gaining shard has not
 /// committed MigrateIn yet, so both sides still refuse the range).
 constexpr Duration kRedirectRetryDelay = 250 * kMillisecond;
+
+/// Re-encodes the keys `js` of a parsed MGET or MPUT as an op of its kind.
+Bytes part_op(const KvParsedOp& op, const std::vector<std::size_t>& js) {
+  if (op.kind == KvOp::MGet) {
+    std::vector<std::string> keys;
+    for (std::size_t j : js) keys.push_back(op.keys[j]);
+    return kv_mget(keys);
+  }
+  std::vector<std::pair<std::string, Bytes>> pairs;
+  for (std::size_t j : js) pairs.emplace_back(op.keys[j], op.values[j]);
+  return kv_mput(pairs);
+}
 }  // namespace
+
+/// An MGET, MPUT or SIZE in flight as per-shard parts.
+struct ShardedClient::FanOut {
+  std::size_t pending = 0;  // parts not yet answered
+  Merge merge;
+};
 
 ShardedClient::ShardedClient(World& world, ShardMap map,
                              std::vector<std::unique_ptr<SpiderClient>> subclients)
@@ -47,316 +66,180 @@ std::uint32_t ShardedClient::route_op(BytesView op) const {
   return shard;
 }
 
-void ShardedClient::RecordCompletion::operator()(Bytes reply, Duration /*latency*/) const {
-  // Latency is computed from the record's submission time instead, so it
-  // spans redirect chases and re-routes, not just the last hop.
-  self->on_sub_reply(id, std::move(reply));
+void ShardedClient::fire(OpKind kind, Bytes op, RoutedCallback cb) {
+  const std::uint32_t shard = route_op(op);  // initial routing failures throw to the caller
+  issue(track({.kind = kind, .op = std::move(op), .start = world_.now(), .done = std::move(cb)}),
+        shard);
 }
 
-std::uint64_t ShardedClient::submit_routed(Path path, std::uint32_t shard, Bytes op,
-                                           RoutedCallback cb) {
+std::uint64_t ShardedClient::track(Record rec) {
   const std::uint64_t id = next_id_++;
-  auto rec = std::make_shared<Inflight>();
-  rec->path = path;
-  rec->op = std::move(op);
-  rec->start = world_.now();
-  rec->done = [this, cb = std::move(cb), start = rec->start](Bytes reply,
-                                                            std::uint32_t served_by) {
-    cb(std::move(reply), world_.now() - start, served_by);
-  };
-  rec->reissue = [this, id] { reissue_single(id); };
-  active_[id] = rec;
-  issue_to(id, shard);
+  active_.emplace(id, std::move(rec));
   return id;
 }
 
-void ShardedClient::issue_to(std::uint64_t id, std::uint32_t shard) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return;
-  Inflight& rec = *it->second;
+void ShardedClient::issue(std::uint64_t id, std::uint32_t shard) {
+  Record& rec = active_.at(id);
   rec.shard = shard;
-  SpiderClient& sub = *subclients_[shard];
-  switch (rec.path) {
-    case Path::Write: sub.write(Bytes(rec.op), RecordCompletion{this, id}); break;
-    case Path::Strong: sub.strong_read(Bytes(rec.op), RecordCompletion{this, id}); break;
-    case Path::Weak: sub.weak_read(Bytes(rec.op), RecordCompletion{this, id}); break;
-  }
+  rec.queued = true;
+  // The record is timed from the caller's submission, across redirects and
+  // re-routes, so the subclient's latency for this hop is dropped.
+  subclients_[shard]->fire(rec.kind, Bytes(rec.op), [this, id](Bytes reply, Duration) {
+    on_sub_reply(id, std::move(reply));
+  });
 }
 
-void ShardedClient::reissue_single(std::uint64_t id) {
+void ShardedClient::reroute(std::uint64_t id) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
-  auto rec = it->second;
-  std::uint32_t shard = 0;
-  try {
-    shard = route_op(rec->op);
-  } catch (const std::invalid_argument&) {
-    // The adopted map split this op's keys across shards mid-flight; it
-    // cannot be re-routed as one command. Fail it (migration caveat).
-    active_.erase(it);
-    rec->done(kv_reply(false), kNoShard);
+  // The one re-route rule: group the record's keys by the current map.
+  const KvParsedOp parsed = kv_parse_op(it->second.op);
+  std::map<std::uint32_t, std::vector<std::size_t>> by_shard;
+  for (std::size_t j = 0; j < parsed.keys.size(); ++j) {
+    by_shard[map_.shard_of(parsed.keys[j])].push_back(j);
+  }
+  // One owning shard, or a keyless SIZE part, which stays on its shard.
+  if (by_shard.size() <= 1) {
+    issue(id, by_shard.empty() ? it->second.shard : by_shard.begin()->first);
     return;
   }
-  issue_to(id, shard);
+  Record rec = std::move(it->second);
+  active_.erase(it);
+  if (rec.fan == nullptr) {
+    // The adopted map split a single op's keys mid-flight; it cannot be
+    // re-routed as one command. Fail it (migration caveat).
+    rec.done(kv_reply(false), world_.now() - rec.start, kNoShard);
+    return;
+  }
+  // An MGET or MPUT part becomes one part per owning shard.
+  rec.fan->pending += by_shard.size() - 1;
+  for (const auto& [shard, js] : by_shard) {
+    Record part{.kind = rec.kind, .op = part_op(parsed, js), .start = rec.start, .fan = rec.fan};
+    for (std::size_t j : js) part.idxs.push_back(rec.idxs[j]);
+    issue(track(std::move(part)), shard);
+  }
 }
 
 void ShardedClient::on_sub_reply(std::uint64_t id, Bytes reply) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
-  auto rec = it->second;
+  it->second.queued = false;
   if (auto redirect = try_decode_wrong_shard(reply)) {
     ++redirects_;
-    const bool adopted =
-        redirect->shard_count() == map_.shard_count() && adopt_map(*redirect);
-    // adopt_map re-routed every *pending* op; this one's reply was just
-    // consumed, so it is in no subclient queue and re-routes itself here.
-    if (adopted) {
-      rec->reissue();
+    // Adopting re-routes every queued and parked record; this one is
+    // neither, so it re-routes itself here.
+    if (redirect->shard_count() == map_.shard_count() && adopt_map(*redirect)) {
+      reroute(id);
     } else {
       park(id);
     }
     return;
   }
+  Record rec = std::move(it->second);
   active_.erase(it);
-  rec->done(std::move(reply), rec->shard);
+  if (rec.fan == nullptr) {
+    rec.done(std::move(reply), world_.now() - rec.start, rec.shard);
+  } else {
+    const bool last = --rec.fan->pending == 0;
+    rec.fan->merge(rec, std::move(reply), last);
+  }
 }
 
 void ShardedClient::park(std::uint64_t id) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return;
-  it->second->parked = true;
+  active_.at(id).parked = true;
   world_.queue().schedule_at(world_.now() + kRedirectRetryDelay, [this, id] {
-    auto pit = active_.find(id);
-    if (pit == active_.end() || !pit->second->parked) return;  // already re-routed
-    // Local copy: reissue may erase the record from active_, and the record
-    // owns the std::function being executed.
-    auto rec = pit->second;
-    rec->parked = false;
-    rec->reissue();
+    auto it = active_.find(id);
+    if (it == active_.end() || !it->second.parked) return;  // already re-routed
+    it->second.parked = false;
+    reroute(id);
   });
 }
 
 void ShardedClient::reroute_pending() {
   // Cancel-and-reroute: without this, an op parked in a subclient's
   // retransmit loop keeps chasing a shard that no longer owns its keys —
-  // forever, if that shard is also partitioned away.
+  // forever, if that shard is also partitioned away. Every op on a
+  // subclient belongs to a queued record, so the cancelled ops are dropped
+  // and their records re-route instead, together with the parked ones.
+  for (auto& sub : subclients_) sub->cancel_pending();
   std::vector<std::uint64_t> ids;
-  for (auto& sub : subclients_) {
-    for (SpiderClient::PendingOp& p : sub->cancel_pending()) {
-      if (const RecordCompletion* rc = p.cb.target<RecordCompletion>()) {
-        ids.push_back(rc->id);
-      } else {
-        // Submitted directly on the subclient (size() fan-out, tests): not
-        // key-routed, so restart it on the same shard with its kind intact.
-        sub->resubmit(std::move(p));
-      }
-    }
-  }
-  // Ops parked on a stale redirect are in no subclient queue; re-route them
-  // now instead of waiting out their timer.
   for (auto& [id, rec] : active_) {
-    if (rec->parked) {
-      rec->parked = false;
-      ids.push_back(id);
-    }
+    if (!rec.queued && !rec.parked) continue;  // its reply is being handled
+    rec.queued = rec.parked = false;
+    ids.push_back(id);
   }
   reroutes_ += ids.size();
-  for (std::uint64_t id : ids) {
-    auto it = active_.find(id);
-    if (it == active_.end()) continue;
-    // Local copy, not the map's reference: fan-out parts re-split themselves
-    // by erasing their record and issuing fresh ones, which would otherwise
-    // destroy the reissue closure mid-execution.
-    auto rec = it->second;
-    rec->reissue();
-  }
+  for (std::uint64_t id : ids) reroute(id);
 }
 
-void ShardedClient::write(Bytes op, OpCallback cb) {
-  write_routed(std::move(op),
-               [cb = std::move(cb)](Bytes r, Duration l, std::uint32_t) { cb(std::move(r), l); });
-}
+// ---- fan-out ops ---------------------------------------------------------
 
-void ShardedClient::strong_read(Bytes op, OpCallback cb) {
-  strong_read_routed(std::move(op),
-                     [cb = std::move(cb)](Bytes r, Duration l, std::uint32_t) { cb(std::move(r), l); });
-}
-
-void ShardedClient::weak_read(Bytes op, OpCallback cb) {
-  weak_read_routed(std::move(op),
-                   [cb = std::move(cb)](Bytes r, Duration l, std::uint32_t) { cb(std::move(r), l); });
-}
-
-void ShardedClient::write_routed(Bytes op, RoutedCallback cb) {
-  std::uint32_t shard = route_op(op);  // initial routing failures throw to the caller
-  submit_routed(Path::Write, shard, std::move(op), std::move(cb));
-}
-
-void ShardedClient::strong_read_routed(Bytes op, RoutedCallback cb) {
-  std::uint32_t shard = route_op(op);
-  submit_routed(Path::Strong, shard, std::move(op), std::move(cb));
-}
-
-void ShardedClient::weak_read_routed(Bytes op, RoutedCallback cb) {
-  std::uint32_t shard = route_op(op);
-  submit_routed(Path::Weak, shard, std::move(op), std::move(cb));
-}
-
-std::map<std::uint32_t, std::vector<std::size_t>> ShardedClient::group_by_shard(
-    const std::vector<std::string>& keys) const {
-  std::map<std::uint32_t, std::vector<std::size_t>> by_shard;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    by_shard[map_.shard_of(keys[i])].push_back(i);
-  }
-  return by_shard;
-}
-
-// ---- mget ----------------------------------------------------------------
-
-struct ShardedClient::MgetJob {
-  std::vector<std::string> keys;
-  bool weak = false;
-  std::vector<MgetEntry> entries;
-  std::size_t pending = 0;
-  Time start = 0;
-  MgetCallback cb;
-};
-
-std::size_t ShardedClient::issue_mget_parts(const std::shared_ptr<MgetJob>& job,
-                                            const std::vector<std::size_t>& idxs) {
-  std::map<std::uint32_t, std::vector<std::size_t>> by_shard;
-  for (std::size_t i : idxs) by_shard[map_.shard_of(job->keys[i])].push_back(i);
-  for (auto& [shard, part] : by_shard) {
-    std::vector<std::string> part_keys;
-    for (std::size_t i : part) part_keys.push_back(job->keys[i]);
-
-    const std::uint64_t id = next_id_++;
-    auto rec = std::make_shared<Inflight>();
-    rec->path = job->weak ? Path::Weak : Path::Strong;
-    rec->op = kv_mget(part_keys);
-    rec->start = job->start;
-    rec->done = [this, job, part = part](Bytes reply, std::uint32_t served_by) {
-      KvMgetReply decoded = kv_decode_mget_reply(reply);
-      if (decoded.entries.size() != part.size()) {
-        // A quorum-accepted reply with the wrong shape is encoder/decoder
-        // drift on our side, not a miss — surface it instead of reporting
-        // the unanswered keys as absent.
-        throw std::logic_error("ShardedClient: mget reply entry count mismatch");
-      }
-      for (std::size_t j = 0; j < part.size(); ++j) {
-        MgetEntry& e = job->entries[part[j]];
-        e.ok = decoded.entries[j].ok;
-        e.value = std::move(decoded.entries[j].value);
-        e.shard = served_by;
-        e.shard_seq = decoded.shard_seq;
-      }
-      if (--job->pending == 0) job->cb(std::move(job->entries), world_.now() - job->start);
-    };
-    // Re-split this part under the current map: the keys one shard served
-    // may now belong to several.
-    rec->reissue = [this, job, part = part, id] {
-      active_.erase(id);
-      job->pending += issue_mget_parts(job, part) - 1;
-    };
-    active_[id] = rec;
-    issue_to(id, shard);
-  }
-  return by_shard.size();
+void ShardedClient::fan_out(OpKind kind, Bytes op, std::size_t keys, Merge merge) {
+  Record all{.kind = kind,
+             .op = std::move(op),
+             .start = world_.now(),
+             .fan = std::make_shared<FanOut>(FanOut{1, std::move(merge)})};
+  all.idxs.resize(keys);
+  std::iota(all.idxs.begin(), all.idxs.end(), std::size_t{0});
+  reroute(track(std::move(all)));
 }
 
 void ShardedClient::mget(const std::vector<std::string>& keys, MgetCallback cb, bool weak) {
-  auto job = std::make_shared<MgetJob>();
-  job->keys = keys;
-  job->weak = weak;
-  job->entries.resize(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) job->entries[i].key = keys[i];
-  job->start = world_.now();
-  job->cb = std::move(cb);
+  std::vector<MgetEntry> entries(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) entries[i].key = keys[i];
   if (keys.empty()) {
-    job->cb(std::move(job->entries), 0);
+    cb(std::move(entries), 0);
     return;
   }
-  std::vector<std::size_t> all(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) all[i] = i;
-  job->pending = issue_mget_parts(job, all);
-}
-
-// ---- mput ----------------------------------------------------------------
-
-struct ShardedClient::MputJob {
-  std::vector<std::pair<std::string, Bytes>> pairs;
-  MputResult result;
-  std::size_t pending = 0;
-  Time start = 0;
-  MputCallback cb;
-};
-
-std::size_t ShardedClient::issue_mput_parts(const std::shared_ptr<MputJob>& job,
-                                            const std::vector<std::size_t>& idxs) {
-  std::map<std::uint32_t, std::vector<std::size_t>> by_shard;
-  for (std::size_t i : idxs) by_shard[map_.shard_of(job->pairs[i].first)].push_back(i);
-  for (auto& [shard, part] : by_shard) {
-    std::vector<std::pair<std::string, Bytes>> part_pairs;
-    for (std::size_t i : part) part_pairs.push_back(job->pairs[i]);
-
-    const std::uint64_t id = next_id_++;
-    auto rec = std::make_shared<Inflight>();
-    rec->path = Path::Write;
-    rec->op = kv_mput(part_pairs);
-    rec->start = job->start;
-    rec->done = [this, job](Bytes reply, std::uint32_t served_by) {
-      KvMputReply decoded = kv_decode_mput_reply(reply);
-      job->result.ok = job->result.ok && decoded.ok;
-      job->result.shard_seqs[served_by] = decoded.shard_seq;
-      if (--job->pending == 0) job->cb(std::move(job->result), world_.now() - job->start);
-    };
-    rec->reissue = [this, job, part = part, id] {
-      active_.erase(id);
-      job->pending += issue_mput_parts(job, part) - 1;
-    };
-    active_[id] = rec;
-    issue_to(id, shard);
-  }
-  return by_shard.size();
+  fan_out(weak ? OpKind::WeakRead : OpKind::StrongRead, kv_mget(keys), keys.size(),
+          [this, entries = std::move(entries), cb = std::move(cb)](
+              const Record& part, Bytes reply, bool last) mutable {
+            KvMgetReply decoded = kv_decode_mget_reply(reply);
+            if (decoded.entries.size() != part.idxs.size()) {
+              // A quorum-accepted reply with the wrong shape is encoder/decoder
+              // drift on our side, not a miss — surface it instead of reporting
+              // the unanswered keys as absent.
+              throw std::logic_error("ShardedClient: mget reply entry count mismatch");
+            }
+            for (std::size_t j = 0; j < part.idxs.size(); ++j) {
+              MgetEntry& e = entries[part.idxs[j]];
+              e.ok = decoded.entries[j].ok;
+              e.value = std::move(decoded.entries[j].value);
+              e.shard = part.shard;
+              e.shard_seq = decoded.shard_seq;
+            }
+            if (last) cb(std::move(entries), world_.now() - part.start);
+          });
 }
 
 void ShardedClient::mput(const std::vector<std::pair<std::string, Bytes>>& pairs,
                          MputCallback cb) {
-  auto job = std::make_shared<MputJob>();
-  job->pairs = pairs;
-  job->start = world_.now();
-  job->cb = std::move(cb);
   if (pairs.empty()) {
-    job->cb(MputResult{}, 0);
+    cb(MputResult{}, 0);
     return;
   }
-  std::vector<std::size_t> all(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) all[i] = i;
-  job->pending = issue_mput_parts(job, all);
+  fan_out(OpKind::Write, kv_mput(pairs), pairs.size(),
+          [this, result = MputResult{}, cb = std::move(cb)](const Record& part, Bytes reply,
+                                                            bool last) mutable {
+            KvMputReply decoded = kv_decode_mput_reply(reply);
+            result.ok = result.ok && decoded.ok;
+            result.shard_seqs[part.shard] = decoded.shard_seq;
+            if (last) cb(std::move(result), world_.now() - part.start);
+          });
 }
 
-// ---- size ----------------------------------------------------------------
-
 void ShardedClient::size(SizeCallback cb) {
-  // Size has no routing key and fans out to every shard unconditionally, so
-  // it bypasses the redirect machinery: replicas always own it. A map
-  // adoption mid-flight restarts the sub-reads on their shards (resubmit
-  // path in reroute_pending).
-  struct SizeJob {
-    std::uint64_t total = 0;
-    std::size_t pending = 0;
-    Time start = 0;
-    SizeCallback cb;
-  };
-  auto job = std::make_shared<SizeJob>();
-  job->pending = subclients_.size();
-  job->start = world_.now();
-  job->cb = std::move(cb);
-  for (auto& sub : subclients_) {
-    sub->strong_read(kv_size(), [this, job](Bytes reply, Duration) {
-      job->total += codec::decode<std::uint64_t>(kv_decode_reply(reply).value);
-      if (--job->pending == 0) job->cb(job->total, world_.now() - job->start);
-    });
+  // Size has no routing key: one keyless part per shard, which the
+  // re-route rule keeps on its shard.
+  auto fan = std::make_shared<FanOut>(FanOut{
+      subclients_.size(), [this, total = std::uint64_t{0}, cb = std::move(cb)](
+                              const Record& part, Bytes reply, bool last) mutable {
+        total += codec::decode<std::uint64_t>(kv_decode_reply(reply).value);
+        if (last) cb(total, world_.now() - part.start);
+      }});
+  for (std::uint32_t s = 0; s < subclients_.size(); ++s) {
+    issue(track({.kind = OpKind::StrongRead, .op = kv_size(), .start = world_.now(), .fan = fan}),
+          s);
   }
 }
 

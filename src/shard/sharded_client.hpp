@@ -2,16 +2,23 @@
 //
 // Holds one SpiderClient per shard (each attached to the owning shard's
 // nearest execution group) plus a copy of the ShardMap. Single-key KV ops
-// are parsed and routed to the owning shard; multi-key MGET/MPUT fan out
-// one per-shard sub-operation each and merge the replies.
+// enter through fire(kind, op, cb), which parses the op and sends it to the
+// owning shard; multi-key MGET/MPUT fan out one per-shard part each, SIZE
+// one part per shard, and the parts' replies merge into one callback.
 //
-// Live resharding: every routed op is tracked until it completes. A
-// WrongShard redirect carries the serving replica's (newer) map, which the
-// router adopts before re-routing the op; adopting a newer map — from a
-// redirect or via adopt_map — also cancels and re-routes every pending op,
-// so an op retrying against a shard that lost its key cannot livelock.
-// Re-routing re-submits the op under a fresh counter on another subclient:
-// if the original was already committed, delivery is at-least-once.
+// Live resharding: every op the router puts on a subclient — a single op or
+// a part — is one record, tracked until it completes. Redirects, park
+// timeouts and map adoptions re-route a record by one rule: group its keys
+// by the current map, keep a keyless SIZE part on its shard, fail a single
+// op whose keys now span shards, and split an MGET or MPUT part into one
+// part per owning shard. A WrongShard redirect carries the serving
+// replica's map, which the router adopts if it is newer; adopting a newer
+// map — from a redirect or via adopt_map — also cancels the subclients and
+// re-routes every queued or parked record, so an op retrying against a
+// shard that lost its key cannot livelock. Re-routing re-submits the op
+// under a fresh counter: if the original was already committed, delivery
+// is at-least-once. The subclients carry only records: an op fired straight
+// on shard_client(s) is dropped, uncompleted, by the next adoption.
 //
 // Consistency caveat (documented in the README): ops are atomic *within*
 // one shard — a per-shard MPUT is a single ordered command — but a
@@ -46,19 +53,23 @@ class ShardedClient {
                 std::vector<std::unique_ptr<SpiderClient>> subclients);
 
   // ---- single-shard ops (parsed + routed) --------------------------------
-  /// Routes an encoded KV op to the shard owning its key. Multi-key ops are
-  /// accepted when every key maps to the same shard; a cross-shard op
-  /// throws std::invalid_argument (use mget/mput instead). An op whose keys
-  /// are split across shards by a map adopted *mid-flight* does not throw —
-  /// it completes with a failure reply (documented migration caveat).
-  void write(Bytes op, OpCallback cb);
-  void strong_read(Bytes op, OpCallback cb);
-  void weak_read(Bytes op, OpCallback cb);
-
-  // Routed variants reporting the serving shard.
-  void write_routed(Bytes op, RoutedCallback cb);
-  void strong_read_routed(Bytes op, RoutedCallback cb);
-  void weak_read_routed(Bytes op, RoutedCallback cb);
+  /// Routes an encoded KV op of kind Write, StrongRead or WeakRead to the
+  /// shard owning its key; `cb` also reports the serving shard. Multi-key
+  /// ops are accepted when every key maps to the same shard; a cross-shard
+  /// op throws std::invalid_argument (use mget/mput instead). An op whose
+  /// keys are split across shards by a map adopted *mid-flight* does not
+  /// throw — it completes with a failure reply and kNoShard (documented
+  /// migration caveat).
+  void fire(OpKind kind, Bytes op, RoutedCallback cb);
+  void write(Bytes op, OpCallback cb) {
+    fire(OpKind::Write, std::move(op), unrouted(std::move(cb)));
+  }
+  void strong_read(Bytes op, OpCallback cb) {
+    fire(OpKind::StrongRead, std::move(op), unrouted(std::move(cb)));
+  }
+  void weak_read(Bytes op, OpCallback cb) {
+    fire(OpKind::WeakRead, std::move(op), unrouted(std::move(cb)));
+  }
 
   // Convenience wrappers over the routed paths.
   void put(const std::string& key, Bytes value, OpCallback cb) {
@@ -102,9 +113,9 @@ class ShardedClient {
   /// Version-gated rebalance visibility: adopts `map` iff it is strictly
   /// newer than the router's current table (same shard count); stale or
   /// equal versions are ignored. Returns whether the table was adopted.
-  /// Adoption cancels and re-routes every pending op (including ops parked
-  /// in a subclient's retransmit loop), so nothing keeps chasing a shard
-  /// that no longer owns its keys.
+  /// Adoption cancels the subclients and re-routes every queued or parked
+  /// record, SIZE parts included, so nothing keeps chasing a shard that no
+  /// longer owns its keys.
   bool adopt_map(const ShardMap& map);
 
   // ---- introspection -----------------------------------------------------
@@ -115,6 +126,8 @@ class ShardedClient {
   /// has no routing key (Size) or its keys span shards.
   [[nodiscard]] std::uint32_t route_op(BytesView op) const;
   [[nodiscard]] std::uint32_t shard_count() const { return map_.shard_count(); }
+  /// Shard s's subclient, for its id, group and counters; ops go through
+  /// the router (see the file comment).
   SpiderClient& shard_client(std::uint32_t s) { return *subclients_.at(s); }
   [[nodiscard]] const ShardMap& map() const { return map_; }
   [[nodiscard]] std::uint64_t retries() const;
@@ -122,58 +135,50 @@ class ShardedClient {
   [[nodiscard]] std::uint64_t redirects() const { return redirects_; }
   /// Newer maps installed (via adopt_map or redirect).
   [[nodiscard]] std::uint64_t maps_adopted() const { return maps_adopted_; }
-  /// Ops cancelled-and-re-routed by map adoptions.
+  /// Records cancelled-and-re-routed by map adoptions: single ops and
+  /// MGET, MPUT and SIZE parts alike, each counted once per adoption.
   [[nodiscard]] std::uint64_t reroutes() const { return reroutes_; }
-  /// Router-tracked ops not yet completed.
+  /// Records not yet completed: single ops plus unanswered parts.
   [[nodiscard]] std::size_t pending_ops() const { return active_.size(); }
 
  private:
-  enum class Path : std::uint8_t { Write, Strong, Weak };
-
-  /// One router-tracked op: survives redirects and map adoptions until its
-  /// final reply (or routing failure) fires `done`.
-  struct Inflight {
-    Path path = Path::Write;
-    Bytes op;
-    Time start = 0;
-    std::uint32_t shard = kNoShard;  // subclient currently carrying the op
+  struct FanOut;
+  /// One op the router put on a subclient: a single op, or one shard's part
+  /// of an MGET, MPUT or SIZE. It lives until its reply (or a routing
+  /// failure) completes it, across redirects and re-routes.
+  struct Record {
+    OpKind kind = OpKind::Write;
+    Bytes op{};
+    Time start = 0;                  // the caller's submission
+    std::uint32_t shard = kNoShard;  // shard whose subclient carries it
+    bool queued = false;             // on that subclient, awaiting its reply
     bool parked = false;             // waiting out a stale redirect
-    std::function<void(Bytes reply, std::uint32_t shard)> done;
-    std::function<void()> reissue;   // re-route under the current map
+    RoutedCallback done{};           // a single op's caller
+    std::shared_ptr<FanOut> fan{};   // a part's multi-shard op; null for a single op
+    std::vector<std::size_t> idxs{}; // a part's keys, as positions in the caller's request
   };
 
-  /// The callback handed to subclients. A named type (not a lambda) so
-  /// reroute_pending can recognize router-tracked ops among cancelled ones
-  /// via std::function::target and recover their record ids.
-  struct RecordCompletion {
-    ShardedClient* self;
-    std::uint64_t id;
-    void operator()(Bytes reply, Duration latency) const;
-  };
+  /// Folds one answered part into its MGET, MPUT or SIZE; `last` is set on
+  /// the final part, which fires the caller's callback.
+  using Merge = std::function<void(const Record& part, Bytes reply, bool last)>;
 
-  struct MgetJob;
-  struct MputJob;
-
-  std::uint64_t submit_routed(Path path, std::uint32_t shard, Bytes op,
-                              RoutedCallback cb);
-  void issue_to(std::uint64_t id, std::uint32_t shard);
-  void reissue_single(std::uint64_t id);
+  static RoutedCallback unrouted(OpCallback cb) {
+    return [cb = std::move(cb)](Bytes r, Duration l, std::uint32_t) { cb(std::move(r), l); };
+  }
+  std::uint64_t track(Record rec);
+  void issue(std::uint64_t id, std::uint32_t shard);
+  void reroute(std::uint64_t id);
   void on_sub_reply(std::uint64_t id, Bytes reply);
   void park(std::uint64_t id);
   void reroute_pending();
-  std::size_t issue_mget_parts(const std::shared_ptr<MgetJob>& job,
-                               const std::vector<std::size_t>& idxs);
-  std::size_t issue_mput_parts(const std::shared_ptr<MputJob>& job,
-                               const std::vector<std::size_t>& idxs);
-
-  /// Splits `keys` into per-shard key lists, remembering original indices.
-  std::map<std::uint32_t, std::vector<std::size_t>> group_by_shard(
-      const std::vector<std::string>& keys) const;
+  /// Routes an MGET or MPUT as one part holding all `keys` of `op`; the
+  /// re-route rule splits it into one part per owning shard.
+  void fan_out(OpKind kind, Bytes op, std::size_t keys, Merge merge);
 
   World& world_;
   ShardMap map_;
   std::vector<std::unique_ptr<SpiderClient>> subclients_;
-  std::map<std::uint64_t, std::shared_ptr<Inflight>> active_;
+  std::map<std::uint64_t, Record> active_;
   std::uint64_t next_id_ = 1;
   std::uint64_t redirects_ = 0;
   std::uint64_t maps_adopted_ = 0;

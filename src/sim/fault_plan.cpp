@@ -190,7 +190,7 @@ void FaultPlan::start(std::size_t i) {
       if (const auto& hook = crash ? on_crash : on_restart) {
         hook(a.node);
       } else {
-        world_.net().set_node_down(a.node, crash);  // crash-stop fallback
+        world_.transport().set_node_down(a.node, crash);  // crash-stop fallback
       }
       break;
     }

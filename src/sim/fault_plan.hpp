@@ -23,7 +23,8 @@
 // process — volatile state is lost and the rebuilt process must recover
 // through checkpoint state transfer. A caller may set the hooks itself on
 // a plan built from the World alone. Without hooks the plan falls back to
-// the crash-stop model (Transport::set_node_down), which keeps state.
+// the crash-stop model (Transport::set_node_down on the World's installed
+// transport), which keeps state.
 // Byzantine windows write the node's World::byzantine(n) entry, which the
 // replica reads where it acts and which persists across a crash/restart of
 // the same node, so the plan needs no hook for them.

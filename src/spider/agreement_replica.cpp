@@ -24,8 +24,7 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
   pc.batch_delay = cfg_.batch_delay;
   pbft_ = std::make_unique<PbftReplica>(
       *this, pc,
-      PbftReplica::BatchDeliverFn(
-          [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver(first, batch); }));
+      [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver(first, batch); });
   pbft_->validate = [this](BytesView wire) { return validate_request(wire); };
 
   checkpointer_ = std::make_unique<Checkpointer>(

@@ -142,10 +142,8 @@ void SpiderClient::switch_group(ClientGroupInfo group) {
   }
 }
 
-std::vector<SpiderClient::PendingOp> SpiderClient::cancel_pending() {
-  std::vector<PendingOp> out;
+void SpiderClient::cancel_pending() {
   for (Lane* lane : {&ordered_, &direct_}) {
-    for (PendingOp& op : lane->queue) out.push_back(std::move(op));
     lane->queue.clear();
     lane->in_flight = false;
     lane->frame.clear();
@@ -155,7 +153,6 @@ std::vector<SpiderClient::PendingOp> SpiderClient::cancel_pending() {
       lane->timer = EventQueue::kInvalidEvent;
     }
   }
-  return out;
 }
 
 void SpiderClient::handle_reply(NodeId from, BytesView frame) {

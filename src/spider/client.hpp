@@ -86,21 +86,12 @@ class SpiderClient : public ComponentHost {
   /// or a closer group appeared). Each lane's in-flight op is re-sent there.
   void switch_group(ClientGroupInfo group);
 
-  /// Cancels every queued and in-flight operation on both lanes and returns
-  /// them in submission order (ordered lane first) with their callbacks,
-  /// which have NOT been invoked. Routers use this to re-route ops that are
-  /// retrying against a shard that no longer owns their keys. An in-flight
-  /// write may already have committed; re-submitting it is at-least-once,
-  /// not exactly-once.
-  struct PendingOp {
-    OpKind kind;
-    Bytes op;
-    OpCallback cb;
-  };
-  std::vector<PendingOp> cancel_pending();
-
-  /// Re-submits a cancelled op with its original kind.
-  void resubmit(PendingOp op) { fire(op.kind, std::move(op.op), std::move(op.cb)); }
+  /// Cancels every queued and in-flight operation on both lanes without
+  /// invoking their callbacks. The shard router uses this to re-route ops
+  /// that are retrying against a shard that no longer owns their keys; it
+  /// keeps its own copy of each. An in-flight write may already have
+  /// committed; re-submitting it is at-least-once, not exactly-once.
+  void cancel_pending();
 
   [[nodiscard]] const ClientGroupInfo& group() const { return group_; }
   /// Total retransmissions, both lanes. Thin read of the registry counter
@@ -108,6 +99,11 @@ class SpiderClient : public ComponentHost {
   [[nodiscard]] std::uint64_t retries() const { return retransmits_.value(); }
 
  private:
+  struct PendingOp {
+    OpKind kind;
+    Bytes op;
+    OpCallback cb;
+  };
   struct Lane {
     const bool direct;
     obs::LogHistogram& latency;     // client_latency_{ordered,direct}

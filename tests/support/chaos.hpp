@@ -26,31 +26,31 @@ struct ClientHandle {
   static ClientHandle wrap(HistoryRecorder& hist, Client& c, std::uint64_t client_id) {
     ClientHandle h;
     h.put = [&hist, &c, client_id](const std::string& key, const std::string& value) {
-      recorded_put(hist, c, client_id, key, value);
+      recorded(hist, c, client_id, HistOp::Put, key, value);
     };
     h.strong_get = [&hist, &c, client_id](const std::string& key) {
-      recorded_strong_get(hist, c, client_id, key);
+      recorded(hist, c, client_id, HistOp::StrongGet, key);
     };
     h.weak_get = [&hist, &c, client_id](const std::string& key) {
-      recorded_weak_get(hist, c, client_id, key);
+      recorded(hist, c, client_id, HistOp::WeakGet, key);
     };
     return h;
   }
 
-  /// ShardedClient variant: ops go through the *_routed entry points so the
+  /// ShardedClient variant: ops go through ShardedClient::fire so the
   /// serving shard is attributed in the recorded history.
   template <class Client>
   static ClientHandle wrap_routed(HistoryRecorder& hist, Client& c,
                                   std::uint64_t client_id) {
     ClientHandle h;
     h.put = [&hist, &c, client_id](const std::string& key, const std::string& value) {
-      recorded_put_routed(hist, c, client_id, key, value);
+      recorded_routed(hist, c, client_id, HistOp::Put, key, value);
     };
     h.strong_get = [&hist, &c, client_id](const std::string& key) {
-      recorded_strong_get_routed(hist, c, client_id, key);
+      recorded_routed(hist, c, client_id, HistOp::StrongGet, key);
     };
     h.weak_get = [&hist, &c, client_id](const std::string& key) {
-      recorded_weak_get_routed(hist, c, client_id, key);
+      recorded_routed(hist, c, client_id, HistOp::WeakGet, key);
     };
     return h;
   }

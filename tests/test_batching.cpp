@@ -109,8 +109,8 @@ TEST(Batching, BatchCutByTimer) {
 
 TEST(Batching, SingletonBatchesMatchUnbatchedPath) {
   // max_batch = 1 must reproduce the unbatched per-request path exactly:
-  // same seed, same workload, compared against a per-request DeliverFn
-  // consumer (the legacy Agreement contract).
+  // same seed, same workload, compared against replicas left at the default
+  // config whose consumer flattens each delivery into per-request seqs.
   BatchGroup batched(1, 0, /*seed=*/9);
 
   World world(9);
@@ -134,9 +134,10 @@ TEST(Batching, SingletonBatchesMatchUnbatchedPath) {
     cfg.request_timeout = kSecond;
     cfg.view_change_timeout = 2 * kSecond;
     Host* h = hosts[i].get();
-    h->replica = std::make_unique<PbftReplica>(*h, cfg, [h](SeqNr s, BytesView m) {
-      h->delivered.emplace_back(s, to_bytes(m));
-    });
+    h->replica = std::make_unique<PbftReplica>(
+        *h, cfg, [h](SeqNr first, const std::vector<Bytes>& batch) {
+          for (const Bytes& m : batch) h->delivered.emplace_back(first++, m);
+        });
   }
 
   for (int i = 0; i < 20; ++i) {

@@ -322,9 +322,9 @@ TEST(ByzantineCanary, FePlusOneCorruptorsProduceFlaggedHistory) {
   world.byzantine(sys.exec(g, 0).id()).corrupt_replies = true;
   world.byzantine(sys.exec(g, 1).id()).corrupt_replies = true;
 
-  recorded_put(hist, *client, 0, "k", "honest");
+  recorded(hist, *client, 0, HistOp::Put, "k", "honest");
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);
-  recorded_strong_get(hist, *client, 0, "k");
+  recorded(hist, *client, 0, HistOp::StrongGet, "k");
   bool done = drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);
   ASSERT_TRUE(done) << hist.dump();
 
@@ -343,10 +343,10 @@ TEST(ByzantineCanary, FeCorruptorsAreOutvotedAndHistoryStaysClean) {
 
   world.byzantine(sys.exec(g, 0).id()).corrupt_replies = true;
 
-  recorded_put(hist, *client, 0, "k", "honest");
+  recorded(hist, *client, 0, HistOp::Put, "k", "honest");
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);
-  recorded_strong_get(hist, *client, 0, "k");
-  recorded_weak_get(hist, *client, 0, "k");
+  recorded(hist, *client, 0, HistOp::StrongGet, "k");
+  recorded(hist, *client, 0, HistOp::WeakGet, "k");
   bool done = drive::run_until(world, [&] { return hist.pending_count() == 0; }, 30 * kSecond);
   ASSERT_TRUE(done) << hist.dump();
 

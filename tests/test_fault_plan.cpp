@@ -1,5 +1,6 @@
 // Sim-layer tests for the fault-schedule engine: partition stacking on the
-// user link filter, crash/restart hooks, link shaping, slow-node mode,
+// user link filter, crash/restart hooks and the hook-less crash-stop
+// fallback (on the sim and on loopback sockets), link shaping, slow-node mode,
 // Byzantine windows, detach/re-attach in-flight message semantics, seed
 // determinism and the script's text formats. randomize() runs against a
 // small fake fault surface.
@@ -11,6 +12,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/loopback_transport.hpp"
+#include "net/realtime.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/fault_surface.hpp"
 #include "sim/node.hpp"
@@ -176,6 +179,33 @@ TEST(FaultPlan, CrashStopFallbackWithoutHooks) {
   world.net().send(a.id(), b.id(), payload("y"));
   world.run_for(500 * kMillisecond);
   EXPECT_EQ(b.received, 1);
+}
+
+// The fallback marks the World's installed transport, not the sim network
+// behind it: on real sockets a crashed node must stop receiving too.
+TEST(FaultPlan, CrashStopFallbackReachesAnInstalledTransport) {
+  World world(1);
+  net::LoopbackTransport sock;
+  world.install_transport(&sock);
+  net::RealtimeDriver driver(world, sock);
+  EchoNode a(world, Site{Region::Virginia, 0});
+  EchoNode b(world, Site{Region::Virginia, 1});
+  FaultPlan plan(world);
+  plan.crash_at(10 * kMillisecond, b.id());
+  plan.restart_at(300 * kMillisecond, b.id());
+
+  world.run_until(20 * kMillisecond);
+  EXPECT_TRUE(sock.is_down(b.id()));
+  world.transport().send(a.id(), b.id(), payload("x"));
+  world.run_until(250 * kMillisecond);
+  EXPECT_EQ(b.received, 0);
+
+  world.run_until(310 * kMillisecond);
+  EXPECT_FALSE(sock.is_down(b.id()));
+  world.transport().send(a.id(), b.id(), payload("y"));
+  for (int i = 0; i < 500 && b.received == 0; ++i) world.run_for(10 * kMillisecond);
+  EXPECT_EQ(b.received, 1);
+  EXPECT_EQ(b.last_payload, payload("y"));
 }
 
 TEST(FaultPlan, LinkDelaySpikeDefersDelivery) {

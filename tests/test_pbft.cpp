@@ -6,15 +6,17 @@
 namespace spider {
 namespace {
 
-/// A replica process hosting just a PBFT engine; records deliveries.
+/// A replica process hosting just a PBFT engine; records each delivered
+/// request with its own sequence number (batches flattened).
 class PbftHost : public ComponentHost {
  public:
   PbftHost(World& w, Site site) : ComponentHost(w, w.allocate_id(), site) {}
 
   void start(PbftConfig cfg) {
-    replica = std::make_unique<PbftReplica>(*this, std::move(cfg), [this](SeqNr s, BytesView m) {
-      delivered.emplace_back(s, to_bytes(m));
-    });
+    replica = std::make_unique<PbftReplica>(
+        *this, std::move(cfg), [this](SeqNr first, const std::vector<Bytes>& batch) {
+          for (const Bytes& m : batch) delivered.emplace_back(first++, m);
+        });
   }
 
   std::unique_ptr<PbftReplica> replica;

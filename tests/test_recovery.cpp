@@ -48,7 +48,8 @@ TEST(Recovery, LeaderPartitionedMidBatchCommitsExactlyOnce) {
   std::vector<std::unique_ptr<SpiderClient>> clients;
   for (int i = 0; i < 4; ++i) {
     clients.push_back(sys.make_client(Site{Region::Virginia, 0}));
-    recorded_put(hist, *clients.back(), i, "k" + std::to_string(i), "v" + std::to_string(i));
+    recorded(hist, *clients.back(), i, HistOp::Put, "k" + std::to_string(i),
+             "v" + std::to_string(i));
   }
 
   FaultPlan plan(world);
@@ -250,8 +251,8 @@ void run_byzantine_primary_case(std::uint64_t seed, const ByzantineFlags& primar
   std::vector<std::unique_ptr<SpiderClient>> writers;
   for (int i = 0; i < 4; ++i) {
     writers.push_back(sys.make_client(Site{Region::Virginia, 0}));
-    recorded_put(hist, *writers.back(), static_cast<std::uint64_t>(i), "k" + std::to_string(i),
-                 "v" + std::to_string(i));
+    recorded(hist, *writers.back(), static_cast<std::uint64_t>(i), HistOp::Put,
+             "k" + std::to_string(i), "v" + std::to_string(i));
   }
 
   // 30s >> request_timeout + view_change_timeout: completion inside the
@@ -433,7 +434,7 @@ ScriptedResult run_scripted(std::uint64_t seed) {
       world, [&] { return hist.pending_count() == 0; }, 90 * kSecond);
 
   // Final strong reads prove no acknowledged write was lost.
-  for (const std::string& k : keys) recorded_strong_get(hist, *c0, 99, k);
+  for (const std::string& k : keys) recorded(hist, *c0, 99, HistOp::StrongGet, k);
   drive::run_until(world, [&] { return hist.pending_count() == 0; }, 60 * kSecond);
   res.all_completed = res.all_completed && hist.pending_count() == 0;
 

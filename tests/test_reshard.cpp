@@ -10,10 +10,11 @@
 // The suite covers: a fault-free migration moving values and shard
 // attribution; the stale-routing regression (an op retrying against a
 // partitioned losing shard must complete after adopt_map); the weak-read
-// retransmit backoff regression; MGET/MPUT fan-out racing a map bump; and
-// a seed-swept chaos run (crashes, partitions, Byzantine windows) with a
-// migration mid-schedule, checked for per-key linearizability and
-// byte-identical seed replay.
+// retransmit backoff regression; MGET/MPUT fan-out racing a map bump; the
+// router's re-route bookkeeping (a SIZE across an adoption, exact re-route
+// counts for queued and parked ops); and a seed-swept chaos run (crashes,
+// partitions, Byzantine windows) with a migration mid-schedule, checked for
+// per-key linearizability and byte-identical seed replay.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -73,7 +74,7 @@ TEST(Reshard, LiveMigrationMovesRangeAndValues) {
   std::vector<std::string> keys;
   for (int i = 0; i < 8; ++i) keys.push_back("mig-" + std::to_string(i));
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    recorded_put_routed(hist, *client, 0, keys[i], "v" + std::to_string(i));
+    recorded_routed(hist, *client, 0, HistOp::Put, keys[i], "v" + std::to_string(i));
   }
   ASSERT_TRUE(drive::run_until(world, [&] { return hist.pending_count() == 0; }));
 
@@ -96,7 +97,7 @@ TEST(Reshard, LiveMigrationMovesRangeAndValues) {
   // must complete every read and attribute it to the post-migration owner.
   EXPECT_EQ(client->map().version(), 1u);
   const std::size_t writes = hist.ops().size();
-  for (const std::string& k : keys) recorded_strong_get_routed(hist, *client, 1, k);
+  for (const std::string& k : keys) recorded_routed(hist, *client, 1, HistOp::StrongGet, k);
   ASSERT_TRUE(drive::run_until(world, [&] { return hist.pending_count() == 0; }));
 
   const ShardMap& after = sys.shard_map();
@@ -363,6 +364,112 @@ TEST(Reshard, MgetMputFanOutSurvivesMapBump) {
   for (const ShardedClient::MgetEntry& e : *final_entries) {
     EXPECT_EQ(e.shard, sys.shard_map().shard_of(e.key)) << e.key;
   }
+}
+
+// ---------------------------------------------------- re-route bookkeeping
+
+/// `base`'s layout at `version`; `swap` flips a two-shard table's owners.
+ShardMap relabeled(const ShardMap& base, std::uint64_t version, bool swap) {
+  std::vector<ShardRange> ranges = base.ranges();
+  if (swap) {
+    for (ShardRange& r : ranges) r.shard = 1 - r.shard;
+  }
+  ShardMap out = base;
+  out.set_ranges(std::move(ranges), version);
+  return out;
+}
+
+// A SIZE in flight when adopt_map re-routes: its keyless parts are
+// re-routed like every other record, each staying on its shard, and the
+// merged total fires exactly once.
+TEST(Reshard, SizeSurvivesMapBump) {
+  World world(13);
+  ShardedSpiderSystem sys(world, reshard_topo(4));
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  const std::vector<std::string> keys = chaos::key_pool(6);
+  for (const std::string& k : keys) ASSERT_TRUE(drive::blocking_write(world, *client, k, "v").ok);
+
+  auto calls = std::make_shared<int>(0);
+  auto total = std::make_shared<std::uint64_t>(0);
+  client->size([calls, total](std::uint64_t n, Duration) {
+    ++*calls;
+    *total = n;
+  });
+  ASSERT_EQ(client->pending_ops(), sys.shard_count());  // one part per shard
+
+  ASSERT_TRUE(client->adopt_map(relabeled(client->map(), 2, /*swap=*/false)));
+  EXPECT_EQ(client->reroutes(), sys.shard_count());
+
+  ASSERT_TRUE(drive::run_until(world, [&] { return *calls > 0; }));
+  world.run_for(10 * kSecond);  // replies to the cancelled transmissions change nothing
+  EXPECT_EQ(*calls, 1);
+  EXPECT_EQ(*total, keys.size());
+  EXPECT_EQ(client->pending_ops(), 0u);
+}
+
+// One adoption re-routes exactly the records queued on subclients plus the
+// one parked on a stale redirect, each once, and every callback fires once.
+// Staged on two shards: the router first adopts a table with the owners
+// swapped (version 2), so a put of a key shard 0 really owns goes to shard
+// 1, whose replicas redirect with their version-1 table and the router
+// parks it. Three ops on shard-1 keys go to shard 0 instead, over a link
+// that is cut, so they stay queued. Adopting the true layout at version 3
+// re-routes all four.
+TEST(Reshard, AdoptionReroutesEachQueuedAndParkedRecordOnce) {
+  World world(7);
+  ShardedSpiderSystem sys(world, reshard_topo(2));
+  auto client = sys.make_client(Site{Region::Virginia, 0});
+  const ShardMap truth = client->map();
+  ASSERT_TRUE(client->adopt_map(relabeled(truth, 2, /*swap=*/true)));
+
+  std::vector<std::string> owned_by_1;
+  std::string owned_by_0;
+  for (int i = 0; owned_by_1.size() < 3 || owned_by_0.empty(); ++i) {
+    const std::string k = "q" + std::to_string(i);
+    if (truth.shard_of(k) == 1 && owned_by_1.size() < 3) owned_by_1.push_back(k);
+    if (truth.shard_of(k) == 0 && owned_by_0.empty()) owned_by_0 = k;
+  }
+
+  const NodeId sub = client->shard_client(0).id();
+  const std::vector<NodeId> members = client->shard_client(0).group().members;
+  world.net().set_link_filter([sub, members](NodeId from, NodeId to) {
+    for (NodeId m : members) {
+      if ((from == sub && to == m) || (from == m && to == sub)) return false;
+    }
+    return true;
+  });
+
+  auto calls = std::make_shared<std::vector<int>>(4, 0);
+  auto oks = std::make_shared<std::vector<bool>>(4, false);
+  auto record = [calls, oks](std::size_t i) {
+    return [calls, oks, i](Bytes reply, Duration) {
+      ++(*calls)[i];
+      (*oks)[i] = kv_decode_reply(reply).ok;
+    };
+  };
+  client->put(owned_by_0, to_bytes(std::string("parked")), record(0));
+  client->put(owned_by_1[0], to_bytes(std::string("a")), record(1));
+  client->put(owned_by_1[1], to_bytes(std::string("b")), record(2));
+  client->weak_get(owned_by_1[2], record(3));  // queued on the direct lane
+
+  ASSERT_TRUE(drive::run_until(world, [&] { return client->redirects() == 1; }));
+  ASSERT_EQ(client->pending_ops(), 4u);
+  ASSERT_EQ(client->reroutes(), 0u);
+  ASSERT_TRUE(client->adopt_map(relabeled(truth, 3, /*swap=*/false)));
+  EXPECT_EQ(client->reroutes(), 4u);  // three queued + one parked
+
+  // The re-routed queued ops reach shard 1; the parked put now waits on the
+  // cut link to shard 0 until it heals.
+  ASSERT_TRUE(drive::run_until(world, [&] { return client->pending_ops() == 1; }));
+  world.net().set_link_filter(nullptr);
+  ASSERT_TRUE(drive::run_until(world, [&] { return client->pending_ops() == 0; }));
+  world.run_for(10 * kSecond);
+  EXPECT_EQ(*calls, std::vector<int>(4, 1));
+  EXPECT_TRUE((*oks)[0] && (*oks)[1] && (*oks)[2]);  // the weak get may miss its key
+  EXPECT_EQ(client->reroutes(), 4u);
+  EXPECT_EQ(client->redirects(), 1u);
+  EXPECT_EQ(drive::blocking_strong_read(world, *client, owned_by_0).value,
+            to_bytes(std::string("parked")));
 }
 
 // ------------------------------------------------------------- chaos sweep

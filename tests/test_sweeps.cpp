@@ -56,9 +56,10 @@ TEST_P(PbftSweep, TotalOrderWithCrashFaults) {
     cfg.request_timeout = kSecond;
     cfg.view_change_timeout = 2 * kSecond;
     Host* h = hosts[i].get();
-    h->replica = std::make_unique<PbftReplica>(*h, cfg, [h](SeqNr s, BytesView m) {
-      h->delivered.emplace_back(s, to_bytes(m));
-    });
+    h->replica = std::make_unique<PbftReplica>(
+        *h, cfg, [h](SeqNr first, const std::vector<Bytes>& batch) {
+          for (const Bytes& m : batch) h->delivered.emplace_back(first++, m);
+        });
   }
   // Crash the last `crashes` followers (never the view-0 primary).
   for (std::uint32_t c = 0; c < param.crashes; ++c) {
