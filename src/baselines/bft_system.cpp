@@ -11,8 +11,7 @@ constexpr Duration kExecCost = 8;
 BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index,
                        const BftConfig& cfg, std::vector<NodeId> all,
                        std::unique_ptr<Application> app)
-    : ComponentHost(world, self, site), f_(cfg.f),
-      checkpoint_interval_(cfg.checkpoint_interval), app_(std::move(app)) {
+    : ComponentHost(world, self, site), app_(std::move(app)) {
   port_ = std::make_unique<ClientPort>(*this, [this](ClientFrame frame, BytesView body) {
     handle_request(frame, body);
   });
@@ -37,12 +36,9 @@ BftReplica::BftReplica(World& world, NodeId self, Site site, std::uint32_t index
   };
 
   checkpointer_ = std::make_unique<Checkpointer>(
-      *this, tags::kCheckpoint, pc.replicas, cfg.f,
+      *this, tags::kCheckpoint, pc.replicas, cfg.f, cfg.checkpoint_interval,
+      [this] { return std::make_pair(sn_, snapshot_state()); },
       [this](SeqNr s, BytesView state) { on_stable_checkpoint(s, state); });
-  checkpointer_->snapshot_now = [this] {
-    last_cp_ = std::max(last_cp_, sn_);
-    return std::make_pair(sn_, snapshot_state());
-  };
 }
 
 void BftReplica::handle_request(const ClientFrame& frame, BytesView body) {
@@ -91,12 +87,7 @@ void BftReplica::apply_batch(SeqNr first, const std::vector<Bytes>& batch) {
   const std::size_t skip = first <= sn_ ? static_cast<std::size_t>(sn_ + 1 - first) : 0;
   sn_ = std::max(sn_, first + static_cast<SeqNr>(batch.size()) - 1);
   for (std::size_t i = skip; i < batch.size(); ++i) execute_one(batch[i]);
-  // `checkpoint_interval` counts logical requests; sn_ rests on a batch
-  // boundary here, so checkpoints never land mid-batch.
-  if (sn_ >= last_cp_ + checkpoint_interval_) {
-    last_cp_ = sn_;
-    checkpointer_->gen_cp(sn_, snapshot_state());
-  }
+  checkpointer_->executed(sn_);
 }
 
 void BftReplica::drain_stash() {
@@ -147,7 +138,7 @@ void BftReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
   // afterwards would see the post-gap sequence number and skip the
   // adoption — permanently losing the executions this replica missed
   // below s (state divergence).
-  last_cp_ = std::max(last_cp_, s);
+  checkpointer_->adopted(s);
   if (s > sn_) {
     try {
       auto image = codec::decode<ReplicaImage<ReplyCacheEntry>>(state);

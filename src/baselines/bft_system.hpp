@@ -70,9 +70,6 @@ class BftReplica : public ComponentHost {
   Bytes snapshot_state() const;
   void on_stable_checkpoint(SeqNr s, BytesView state);
 
-  std::uint32_t f_;
-  std::uint64_t checkpoint_interval_;
-  SeqNr last_cp_ = 0;
   std::unique_ptr<Application> app_;
   std::unique_ptr<ClientPort> port_;
   std::unique_ptr<PbftReplica> pbft_;

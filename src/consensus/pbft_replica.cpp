@@ -474,7 +474,6 @@ void PbftReplica::start_view_change(ViewNr target) {
   if (vc_active_ && vc_target_ >= target) return;
   vc_active_ = true;
   vc_target_ = target;
-  ++vc_started_;
   if (auto* t = host().tracer()) {
     t->instant(host().now(), host().id(), "consensus", "view-change", "target",
                target);

@@ -98,7 +98,6 @@ class PbftReplica : public Component {
   [[nodiscard]] bool is_primary() const { return primary_index(view_) == cfg_.my_index; }
   [[nodiscard]] SeqNr floor() const { return floor_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_reqs_.size(); }
-  [[nodiscard]] std::uint64_t view_changes_started() const { return vc_started_; }
   /// Thin read of the registry counter `pbft_views_adopted{node, role=
   /// "consensus"}`; survives crash/restart of the same NodeId (monotone).
   [[nodiscard]] std::uint64_t views_adopted() const { return views_adopted_.value(); }
@@ -179,7 +178,6 @@ class PbftReplica : public Component {
   ViewNr vc_target_ = 0;
   EventQueue::EventId vc_timer_ = EventQueue::kInvalidEvent;
   Duration vc_timeout_cur_ = 0;
-  std::uint64_t vc_started_ = 0;
   obs::Counter& views_adopted_;
   std::map<std::uint32_t, ViewNr> view_hints_;  // member -> highest view seen
 

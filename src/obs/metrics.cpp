@@ -128,25 +128,6 @@ LogHistogram& MetricsRegistry::histogram(std::string_view name, MetricLabels lab
   return *e.h;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [k, e] : other.metrics_) {
-    MetricLabels labels{k.node, k.shard, k.role};
-    switch (e.type) {
-      case 'c':
-        if (e.c) counter(k.name, labels).inc(e.c->value());
-        break;
-      case 'g':
-        if (e.g) gauge(k.name, labels).set(e.g->value());
-        break;
-      case 'h':
-        if (e.h) histogram(k.name, labels, e.unit).merge(*e.h);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 std::string MetricsRegistry::snapshot_json() const {
   std::string out;
   char buf[256];

@@ -7,8 +7,8 @@
 //     seed replay produces byte-identical output;
 //   - bounded memory: histograms are log-bucketed counts (no sample
 //     hoarding), safe to keep per node for million-op runs;
-//   - mergeable: histograms (and whole registries) merge by bucket-count
-//     addition, so per-node or per-shard stats aggregate exactly;
+//   - mergeable: histograms merge by bucket-count addition, so per-node
+//     or per-shard latencies aggregate exactly;
 //   - JSON-lines snapshot (one object per line, machine-appendable).
 #pragma once
 
@@ -118,10 +118,6 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, MetricLabels labels = {});
   LogHistogram& histogram(std::string_view name, MetricLabels labels = {},
                           std::string_view unit = "us");
-
-  /// Adds every metric of `other` into this registry (counters add,
-  /// gauges overwrite, histograms merge) — cross-node/shard aggregation.
-  void merge_from(const MetricsRegistry& other);
 
   /// JSON-lines snapshot, one object per metric, sorted by
   /// (name, node, shard, role):

@@ -115,12 +115,19 @@ LinkFault FaultPlan::shape(NodeId from, NodeId to) const {
       return LinkFault{.cut = true};
     }
   }
-  auto value = [&](Kind kind) {
-    auto it = windows_.find(link_key(kind, from, to));
+  auto value = [&](const WindowKey& key) {
+    auto it = windows_.find(key);
     return it == windows_.end() ? 0.0 : it->second.value;
   };
-  return LinkFault{.loss = value(Kind::kLoss),
-                   .extra_delay = static_cast<Duration>(value(Kind::kDelay))};
+  // A slow window's factor, clamped to [1e-6, 1]; 0 means full speed. The
+  // slower end bounds the link either way.
+  auto bandwidth = [&](NodeId n) {
+    const double factor = value({Kind::kSlow, n, 0});
+    return factor == 0.0 ? 1.0 : std::clamp(factor, 1e-6, 1.0);
+  };
+  return LinkFault{.loss = value(link_key(Kind::kLoss, from, to)),
+                   .extra_delay = static_cast<Duration>(value(link_key(Kind::kDelay, from, to))),
+                   .bandwidth = std::min(bandwidth(from), bandwidth(to))};
 }
 
 void FaultPlan::partition_nodes_at(Time t, std::vector<NodeId> a, std::vector<NodeId> b,
@@ -200,7 +207,6 @@ void FaultPlan::start(std::size_t i) {
       break;
     case Kind::kSlow:
       open({Kind::kSlow, a.node, 0}, a.value);
-      world_.net().set_node_bandwidth_factor(a.node, a.value);
       break;
     case Kind::kByz:
       for (std::uint32_t f = 0; f < kByzantineFlags.size(); ++f) {
@@ -224,7 +230,7 @@ void FaultPlan::end(std::size_t i) {
       close(link_key(a.kind, a.node, a.peer));
       break;
     case Kind::kSlow:
-      if (close({Kind::kSlow, a.node, 0})) world_.net().set_node_bandwidth_factor(a.node, 1.0);
+      close({Kind::kSlow, a.node, 0});
       break;
     case Kind::kByz:
       apply_byz(a.node);

@@ -1,11 +1,12 @@
 // Deterministic fault-schedule engine.
 //
 // A FaultPlan composes timed fault actions on top of a World: partitions
-// between node sets (stacked on any user link filter), node crashes and
-// restarts (crash-recovery, not just crash-stop), per-link delay spikes
-// and loss rates, slow-node (reduced bandwidth) modes, and *Byzantine
-// windows* — timed spans in which a replica actively misbehaves (any set
-// of the ByzantineFlags in sim/byzantine.hpp). Every action is an event on
+// between node sets, node crashes and restarts (crash-recovery, not just
+// crash-stop), per-link delay spikes and loss rates, slow-node (reduced
+// bandwidth) modes, and *Byzantine windows* — timed spans in which a
+// replica actively misbehaves (any set of the ByzantineFlags in
+// sim/byzantine.hpp). The link effects reach the network through its one
+// fault shaper, which the plan installs. Every action is an event on
 // the World's EventQueue and all randomness — loss dice in the network,
 // action choices in randomize() — comes from the World RNG, so a whole
 // chaos scenario replays bit-identically from its seed.
@@ -49,8 +50,8 @@ class World;
 
 class FaultPlan {
  public:
-  /// Installs this plan's fault shaper on the world's network. One plan
-  /// per World at a time; the destructor uninstalls it.
+  /// Installs this plan's fault shaper on the world's network, replacing
+  /// any other. One plan per World at a time; the destructor uninstalls it.
   explicit FaultPlan(World& world);
   /// A plan against `system`: binds the crash hooks to its crash_node /
   /// restart_node and lets randomize() draw its targets from its groups.
@@ -84,7 +85,8 @@ class FaultPlan {
   /// Drops messages on the (a, b) pair, both directions, with probability
   /// `loss` for `duration` starting at t.
   void link_loss_at(Time t, NodeId a, NodeId b, double loss, Duration duration);
-  /// Scales node n's NIC bandwidth by `factor` in (0, 1] for `duration`.
+  /// Scales node n's NIC bandwidth by `factor` in (0, 1] for `duration`;
+  /// a message's transmit time uses the slower of its two ends.
   void slow_node_at(Time t, NodeId n, double factor, Duration duration);
 
   /// Sets every flag of `flags` in node n's World::byzantine(n) entry for

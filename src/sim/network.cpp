@@ -25,23 +25,6 @@ std::uint64_t SimNetwork::incarnation(NodeId id) const {
   return it == incarnation_.end() ? 0 : it->second;
 }
 
-void SimNetwork::set_node_bandwidth_factor(NodeId id, double factor) {
-  if (factor >= 1.0) {
-    bw_factor_.erase(id);
-  } else {
-    bw_factor_[id] = std::max(factor, 1e-6);
-  }
-}
-
-double SimNetwork::node_bandwidth_factor(NodeId id) const {
-  auto it = bw_factor_.find(id);
-  return it == bw_factor_.end() ? 1.0 : it->second;
-}
-
-void SimNetwork::set_link_filter(std::function<bool(NodeId, NodeId)> filter) {
-  filter_ = std::move(filter);
-}
-
 void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cls*/) {
   // The traffic class is a socket-backend concern: the sim models one
   // reliable FIFO channel per pair for all classes (see header).
@@ -49,18 +32,16 @@ void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cl
   auto to_it = nodes_.find(to);
   if (from_it == nodes_.end() || to_it == nodes_.end()) return;
   if (is_down(from) || is_down(to)) return;
-  if (filter_ && !filter_(from, to)) return;
+
+  LinkFault fault;
+  if (fault_shaper_) fault = fault_shaper_(from, to);
+  if (fault.cut) return;
+  if (fault.loss > 0.0 && rng_.uniform01() < fault.loss) return;
 
   TransportEndpoint* src = from_it->second;
   TransportEndpoint* dst = to_it->second;
   const std::size_t size = payload.size();
   const bool wan = is_wan(src->site(), dst->site());
-
-  // Fault shaping stacks on top of the user filter (checked above).
-  LinkFault fault;
-  if (fault_shaper_) fault = fault_shaper_(from, to);
-  if (fault.cut) return;
-  if (fault.loss > 0.0 && rng_.uniform01() < fault.loss) return;
 
   if (wan) {
     stats_.wan_bytes += size;
@@ -75,8 +56,7 @@ void SimNetwork::send(NodeId from, NodeId to, Payload payload, TrafficClass /*cl
 
   Duration base = one_way_latency(src->site(), dst->site());
   Duration jitter = static_cast<Duration>(rng_.uniform01() * jitter_frac * static_cast<double>(base));
-  double bw = kBandwidthBytesPerUs *
-              std::min(node_bandwidth_factor(from), node_bandwidth_factor(to));
+  const double bw = kBandwidthBytesPerUs * fault.bandwidth;
   Duration transmit = static_cast<Duration>(static_cast<double>(size) / bw);
   Time arrival = queue_.now() + kFixedOverhead + base + jitter + transmit + fault.extra_delay;
 

@@ -26,11 +26,14 @@ class Tracer;
 
 /// Per-message fault effects produced by a fault shaper (see FaultPlan):
 /// a cut link drops deterministically, `loss` drops i.i.d. with the
-/// network RNG, `extra_delay` is added to the propagation delay.
+/// network RNG, `extra_delay` is added to the propagation delay and
+/// `bandwidth` in (0, 1] scales the NIC bandwidth of the transmit time
+/// (slow-node mode).
 struct LinkFault {
   bool cut = false;
   double loss = 0.0;
   Duration extra_delay = 0;
+  double bandwidth = 1.0;
 };
 
 class SimNetwork final : public Transport {
@@ -52,21 +55,12 @@ class SimNetwork final : public Transport {
   void send(NodeId from, NodeId to, Payload payload, TrafficClass cls) override;
 
   // ---- fault injection ------------------------------------------------
-  /// Drops every message for which the filter returns false.
-  void set_link_filter(std::function<bool(NodeId from, NodeId to)> filter);
-
-  /// Fault shaper consulted *in addition to* the user link filter (the two
-  /// stack; neither replaces the other). Installed by FaultPlan to express
-  /// partitions, loss rates and delay spikes without clobbering a link
-  /// filter a test already set.
+  /// The one link-fault hook: consulted for every message between live
+  /// nodes, before any RNG draw or byte counter. FaultPlan installs one to
+  /// express partitions, loss rates, delay spikes and slow nodes; a test
+  /// may install its own instead. An empty shaper means no faults.
   using FaultShaper = std::function<LinkFault(NodeId from, NodeId to)>;
   void set_fault_shaper(FaultShaper shaper) { fault_shaper_ = std::move(shaper); }
-
-  /// Slow-node mode: scales the node's NIC bandwidth by `factor` in (0, 1];
-  /// 1 restores full speed. A message's transmit time uses the slower of
-  /// the two endpoints (the throttled NIC bounds the link either way).
-  void set_node_bandwidth_factor(NodeId id, double factor);
-  [[nodiscard]] double node_bandwidth_factor(NodeId id) const;
 
   /// Incarnation of a NodeId: bumped every time the node detaches. Defines
   /// the in-flight semantics across a crash/restart: a message addressed to
@@ -95,11 +89,9 @@ class SimNetwork final : public Transport {
   Rng rng_;
   std::unordered_map<NodeId, TransportEndpoint*> nodes_;
   std::unordered_map<NodeId, std::uint64_t> incarnation_;
-  std::unordered_map<NodeId, double> bw_factor_;
   // Earliest time the next message on a (from,to) pair may arrive, to keep
   // per-pair FIFO under jitter.
   std::unordered_map<std::uint64_t, Time> pair_clearance_;
-  std::function<bool(NodeId, NodeId)> filter_;
   FaultShaper fault_shaper_;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -26,9 +26,9 @@ class World {
 
   EventQueue& queue() { return queue_; }
   /// The deterministic sim network. Always constructed (it is the default
-  /// transport); fault-injection APIs (FaultPlan, link filters, down
-  /// nodes) live here. When a custom transport is installed the sim
-  /// network is idle — nothing attaches to it.
+  /// transport); fault-injection APIs (the fault shaper FaultPlan
+  /// installs, down nodes) live here. When a custom transport is
+  /// installed the sim network is idle — nothing attaches to it.
   SimNetwork& net() { return *net_; }
   /// The transport seam every node attaches and sends through: the sim
   /// network by default, or whatever install_transport() put in place.

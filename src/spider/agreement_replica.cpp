@@ -27,13 +27,13 @@ AgreementReplica::AgreementReplica(World& world, Site site, AgreementConfig cfg)
       [this](SeqNr first, const std::vector<Bytes>& batch) { on_deliver(first, batch); });
   pbft_->validate = [this](BytesView wire) { return validate_request(wire); };
 
+  // Checkpoints land on batch boundaries (sn_ only ever rests at the end
+  // of a processed batch), which keeps commit-channel window moves aligned
+  // with stored batch positions.
   checkpointer_ = std::make_unique<Checkpointer>(
-      *this, tags::kCheckpoint, cfg_.members, cfg_.fa,
+      *this, tags::kCheckpoint, cfg_.members, cfg_.fa, cfg_.ka,
+      [this] { return std::make_pair(sn_, snapshot_state()); },
       [this](SeqNr s, BytesView state) { on_stable_checkpoint(s, state); });
-  checkpointer_->snapshot_now = [this] {
-    last_cp_ = std::max(last_cp_, sn_);
-    return std::make_pair(sn_, snapshot_state());
-  };
 
   // Registry lookups (paper §3.1): a query is the bare tag, answered with
   // the MAC'd snapshot. Queries stay unauthenticated, since clients this
@@ -211,7 +211,7 @@ void AgreementReplica::handle_ordered(SeqNr first, const std::vector<Bytes>& bat
   trim_hist();
 
   dispatch_execute(canonical, /*count_completions=*/true);
-  maybe_checkpoint();
+  checkpointer_->executed(sn_);
 }
 
 void AgreementReplica::trim_hist() {
@@ -287,15 +287,6 @@ void AgreementReplica::apply_reconfig(const ReconfigCmd& cmd) {
   }
 }
 
-void AgreementReplica::maybe_checkpoint() {
-  // `ka` counts logical requests, and checkpoints land on batch boundaries
-  // (sn_ only ever rests at the end of a processed batch), which keeps
-  // commit-channel window moves aligned with stored batch positions.
-  if (sn_ < last_cp_ + cfg_.ka) return;
-  last_cp_ = sn_;
-  checkpointer_->gen_cp(sn_, snapshot_state());
-}
-
 Bytes AgreementReplica::snapshot_state() const {
   Writer w;
   codec::write(w, AgreementImage<codec::Ref>{t_, hist_, registry_});
@@ -363,7 +354,7 @@ void AgreementReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
     }
   }
 
-  last_cp_ = std::max(last_cp_, s);
+  checkpointer_->adopted(s);
   win_hi_ = s + cfg_.ag_win;
   process_queue();
 }

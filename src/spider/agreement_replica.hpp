@@ -63,7 +63,6 @@ class AgreementReplica : public ComponentHost {
 
   // Introspection ---------------------------------------------------------
   [[nodiscard]] SeqNr ordered_seq() const { return sn_; }
-  [[nodiscard]] const RegistrySnapshot& registry() const { return registry_; }
   [[nodiscard]] PbftReplica& consensus() { return *pbft_; }
   [[nodiscard]] std::size_t group_count() const { return channels_.size(); }
 
@@ -86,7 +85,6 @@ class AgreementReplica : public ComponentHost {
   ExecuteBatchMsg derive_for(GroupId g, const ExecuteBatchMsg& canonical) const;
   void trim_hist();
   void apply_reconfig(const ReconfigCmd& cmd);
-  void maybe_checkpoint();
   Bytes snapshot_state() const;
   void on_stable_checkpoint(SeqNr s, BytesView state);
 
@@ -98,8 +96,7 @@ class AgreementReplica : public ComponentHost {
   RegistrySnapshot registry_;
 
   SeqNr sn_ = 0;
-  SeqNr last_cp_ = 0;  // seq of the last checkpoint this replica generated
-  SeqNr win_hi_ = 0;   // upper bound of the agreement window
+  SeqNr win_hi_ = 0;  // upper bound of the agreement window
   std::map<NodeId, std::uint64_t> t_;       // latest agreed counter per client
   std::map<NodeId, std::uint64_t> t_plus_;  // next expected counter per client
   /// Recent Execute batches covering the last |commit window| logical

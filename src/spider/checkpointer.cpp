@@ -1,7 +1,5 @@
 #include "spider/checkpointer.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
 
@@ -14,31 +12,46 @@ Bytes checkpoint_body(SeqNr s, const Sha256Digest& h) {
 }  // namespace
 
 Checkpointer::Checkpointer(ComponentHost& host, std::uint32_t tag, std::vector<NodeId> group,
-                           std::uint32_t f, StableFn stable, MemberCheck trusted)
-    : Component(host, tag), group_(std::move(group)), f_(f), stable_(std::move(stable)),
-      trusted_(std::move(trusted)) {
-  if (!trusted_) {
-    trusted_ = [this](NodeId n) {
-      return std::find(group_.begin(), group_.end(), n) != group_.end();
-    };
-  }
-}
+                           std::uint32_t f, std::uint64_t interval, SnapshotFn snapshot,
+                           StableFn stable)
+    : Component(host, tag), group_(std::move(group)), f_(f), interval_(interval),
+      snapshot_(std::move(snapshot)), on_stable_(std::move(stable)) {}
 
 Checkpointer::~Checkpointer() {
   if (fetch_timer_ != EventQueue::kInvalidEvent) cancel_timer(fetch_timer_);
 }
 
-void Checkpointer::add_fetch_peers(const std::vector<NodeId>& peers) {
-  for (NodeId p : peers) {
-    if (p == self()) continue;
-    if (std::find(fetch_peers_.begin(), fetch_peers_.end(), p) == fetch_peers_.end()) {
-      fetch_peers_.push_back(p);
-    }
+void Checkpointer::add_peer_group(GroupId g, std::vector<NodeId> members) {
+  peers_[g] = std::move(members);
+}
+
+const std::vector<NodeId>* Checkpointer::trusted_group(NodeId n) const {
+  auto has = [n](const std::vector<NodeId>& g) {
+    return std::find(g.begin(), g.end(), n) != g.end();
+  };
+  if (has(group_)) return &group_;
+  for (const auto& [g, members] : peers_) {
+    if (has(members)) return &members;
   }
+  return nullptr;
+}
+
+void Checkpointer::executed(SeqNr sn) {
+  if (sn < last_cp_ + interval_) return;
+  if (auto* t = host().tracer()) {
+    t->instant(host().now(), host().id(), "checkpoint", "gen_cp", "seq", sn);
+  }
+  checkpoint_now();
+}
+
+void Checkpointer::checkpoint_now() {
+  auto [sn, state] = snapshot_();
+  last_cp_ = std::max(last_cp_, sn);
+  if (sn > 0) gen_cp(sn, std::move(state));
 }
 
 void Checkpointer::gen_cp(SeqNr s, Bytes state) {
-  if (s <= last_stable_) return;
+  if (s <= stable_.seq) return;
   if (host().byzantine().forge_checkpoints) {
     // Byzantine: instead of voting for its genuine snapshot, sign a vote
     // for a tampered state digest and push a forged "stable" certificate
@@ -95,7 +108,7 @@ void Checkpointer::gen_cp(SeqNr s, Bytes state) {
 }
 
 void Checkpointer::check_stable(SeqNr s) {
-  if (s <= last_stable_) return;
+  if (s <= stable_.seq) return;
   auto cit = candidates_.find(s);
   if (cit == candidates_.end()) return;
   for (auto& [key, pending] : cit->second) {
@@ -117,38 +130,22 @@ void Checkpointer::check_stable(SeqNr s) {
   }
 }
 
-Bytes Checkpointer::proof_for(SeqNr s) const {
-  auto it = stable_proofs_.find(s);
-  return it == stable_proofs_.end() ? Bytes{} : it->second;
-}
-
 void Checkpointer::deliver(SeqNr s, Payload state) {
-  if (s <= last_stable_) return;
-  last_stable_ = s;
+  if (s <= stable_.seq) return;
   if (auto* t = host().tracer()) {
     t->instant(host().now(), host().id(), "checkpoint", "stable_cp", "seq", s);
   }
 
-  // Assemble and store the f+1-signature proof for peers that fetch later.
-  auto cit = candidates_.find(s);
-  if (cit != candidates_.end()) {
-    host().charge_hash(state.size());
-    std::uint64_t key = digest_prefix(state.digest());
-    auto pit = cit->second.find(key);
-    if (pit != cit->second.end()) {
-      CheckpointProof proof;
-      for (const auto& [signer, sig] : pit->second.sigs) {
-        if (proof.sigs.size() == f_ + 1) break;
-        proof.sigs.emplace_back(signer, sig);
-      }
-      // Keep only the latest stable state to bound memory. Refcount, not
-      // copy: the served state shares the delivered snapshot's buffer.
-      stable_states_.clear();
-      stable_proofs_.clear();
-      stable_states_[s] = state;
-      stable_proofs_[s] = codec::encode(proof);
-    }
+  // Record the state with its f+1-signature proof for peers that fetch
+  // later; both callers hold those signatures in candidates_. Refcount,
+  // not copy: the served state shares the delivered snapshot's buffer.
+  host().charge_hash(state.size());
+  CheckpointProof proof;
+  for (const auto& [signer, sig] : candidates_[s][digest_prefix(state.digest())].sigs) {
+    if (proof.sigs.size() == f_ + 1) break;
+    proof.sigs.emplace_back(signer, sig);
   }
+  stable_ = {s, state, codec::encode(proof)};
 
   candidates_.erase(candidates_.begin(), candidates_.upper_bound(s));
   own_snapshots_.erase(own_snapshots_.begin(), own_snapshots_.upper_bound(s));
@@ -159,11 +156,11 @@ void Checkpointer::deliver(SeqNr s, Payload state) {
       fetch_timer_ = EventQueue::kInvalidEvent;
     }
   }
-  stable_(s, state);
+  on_stable_(s, state);
 }
 
 void Checkpointer::fetch_cp(SeqNr s) {
-  if (s <= last_stable_) return;
+  if (s <= stable_.seq) return;
   if (fetch_target_ >= s && fetch_timer_ != EventQueue::kInvalidEvent) return;
   fetch_target_ = std::max(fetch_target_, s);
   if (auto* t = host().tracer()) {
@@ -173,12 +170,14 @@ void Checkpointer::fetch_cp(SeqNr s) {
 }
 
 void Checkpointer::retry_fetch() {
-  if (fetch_target_ == 0 || fetch_target_ <= last_stable_) return;
+  if (fetch_target_ == 0 || fetch_target_ <= stable_.seq) return;
   Payload wire = wire_frame(codec::encode(CheckpointMsgType::Fetch, FetchMsg{fetch_target_}));
   for (NodeId n : group_) {
     if (n != self()) send_wire(n, wire);
   }
-  for (NodeId n : fetch_peers_) send_wire(n, wire);
+  for (const auto& [g, members] : peers_) {
+    for (NodeId n : members) send_wire(n, wire);
+  }
   fetch_timer_ = set_timer(fetch_retry_, [this] {
     fetch_timer_ = EventQueue::kInvalidEvent;
     retry_fetch();
@@ -187,13 +186,9 @@ void Checkpointer::retry_fetch() {
 
 bool Checkpointer::send_state(NodeId to, SeqNr s) {
   // Reply with our latest stable checkpoint if it satisfies the request.
-  if (stable_states_.empty()) return false;
-  auto it = stable_states_.rbegin();
-  if (it->first < s) return false;
-  Bytes proof = proof_for(it->first);
-  if (proof.empty()) return false;
+  if (stable_.seq == 0 || stable_.seq < s) return false;
   send_wire(to, wire_frame(codec::encode(CheckpointMsgType::State,
-                                         StateMsg{it->first, it->second, proof})));
+                                         StateMsg{stable_.seq, stable_.state, stable_.proof})));
   return true;
 }
 
@@ -201,7 +196,7 @@ void Checkpointer::handle_state(const StateMsg& m) {
   const SeqNr s = m.seq;
   // Zero-copy: the adopted state is a slice of the inbound wire frame.
   Payload state = host().capture(m.state);
-  if (s <= last_stable_) return;
+  if (s <= stable_.seq) return;
 
   host().charge_hash(state.size());
   Sha256Digest h = state.digest();
@@ -210,23 +205,25 @@ void Checkpointer::handle_state(const StateMsg& m) {
 
   const auto proof = host().decode<CheckpointProof>(m.proof);
   if (!proof || proof->sigs.size() < f_ + 1) return;
-  std::set<NodeId> seen;
-  std::uint32_t valid = 0;
+  // Valid signers per trusted group; the proof holds once one group has
+  // f+1 of them.
+  std::map<const std::vector<NodeId>*, std::map<NodeId, BytesView>> valid;
+  const std::map<NodeId, BytesView>* quorum = nullptr;
   for (const auto& [signer, sig] : proof->sigs) {
-    if (seen.count(signer) || !trusted_(signer)) continue;
+    const std::vector<NodeId>* g = trusted_group(signer);
+    if (!g || valid[g].count(signer)) continue;
     host().charge_verify();
     if (!crypto().verify(signer, signed_bytes, sig)) continue;
-    seen.insert(signer);
-    ++valid;
+    auto& signers = valid[g];
+    signers.emplace(signer, sig);
+    if (!quorum && signers.size() == f_ + 1) quorum = &signers;
   }
-  if (valid < f_ + 1) return;
+  if (!quorum) return;
 
-  // Record the proof so we can serve it onward, then deliver.
-  candidates_[s][digest_prefix(h)].digest = h;
-  // Re-store verified signatures for proof forwarding.
-  for (const auto& [signer, sig] : proof->sigs) {
-    if (seen.count(signer)) candidates_[s][digest_prefix(h)].sigs[signer] = to_bytes(sig);
-  }
+  // Record that group's signatures so we can serve the proof onward.
+  Pending& p = candidates_[s][digest_prefix(h)];
+  p.digest = h;
+  for (const auto& [signer, sig] : *quorum) p.sigs[signer] = to_bytes(sig);
   deliver(s, std::move(state));
 }
 
@@ -242,7 +239,7 @@ void Checkpointer::on_message(NodeId from, BytesView all) {
     if (!body) return;
 
     const auto cp = host().decode<CheckpointMsg>(body->subspan(1));
-    if (!cp || cp->seq <= last_stable_) return;
+    if (!cp || cp->seq <= stable_.seq) return;
     Pending& p = candidates_[cp->seq][digest_prefix(cp->digest)];
     p.digest = cp->digest;
     p.sigs[from] = to_bytes(all.subspan(body->size()));  // the signature trailer
@@ -251,12 +248,9 @@ void Checkpointer::on_message(NodeId from, BytesView all) {
     // Only trusted replicas may pull state — and, below, make every group
     // member snapshot on demand. An untrusted node must not be able to
     // force O(state) snapshot + sign + broadcast work on the whole group.
-    if (!trusted_(from)) return host().drop(Drop::kNotMember);
+    if (!trusted_group(from)) return host().drop(Drop::kNotMember);
     auto fetch = host().decode<FetchMsg>(all.subspan(1));
-    if (fetch && !send_state(from, fetch->seq) && snapshot_now) {
-      auto [seq, state] = snapshot_now();
-      if (seq > 0) gen_cp(seq, std::move(state));
-    }
+    if (fetch && !send_state(from, fetch->seq)) checkpoint_now();
   } else if (type == CheckpointMsgType::State) {
     if (auto state = host().decode<StateMsg>(all.subspan(1))) handle_state(*state);
   } else {

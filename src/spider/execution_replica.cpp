@@ -1,7 +1,5 @@
 #include "spider/execution_replica.hpp"
 
-#include <set>
-
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
 
@@ -54,23 +52,16 @@ ExecutionReplica::ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                                   commit_channel(cfg_.group, cfg_.members, cfg_.agreement,
                                                  cfg_.fa, cfg_.commit_capacity));
 
-  auto trusted = std::make_shared<std::set<NodeId>>(cfg_.members.begin(), cfg_.members.end());
-  trusted_peers_ = trusted;
   checkpointer_ = std::make_unique<Checkpointer>(
-      *this, tags::kCheckpoint, cfg_.members, cfg_.fe,
-      [this](SeqNr s, BytesView state) { on_stable_checkpoint(s, state); },
-      [trusted](NodeId n) { return trusted->count(n) > 0; });
-  checkpointer_->snapshot_now = [this] {
-    last_cp_ = std::max(last_cp_, sn_);
-    return std::make_pair(sn_, snapshot_state());
-  };
+      *this, tags::kCheckpoint, cfg_.members, cfg_.fe, cfg_.ke,
+      [this] { return std::make_pair(sn_, snapshot_state()); },
+      [this](SeqNr s, BytesView state) { on_stable_checkpoint(s, state); });
 
   request_next_execute();
 }
 
-void ExecutionReplica::add_checkpoint_peers(const std::vector<NodeId>& peers) {
-  checkpointer_->add_fetch_peers(peers);
-  for (NodeId p : peers) trusted_peers_->insert(p);
+void ExecutionReplica::add_peer_group(GroupId g, std::vector<NodeId> members) {
+  checkpointer_->add_peer_group(g, std::move(members));
 }
 
 void ExecutionReplica::handle_request(ClientFrame frame) {
@@ -166,12 +157,10 @@ void ExecutionReplica::process_batch(const ExecuteBatchMsg& batch) {
     // immediately so trailing or recovering replicas pick up the new map
     // and range state through ordinary checkpoint transfer.
     cut_checkpoint_ = false;
-    last_cp_ = sn_;
-    ++checkpoints_;
-    checkpointer_->gen_cp(sn_, snapshot_state());
+    checkpointer_->checkpoint_now();
     return;
   }
-  maybe_checkpoint();
+  checkpointer_->executed(sn_);
 }
 
 void ExecutionReplica::process_execute(const ExecuteMsg& x) {
@@ -273,7 +262,6 @@ Bytes ExecutionReplica::migrate_out(const MigrateOutCmd& cmd) {
   });
   map_ = std::move(next);
   cut_checkpoint_ = true;
-  ++migrations_;
   return make_migrate_reply(map_->version(), state);
 }
 
@@ -292,21 +280,7 @@ Bytes ExecutionReplica::migrate_in(const MigrateInCmd& cmd) {
   }
   map_ = std::move(next);
   cut_checkpoint_ = true;
-  ++migrations_;
   return make_migrate_reply(map_->version());
-}
-
-void ExecutionReplica::maybe_checkpoint() {
-  // `ke` counts logical requests; with batching sn_ may jump past an exact
-  // multiple, so checkpoint whenever a full interval has elapsed. sn_ is a
-  // batch boundary here, keeping checkpoints aligned with stored batches.
-  if (sn_ < last_cp_ + cfg_.ke) return;
-  last_cp_ = sn_;
-  ++checkpoints_;
-  if (auto* t = tracer()) {
-    t->instant(now(), id(), "checkpoint", "gen_cp", "seq", sn_);
-  }
-  checkpointer_->gen_cp(sn_, snapshot_state());
 }
 
 Bytes ExecutionReplica::snapshot_state() const {
@@ -353,7 +327,7 @@ void ExecutionReplica::on_stable_checkpoint(SeqNr s, BytesView state) {
       return;  // defensive; see request_next_execute
     }
   }
-  last_cp_ = std::max(last_cp_, s);
+  checkpointer_->adopted(s);
   if (waiting_checkpoint_) {
     waiting_checkpoint_ = false;
     request_next_execute();

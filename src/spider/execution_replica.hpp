@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "app/application.hpp"
 #include "irmc/irmc.hpp"
@@ -73,18 +72,16 @@ class ExecutionReplica : public ComponentHost {
   ExecutionReplica(World& world, Site site, ExecutionConfig cfg,
                    std::unique_ptr<Application> app);
 
-  /// Peers in other execution groups usable for cross-group checkpoint
-  /// fetch (paper §3.5); normally populated from the registry.
-  void add_checkpoint_peers(const std::vector<NodeId>& peers);
+  /// Another execution group whose stable checkpoints this replica may
+  /// fetch and adopt (paper §3.5); normally populated from the registry.
+  void add_peer_group(GroupId g, std::vector<NodeId> members);
 
   // Introspection ---------------------------------------------------------
   [[nodiscard]] SeqNr executed_seq() const { return sn_; }
   [[nodiscard]] GroupId group() const { return cfg_.group; }
   [[nodiscard]] const Application& app() const { return *app_; }
-  [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoints_; }
   [[nodiscard]] std::uint64_t catchups() const { return catchups_; }
   [[nodiscard]] const std::optional<ShardMap>& shard_map() const { return map_; }
-  [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
 
   /// Reply cache entry u[c]; its field list is the image's entry format.
   struct ReplyCacheEntry {
@@ -103,7 +100,6 @@ class ExecutionReplica : public ComponentHost {
   Bytes execute_sys_op(NodeId client, BytesView op);
   Bytes migrate_out(const MigrateOutCmd& cmd);
   Bytes migrate_in(const MigrateInCmd& cmd);
-  void maybe_checkpoint();
   Bytes snapshot_state() const;
   void apply_state(SeqNr s, BytesView state);
   void on_stable_checkpoint(SeqNr s, BytesView state);
@@ -116,12 +112,9 @@ class ExecutionReplica : public ComponentHost {
   std::unique_ptr<Checkpointer> checkpointer_;
 
   SeqNr sn_ = 0;
-  SeqNr last_cp_ = 0;  // seq of the newest checkpoint (taken or adopted)
   std::map<NodeId, std::uint64_t> t_;            // latest forwarded counter per client
   std::map<NodeId, ReplyCacheEntry> replies_;    // reply cache u[c]
-  std::shared_ptr<std::set<NodeId>> trusted_peers_;  // other groups' members
   bool waiting_checkpoint_ = false;
-  std::uint64_t checkpoints_ = 0;
   std::uint64_t catchups_ = 0;
   // Live-resharding state. map_ tracks the table this replica enforces;
   // cut_checkpoint_ forces a checkpoint right after the batch that carried
@@ -130,7 +123,6 @@ class ExecutionReplica : public ComponentHost {
   std::optional<ShardMap> map_;
   std::uint32_t shard_index_ = 0;
   bool cut_checkpoint_ = false;
-  std::uint64_t migrations_ = 0;
 };
 
 }  // namespace spider

@@ -173,20 +173,16 @@ std::vector<std::unique_ptr<ExecutionReplica>> SpiderSystem::build_group(GroupId
   return replicas;
 }
 
-std::vector<NodeId> SpiderSystem::checkpoint_peers_for(GroupId g) const {
-  std::vector<NodeId> others;
+void SpiderSystem::add_peer_groups(GroupId g, ExecutionReplica& r) const {
   for (const auto& [g2, ids] : group_members_) {
-    if (g2 == g) continue;
-    others.insert(others.end(), ids.begin(), ids.end());
+    if (g2 != g) r.add_peer_group(g2, ids);
   }
-  return others;
 }
 
 void SpiderSystem::wire_checkpoint_peers() {
-  for (auto& [g1, reps1] : groups_) {
-    std::vector<NodeId> others = checkpoint_peers_for(g1);
-    for (auto& r : reps1) {
-      if (r) r->add_checkpoint_peers(others);
+  for (auto& [g, reps] : groups_) {
+    for (auto& r : reps) {
+      if (r) add_peer_groups(g, *r);
     }
   }
 }
@@ -292,7 +288,7 @@ bool SpiderSystem::restart_node(NodeId id) {
         auto& slot = groups_.at(g)[i];
         if (slot) return true;
         slot = build_exec_replica(g, i);
-        slot->add_checkpoint_peers(checkpoint_peers_for(g));
+        add_peer_groups(g, *slot);
         return true;
       }
     }

@@ -135,8 +135,10 @@ class SpiderSystem : public FaultSurface {
   /// Builds a whole execution group from the stored identity
   /// (group_members_/group_regions_ must already hold the group).
   std::vector<std::unique_ptr<ExecutionReplica>> build_group(GroupId g);
+  /// Registers every other execution group as a checkpoint peer group of
+  /// r, a replica of group g (paper §3.5).
+  void add_peer_groups(GroupId g, ExecutionReplica& r) const;
   void wire_checkpoint_peers();
-  [[nodiscard]] std::vector<NodeId> checkpoint_peers_for(GroupId g) const;
 
   World& world_;
   SpiderTopology topo_;

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "sim/world.hpp"
 #include "spider/checkpointer.hpp"
 #include "tests/support/counting_crypto.hpp"
@@ -9,36 +7,56 @@
 namespace spider {
 namespace {
 
-/// Group of 3 hosts (f=1) each with a checkpoint component. The trusted
-/// set is shared and extensible, mirroring how the real replicas register
-/// members of newly added groups (add_checkpoint_peers).
+/// Group of 3 hosts (f=1) each with a checkpoint component. Replica i's
+/// snapshot source returns `current[i]` and counts its calls in
+/// `snapshots[i]`; gen(i, s, st) makes replica i checkpoint st at s.
 struct CkptFixture {
+  static constexpr std::uint64_t kInterval = 16;
+
   World world{1};
+  std::vector<NodeId> ids;
   std::vector<std::unique_ptr<ComponentHost>> hosts;
   std::vector<std::unique_ptr<Checkpointer>> cps;
+  std::vector<std::pair<SeqNr, Bytes>> current;
+  std::vector<int> snapshots;
   std::vector<std::vector<std::pair<SeqNr, Bytes>>> stable;
-  std::shared_ptr<std::set<NodeId>> trusted = std::make_shared<std::set<NodeId>>();
 
   explicit CkptFixture(std::uint32_t n = 3, std::uint32_t f = 1,
                        std::unique_ptr<CryptoProvider> crypto = nullptr)
-      : world(1, std::move(crypto)) {
-    std::vector<NodeId> ids;
+      : world(1, std::move(crypto)), current(n), snapshots(n), stable(n) {
     for (std::uint32_t i = 0; i < n; ++i) {
       hosts.push_back(std::make_unique<ComponentHost>(
           world, world.allocate_id(), Site{Region::Virginia, static_cast<std::uint8_t>(i % 3)}));
       ids.push_back(hosts.back()->id());
-      trusted->insert(hosts.back()->id());
     }
-    stable.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::size_t idx = i;
+    for (std::size_t i = 0; i < n; ++i) {
       cps.push_back(std::make_unique<Checkpointer>(
-          *hosts[i], tags::kCheckpoint, ids, f,
-          [this, idx](SeqNr s, BytesView state) {
-            stable[idx].emplace_back(s, to_bytes(state));
+          *hosts[i], tags::kCheckpoint, ids, f, kInterval,
+          [this, i] {
+            ++snapshots[i];
+            return current[i];
           },
-          [t = trusted](NodeId id) { return t->count(id) > 0; }));
+          [this, i](SeqNr s, BytesView state) { stable[i].emplace_back(s, to_bytes(state)); }));
     }
+  }
+
+  /// Replica i checkpoints `st` at s now.
+  void gen(std::size_t i, SeqNr s, Bytes st) {
+    current[i] = {s, std::move(st)};
+    cps[i]->checkpoint_now();
+  }
+
+  /// Replica i executed up to s.
+  void executed(std::size_t i, SeqNr s) {
+    current[i] = {s, state(static_cast<int>(s))};
+    cps[i]->executed(s);
+  }
+
+  /// Ids for a peer group of n replicas that host no checkpointer.
+  std::vector<NodeId> peer_ids(std::size_t n) {
+    std::vector<NodeId> out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(world.allocate_id());
+    return out;
   }
 
   static Bytes state(int v) {
@@ -59,6 +77,17 @@ struct CkptFixture {
     return std::move(w).take();
   }
 
+  /// An encoded proof for `st` at `s`, signed by each of `signers`.
+  Bytes proof(SeqNr s, const Bytes& st, const std::vector<NodeId>& signers) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(signers.size()));
+    for (NodeId n : signers) {
+      w.u32(n);
+      w.bytes(world.crypto().sign(n, checkpoint_auth(s, st)));
+    }
+    return std::move(w).take();
+  }
+
   /// A State reply carrying `st` at `s` with the encoded signature `proof`.
   static Bytes state_frame(SeqNr s, const Bytes& st, BytesView proof) {
     Writer w;
@@ -74,8 +103,8 @@ struct CkptFixture {
 TEST(Checkpointer, StableAfterFPlusOneMatching) {
   CkptFixture f;
   Bytes st = CkptFixture::state(1);
-  f.cps[0]->gen_cp(10, st);
-  f.cps[1]->gen_cp(10, st);  // f+1 = 2 matching
+  f.gen(0, 10, st);
+  f.gen(1, 10, st);  // f+1 = 2 matching
   f.world.run_for(kSecond);
   ASSERT_EQ(f.stable[0].size(), 1u);
   EXPECT_EQ(f.stable[0][0].first, 10u);
@@ -88,19 +117,19 @@ TEST(Checkpointer, StableAfterFPlusOneMatching) {
 
 TEST(Checkpointer, SingleReplicaCheckpointNotStable) {
   CkptFixture f;
-  f.cps[0]->gen_cp(10, CkptFixture::state(1));
+  f.gen(0, 10, CkptFixture::state(1));
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());  // CP-Safety: need f+1
 }
 
 TEST(Checkpointer, MismatchedStatesDoNotCombine) {
   CkptFixture f;
-  f.cps[0]->gen_cp(10, CkptFixture::state(1));
-  f.cps[1]->gen_cp(10, CkptFixture::state(2));  // diverging snapshot
+  f.gen(0, 10, CkptFixture::state(1));
+  f.gen(1, 10, CkptFixture::state(2));  // diverging snapshot
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
   // A third matching vote resolves it.
-  f.cps[2]->gen_cp(10, CkptFixture::state(1));
+  f.gen(2, 10, CkptFixture::state(1));
   f.world.run_for(kSecond);
   EXPECT_EQ(f.stable[0].size(), 1u);
   EXPECT_EQ(f.stable[0][0].second, CkptFixture::state(1));
@@ -110,16 +139,16 @@ TEST(Checkpointer, NewerCheckpointSupersedesOlder) {
   CkptFixture f;
   Bytes st10 = CkptFixture::state(10);
   Bytes st20 = CkptFixture::state(20);
-  f.cps[0]->gen_cp(10, st10);
-  f.cps[1]->gen_cp(10, st10);
+  f.gen(0, 10, st10);
+  f.gen(1, 10, st10);
   f.world.run_for(kSecond);
-  f.cps[0]->gen_cp(20, st20);
-  f.cps[1]->gen_cp(20, st20);
+  f.gen(0, 20, st20);
+  f.gen(1, 20, st20);
   f.world.run_for(kSecond);
   ASSERT_EQ(f.stable[0].size(), 2u);
   EXPECT_EQ(f.stable[0][1].first, 20u);
   // Old checkpoints arriving late are ignored (monotonically increasing).
-  f.cps[2]->gen_cp(10, st10);
+  f.gen(2, 10, st10);
   f.world.run_for(kSecond);
   EXPECT_EQ(f.stable[2].back().first, 20u);
 }
@@ -127,28 +156,24 @@ TEST(Checkpointer, NewerCheckpointSupersedesOlder) {
 TEST(Checkpointer, FetchFromGroupPeer) {
   CkptFixture f;
   Bytes st = CkptFixture::state(7);
-  f.cps[0]->gen_cp(30, st);
-  f.cps[1]->gen_cp(30, st);
+  f.gen(0, 30, st);
+  f.gen(1, 30, st);
   f.world.run_for(kSecond);
   ASSERT_EQ(f.stable[2].size(), 1u);  // replica 2 already pulled it
 
-  // A fourth, freshly joining host can fetch it too — once the existing
-  // replicas trust it (in the real system: registered via the registry /
-  // add_checkpoint_peers).
+  // A replica of another group can fetch it too, once each side registers
+  // the other as a peer group (in the real system: from the registry).
   auto host = std::make_unique<ComponentHost>(f.world, f.world.allocate_id(),
                                               Site{Region::Virginia, 0});
-  f.trusted->insert(host->id());
-  std::vector<NodeId> group;
-  for (auto& h : f.hosts) group.push_back(h->id());
+  std::vector<NodeId> group = f.peer_ids(2);
   group.push_back(host->id());
+  for (auto& cp : f.cps) cp->add_peer_group(2, group);
   std::vector<std::pair<SeqNr, Bytes>> got;
-  std::vector<NodeId> trusted_group = group;
   Checkpointer joiner(
-      *host, tags::kCheckpoint, group, 1,
-      [&](SeqNr s, BytesView state) { got.emplace_back(s, to_bytes(state)); },
-      [trusted_group](NodeId n) {
-        return std::find(trusted_group.begin(), trusted_group.end(), n) != trusted_group.end();
-      });
+      *host, tags::kCheckpoint, group, 1, CkptFixture::kInterval,
+      [] { return std::make_pair(SeqNr{0}, Bytes{}); },
+      [&](SeqNr s, BytesView state) { got.emplace_back(s, to_bytes(state)); });
+  joiner.add_peer_group(1, f.ids);
   joiner.fetch_cp(30);
   f.world.run_for(2 * kSecond);
   ASSERT_EQ(got.size(), 1u);
@@ -161,22 +186,26 @@ TEST(Checkpointer, UntrustedFetcherIsIgnored) {
   // group into on-demand snapshots (Fetch is dropped up front).
   CkptFixture f;
   Bytes st = CkptFixture::state(7);
-  f.cps[0]->gen_cp(30, st);
-  f.cps[1]->gen_cp(30, st);
+  f.gen(0, 30, st);
+  f.gen(1, 30, st);
   f.world.run_for(kSecond);
 
   auto outsider = std::make_unique<ComponentHost>(f.world, f.world.allocate_id(),
                                                   Site{Region::Virginia, 0});
-  std::vector<NodeId> group;
-  for (auto& h : f.hosts) group.push_back(h->id());
+  std::vector<NodeId> group = f.ids;
   group.push_back(outsider->id());
   std::vector<std::pair<SeqNr, Bytes>> got;
   Checkpointer thief(
-      *outsider, tags::kCheckpoint, group, 1,
+      *outsider, tags::kCheckpoint, group, 1, CkptFixture::kInterval,
+      [] { return std::make_pair(SeqNr{0}, Bytes{}); },
       [&](SeqNr s, BytesView state) { got.emplace_back(s, to_bytes(state)); });
+  const std::vector<int> snapshots = f.snapshots;
   thief.fetch_cp(30);
   f.world.run_for(2 * kSecond);
   EXPECT_TRUE(got.empty());
+  thief.fetch_cp(40);  // above the stable checkpoint: would force a snapshot
+  f.world.run_for(2 * kSecond);
+  EXPECT_EQ(f.snapshots, snapshots);
 }
 
 TEST(Checkpointer, FetchRetriesUntilAvailable) {
@@ -186,8 +215,8 @@ TEST(Checkpointer, FetchRetriesUntilAvailable) {
   EXPECT_TRUE(f.stable[2].empty());
   // Checkpoint appears later; the retry timer picks it up.
   Bytes st = CkptFixture::state(3);
-  f.cps[0]->gen_cp(10, st);
-  f.cps[1]->gen_cp(10, st);
+  f.gen(0, 10, st);
+  f.gen(1, 10, st);
   f.world.run_for(3 * kSecond);
   ASSERT_FALSE(f.stable[2].empty());
 }
@@ -238,7 +267,7 @@ TEST(Checkpointer, ForgedCheckpointMessageRejected) {
   for (auto& hpt : f.hosts) evil.send_to(hpt->id(), wire.data());
 
   // One honest vote + the forged one must NOT stabilize.
-  f.cps[0]->gen_cp(10, st);
+  f.gen(0, 10, st);
   f.world.run_for(kSecond);
   for (auto& s : f.stable) EXPECT_TRUE(s.empty());
 }
@@ -271,12 +300,72 @@ TEST(Checkpointer, ProofVerifiesEachSignerOnce) {
   EXPECT_EQ(crypto.verifies_of(signed_bytes), 2u);
 }
 
+TEST(Checkpointer, ProofNeedsFPlusOneSignersOfOneGroup) {
+  // Two peer groups, each with at most f = 1 faulty member: one signer
+  // from each (or one from the own group and one from a peer group) may
+  // both be faulty, so the group must not adopt what they sign.
+  CkptFixture f;
+  const std::vector<NodeId> g2 = f.peer_ids(3);
+  const std::vector<NodeId> g3 = f.peer_ids(3);
+  for (auto& cp : f.cps) {
+    cp->add_peer_group(2, g2);
+    cp->add_peer_group(3, g3);
+  }
+  ComponentHost sender(f.world, f.world.allocate_id(), Site{Region::Virginia, 0});
+  auto send = [&](const Bytes& st, const std::vector<NodeId>& signers) {
+    const Bytes wire = CkptFixture::state_frame(50, st, f.proof(50, st, signers));
+    for (auto& h : f.hosts) sender.send_to(h->id(), wire);
+    f.world.run_for(kSecond);
+  };
+
+  const Bytes forged = CkptFixture::state(666);
+  send(forged, {g2[0], g3[0]});
+  send(forged, {f.ids[0], g2[0]});
+  for (auto& s : f.stable) EXPECT_TRUE(s.empty());
+
+  // f+1 signers of one peer group vouch for it.
+  const Bytes st = CkptFixture::state(5);
+  send(st, {g3[1], g3[2]});
+  for (auto& s : f.stable) {
+    ASSERT_EQ(s.size(), 1u);
+    EXPECT_EQ(s[0].first, 50u);
+    EXPECT_EQ(s[0].second, st);
+  }
+}
+
+TEST(Checkpointer, IntervalCountsFromNewestCheckpointTakenOrAdopted) {
+  CkptFixture f;  // interval 16
+  const int& taken = f.snapshots[0];
+  f.executed(0, 15);
+  EXPECT_EQ(taken, 0);
+  f.executed(0, 17);  // a batch jumped past 16
+  EXPECT_EQ(taken, 1);
+  f.executed(0, 32);
+  EXPECT_EQ(taken, 1);
+  f.executed(0, 33);
+  EXPECT_EQ(taken, 2);
+
+  f.cps[0]->adopted(40);
+  f.cps[0]->adopted(10);  // an older adoption leaves the mark alone
+  f.executed(0, 55);
+  EXPECT_EQ(taken, 2);
+  f.executed(0, 56);
+  EXPECT_EQ(taken, 3);
+
+  f.gen(0, 60, CkptFixture::state(60));  // on demand: restarts the interval too
+  EXPECT_EQ(taken, 4);
+  f.executed(0, 75);
+  EXPECT_EQ(taken, 4);
+  f.executed(0, 76);
+  EXPECT_EQ(taken, 5);
+}
+
 TEST(Checkpointer, LastStableTracksDeliveries) {
   CkptFixture f;
   EXPECT_EQ(f.cps[0]->last_stable(), 0u);
   Bytes st = CkptFixture::state(1);
-  f.cps[0]->gen_cp(8, st);
-  f.cps[1]->gen_cp(8, st);
+  f.gen(0, 8, st);
+  f.gen(1, 8, st);
   f.world.run_for(kSecond);
   EXPECT_EQ(f.cps[0]->last_stable(), 8u);
   EXPECT_EQ(f.cps[2]->last_stable(), 8u);

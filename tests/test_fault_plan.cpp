@@ -1,9 +1,8 @@
-// Sim-layer tests for the fault-schedule engine: partition stacking on the
-// user link filter, crash/restart hooks and the hook-less crash-stop
-// fallback (on the sim and on loopback sockets), link shaping, slow-node mode,
-// Byzantine windows, detach/re-attach in-flight message semantics, seed
-// determinism and the script's text formats. randomize() runs against a
-// small fake fault surface.
+// Sim-layer tests for the fault-schedule engine: partitions, crash/restart
+// hooks and the hook-less crash-stop fallback (on the sim and on loopback
+// sockets), link shaping, slow-node mode, Byzantine windows, detach/re-attach
+// in-flight message semantics, seed determinism and the script's text
+// formats. randomize() runs against a small fake fault surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,37 +82,6 @@ TEST(FaultPlan, PartitionCutsAndHeals) {
   world.net().send(a.id(), b.id(), payload("post"));
   world.run_for(500 * kMillisecond);
   EXPECT_EQ(b.received, 2);
-}
-
-TEST(FaultPlan, StacksOnUserLinkFilter) {
-  World world(1);
-  EchoNode a(world, Site{Region::Virginia, 0});
-  EchoNode b(world, Site{Region::Virginia, 1});
-  EchoNode c(world, Site{Region::Virginia, 2});
-
-  // User filter drops a->c; the plan cuts a<->b until 1 s + 10 us. Neither
-  // clobbers the other.
-  NodeId cid = c.id();
-  NodeId aid = a.id();
-  world.net().set_link_filter([aid, cid](NodeId from, NodeId to) {
-    return !(from == aid && to == cid);
-  });
-  FaultPlan plan(world);
-  plan.partition_nodes_at(0, {a.id()}, {b.id()}, /*heal_after=*/kSecond + 10);
-
-  world.run_for(10);
-  world.net().send(a.id(), b.id(), payload("x"));
-  world.net().send(a.id(), c.id(), payload("y"));
-  world.run_for(kSecond);
-  EXPECT_EQ(b.received, 0);  // plan cut
-  EXPECT_EQ(c.received, 0);  // user filter still applies
-
-  world.run_for(10);
-  world.net().send(a.id(), b.id(), payload("x2"));
-  world.net().send(a.id(), c.id(), payload("y2"));
-  world.run_for(kSecond);
-  EXPECT_EQ(b.received, 1);  // plan healed
-  EXPECT_EQ(c.received, 0);  // user filter untouched by heal
 }
 
 TEST(FaultPlan, CrashRestartHooksFire) {
@@ -265,6 +233,33 @@ TEST(FaultPlan, SlowNodeStretchesTransmitTime) {
   world.run_for(5 * kSecond);
   EXPECT_EQ(b.received, 2);
   (void)before;
+}
+
+TEST(FaultPlan, SlowerEndBoundsTransmitUntilItsWindowCloses) {
+  World world(1);
+  world.net().jitter_frac = 0.0;
+  EchoNode a(world, Site{Region::Virginia, 0});
+  EchoNode b(world, Site{Region::Virginia, 0});
+  FaultPlan plan(world);
+  plan.slow_node_at(0, a.id(), /*factor=*/0.1, /*duration=*/kSecond);
+  plan.slow_node_at(0, b.id(), /*factor=*/0.5, /*duration=*/2 * kSecond);
+
+  // One-way time of a 75 kB message: 1000 us of transmit at full speed.
+  auto one_way = [&] {
+    const int before = b.received;
+    const Time sent = world.now();
+    world.net().send(a.id(), b.id(), Bytes(75'000, 0xab));
+    while (b.received == before) world.queue().run_next();
+    return world.now() - sent;
+  };
+  world.run_until(10);
+  const Duration both_slow = one_way();  // the sender's 0.1 bounds the link
+  world.run_until(1500 * kMillisecond);
+  const Duration receiver_slow = one_way();
+  world.run_until(2500 * kMillisecond);
+  const Duration full = one_way();
+  EXPECT_EQ(both_slow - full, 9'000);
+  EXPECT_EQ(receiver_slow - full, 1'000);
 }
 
 TEST(FaultPlan, OverlappingWindowsExtendInsteadOfTruncating) {

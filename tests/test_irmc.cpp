@@ -468,7 +468,7 @@ TEST(IrmcRc, LostSendIsRetransmittedWithinTwoNackPeriodsOfHeal) {
   NodeId r0 = f.receiver_hosts[0]->id();
   // Every Send of position 1 to receiver 0 is lost, and no later traffic
   // on the subchannel follows it.
-  f.world.net().set_link_filter([r0](NodeId, NodeId to) { return to != r0; });
+  f.world.net().set_fault_shaper([r0](NodeId, NodeId to) { return LinkFault{.cut = to == r0}; });
   Bytes m = f.msg(1);
   Bytes got;
   std::optional<Time> delivered_at;
@@ -481,7 +481,7 @@ TEST(IrmcRc, LostSendIsRetransmittedWithinTwoNackPeriodsOfHeal) {
   // Heal once the lost Sends would long have arrived (two WAN round trips).
   f.world.run_for(300 * kMillisecond);
   ASSERT_FALSE(delivered_at.has_value());
-  f.world.net().set_link_filter(nullptr);
+  f.world.net().set_fault_shaper(nullptr);
   const Time healed = f.world.now();
   f.world.run_for(2 * f.nack_period());
   ASSERT_TRUE(delivered_at.has_value());
@@ -527,7 +527,7 @@ TEST(IrmcRc, ReplayNeverPrecedesItsWindowStatement) {
   ChannelFixture f(IrmcKind::ReceiverCollect);
   ASSERT_LT(1 + 2 * f.cfg.capacity - 1, Position{20});
   NodeId r0 = f.receiver_hosts[0]->id();
-  f.world.net().set_link_filter([r0](NodeId, NodeId to) { return to != r0; });
+  f.world.net().set_fault_shaper([r0](NodeId, NodeId to) { return LinkFault{.cut = to == r0}; });
   for (auto& s : f.senders) s->move_window(1, 20);
   for (Position p = 20; p <= 22; ++p) f.send_from_all(1, p, f.msg(static_cast<int>(p)));
   Bytes got;
@@ -536,7 +536,7 @@ TEST(IrmcRc, ReplayNeverPrecedesItsWindowStatement) {
     got = res.message.to_bytes();
   });
   f.world.run_for(300 * kMillisecond);
-  f.world.net().set_link_filter(nullptr);
+  f.world.net().set_fault_shaper(nullptr);
   f.world.run_for(3 * f.nack_period());
   EXPECT_EQ(got, f.msg(20));
   EXPECT_EQ(f.receivers[0]->window_start(1), 20u);
@@ -709,8 +709,8 @@ TEST(IrmcSc, CollectorSwitchOnSilentCollector) {
   // reach receiver 0 (but senders still exchange shares via LAN).
   NodeId s0 = f.sender_hosts[0]->id();
   NodeId r0 = f.receiver_hosts[0]->id();
-  f.world.net().set_link_filter([&, s0, r0](NodeId from, NodeId to) {
-    return !(from == s0 && to == r0);
+  f.world.net().set_fault_shaper([s0, r0](NodeId from, NodeId to) {
+    return LinkFault{.cut = from == s0 && to == r0};
   });
 
   Bytes got;

@@ -260,22 +260,6 @@ TEST(MetricsRegistry, SnapshotIsSortedAndDeterministic) {
   }
 }
 
-TEST(MetricsRegistry, MergeFromAddsCountersOverwritesGaugesMergesHistograms) {
-  MetricsRegistry a, b;
-  a.counter("c").inc(3);
-  b.counter("c").inc(4);
-  a.gauge("g").set(1);
-  b.gauge("g").set(9);
-  a.histogram("h").add(10);
-  b.histogram("h").add(20);
-  b.counter("only_b").inc(1);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("c").value(), 7u);
-  EXPECT_EQ(a.gauge("g").value(), 9);
-  EXPECT_EQ(a.histogram("h").count(), 2u);
-  EXPECT_EQ(a.counter("only_b").value(), 1u);
-}
-
 // ---- Tracer ---------------------------------------------------------------
 
 TEST(Tracer, RingModeKeepsLastEventsInOrder) {

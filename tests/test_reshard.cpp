@@ -163,11 +163,11 @@ TEST(Reshard, StaleRoutingReroutesOnAdoptMap) {
   // working, so the migration itself is unaffected.
   const NodeId sub = client->shard_client(owner).id();
   const std::vector<NodeId> members = client->shard_client(owner).group().members;
-  world.net().set_link_filter([sub, members](NodeId from, NodeId to) {
+  world.net().set_fault_shaper([sub, members](NodeId from, NodeId to) {
     for (NodeId m : members) {
-      if ((from == sub && to == m) || (from == m && to == sub)) return false;
+      if ((from == sub && to == m) || (from == m && to == sub)) return LinkFault{.cut = true};
     }
-    return true;
+    return LinkFault{};
   });
 
   auto out = std::make_shared<drive::KvOutcome>();
@@ -191,7 +191,7 @@ TEST(Reshard, StaleRoutingReroutesOnAdoptMap) {
   EXPECT_TRUE(out->ok);
   EXPECT_GE(client->reroutes(), 1u);
 
-  world.net().set_link_filter(nullptr);
+  world.net().set_fault_shaper(nullptr);
   drive::KvOutcome read = drive::blocking_strong_read(world, *client, key);
   ASSERT_TRUE(read.done);
   EXPECT_TRUE(read.ok);
@@ -213,11 +213,11 @@ TEST(Reshard, StaleWeakReadReroutesOnAdoptMap) {
 
   const NodeId sub = client->shard_client(owner).id();
   const std::vector<NodeId> members = client->shard_client(owner).group().members;
-  world.net().set_link_filter([sub, members](NodeId from, NodeId to) {
+  world.net().set_fault_shaper([sub, members](NodeId from, NodeId to) {
     for (NodeId m : members) {
-      if ((from == sub && to == m) || (from == m && to == sub)) return false;
+      if ((from == sub && to == m) || (from == m && to == sub)) return LinkFault{.cut = true};
     }
-    return true;
+    return LinkFault{};
   });
 
   auto out = std::make_shared<drive::KvOutcome>();
@@ -255,8 +255,8 @@ TEST(Reshard, WeakReadRetransmitBacksOffUnderPartition) {
 
   const std::uint32_t owner = sys.shard_map().shard_of("wk");
   const NodeId sub = client->shard_client(owner).id();
-  world.net().set_link_filter([sub](NodeId from, NodeId to) {
-    return from != sub && to != sub;
+  world.net().set_fault_shaper([sub](NodeId from, NodeId to) {
+    return LinkFault{.cut = from == sub || to == sub};
   });
 
   const std::uint64_t before = client->retries();
@@ -275,7 +275,7 @@ TEST(Reshard, WeakReadRetransmitBacksOffUnderPartition) {
 
   // The capped interval keeps reprobing: healing the partition completes
   // the read within one backoff ceiling.
-  world.net().set_link_filter(nullptr);
+  world.net().set_fault_shaper(nullptr);
   ASSERT_TRUE(drive::run_until(world, [&] { return out->done; }, 20 * kSecond));
   EXPECT_TRUE(out->ok);
   EXPECT_EQ(to_string(out->value), "v0");
@@ -432,11 +432,11 @@ TEST(Reshard, AdoptionReroutesEachQueuedAndParkedRecordOnce) {
 
   const NodeId sub = client->shard_client(0).id();
   const std::vector<NodeId> members = client->shard_client(0).group().members;
-  world.net().set_link_filter([sub, members](NodeId from, NodeId to) {
+  world.net().set_fault_shaper([sub, members](NodeId from, NodeId to) {
     for (NodeId m : members) {
-      if ((from == sub && to == m) || (from == m && to == sub)) return false;
+      if ((from == sub && to == m) || (from == m && to == sub)) return LinkFault{.cut = true};
     }
-    return true;
+    return LinkFault{};
   });
 
   auto calls = std::make_shared<std::vector<int>>(4, 0);
@@ -461,7 +461,7 @@ TEST(Reshard, AdoptionReroutesEachQueuedAndParkedRecordOnce) {
   // The re-routed queued ops reach shard 1; the parked put now waits on the
   // cut link to shard 0 until it heals.
   ASSERT_TRUE(drive::run_until(world, [&] { return client->pending_ops() == 1; }));
-  world.net().set_link_filter(nullptr);
+  world.net().set_fault_shaper(nullptr);
   ASSERT_TRUE(drive::run_until(world, [&] { return client->pending_ops() == 0; }));
   world.run_for(10 * kSecond);
   EXPECT_EQ(*calls, std::vector<int>(4, 1));

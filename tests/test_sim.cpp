@@ -283,8 +283,8 @@ TEST(SimNetwork, LanAccounting) {
 
 TEST(SimNetwork, LinkFilterDrops) {
   NetFixture f;
-  f.world.net().set_link_filter(
-      [&](NodeId from, NodeId) { return from != f.va.id(); });
+  f.world.net().set_fault_shaper(
+      [&](NodeId from, NodeId) { return LinkFault{.cut = from == f.va.id()}; });
   f.va.send_to(f.tokyo.id(), to_bytes(std::string("dropped")));
   f.world.run_for(200 * kMillisecond);
   EXPECT_TRUE(f.tokyo.received.empty());

@@ -309,6 +309,51 @@ TEST(Spider, LaggingExecutionReplicaCatchesUpViaCheckpoint) {
   EXPECT_TRUE(r.ok);
 }
 
+TEST(Spider, CheckpointSignedAcrossGroupsIsNotAdopted) {
+  // One faulty replica in each of two other groups, each group still
+  // within fe = 1, sign a checkpoint of a state no client wrote. Pooled,
+  // they make fe+1 signatures, but no group vouches for it, so the
+  // replicas of a correct group must not adopt it.
+  Fixture f(SpiderTopology{}, 7);
+  const std::vector<GroupId> groups = f.sys.group_ids();
+  const GroupId victim = groups[0];
+  ASSERT_EQ(f.sys.nearest_group(Region::Virginia), victim);
+  const std::vector<NodeId> forgers = {f.sys.group_info(groups[1]).members[0],
+                                       f.sys.group_info(groups[2]).members[0]};
+
+  KvStore app;
+  app.execute(kv_put("k", to_bytes(std::string("forged"))));
+  const Bytes app_state = app.snapshot();
+  const Bytes image =
+      codec::encode(ReplicaImage<ExecutionReplica::ReplyCacheEntry>{{}, app_state});
+  const SeqNr s = 1000;
+  Writer signed_bytes;
+  signed_bytes.u32(tags::kCheckpoint);
+  signed_bytes.raw(
+      codec::encode(CheckpointMsgType::Checkpoint, CheckpointMsg{s, Sha256::hash(image)}));
+  std::vector<Bytes> sigs;
+  CheckpointProof proof;
+  for (NodeId n : forgers) sigs.push_back(f.world.crypto().sign(n, signed_bytes.data()));
+  for (std::size_t i = 0; i < forgers.size(); ++i) proof.sigs.emplace_back(forgers[i], sigs[i]);
+  const Bytes proof_bytes = codec::encode(proof);
+  Writer wire;
+  wire.u32(tags::kCheckpoint);
+  wire.raw(codec::encode(CheckpointMsgType::State, StateMsg{s, image, proof_bytes}));
+
+  ComponentHost sender(f.world, f.world.allocate_id(), Site{Region::Virginia, 2});
+  for (NodeId n : f.sys.group_info(victim).members) sender.send_to(n, wire.data());
+  f.world.run_for(kSecond);
+  for (std::size_t i = 0; i < f.sys.group_size(victim); ++i) {
+    EXPECT_EQ(f.sys.exec(victim, i).executed_seq(), 0u);
+    EXPECT_EQ(f.sys.exec(victim, i).catchups(), 0u);
+  }
+
+  auto client = f.sys.make_client(Site{Region::Virginia, 1});
+  auto [reply, lat] = f.do_weak_read(*client, "k");
+  ASSERT_GE(lat, 0);
+  EXPECT_FALSE(reply.ok) << "weak read returned " << to_string(reply.value);
+}
+
 TEST(Spider, TrailingGroupSkippedWithZ) {
   SpiderTopology topo = test_topology();
   topo.z = 1;  // tolerate one trailing execution group
